@@ -160,8 +160,7 @@ def criterion_4() -> str:
                 continue
             h = assemble_nagaoka_sector(model, m)
             rep = ground_report(h)
-            _, vecs = eig_lowest(h, 1)
-            cert = pf_certificate(h, vecs[:, 0], rep.degeneracy)
+            cert = pf_certificate(h, rep.ground_vector, rep.degeneracy)
             assert cert.offdiag_sign_ok, f"{name} M={m}: off-diagonal sign broken"
             assert cert.irreducible, f"{name} M={m}: reducible"
             assert cert.ground_unique and cert.ground_strictly_positive, \

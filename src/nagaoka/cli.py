@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -39,7 +40,7 @@ from .hamiltonian import (
 from .model import load_model
 from .positivity import pf_certificate, qgrid_holstein_certify
 from .sector import as_half_integer, connectivity_check, enumerate_sector, sector_magnetizations
-from .spectral import default_resolvent_z, eig_lowest, ground_report, resolvent_gap
+from .spectral import default_resolvent_z, ground_report, resolvent_gap
 
 EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL = 0, 1, 2
 
@@ -104,6 +105,22 @@ def _spectral_row(rep) -> dict:
         "boson_dimension": rep.boson_dimension,
         "cutoff": rep.cutoff,
     }
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _map_jobs(fn, payloads, jobs: int) -> list:
+    """``fn`` over ``payloads`` in order, on min(jobs, tasks, cpus) workers."""
+    workers = min(jobs, len(payloads), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, payloads))
+    return [fn(payload) for payload in payloads]
 
 
 def _pick_form(model) -> str:
@@ -196,11 +213,7 @@ def _cmd_ed(args) -> int:
     model = load_model(args.model)
     form = args.form or _pick_form(model)
     jobs = [(model, form, m, args.cutoff) for m in _sectors(model, args)]
-    if args.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_ed_job, jobs))
-    else:
-        rows = [_ed_job(job) for job in jobs]
+    rows = _map_jobs(_ed_job, jobs, args.jobs)
     rows.sort(key=lambda kv: Fraction(kv[0]))
     _emit(args, json.dumps(_report(args, [row for _, row in rows]), indent=2))
     return EXIT_OK
@@ -239,12 +252,7 @@ def _cmd_largeu(args) -> int:
     us = [float(tok) for tok in args.u_list.split(",") if tok]
     if not us:
         raise ModelValidationError("cli", "--u-list is empty")
-    jobs = [(model, u, z) for u in us]
-    if args.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            pairs = list(pool.map(_largeu_job, jobs))
-    else:
-        pairs = [_largeu_job(job) for job in jobs]
+    pairs = _map_jobs(_largeu_job, [(model, u, z) for u in us], args.jobs)
     pairs.sort(key=lambda kv: kv[0])
     print(f"# command={' '.join(args.echo)} digest={_model_digest(args.model)} "
           f"z={z.real!r},{z.imag!r}", file=sys.stderr)
@@ -277,8 +285,7 @@ def _cmd_certify(args) -> int:
         for m in _sectors(model, args):
             h = assemble_nagaoka_sector(model, m)
             rep = ground_report(h)
-            _, vecs = eig_lowest(h, 1)
-            cert = pf_certificate(h, vecs[:, 0], rep.degeneracy)
+            cert = pf_certificate(h, rep.ground_vector, rep.degeneracy)
             rows.append({"m": _frac(m), "basis": cert.basis_tag,
                          "offdiag_sign_ok": cert.offdiag_sign_ok,
                          "irreducible": cert.irreducible,
@@ -326,7 +333,8 @@ def build_parser() -> _Parser:
                            choices=["nagaoka", "holstein", "langfirsov", "radiation"],
                            default=None, help="Hamiltonian form (default: by model content)")
         p.add_argument("--out", default=None, help="write the payload to a file")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+        p.add_argument("--jobs", type=_positive_int, default=1,
+                       help="parallel workers (>= 1; capped at the task and CPU counts)")
 
     p = sub.add_parser("basis", help="sector dimensions and configurations")
     common(p)

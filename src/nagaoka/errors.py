@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the dimension budget behind one of them."""
+
+import os
 
 
 class ModelParseError(ValueError):
@@ -37,3 +39,21 @@ class InconsistencyError(RuntimeError):
     """Certificate implication violated: sign structure and irreducibility
     hold but the ground state is not unique/strictly positive.  Indicates a
     solver failure and is never accepted silently."""
+
+
+DEFAULT_DIM_BUDGET = 200_000
+
+
+def dim_budget() -> int:
+    """Dimension ceiling for assembled matrices (env NAGAOKA_DIM_BUDGET)."""
+    return int(float(os.environ.get("NAGAOKA_DIM_BUDGET", DEFAULT_DIM_BUDGET)))
+
+
+def guard_dimension(dim: int, what: str):
+    """Raise DimensionBudgetError when ``dim`` exceeds the budget; callers
+    check the count before they enumerate or assemble anything."""
+    budget = dim_budget()
+    if dim > budget:
+        raise DimensionBudgetError(
+            f"{what} needs dimension {dim} > budget {budget} "
+            f"(raise NAGAOKA_DIM_BUDGET to override)")

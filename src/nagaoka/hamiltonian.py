@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionBudgetError
+from .errors import DimensionBudgetError, guard_dimension
 from .manybody import (
     DOWN,
     UP,
@@ -33,7 +33,6 @@ from .manybody import (
     boson_basis,
     build_boson_op,
     full_fock_basis,
-    guard_dimension,
     hopping_bilinear,
     momentum_quadrature,
     projected_restriction,

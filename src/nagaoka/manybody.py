@@ -14,11 +14,16 @@ adjacent slices, while bilinears such as hopping terms are square.
 Boson bases are truncated per mode; the raising operator annihilates the
 top level instead of erroring, so truncation artifacts surface as cutoff
 convergence failures rather than crashes.
+
+Spin resolution on the magnetization sectors never builds the Fock space:
+the lowering map between adjacent sectors comes from the direct rule (flip
+one up spin, coefficient +1).  The Fock space is the finite-U space and the
+oracle of the sector forms; ``sector_lowering_fock`` is the fermionic S-
+restricted to the signed sector vectors.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -27,26 +32,11 @@ from math import comb
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionBudgetError
+from .errors import guard_dimension
 from .model import LatticeModel
 from .sector import SectorBasis, enumerate_sector
 
 UP, DOWN = 0, 1
-
-DEFAULT_DIM_BUDGET = 200_000
-
-
-def dim_budget() -> int:
-    """Dimension ceiling for assembled matrices (env NAGAOKA_DIM_BUDGET)."""
-    return int(float(os.environ.get("NAGAOKA_DIM_BUDGET", DEFAULT_DIM_BUDGET)))
-
-
-def guard_dimension(dim: int, what: str):
-    budget = dim_budget()
-    if dim > budget:
-        raise DimensionBudgetError(
-            f"{what} needs dimension {dim} > budget {budget} "
-            f"(raise NAGAOKA_DIM_BUDGET to override)")
 
 
 class SparseHermitian:
@@ -128,9 +118,11 @@ class FullFockBasis:
 def full_fock_basis(sites: int, n_electrons: int) -> FullFockBasis:
     if not 0 <= n_electrons <= 2 * sites:
         raise ValueError(f"cannot place {n_electrons} electrons on {sites} sites")
+    dim = comb(2 * sites, n_electrons)
+    guard_dimension(dim, f"Fock basis of {n_electrons} electrons on {sites} sites")
     states = tuple(w for w in range(1 << (2 * sites))
                    if w.bit_count() == n_electrons)
-    assert len(states) == comb(2 * sites, n_electrons)
+    assert len(states) == dim
     return FullFockBasis(sites=sites, n_electrons=n_electrons, states=states,
                          index={w: i for i, w in enumerate(states)})
 
@@ -329,12 +321,53 @@ def projected_restriction(full_matrix, rows_a, signs_a, rows_b=None, signs_b=Non
     return (sp.diags(signs_a) @ sub @ sp.diags(signs_b)).tocsr()
 
 
+def _sector_keys(basis: SectorBasis) -> np.ndarray:
+    """(hole << sites) | up_mask per configuration; ascending, since the
+    canonical order is lexicographic in (hole, up_mask)."""
+    return np.fromiter(((c.hole << basis.sites) | c.up_mask for c in basis.configs),
+                       dtype=np.int64, count=basis.dimension)
+
+
+def _lowering_matrix(basis_hi: SectorBasis, basis_lo: SectorBasis) -> sp.csr_matrix:
+    """S- from sector M to M-1 by the direct rule: every up spin of a
+    configuration flips to down with coefficient +1.
+
+    The result is canonical CSR (sorted indices, no explicit zeros), so the
+    S^2 built from it has the same CSR arrays as the one built from
+    ``sector_lowering_fock``.
+    """
+    keys_hi = _sector_keys(basis_hi)
+    keys_lo = _sector_keys(basis_lo)
+    rows, cols = [], []
+    for z in range(basis_hi.sites):
+        src = np.nonzero((keys_hi >> z) & 1)[0]
+        rows.append(np.searchsorted(keys_lo, keys_hi[src] ^ (1 << z)))
+        cols.append(src)
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    mat = sp.csr_matrix((np.ones(rows.size), (rows, cols)),
+                        shape=(basis_lo.dimension, basis_hi.dimension))
+    mat.sort_indices()
+    return mat
+
+
 def sector_lowering(model: LatticeModel, m) -> tuple[sp.csr_matrix, SectorBasis, SectorBasis]:
     """Spin-lowering map from sector M to sector M-1 in the canonical bases.
 
-    Built from the fermionic S- so that its sign structure reflects the
-    sector convention end to end.  Returns (matrix, basis_M, basis_{M-1}).
+    Built by the direct rule, which never leaves the sector bases; the
+    fermionic S- route is ``sector_lowering_fock``.  Returns
+    (matrix, basis_M, basis_{M-1}).
     """
+    basis_hi = enumerate_sector(model, m)
+    basis_lo = enumerate_sector(model, basis_hi.m - 1)
+    return _lowering_matrix(basis_hi, basis_lo), basis_hi, basis_lo
+
+
+def sector_lowering_fock(model: LatticeModel, m) -> tuple[sp.csr_matrix, SectorBasis, SectorBasis]:
+    """The lowering map of ``sector_lowering`` by the second route: the
+    fermionic S- on the full fixed-N Fock basis, restricted to the signed
+    sector vectors, so its sign structure reflects the sector convention
+    end to end."""
     basis_hi, fock, rows_hi, signs_hi = sector_embedding(model, m)
     m_lo = basis_hi.m - 1
     basis_lo, _, rows_lo, signs_lo = sector_embedding(model, m_lo)
@@ -344,16 +377,18 @@ def sector_lowering(model: LatticeModel, m) -> tuple[sp.csr_matrix, SectorBasis,
 
 
 def sector_spin_squared(model: LatticeModel, m) -> SparseHermitian:
-    """Total-spin Casimir restricted to one magnetization sector."""
+    """Total-spin Casimir restricted to one magnetization sector:
+    M^2 + (L*L + L_+ L_+*) / 2, with L the lowering map out of M and L_+
+    the one into it."""
     basis = enumerate_sector(model, m)
     n = basis.dimension
     m_frac = basis.m
     max_m = (model.sites - 1) / 2
     s2 = float(m_frac) ** 2 * sp.identity(n, format="csr")
     if float(m_frac) > -max_m:
-        low, _, _ = sector_lowering(model, m_frac)
+        low = _lowering_matrix(basis, enumerate_sector(model, m_frac - 1))
         s2 = s2 + 0.5 * (low.conjugate().T @ low)
     if float(m_frac) < max_m:
-        low_above, _, _ = sector_lowering(model, m_frac + 1)
+        low_above = _lowering_matrix(enumerate_sector(model, m_frac + 1), basis)
         s2 = s2 + 0.5 * (low_above @ low_above.conjugate().T)
     return SparseHermitian(s2.tocsr(), hermitian=True)

@@ -24,9 +24,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .errors import InconsistencyError, ModelValidationError
+from .errors import InconsistencyError, ModelValidationError, guard_dimension
 from .hamiltonian import SectorHamiltonian, effective_coulomb, lang_firsov_constant
-from .manybody import SparseHermitian, guard_dimension, sector_lowering
+from .manybody import SparseHermitian, sector_lowering_fock
 from .model import LatticeModel
 from .sector import enumerate_sector
 from .spectral import CLUSTER_TOL, eig_lowest
@@ -146,8 +146,10 @@ def diagonal_perturbation_equivalence(h, diagonal) -> bool:
 def spin_lowering_positivity(model: LatticeModel, m) -> bool:
     """The sector-to-sector spin-lowering matrix, built from the fermionic
     operator, must be entrywise in {0, +1} with one entry per flippable up
-    spin, i.e. column sums equal to n_up of the source sector."""
-    low, basis_hi, _ = sector_lowering(model, m)
+    spin, i.e. column sums equal to n_up of the source sector.  This is the
+    statement that the direct rule of ``sector_lowering`` is the fermionic
+    S- in the canonical basis."""
+    low, basis_hi, _ = sector_lowering_fock(model, m)
     dense = low.toarray()
     near_zero = np.abs(dense) <= 1e-12
     near_one = np.abs(dense - 1.0) <= 1e-12

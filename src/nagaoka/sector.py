@@ -21,6 +21,7 @@ from itertools import combinations
 from math import comb
 from weakref import WeakKeyDictionary
 
+from .errors import guard_dimension
 from .model import LatticeModel
 
 
@@ -34,9 +35,6 @@ class HoleSpinConfig:
 
     def occupied(self, site: int) -> bool:
         return site != self.hole
-
-    def spin_up_at(self, site: int) -> bool:
-        return bool(self.up_mask >> site & 1)
 
 
 def as_half_integer(m) -> Fraction:
@@ -85,6 +83,8 @@ def enumerate_sector(model: LatticeModel, m) -> SectorBasis:
             f"M = {frac} out of range for {sites} sites; valid sectors are "
             f"{', '.join(str(v) for v in sector_magnetizations(sites))}")
     n_up = n_up2 // 2
+    dim = sites * comb(sites - 1, n_up)
+    guard_dimension(dim, f"sector M = {frac} of {sites} sites")
 
     configs = []
     for hole in range(sites):
@@ -95,7 +95,7 @@ def enumerate_sector(model: LatticeModel, m) -> SectorBasis:
                 mask |= 1 << z
             configs.append(HoleSpinConfig(hole, mask))
     configs.sort(key=lambda c: (c.hole, c.up_mask))
-    assert len(configs) == sites * comb(sites - 1, n_up)
+    assert len(configs) == dim
     return SectorBasis(sites=sites, m=frac, configs=tuple(configs),
                        index={c: i for i, c in enumerate(configs)})
 

@@ -6,28 +6,32 @@ Tolerances used throughout, stated once:
 * degeneracy cluster:   1e-8 (1 + |E0|)
 * spin rounding:        |S(S+1) - <S^2>| <= 1e-6 after rounding S
 * dense/Krylov crossover at dimension 2048
+
+Above the crossover a reducible sector is solved one hole-move orbit at a
+time: a single Lanczos start vector cannot resolve exact degeneracies
+between decoupled blocks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import AmbiguousSpinError, ConvergenceError
+from .errors import AmbiguousSpinError, ConvergenceError, guard_dimension
 from .hamiltonian import SectorHamiltonian, assemble_hubbard_full
 from .manybody import (
     SparseHermitian,
     boson_basis,
     build_gutzwiller,
     full_fock_basis,
-    guard_dimension,
     sector_spin_squared,
 )
 from .model import LatticeModel
+from .sector import connectivity_check
 
 RESIDUAL_TOL = 1e-10
 CLUSTER_TOL = 1e-8
@@ -91,6 +95,8 @@ class SpectralReport:
     sector_dimension: int
     boson_dimension: int | None = None
     cutoff: int | None = None
+    # the vector the spin was resolved on; kept for certificates, never serialized
+    ground_vector: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def resolve_total_spin(stot2_expectation: float) -> Fraction:
@@ -106,6 +112,47 @@ def resolve_total_spin(stot2_expectation: float) -> Fraction:
     return s
 
 
+def _lowest_levels(h, dim: int, ref: float | None = None):
+    """Lowest eigenpairs of ``h``, doubling the count until a value lies
+    more than the cluster tolerance above ``ref`` (default: the lowest
+    value) or the spectrum is exhausted."""
+    k = min(dim, 6)
+    while True:
+        vals, vecs = eig_lowest(h, k)
+        base = vals[0] if ref is None else ref
+        if np.any(vals - base > CLUSTER_TOL * (1.0 + abs(base))) or k == dim:
+            return vals, vecs
+        k = min(dim, 2 * k)
+
+
+def _orbit_levels(h: SectorHamiltonian, orbits):
+    """Merged low spectrum of a reducible sector, solved orbit by orbit
+    (each orbit block tensored with the boson space when present).
+
+    Returns the ascending values and the ground vector of the lowest orbit,
+    embedded in the full space.  Every orbit contributes all of its levels
+    up to the first one above the global ground cluster, so degeneracy and
+    gap come out as from one exact solve.
+    """
+    mat = _as_matrix(h, require_hermitian=True)
+    nb = 1 if h.boson is None else h.boson.dimension
+    parts = []
+    for orbit in orbits:
+        idx = (np.asarray(orbit)[:, None] * nb + np.arange(nb)).ravel()
+        block = mat[np.ix_(idx, idx)]
+        parts.append([idx, block, *_lowest_levels(block, idx.size)])
+    e0 = min(vals[0] for _, _, vals, _ in parts)
+    tol = CLUSTER_TOL * (1.0 + abs(e0))
+    for part in parts:
+        idx, block, vals, _ = part
+        if not np.any(vals - e0 > tol) and vals.size < idx.size:
+            part[2:] = _lowest_levels(block, idx.size, ref=e0)
+    idx, _, _, vecs = min(parts, key=lambda part: part[2][0])
+    v0 = np.zeros(mat.shape[0], dtype=vecs.dtype)
+    v0[idx] = vecs[:, 0]
+    return np.sort(np.concatenate([vals for _, _, vals, _ in parts])), v0
+
+
 def ground_report(h: SectorHamiltonian, spin_ops: SparseHermitian | None = None) -> SpectralReport:
     """Ground-state cluster, gap and resolved total spin of one sector."""
     s2 = spin_ops if spin_ops is not None else sector_spin_squared(h.model, h.m)
@@ -114,18 +161,17 @@ def ground_report(h: SectorHamiltonian, spin_ops: SparseHermitian | None = None)
         s2_mat = sp.kron(s2_mat, sp.identity(h.boson.dimension, format="csr"), format="csr")
 
     dim = h.dimension
-    k = min(dim, 6)
-    while True:
-        vals, vecs = eig_lowest(h, k)
-        tol = CLUSTER_TOL * (1.0 + abs(vals[0]))
-        above = np.nonzero(vals - vals[0] > tol)[0]
-        if above.size or k == dim:
-            break
-        k = min(dim, 2 * k)
+    orbits = connectivity_check(h.model, h.m).orbits if dim > DENSE_CROSSOVER else ()
+    if len(orbits) > 1:
+        vals, v0 = _orbit_levels(h, orbits)
+    else:
+        vals, vecs = _lowest_levels(h, dim)
+        v0 = vecs[:, 0]
+    tol = CLUSTER_TOL * (1.0 + abs(vals[0]))
+    above = np.nonzero(vals - vals[0] > tol)[0]
     degeneracy = int(above[0]) if above.size else dim
     gap = float(vals[above[0]] - vals[0]) if above.size else 0.0
 
-    v0 = vecs[:, 0]
     s2_exp = float(np.real(np.vdot(v0, s2_mat @ v0)))
     resolved = resolve_total_spin(s2_exp)
     return SpectralReport(
@@ -133,7 +179,7 @@ def ground_report(h: SectorHamiltonian, spin_ops: SparseHermitian | None = None)
         stot2_expectation=s2_exp, resolved_s=resolved, dimension=dim,
         sector_dimension=h.basis.dimension,
         boson_dimension=None if h.boson is None else h.boson.dimension,
-        cutoff=h.cutoff)
+        cutoff=h.cutoff, ground_vector=v0)
 
 
 def operator_norm(a, tol: float = 1e-8, max_iter: int = 100_000) -> float:
@@ -163,7 +209,9 @@ def operator_norm(a, tol: float = 1e-8, max_iter: int = 100_000) -> float:
         if change <= allowed and remaining <= allowed:
             return sigma
         sigma_prev, change_prev = sigma, change
-    return sigma_prev
+    raise ConvergenceError(
+        f"power iteration did not converge in {max_iter} iterations "
+        f"(last estimate {sigma_prev!r})")
 
 
 def _full_space_pieces(model: LatticeModel):

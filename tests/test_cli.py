@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -213,6 +214,82 @@ def test_budget_exhaustion_exits_2(capsys, holstein_file, monkeypatch):
     monkeypatch.setenv("NAGAOKA_DIM_BUDGET", "4")
     code, _ = run(capsys, "ed", "--model", holstein_file, "--all")
     assert code == 2
+
+
+def test_hubbard_budget_refused_before_enumeration(capsys, tmp_path):
+    # 14 sites, 13 electrons: C(28, 13) ~ 3.7e7 Fock words, far over budget
+    path = tmp_path / "chain14.ini"
+    path.write_text("[lattice]\nsites = 14\ngenerator = chain\nextent = 14\nt = 1.0\n"
+                    "[coulomb]\nu = 4.0\n")
+    start = time.perf_counter()
+    code, _ = run(capsys, "assemble", "--model", str(path), "--form", "hubbard")
+    assert code == 2
+    assert time.perf_counter() - start < 5.0
+
+
+def test_ed_complete12_maximal_spin(capsys, tmp_path):
+    path = tmp_path / "complete12.ini"
+    path.write_text("[lattice]\nsites = 12\ngenerator = complete\nextent = 12\nt = 1.0\n"
+                    "[coulomb]\nu = inf\n")
+    code, out = run(capsys, "ed", "--model", str(path), "--m", "1/2")
+    assert code == 0
+    row = json.loads(out)["results"][0]
+    assert row["dimension"] == 5544
+    assert (row["resolved_s"], row["degeneracy"]) == ("11/2", 1)
+    assert abs(row["ground_energy"] + 11.0) <= 1e-10    # -lambda_max(t) = -11 on K_12
+
+
+def test_certify_solves_once_per_row(capsys, triangle_file, monkeypatch):
+    import nagaoka.spectral as spectral
+
+    counts = []
+    real = spectral.eig_lowest
+    monkeypatch.setattr(spectral, "eig_lowest", lambda h, k: counts.append(k) or real(h, k))
+    code, out = run(capsys, "certify", "--model", triangle_file, "--all")
+    assert code == 0
+    assert len(counts) == len(json.loads(out)["results"]) == 3
+
+
+def test_jobs_below_one_exits_1(capsys, triangle_file):
+    for value in ("0", "-2", "two"):
+        code, _ = run(capsys, "ed", "--model", triangle_file, "--all", "--jobs", value)
+        assert code == 1
+
+
+class _RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records the worker count and maps
+    in-process, so no worker is started."""
+
+    created: list = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, payloads):
+        return map(fn, payloads)
+
+
+@pytest.mark.parametrize("jobs, cpus, expected", [
+    ("64", 2, [2]),          # capped by the CPU count
+    ("64", 8, [3]),          # capped by the three sectors
+    ("2", 8, [2]),
+    ("1", 8, []),            # serial: no executor at all
+])
+def test_jobs_clamped_to_tasks_and_cpus(capsys, triangle_file, monkeypatch, jobs, cpus, expected):
+    monkeypatch.setattr("nagaoka.cli.ProcessPoolExecutor", _RecordingExecutor)
+    monkeypatch.setattr("nagaoka.cli.os.cpu_count", lambda: cpus)
+    monkeypatch.setattr(_RecordingExecutor, "created", [])
+    _, serial = run(capsys, "ed", "--model", triangle_file, "--all")
+    code, out = run(capsys, "ed", "--model", triangle_file, "--all", "--jobs", jobs)
+    assert code == 0
+    assert _RecordingExecutor.created == expected
+    assert out == serial.replace("--all", f"--all --jobs {jobs}")
 
 
 def test_out_file(capsys, tmp_path, triangle_file):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from nagaoka.corpus import complete4, pair2, triangle3
+from nagaoka.corpus import complete4, corpus_models, pair2, triangle3
 from nagaoka.errors import DimensionBudgetError
 from nagaoka.manybody import (
     DOWN,
@@ -19,10 +19,12 @@ from nagaoka.manybody import (
     full_fock_basis,
     sector_embedding,
     sector_lowering,
+    sector_lowering_fock,
     sector_spin_squared,
     tensor,
 )
-from nagaoka.sector import sector_magnetizations
+from nagaoka.model import LatticeModel, generate_lattice
+from nagaoka.sector import enumerate_sector, sector_magnetizations
 
 
 def test_car_anticommutator_is_identity():
@@ -177,3 +179,76 @@ def test_sector_lowering_column_counts():
 def test_pair_lowering_matrix_exact():
     low, _, _ = sector_lowering(pair2(), Fraction(1, 2))
     assert np.array_equal(low.toarray(), np.eye(2))
+
+
+def _fock_spin_squared(model, m):
+    """S^2 on a sector by the second route: the same Casimir formula with
+    the lowering maps taken from the fermionic S-."""
+    basis = enumerate_sector(model, m)
+    max_m = (model.sites - 1) / 2
+    s2 = float(basis.m) ** 2 * sp.identity(basis.dimension, format="csr")
+    if float(basis.m) > -max_m:
+        low, _, _ = sector_lowering_fock(model, basis.m)
+        s2 = s2 + 0.5 * (low.conjugate().T @ low)
+    if float(basis.m) < max_m:
+        low_above, _, _ = sector_lowering_fock(model, basis.m + 1)
+        s2 = s2 + 0.5 * (low_above @ low_above.conjugate().T)
+    return SparseHermitian(s2.tocsr(), hermitian=True).matrix
+
+
+def _spin_identity_models():
+    models = dict(corpus_models())
+    models["complete6"] = LatticeModel(6, generate_lattice("complete", 6, 1.0))
+    models["triangular2x4"] = LatticeModel(8, generate_lattice("triangular_patch", (2, 4), 1.0))
+    return models
+
+
+@pytest.mark.parametrize("name", sorted(_spin_identity_models()))
+def test_direct_spin_squared_is_array_identical_to_fock_route(name):
+    model = _spin_identity_models()[name]
+    for m in sector_magnetizations(model.sites):
+        direct = sector_spin_squared(model, m).matrix
+        fock = _fock_spin_squared(model, m)
+        assert direct.has_canonical_format
+        for attr in ("indptr", "indices", "data"):
+            a, b = getattr(direct, attr), getattr(fock, attr)
+            assert a.dtype == b.dtype and np.array_equal(a, b), f"{name} M={m}: {attr}"
+
+
+def test_direct_lowering_equals_fock_lowering_on_corpus():
+    for name, model in corpus_models().items():
+        for m in sector_magnetizations(model.sites)[1:]:
+            direct, hi, lo = sector_lowering(model, m)
+            fock, hi_f, lo_f = sector_lowering_fock(model, m)
+            assert (hi.configs, lo.configs) == (hi_f.configs, lo_f.configs)
+            assert direct.has_canonical_format
+            assert np.array_equal(direct.toarray(), fock.toarray()), f"{name} M={m}"
+
+
+def test_spin_resolution_never_builds_the_fock_space(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("production spin path touched the Fock space")
+
+    monkeypatch.setattr("nagaoka.manybody.full_fock_basis", forbidden)
+    monkeypatch.setattr("nagaoka.manybody.build_spin_ops", forbidden)
+    from nagaoka.acceptance import holstein_model
+    from nagaoka.hamiltonian import assemble_holstein_sector, assemble_nagaoka_sector
+    from nagaoka.spectral import ground_report
+
+    for m in sector_magnetizations(4):
+        assert ground_report(assemble_nagaoka_sector(complete4(), m)).resolved_s == Fraction(3, 2)
+    rep = ground_report(assemble_holstein_sector(holstein_model(complete4(), 0.5), Fraction(1, 2)))
+    assert rep.resolved_s == Fraction(3, 2)
+
+
+def test_fock_basis_budget_checked_before_walking_words():
+    # C(28, 13) ~ 3.7e7 words over 2^28 candidates: must refuse at once
+    with pytest.raises(DimensionBudgetError):
+        full_fock_basis(14, 13)
+
+
+def test_sector_budget_checked_before_enumerating(monkeypatch):
+    monkeypatch.setenv("NAGAOKA_DIM_BUDGET", "11")
+    assert enumerate_sector(complete4(), Fraction(3, 2)).dimension == 4
+    with pytest.raises(DimensionBudgetError):
+        enumerate_sector(complete4(), Fraction(1, 2))       # dimension 12

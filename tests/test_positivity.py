@@ -113,6 +113,25 @@ def test_spin_lowering_positivity_corpus():
             assert spin_lowering_positivity(model, m), (name, m)
 
 
+def test_spin_lowering_positivity_goes_through_the_fermionic_operator(monkeypatch):
+    import nagaoka.manybody as manybody
+
+    built = []
+    real_build = manybody.build_spin_ops
+
+    def recording_build(basis):
+        built.append(basis.dimension)
+        return real_build(basis)
+
+    def forbidden(*args):
+        raise AssertionError("criterion 9 must not use the direct lowering rule")
+
+    monkeypatch.setattr(manybody, "build_spin_ops", recording_build)
+    monkeypatch.setattr(manybody, "_lowering_matrix", forbidden)
+    assert spin_lowering_positivity(complete4(), Fraction(1, 2))
+    assert built == [56]                         # C(8, 3) Fock words of 3 electrons
+
+
 def test_qgrid_incommensurate_rejected():
     model = holstein_model(pair2(), gamma=0.5)
     with pytest.raises(ModelValidationError) as err:

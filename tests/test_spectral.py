@@ -5,11 +5,13 @@ import pytest
 import scipy.sparse as sp
 
 from nagaoka.corpus import complete4, pair2, square_diag4, triangle3
-from nagaoka.errors import AmbiguousSpinError
-from nagaoka.hamiltonian import assemble_nagaoka_sector
+from nagaoka.acceptance import holstein_model
+from nagaoka.corpus import chain3
+from nagaoka.errors import AmbiguousSpinError, ConvergenceError
+from nagaoka.hamiltonian import assemble_holstein_sector, assemble_nagaoka_sector
 from nagaoka.manybody import SparseHermitian
-from nagaoka.model import LatticeModel
-from nagaoka.sector import sector_magnetizations
+from nagaoka.model import LatticeModel, generate_lattice
+from nagaoka.sector import connectivity_check, sector_magnetizations
 from nagaoka.spectral import (
     default_resolvent_z,
     eig_lowest,
@@ -67,6 +69,13 @@ def test_operator_norm():
     a = rng.standard_normal((50, 50))
     assert abs(operator_norm(a) - np.linalg.svd(a, compute_uv=False)[0]) <= 1e-7
     assert operator_norm(np.zeros((4, 4))) == 0.0
+
+
+def test_operator_norm_raises_when_iterations_run_out():
+    a = np.diag([1.0, 0.99, 0.5])                # slow contraction ratio 0.98
+    assert np.isclose(operator_norm(a), 1.0)
+    with pytest.raises(ConvergenceError):
+        operator_norm(a, max_iter=3)
 
 
 def test_ground_report_complete4():
@@ -159,3 +168,43 @@ def test_energy_split_trivial_complement():
     split = energy_split_bound(pair2(), 123.0)
     assert split.bound_ok
     assert split.e_h1 == np.inf
+
+
+def _dense_levels(h):
+    vals = np.linalg.eigvalsh(h.op.toarray())
+    tol = 1e-8 * (1.0 + abs(vals[0]))
+    degeneracy = int(np.sum(vals - vals[0] <= tol))
+    return vals[0], degeneracy, vals[degeneracy] - vals[0]
+
+
+def test_lanczos_on_reducible_sector_counts_every_orbit(monkeypatch):
+    # ring-8, M = 1/2: five hole-move orbits of 56, each holding one E = -2
+    # state; a single Lanczos start vector over the whole sector sees four
+    ring8 = LatticeModel(8, generate_lattice("ring", 8, 1.0))
+    h = assemble_nagaoka_sector(ring8, Fraction(1, 2))
+    assert connectivity_check(ring8, Fraction(1, 2)).orbit_sizes == (56,) * 5
+    energy, degeneracy, gap = _dense_levels(h)
+    assert degeneracy == 5
+    monkeypatch.setattr("nagaoka.spectral.DENSE_CROSSOVER", 16)
+    rep = ground_report(h)
+    assert abs(rep.ground_energy - energy) <= 1e-10
+    assert rep.degeneracy == degeneracy
+    assert abs(rep.gap - gap) <= 1e-9
+    assert np.linalg.norm(h.op.matrix @ rep.ground_vector
+                          - rep.ground_energy * rep.ground_vector) <= 1e-9
+
+
+def test_lanczos_orbit_blocks_carry_the_boson_space(monkeypatch):
+    # open 3-chain, M = 0 (orbits 3 + 3) with local phonons: 48 states.  The
+    # two degenerate ground states carry different spin, so one vector has
+    # no sharp S; a zero spin operator keeps the check on the levels.
+    h = assemble_holstein_sector(holstein_model(chain3(), 0.5, cutoff=1), 0)
+    no_spin = SparseHermitian(sp.csr_matrix((h.basis.dimension, h.basis.dimension)))
+    energy, degeneracy, gap = _dense_levels(h)
+    monkeypatch.setattr("nagaoka.spectral.DENSE_CROSSOVER", 8)
+    rep = ground_report(h, no_spin)
+    assert abs(rep.ground_energy - energy) <= 1e-10
+    assert rep.degeneracy == degeneracy == 2
+    assert abs(rep.gap - gap) <= 1e-9
+    assert np.linalg.norm(h.op.matrix @ rep.ground_vector
+                          - rep.ground_energy * rep.ground_vector) <= 1e-9
