@@ -82,8 +82,9 @@ def _sector_diagonal(model: LatticeModel, basis: SectorBasis) -> np.ndarray:
     return diag
 
 
-def hole_moves(model: LatticeModel, basis: SectorBasis):
-    """All (target_index, source_index, from_site, to_site) hole hops."""
+def hole_moves(model: LatticeModel, basis: SectorBasis) -> np.ndarray:
+    """All hole hops as rows of a (4, n_moves) integer array: target index,
+    source index, from site, to site."""
     t = model.hopping
     moves = []
     for j, c in enumerate(basis.configs):
@@ -92,7 +93,25 @@ def hole_moves(model: LatticeModel, basis: SectorBasis):
             if y == x or t[x, y] == 0.0:
                 continue
             moves.append((basis.index[apply_move(c, x, y)], j, x, y))
-    return moves
+    return np.array(moves, dtype=np.intp).reshape(-1, 4).T
+
+
+def _hop_matrix(model: LatticeModel, basis: SectorBasis, moves) -> sp.csr_matrix:
+    """Sum of -t_xy over the given hole moves, one COO build.  Each
+    (target, source) pair comes from exactly one move, so no entries add."""
+    rows, cols, xs, ys = moves
+    n = basis.dimension
+    return sp.coo_matrix((-model.hopping[xs, ys], (rows, cols)), shape=(n, n)).tocsr()
+
+
+def move_blocks(model: LatticeModel, basis: SectorBasis) -> dict[tuple[int, int], sp.csr_matrix]:
+    """Hopping matrices grouped by ordered bond (hole from x to y)."""
+    moves = hole_moves(model, basis)
+    blocks = {}
+    for x, y in np.unique(moves[2:].T, axis=0):
+        on_bond = (moves[2] == x) & (moves[3] == y)
+        blocks[(int(x), int(y))] = _hop_matrix(model, basis, moves[:, on_bond])
+    return blocks
 
 
 def assemble_nagaoka_sector(model: LatticeModel, m) -> SectorHamiltonian:
@@ -104,11 +123,8 @@ def assemble_nagaoka_sector(model: LatticeModel, m) -> SectorHamiltonian:
     """
     _require_infinite_u(model, "sector assembly")
     basis = enumerate_sector(model, m)
-    n = basis.dimension
-    mat = sp.lil_matrix((n, n))
-    for i, j, x, y in hole_moves(model, basis):
-        mat[i, j] += -model.hopping[x, y]
-    mat = mat.tocsr() + sp.diags(_sector_diagonal(model, basis))
+    mat = _hop_matrix(model, basis, hole_moves(model, basis))
+    mat = mat + sp.diags(_sector_diagonal(model, basis))
     return SectorHamiltonian(model=model, m=basis.m, basis=basis,
                              op=SparseHermitian(mat.tocsr(), hermitian=True),
                              provenance="direct_formula")
@@ -300,14 +316,10 @@ def assemble_lang_firsov_sector(model: LatticeModel, m, cutoff: int | None = Non
             thetas[(y, x)] = theta.conjugate().T
 
     # hopping blocks grouped by ordered bond, dressed by theta
-    move_blocks: dict[tuple[int, int], sp.lil_matrix] = {}
-    for i, j, x, y in hole_moves(model, basis):
-        block = move_blocks.setdefault((x, y), sp.lil_matrix((basis.dimension, basis.dimension)))
-        block[i, j] += -t[x, y]
     total = sp.csr_matrix((basis.dimension * nb_dim, basis.dimension * nb_dim), dtype=complex)
-    for (x, y), block in move_blocks.items():
+    for (x, y), block in move_blocks(model, basis).items():
         phase = thetas.get((x, y), np.eye(nb_dim))
-        total = total + sp.kron(block.tocsr(), sp.csr_matrix(phase), format="csr")
+        total = total + sp.kron(block, sp.csr_matrix(phase), format="csr")
 
     occ = _config_occupations(basis)
     ueff = effective_coulomb(model)
@@ -492,23 +504,18 @@ def assemble_radiation_sector(model: LatticeModel, m, cutoff: int | None = None,
     guard_dimension(basis.dimension * bosons.dimension, "radiation sector assembly")
     _guard_dense_phase(bosons.dimension, "radiation sector assembly")
 
-    move_blocks: dict[tuple[int, int], sp.lil_matrix] = {}
-    for i, j, x, y in hole_moves(model, basis):
-        block = move_blocks.setdefault((x, y), sp.lil_matrix((basis.dimension, basis.dimension)))
-        block[i, j] += -model.hopping[x, y]
-
+    blocks = move_blocks(model, basis)
     nb_dim = bosons.dimension
     total = sp.csr_matrix((basis.dimension * nb_dim, basis.dimension * nb_dim), dtype=complex)
     for x in range(model.sites):
         for y in range(x + 1, model.sites):
-            if (x, y) not in move_blocks and (y, x) not in move_blocks:
+            if (x, y) not in blocks and (y, x) not in blocks:
                 continue
             phase = sp.csr_matrix(peierls_unitary(model, modes, x, y, bosons))
-            if (x, y) in move_blocks:
-                total = total + sp.kron(move_blocks[(x, y)].tocsr(), phase, format="csr")
-            if (y, x) in move_blocks:
-                total = total + sp.kron(move_blocks[(y, x)].tocsr(),
-                                        phase.conjugate().T.tocsr(), format="csr")
+            if (x, y) in blocks:
+                total = total + sp.kron(blocks[(x, y)], phase, format="csr")
+            if (y, x) in blocks:
+                total = total + sp.kron(blocks[(y, x)], phase.conjugate().T.tocsr(), format="csr")
 
     diag = _sector_diagonal(model, basis)
     total = total + sp.kron(sp.diags(diag), sp.identity(nb_dim, format="csr"), format="csr")

@@ -25,11 +25,11 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import InconsistencyError, ModelValidationError, guard_dimension
-from .hamiltonian import SectorHamiltonian, effective_coulomb, lang_firsov_constant
+from .hamiltonian import effective_coulomb, lang_firsov_constant, move_blocks
 from .manybody import SparseHermitian, sector_lowering_fock
 from .model import LatticeModel
 from .sector import enumerate_sector
-from .spectral import CLUSTER_TOL, eig_lowest
+from .spectral import CLUSTER_TOL, as_matrix, eig_lowest
 
 STRICT_POSITIVITY_TOL = 1e-12
 
@@ -44,19 +44,9 @@ class PositivityCertificate:
     basis_tag: str
 
 
-def _as_matrix(a) -> sp.csr_matrix:
-    if isinstance(a, SectorHamiltonian):
-        return a.op.matrix
-    if isinstance(a, SparseHermitian):
-        return a.matrix
-    if isinstance(a, np.ndarray):
-        return sp.csr_matrix(a)
-    return a.tocsr()
-
-
 def preserves_positivity(a, tol: float = 0.0) -> bool:
     """Entrywise nonnegativity in the distinguished basis."""
-    mat = _as_matrix(a)
+    mat = as_matrix(a)
     if mat.nnz == 0:
         return True
     data = mat.data
@@ -69,7 +59,7 @@ def improves_positivity_exp(a, tol: float = 0.0) -> bool:
     nonnegative A: every pair must be linked by some power of A, which is
     strong connectivity of the support digraph (the zeroth power covers the
     diagonal)."""
-    mat = _as_matrix(a)
+    mat = as_matrix(a)
     if not preserves_positivity(mat, tol):
         raise ValueError("defined only for positivity-preserving matrices")
     if mat.shape[0] <= 1:
@@ -92,7 +82,7 @@ def ergodicity_certificate(h) -> bool:
     On a configuration-basis Hamiltonian this is, by construction, the same
     predicate as the hole-move connectivity of the sector.
     """
-    off = _offdiagonal_support(_as_matrix(h))
+    off = _offdiagonal_support(as_matrix(h))
     if off.shape[0] <= 1:
         return True
     n_comp, _ = connected_components(abs(off), directed=False)
@@ -110,7 +100,7 @@ def pf_certificate(h, ground_vector: np.ndarray, degeneracy: int,
     or positivity fail, the certificate raises instead of reporting, because
     the implication is a theorem at finite dimension.
     """
-    mat = _as_matrix(h)
+    mat = as_matrix(h)
     neg_off = -_offdiagonal_support(mat)
     sign_ok = preserves_positivity(neg_off, tol=STRICT_POSITIVITY_TOL)
     irreducible = ergodicity_certificate(mat)
@@ -136,7 +126,7 @@ def pf_certificate(h, ground_vector: np.ndarray, degeneracy: int,
 def diagonal_perturbation_equivalence(h, diagonal) -> bool:
     """Adding any real diagonal never changes the ergodicity certificate:
     diagonal operators leave the off-diagonal support graph untouched."""
-    mat = _as_matrix(h)
+    mat = as_matrix(h)
     d = np.asarray(diagonal, dtype=float)
     if d.shape != (mat.shape[0],):
         raise ValueError(f"diagonal must have length {mat.shape[0]}")
@@ -249,15 +239,9 @@ def qgrid_holstein_certify(model: LatticeModel, m, points: int, spacing: float) 
         theta[(x, y)] = op
         theta[(y, x)] = op.T.tocsr()
 
-    from .hamiltonian import hole_moves  # shared hop enumeration
-
-    move_blocks: dict[tuple[int, int], sp.lil_matrix] = {}
-    for i, j, x, y in hole_moves(model, basis):
-        block = move_blocks.setdefault((x, y), sp.lil_matrix((basis.dimension, basis.dimension)))
-        block[i, j] += -t[x, y]
     total = sp.csr_matrix((basis.dimension * grid_dim, basis.dimension * grid_dim))
-    for (x, y), block in move_blocks.items():
-        total = total + sp.kron(block.tocsr(), theta[(x, y)], format="csr")
+    for (x, y), block in move_blocks(model, basis).items():
+        total = total + sp.kron(block, theta[(x, y)], format="csr")
 
     occ = np.ones((basis.dimension, sites))
     for i, c in enumerate(basis.configs):

@@ -7,9 +7,15 @@ Tolerances used throughout, stated once:
 * spin rounding:        |S(S+1) - <S^2>| <= 1e-6 after rounding S
 * dense/Krylov crossover at dimension 2048
 
-Above the crossover a reducible sector is solved one hole-move orbit at a
-time: a single Lanczos start vector cannot resolve exact degeneracies
-between decoupled blocks.
+A sector matrix is split into the connected components of the graph of |H|
+and solved block by block at every dimension: a single Lanczos start vector
+cannot resolve exact degeneracies between decoupled blocks, and a matrix of
+many small blocks (decoupled boson modes, hole-move orbits) costs a sum of
+small solves instead of one large one.  Each block is solved densely up to
+the crossover and by Lanczos above it; dense solves compute only the
+requested lowest pairs.  Total spin is resolved on the whole degenerate
+ground cluster, so a cluster that mixes spins is reported by its content
+instead of by one arbitrary vector.
 """
 
 from __future__ import annotations
@@ -18,8 +24,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from .errors import AmbiguousSpinError, ConvergenceError, guard_dimension
 from .hamiltonian import SectorHamiltonian, assemble_hubbard_full
@@ -31,7 +39,6 @@ from .manybody import (
     sector_spin_squared,
 )
 from .model import LatticeModel
-from .sector import connectivity_check
 
 RESIDUAL_TOL = 1e-10
 CLUSTER_TOL = 1e-8
@@ -41,7 +48,9 @@ DENSE_CROSSOVER = 2048
 _EIG_SEED = 20240915
 
 
-def _as_matrix(h, require_hermitian=False):
+def as_matrix(h, require_hermitian=False) -> sp.csr_matrix:
+    """CSR matrix of a sector Hamiltonian, a ``SparseHermitian``, an array
+    or any scipy sparse matrix."""
     if isinstance(h, SectorHamiltonian):
         h = h.op
     if isinstance(h, SparseHermitian):
@@ -54,16 +63,19 @@ def _as_matrix(h, require_hermitian=False):
 def eig_lowest(h, count: int):
     """Lowest ``count`` eigenpairs, ascending, with verified residuals.
 
-    Dense solve below the crossover dimension, Lanczos above it with a
+    Dense solve at or below the crossover dimension (only the requested
+    pairs unless nearly all are asked for), Lanczos above it with a
     deterministic start vector so repeated runs give identical output.
     """
-    mat = _as_matrix(h, require_hermitian=True)
+    mat = as_matrix(h, require_hermitian=True)
     dim = mat.shape[0]
     if not 1 <= count <= dim:
         raise ValueError(f"requested {count} eigenpairs of a {dim}-dim matrix")
-    if dim <= DENSE_CROSSOVER or count >= dim - 1:
+    if count >= dim - 1:
         vals, vecs = np.linalg.eigh(mat.toarray())
         vals, vecs = vals[:count], vecs[:, :count]
+    elif dim <= DENSE_CROSSOVER:
+        vals, vecs = sla.eigh(mat.toarray(), subset_by_index=[0, count - 1])
     else:
         v0 = np.random.default_rng(_EIG_SEED).standard_normal(dim)
         if np.iscomplexobj(mat.data):
@@ -95,7 +107,7 @@ class SpectralReport:
     sector_dimension: int
     boson_dimension: int | None = None
     cutoff: int | None = None
-    # the vector the spin was resolved on; kept for certificates, never serialized
+    # ground vector of the lowest block; kept for certificates, never serialized
     ground_vector: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
@@ -125,32 +137,65 @@ def _lowest_levels(h, dim: int, ref: float | None = None):
         k = min(dim, 2 * k)
 
 
-def _orbit_levels(h: SectorHamiltonian, orbits):
-    """Merged low spectrum of a reducible sector, solved orbit by orbit
-    (each orbit block tensored with the boson space when present).
+def _blocks(mat: sp.csr_matrix) -> list[np.ndarray]:
+    """Ascending index sets of the connected components of the graph of
+    |H|, ordered by their smallest index.  The graph is taken from |H|
+    because the component search casts complex weights to real, which would
+    drop a purely imaginary coupling."""
+    n_comp, labels = connected_components(abs(mat), directed=False)
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels, minlength=n_comp))[:-1])
 
-    Returns the ascending values and the ground vector of the lowest orbit,
-    embedded in the full space.  Every orbit contributes all of its levels
-    up to the first one above the global ground cluster, so degeneracy and
-    gap come out as from one exact solve.
+
+def _block_levels(mat: sp.csr_matrix):
+    """Low spectrum of ``mat`` solved block by block.
+
+    Returns one ``[index, block, values, vectors]`` entry per block and the
+    global ground energy.  Every block contributes all of its levels up to
+    the first one above the global ground cluster, so degeneracy and gap
+    come out as from one exact solve.
     """
-    mat = _as_matrix(h, require_hermitian=True)
-    nb = 1 if h.boson is None else h.boson.dimension
-    parts = []
-    for orbit in orbits:
-        idx = (np.asarray(orbit)[:, None] * nb + np.arange(nb)).ravel()
-        block = mat[np.ix_(idx, idx)]
-        parts.append([idx, block, *_lowest_levels(block, idx.size)])
+    blocks = _blocks(mat)
+    if len(blocks) == 1:
+        pieces = [mat]
+    else:
+        order = np.concatenate(blocks)
+        permuted = mat[order][:, order]
+        ends = np.cumsum([idx.size for idx in blocks])
+        pieces = [permuted[end - idx.size:end, end - idx.size:end]
+                  for idx, end in zip(blocks, ends)]
+    parts = [[idx, block, *_lowest_levels(block, idx.size)]
+             for idx, block in zip(blocks, pieces)]
     e0 = min(vals[0] for _, _, vals, _ in parts)
     tol = CLUSTER_TOL * (1.0 + abs(e0))
     for part in parts:
         idx, block, vals, _ = part
         if not np.any(vals - e0 > tol) and vals.size < idx.size:
             part[2:] = _lowest_levels(block, idx.size, ref=e0)
-    idx, _, _, vecs = min(parts, key=lambda part: part[2][0])
-    v0 = np.zeros(mat.shape[0], dtype=vecs.dtype)
-    v0[idx] = vecs[:, 0]
-    return np.sort(np.concatenate([vals for _, _, vals, _ in parts])), v0
+    return parts, e0
+
+
+def _cluster_spin(parts, e0: float, tol: float, s2_mat: sp.csr_matrix):
+    """<S^2> and S of the ground cluster, from the eigenvalues of V*S^2V
+    over every cluster vector of every block; raises when the cluster holds
+    more than one total spin."""
+    rows, cols, data = [], [], []
+    n = 0
+    for idx, _, vals, vecs in parts:
+        c = int(np.count_nonzero(vals - e0 <= tol))
+        rows.append(np.repeat(idx, c))
+        cols.append(np.tile(np.arange(n, n + c), idx.size))
+        data.append(vecs[:, :c].ravel())
+        n += c
+    v = sp.csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(s2_mat.shape[0], n))
+    s2_levels = np.linalg.eigvalsh((v.conjugate().T @ (s2_mat @ v)).toarray())
+    content = sorted({resolve_total_spin(float(x)) for x in s2_levels})
+    if len(content) > 1:
+        raise AmbiguousSpinError(
+            f"ground cluster of degeneracy {n} holds S = {', '.join(map(str, content))}; "
+            f"no single total spin to report")
+    return float(np.mean(s2_levels)), content[0]
 
 
 def ground_report(h: SectorHamiltonian, spin_ops: SparseHermitian | None = None) -> SpectralReport:
@@ -161,21 +206,19 @@ def ground_report(h: SectorHamiltonian, spin_ops: SparseHermitian | None = None)
         s2_mat = sp.kron(s2_mat, sp.identity(h.boson.dimension, format="csr"), format="csr")
 
     dim = h.dimension
-    orbits = connectivity_check(h.model, h.m).orbits if dim > DENSE_CROSSOVER else ()
-    if len(orbits) > 1:
-        vals, v0 = _orbit_levels(h, orbits)
-    else:
-        vals, vecs = _lowest_levels(h, dim)
-        v0 = vecs[:, 0]
-    tol = CLUSTER_TOL * (1.0 + abs(vals[0]))
-    above = np.nonzero(vals - vals[0] > tol)[0]
+    parts, e0 = _block_levels(as_matrix(h, require_hermitian=True))
+    levels = np.sort(np.concatenate([part[2] for part in parts]))
+    tol = CLUSTER_TOL * (1.0 + abs(e0))
+    above = np.nonzero(levels - e0 > tol)[0]
     degeneracy = int(above[0]) if above.size else dim
-    gap = float(vals[above[0]] - vals[0]) if above.size else 0.0
+    gap = float(levels[above[0]] - e0) if above.size else 0.0
 
-    s2_exp = float(np.real(np.vdot(v0, s2_mat @ v0)))
-    resolved = resolve_total_spin(s2_exp)
+    s2_exp, resolved = _cluster_spin(parts, e0, tol, s2_mat)
+    idx, _, _, vecs = min(parts, key=lambda part: part[2][0])
+    v0 = np.zeros(dim, dtype=vecs.dtype)
+    v0[idx] = vecs[:, 0]
     return SpectralReport(
-        m=h.m, ground_energy=float(vals[0]), degeneracy=degeneracy, gap=gap,
+        m=h.m, ground_energy=float(e0), degeneracy=degeneracy, gap=gap,
         stot2_expectation=s2_exp, resolved_s=resolved, dimension=dim,
         sector_dimension=h.basis.dimension,
         boson_dimension=None if h.boson is None else h.boson.dimension,
@@ -184,7 +227,7 @@ def ground_report(h: SectorHamiltonian, spin_ops: SparseHermitian | None = None)
 
 def operator_norm(a, tol: float = 1e-8, max_iter: int = 100_000) -> float:
     """Largest singular value by power iteration on A*A."""
-    mat = _as_matrix(a) if not isinstance(a, np.ndarray) else a
+    mat = as_matrix(a) if not isinstance(a, np.ndarray) else a
     if mat.shape[1] == 0 or mat.shape[0] == 0:
         return 0.0
     rng = np.random.default_rng(_EIG_SEED)
@@ -239,16 +282,8 @@ def default_resolvent_z(model: LatticeModel) -> complex:
     return 2j * (1.0 + projected_limit_norm(model))
 
 
-def resolvent_gap(model: LatticeModel, u: float, z: complex | None = None) -> float:
-    """Distance ||(H_U - z)^{-1} - (H_limit - z)^{-1} P|| on the full space.
-
-    The limit Hamiltonian is the projected U = 0 operator, extended by zero
-    on the complement of the projector's range.
-    """
-    if z is None:
-        z = default_resolvent_z(model)
-    if z.imag == 0:
-        raise ValueError("z must be off the real axis")
+def _resolvent_difference(model: LatticeModel, u: float, z: complex) -> np.ndarray:
+    """(H_U - z)^{-1} - (H_limit - z)^{-1} P as a dense full-space matrix."""
     h_u = assemble_hubbard_full(model, u).matrix
     dim = h_u.shape[0]
     guard_dimension(dim, "resolvent comparison")
@@ -260,7 +295,21 @@ def resolvent_gap(model: LatticeModel, u: float, z: complex | None = None) -> fl
     rp = np.linalg.inv(hp - z * np.eye(len(idx)))
     r_limit = np.zeros((dim, dim), dtype=complex)
     r_limit[np.ix_(idx, idx)] = rp
-    return operator_norm(r_u - r_limit)
+    return r_u - r_limit
+
+
+def resolvent_gap(model: LatticeModel, u: float, z: complex | None = None) -> float:
+    """Distance ||(H_U - z)^{-1} - (H_limit - z)^{-1} P|| on the full space.
+
+    The limit Hamiltonian is the projected U = 0 operator, extended by zero
+    on the complement of the projector's range.  The difference is a dense
+    matrix already, so its norm is the exact largest singular value.
+    """
+    if z is None:
+        z = default_resolvent_z(model)
+    if z.imag == 0:
+        raise ValueError("z must be off the real axis")
+    return float(np.linalg.norm(_resolvent_difference(model, u, z), 2))
 
 
 @dataclass(frozen=True)

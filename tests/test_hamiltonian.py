@@ -2,20 +2,30 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nagaoka.corpus import complete4, corpus_models, pair2, triangle3
 from nagaoka.hamiltonian import (
+    _sector_diagonal,
     assemble_holstein_sector,
     assemble_hubbard_full,
     assemble_lang_firsov_sector,
     assemble_nagaoka_projected,
     assemble_nagaoka_sector,
     effective_coulomb,
+    hole_moves,
     lang_firsov_constant,
+    move_blocks,
 )
-from nagaoka.manybody import build_gutzwiller, build_spin_ops, full_fock_basis, sector_embedding
-from nagaoka.model import LatticeModel, PhononBlock
-from nagaoka.sector import sector_magnetizations
+from nagaoka.manybody import (
+    SparseHermitian,
+    build_gutzwiller,
+    build_spin_ops,
+    full_fock_basis,
+    sector_embedding,
+)
+from nagaoka.model import LatticeModel, PhononBlock, generate_lattice
+from nagaoka.sector import enumerate_sector, sector_magnetizations
 
 
 def with_phonons(base, coupling, omega=1.0, cutoff=2):
@@ -38,6 +48,35 @@ def test_negated_offdiagonal_is_exactly_the_hopping():
     h = assemble_nagaoka_sector(model, Fraction(1, 2)).op.toarray()
     off = -(h - np.diag(np.diag(h)))
     assert set(np.round(np.unique(off), 12)) <= {0.0, 1.0}
+
+
+def test_coo_assembly_equals_the_per_hop_loop():
+    # one COO build is exact only if no (target, source) pair comes twice;
+    # the reference is the per-hop lil_matrix fill it replaced
+    model = LatticeModel(6, generate_lattice("complete", 6, 1.0))
+    for m in sector_magnetizations(6):
+        basis = enumerate_sector(model, m)
+        rows, cols, xs, ys = moves = hole_moves(model, basis)
+        assert np.unique(rows * basis.dimension + cols).size == rows.size > 0
+        ref = sp.lil_matrix((basis.dimension, basis.dimension))
+        for i, j, x, y in moves.T:
+            ref[i, j] += -model.hopping[x, y]
+        ref = SparseHermitian((ref.tocsr() + sp.diags(_sector_diagonal(model, basis))).tocsr()).matrix
+        got = assemble_nagaoka_sector(model, m).op.matrix
+        for a, b in ((got.indptr, ref.indptr), (got.indices, ref.indices), (got.data, ref.data)):
+            assert np.array_equal(a, b)
+
+
+def test_move_blocks_partition_the_hopping_matrix():
+    model = complete4()
+    basis = enumerate_sector(model, Fraction(1, 2))
+    blocks = move_blocks(model, basis)
+    assert len(blocks) == 12                     # every ordered bond of K4
+    h = assemble_nagaoka_sector(model, Fraction(1, 2)).op.toarray()
+    hop = sum(block.toarray() for block in blocks.values())
+    assert np.array_equal(hop, h - np.diag(np.diag(h)))
+    for (x, y), block in blocks.items():
+        assert set(block.data) == {-model.hopping[x, y]}
 
 
 def test_direct_equals_projected_with_offsite_coulomb():

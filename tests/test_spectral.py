@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from nagaoka.corpus import complete4, pair2, square_diag4, triangle3
-from nagaoka.acceptance import holstein_model
-from nagaoka.corpus import chain3
+from nagaoka import spectral
+from nagaoka.acceptance import holstein_model, radiation_triangle
+from nagaoka.corpus import chain3, complete4, pair2, square_diag4, triangle3
 from nagaoka.errors import AmbiguousSpinError, ConvergenceError
-from nagaoka.hamiltonian import assemble_holstein_sector, assemble_nagaoka_sector
+from nagaoka.hamiltonian import (
+    assemble_holstein_sector,
+    assemble_nagaoka_sector,
+    assemble_radiation_sector,
+)
 from nagaoka.manybody import SparseHermitian
 from nagaoka.model import LatticeModel, generate_lattice
 from nagaoka.sector import connectivity_check, sector_magnetizations
@@ -186,7 +190,12 @@ def test_lanczos_on_reducible_sector_counts_every_orbit(monkeypatch):
     energy, degeneracy, gap = _dense_levels(h)
     assert degeneracy == 5
     monkeypatch.setattr("nagaoka.spectral.DENSE_CROSSOVER", 16)
-    rep = ground_report(h)
+    # the five ground states carry spins 1/2, 3/2 and 7/2, so the default
+    # call must refuse; a zero spin operator keeps the check on the levels
+    with pytest.raises(AmbiguousSpinError, match=r"S = 1/2, 3/2, 7/2"):
+        ground_report(h)
+    no_spin = SparseHermitian(sp.csr_matrix((h.basis.dimension, h.basis.dimension)))
+    rep = ground_report(h, no_spin)
     assert abs(rep.ground_energy - energy) <= 1e-10
     assert rep.degeneracy == degeneracy
     assert abs(rep.gap - gap) <= 1e-9
@@ -208,3 +217,131 @@ def test_lanczos_orbit_blocks_carry_the_boson_space(monkeypatch):
     assert abs(rep.gap - gap) <= 1e-9
     assert np.linalg.norm(h.op.matrix @ rep.ground_vector
                           - rep.ground_energy * rep.ground_vector) <= 1e-9
+
+
+@pytest.mark.parametrize("crossover", [None, 16], ids=["dense", "lanczos"])
+def test_ring8_counts_every_orbit_without_the_orbit_bfs(monkeypatch, crossover):
+    ring8 = LatticeModel(8, generate_lattice("ring", 8, 1.0))
+    h = assemble_nagaoka_sector(ring8, Fraction(1, 2))
+    energy, degeneracy, gap = _dense_levels(h)
+
+    def no_bfs(*args, **kwargs):
+        raise AssertionError("ground_report must not run the orbit BFS")
+
+    monkeypatch.setattr("nagaoka.sector.connectivity_check", no_bfs)
+    monkeypatch.setattr("nagaoka.sector.configuration_graph", no_bfs)
+    if crossover is not None:
+        monkeypatch.setattr("nagaoka.spectral.DENSE_CROSSOVER", crossover)
+    # a spin operator that is 3/4 everywhere: one S over the five-fold cluster
+    quarter = SparseHermitian(0.75 * sp.identity(h.basis.dimension, format="csr"))
+    rep = ground_report(h, quarter)
+    assert rep.degeneracy == degeneracy == 5
+    assert rep.resolved_s == Fraction(1, 2)
+    assert abs(rep.stot2_expectation - 0.75) <= 1e-12
+    assert abs(rep.ground_energy - energy) <= 1e-10
+    assert abs(rep.gap - gap) <= 1e-9
+
+
+def test_mixed_spin_cluster_names_its_content():
+    with pytest.raises(AmbiguousSpinError, match=r"degeneracy 2 holds S = 0, 1;"):
+        ground_report(assemble_nagaoka_sector(chain3(), 0))
+    ring6 = LatticeModel(6, generate_lattice("ring", 6, 1.0))
+    with pytest.raises(AmbiguousSpinError, match=r"S = 1/2, 5/2;"):
+        ground_report(assemble_nagaoka_sector(ring6, Fraction(1, 2)))
+
+
+@pytest.mark.parametrize("m", [Fraction(1), Fraction(0)])
+def test_decoupled_radiation_triangle_solves_one_block_per_photon_state(m):
+    # kappa = 1 keeps only the two k = 0 modes, whose phases are the
+    # identity: the matrix is H_el x I + I x m0 (n1 + n2), 441 blocks
+    model = radiation_triangle(1.0, cutoff=20)
+    h = assemble_radiation_sector(model, m)
+    mat = h.op.matrix
+    blocks = spectral._blocks(mat)
+    assert len(blocks) == 441
+    levels = np.sort(np.concatenate([
+        eig_lowest(mat[np.ix_(idx, idx)], idx.size)[0] for idx in blocks]))
+    e_el = np.linalg.eigvalsh(assemble_nagaoka_sector(model, m).op.toarray())
+    photons = np.add.outer(np.arange(21), np.arange(21)).ravel() * model.radiation.mass
+    ladder = np.sort(np.add.outer(e_el, photons).ravel())
+    assert np.max(np.abs(levels - ladder)) <= 1e-10
+    dense = mat.toarray()
+    assert not dense.imag.any()              # identity phases: a real matrix
+    assert np.max(np.abs(levels - np.linalg.eigvalsh(dense.real))) <= 1e-10
+
+    rep = ground_report(h)
+    _, degeneracy, gap = _dense_levels(assemble_nagaoka_sector(model, m))
+    assert abs(rep.ground_energy - ladder[0]) <= 1e-10
+    assert rep.degeneracy == degeneracy
+    assert abs(rep.gap - min(gap, model.radiation.mass)) <= 1e-10
+    assert rep.resolved_s == 1
+
+
+def test_blocks_are_linked_by_imaginary_couplings():
+    # two real 2x2 blocks joined only by +-i: one block, not two
+    mat = sp.csr_matrix(np.array([[0.0, -1.0, 0.0, 0.0],
+                                  [-1.0, 0.0, 1j, 0.0],
+                                  [0.0, -1j, 0.0, -1.0],
+                                  [0.0, 0.0, -1.0, 0.0]]))
+    blocks = spectral._blocks(mat)
+    assert len(blocks) == 1 and np.array_equal(blocks[0], np.arange(4))
+    parts, e0 = spectral._block_levels(mat)
+    assert abs(e0 - np.linalg.eigvalsh(mat.toarray())[0]) <= 1e-12
+
+
+def _spy_eigh(monkeypatch):
+    calls = []
+    real_eigh = spectral.sla.eigh
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("subset_by_index"))
+        return real_eigh(*args, **kwargs)
+
+    monkeypatch.setattr(spectral.sla, "eigh", spy)
+    return calls
+
+
+def _same_pairs(mat, vals, vecs):
+    # equal values and orthonormal eigenvectors; degenerate levels may come
+    # back rotated within their eigenspace
+    full_vals = np.linalg.eigh(mat)[0]
+    count = vals.size
+    assert np.max(np.abs(vals - full_vals[:count])) <= 1e-10
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(count))) <= 1e-10
+    assert np.max(np.abs(mat @ vecs - vecs * vals)) <= 1e-10
+
+
+def test_subset_dense_path_matches_full_eigh_on_the_200_oracle(monkeypatch):
+    rng = np.random.default_rng(42)
+    a = rng.standard_normal((200, 200)) + 1j * rng.standard_normal((200, 200))
+    a = a + a.conj().T
+    calls = _spy_eigh(monkeypatch)
+    vals, vecs = eig_lowest(a, 5)
+    assert calls == [[0, 4]]
+    _same_pairs(a, vals, vecs)
+
+
+def test_subset_dense_path_matches_full_eigh_on_holstein_972(monkeypatch):
+    h = assemble_holstein_sector(holstein_model(complete4(), 0.5, cutoff=2), Fraction(1, 2))
+    assert h.dimension == 972
+    calls = _spy_eigh(monkeypatch)
+    vals, vecs = eig_lowest(h, 6)
+    assert calls == [[0, 5]]
+    _same_pairs(h.op.toarray(), vals, vecs)
+
+
+def test_full_eigh_when_nearly_every_pair_is_asked_for(monkeypatch):
+    calls = _spy_eigh(monkeypatch)
+    vals, _ = eig_lowest(np.diag([3.0, -2.0, 7.0, 0.5]), 3)
+    assert calls == []
+    assert np.allclose(vals, [-2.0, 0.5, 3.0])
+
+
+def test_exact_resolvent_norm_matches_power_iteration():
+    model = complete4()
+    z = default_resolvent_z(model)
+    for u in (1e2, 1e4):
+        diff = spectral._resolvent_difference(model, u, z)
+        exact = resolvent_gap(model, u, z)
+        assert exact == float(np.linalg.norm(diff, 2))
+        assert abs(operator_norm(diff) - exact) <= 1e-8 * exact
