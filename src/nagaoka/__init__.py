@@ -20,7 +20,6 @@ from .hamiltonian import (
     effective_coulomb,
     peierls_kernel,
     photon_modes,
-    riemann_peierls,
 )
 from .model import INFINITE, LatticeModel, PhononBlock, RadiationBlock, generate_lattice, load_model
 from .positivity import (

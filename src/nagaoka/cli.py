@@ -263,6 +263,15 @@ def _cmd_largeu(args) -> int:
     return EXIT_OK
 
 
+def _certificate_row(m, cert, **extra) -> dict:
+    return {"m": _frac(m), "basis": cert.basis_tag,
+            "offdiag_sign_ok": cert.offdiag_sign_ok,
+            "irreducible": cert.irreducible,
+            "ground_unique": cert.ground_unique,
+            "ground_strictly_positive": cert.ground_strictly_positive,
+            "min_entry": cert.min_entry, **extra}
+
+
 def _cmd_certify(args) -> int:
     model = load_model(args.model)
     rows = []
@@ -271,27 +280,14 @@ def _cmd_certify(args) -> int:
             raise ModelValidationError("cli", "--qgrid needs --spacing")
         for m in _sectors(model, args):
             res = qgrid_holstein_certify(model, m, args.qgrid, args.spacing)
-            cert = res.certificate
-            rows.append({"m": _frac(m), "basis": cert.basis_tag,
-                         "offdiag_sign_ok": cert.offdiag_sign_ok,
-                         "irreducible": cert.irreducible,
-                         "ground_unique": cert.ground_unique,
-                         "ground_strictly_positive": cert.ground_strictly_positive,
-                         "min_entry": cert.min_entry,
-                         "ground_energy": res.ground_energy,
-                         "dropped_constant": res.dropped_constant,
-                         "points": res.points, "spacing": res.spacing})
+            rows.append(_certificate_row(m, res.certificate, ground_energy=res.ground_energy,
+                                         dropped_constant=res.dropped_constant,
+                                         points=res.points, spacing=res.spacing))
     else:
         for m in _sectors(model, args):
             h = assemble_nagaoka_sector(model, m)
             rep = ground_report(h)
-            cert = pf_certificate(h, rep.ground_vector, rep.degeneracy)
-            rows.append({"m": _frac(m), "basis": cert.basis_tag,
-                         "offdiag_sign_ok": cert.offdiag_sign_ok,
-                         "irreducible": cert.irreducible,
-                         "ground_unique": cert.ground_unique,
-                         "ground_strictly_positive": cert.ground_strictly_positive,
-                         "min_entry": cert.min_entry})
+            rows.append(_certificate_row(m, pf_certificate(h, rep.ground_vector, rep.degeneracy)))
     _emit(args, json.dumps(_report(args, rows), indent=2))
     return EXIT_OK
 

@@ -13,6 +13,16 @@ assembled by two independent routes:
 
 Entrywise agreement of the two routes certifies the fermionic sign
 convention and is enforced by the test suite.
+
+The boson-dressed forms (full-space and sector Holstein, polaron frame,
+radiation, and the position-grid certificate of ``positivity``) all have
+the shape sum_k A_k (x) B_k: hole-move blocks per bond (x) a boson factor,
+an electron diagonal (x) I, and I (x) the field energy.  ``_kron_sum``
+builds any such sum in one COO assembly.  Every per-bond boson factor is a
+product of single-mode factors built by ``_mode_product``: the polaron and
+radiation phases exponentiate generators that act on one mode each, so
+they are exact products of (cutoff+1)-dimensional exponentials, and a
+mode the bond does not couple contributes an exact identity.
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,7 +45,6 @@ from .manybody import (
     build_boson_op,
     full_fock_basis,
     hopping_bilinear,
-    momentum_quadrature,
     projected_restriction,
     sector_embedding,
 )
@@ -67,19 +77,62 @@ def _require_infinite_u(model: LatticeModel, what: str):
 
 def _config_occupations(basis: SectorBasis) -> np.ndarray:
     """occ[i, x] = electron count at site x in configuration i (0 at the hole)."""
+    holes = np.fromiter((c.hole for c in basis.configs), dtype=np.intp, count=basis.dimension)
     occ = np.ones((basis.dimension, basis.sites))
-    for i, c in enumerate(basis.configs):
-        occ[i, c.hole] = 0.0
+    occ[np.arange(basis.dimension), holes] = 0.0
     return occ
 
 
-def _sector_diagonal(model: LatticeModel, basis: SectorBasis) -> np.ndarray:
-    """Off-site Coulomb plus on-site hopping diagonal on configurations."""
+def _sector_diagonal(model: LatticeModel, basis: SectorBasis, dressed: bool = False) -> np.ndarray:
+    """Off-site Coulomb plus on-site hopping diagonal on configurations.
+
+    ``dressed`` gives the polaron-frame diagonal: the phonon-dressed Coulomb
+    matrix, and a site potential that also holds the site-dependent part of
+    the displacement energy (zero for uniform diag(g^2)); the scalar part is
+    ``lang_firsov_constant``.
+    """
     occ = _config_occupations(basis)
-    uxy = model.offsite_u
-    diag = np.einsum("ix,xy,iy->i", occ, uxy, occ)      # ordered pairs, diag(U) is 0
-    diag += occ @ np.diag(model.hopping)                # t_xx acts as a site potential
-    return diag
+    coulomb, potential = model.offsite_u, np.diag(model.hopping)   # t_xx is a site potential
+    if dressed:
+        coulomb = effective_coulomb(model)
+        np.fill_diagonal(coulomb, 0.0)
+        gsq_diag = np.diag(model.phonon.coupling @ model.phonon.coupling)
+        potential = potential - (gsq_diag - np.mean(gsq_diag)) / model.phonon.frequency
+    # ordered pairs; the diagonal of the Coulomb matrix is 0
+    return np.einsum("ix,xy,iy->i", occ, coulomb, occ) + occ @ potential
+
+
+def _kron_sum(terms) -> sp.csr_matrix:
+    """sum_k A_k (x) B_k from one COO build.  All A_k share one shape, as do
+    all B_k; entries that several terms place at one position add."""
+    rows, cols, vals = [], [], []
+    for a, b in terms:
+        a, b = sp.coo_matrix(a), sp.coo_matrix(b)
+        rows.append((a.row.astype(np.int64)[:, None] * b.shape[0] + b.row).ravel())
+        cols.append((a.col.astype(np.int64)[:, None] * b.shape[1] + b.col).ravel())
+        vals.append((a.data[:, None] * b.data).ravel())
+    shape = (a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=shape).tocsr()
+
+
+def _mode_product(factors) -> sp.csr_matrix:
+    """Kronecker product of per-mode factors, mode 0 most significant (the
+    order of ``boson_basis``)."""
+    return reduce(lambda acc, f: sp.kron(acc, f, format="csr"), factors)
+
+
+def _dressed_hops(blocks: dict, phase) -> list:
+    """(hop block, boson factor) terms for every ordered bond.  ``phase(x, y)``
+    is called for x < y only; the reversed bond carries its adjoint, so
+    hermiticity is structural.  Hopping is symmetric and every site hosts the
+    hole somewhere, so each bond appears in both directions."""
+    terms = []
+    for (x, y), block in blocks.items():
+        if x < y:
+            theta = phase(x, y)
+            terms += [(block, theta), (blocks[(y, x)], theta.conjugate().T)]
+    return terms
 
 
 def hole_moves(model: LatticeModel, basis: SectorBasis) -> np.ndarray:
@@ -166,32 +219,29 @@ def assemble_hubbard_full(model: LatticeModel, u: float) -> SparseHermitian:
     if model.phonon is None:
         return SparseHermitian(hel, hermitian=True)
 
-    ph = model.phonon
     fock = full_fock_basis(model.sites, model.n_electrons)
-    bosons = boson_basis(model.sites, ph.per_site_cutoff)
+    bosons = boson_basis(model.sites, model.phonon.per_site_cutoff)
     guard_dimension(fock.dimension * bosons.dimension, "full-space phonon assembly")
+    bits = (np.array(fock.states, dtype=np.int64)[:, None] >> np.arange(2 * model.sites)) & 1
+    n_site = (bits[:, :model.sites] + bits[:, model.sites:]).astype(float)
+    return SparseHermitian(_kron_sum(_holstein_terms(hel, n_site, model.phonon, bosons)),
+                           hermitian=True)
 
-    n_site = np.zeros((fock.dimension, model.sites))
-    site_mask = (1 << model.sites) - 1
-    for i, w in enumerate(fock.states):
-        up_w, down_w = w & site_mask, (w >> model.sites) & site_mask
-        for x in range(model.sites):
-            n_site[i, x] = ((up_w >> x) & 1) + ((down_w >> x) & 1)
 
-    eye_b = sp.identity(bosons.dimension, format="csr")
-    eye_e = sp.identity(fock.dimension, format="csr")
-    total = sp.kron(hel, eye_b, format="csr")
-    for y in range(model.sites):
-        gcol = ph.coupling[:, y]
+def _holstein_terms(electron, occ: np.ndarray, phonon, bosons: BosonBasis) -> list:
+    """Kronecker terms of electron (x) I + sum_xy g_xy n_x (b*_y + b_y) +
+    I (x) omega N_b, with ``occ[i, x]`` the electron count at site x in
+    electron state i."""
+    terms = [(electron, sp.identity(bosons.dimension, format="csr"))]
+    for y in range(occ.shape[1]):
+        gcol = phonon.coupling[:, y]
         if not np.any(gcol):
             continue
         bdag = build_boson_op(bosons, "create", y).matrix
-        displ = bdag + bdag.conjugate().T
-        coupling_diag = sp.diags(n_site @ gcol)
-        total = total + sp.kron(coupling_diag, displ, format="csr")
+        terms.append((sp.diags(occ @ gcol), bdag + bdag.conjugate().T))
     nb = build_boson_op(bosons, "number_total").matrix
-    total = total + sp.kron(eye_e, ph.frequency * nb, format="csr")
-    return SparseHermitian(total, hermitian=True)
+    terms.append((sp.identity(occ.shape[0], format="csr"), phonon.frequency * nb))
+    return terms
 
 
 def assemble_nagaoka_projected(model: LatticeModel, m) -> SectorHamiltonian:
@@ -237,20 +287,8 @@ def assemble_holstein_sector(model: LatticeModel, m, cutoff: int | None = None) 
     electron = assemble_nagaoka_sector(model, m)
     bosons = boson_basis(model.sites, cut)
     guard_dimension(electron.dimension * bosons.dimension, "Holstein sector assembly")
-
-    occ = _config_occupations(electron.basis)
-    eye_b = sp.identity(bosons.dimension, format="csr")
-    eye_e = sp.identity(electron.dimension, format="csr")
-    total = sp.kron(electron.op.matrix, eye_b, format="csr")
-    for y in range(model.sites):
-        gcol = ph.coupling[:, y]
-        if not np.any(gcol):
-            continue
-        bdag = build_boson_op(bosons, "create", y).matrix
-        displ = bdag + bdag.conjugate().T
-        total = total + sp.kron(sp.diags(occ @ gcol), displ, format="csr")
-    nb = build_boson_op(bosons, "number_total").matrix
-    total = total + sp.kron(eye_e, ph.frequency * nb, format="csr")
+    total = _kron_sum(_holstein_terms(electron.op.matrix, _config_occupations(electron.basis),
+                                      ph, bosons))
     return SectorHamiltonian(model=model, m=electron.m, basis=electron.basis,
                              op=SparseHermitian(total, hermitian=True),
                              provenance="holstein_direct", boson=bosons, cutoff=cut)
@@ -274,17 +312,41 @@ def unitary_exp(hermitian: np.ndarray) -> np.ndarray:
     return (v * np.exp(1j * w)) @ v.conjugate().T
 
 
+def _mode_exponentials(amplitudes, cutoff: int) -> list[sp.csr_matrix]:
+    """exp(i (c b + conj(c) b*)) on one mode truncated at ``cutoff``, for each
+    amplitude c; the identity where c = 0."""
+    b = np.diag(np.sqrt(np.arange(1, cutoff + 1)), k=1)
+    eye = sp.identity(cutoff + 1, dtype=complex, format="csr")
+    return [eye if c == 0 else sp.csr_matrix(unitary_exp(c * b + np.conj(c) * b.conjugate().T))
+            for c in amplitudes]
+
+
+def _polaron_shift(model: LatticeModel, x: int, y: int) -> np.ndarray:
+    """Per-mode displacement -sqrt(2) omega^{-3/2} (g_xz - g_yz) of a hop
+    from x to y; the polaron phase is exp(i sum_z shift_z p_z)."""
+    ph = model.phonon
+    return -math.sqrt(2.0) * ph.frequency ** (-1.5) * (ph.coupling[x] - ph.coupling[y])
+
+
+def _polaron_phase(model: LatticeModel, x: int, y: int, cutoff: int) -> sp.csr_matrix:
+    """theta_xy as a product of single-mode exponentials; p_z = i sqrt(omega/2)
+    (b*_z - b_z), so shift_z p_z has amplitude -i sqrt(omega/2) shift_z on b_z."""
+    amplitudes = -1j * math.sqrt(model.phonon.frequency / 2.0) * _polaron_shift(model, x, y)
+    return _mode_product(_mode_exponentials(amplitudes, cutoff))
+
+
 def assemble_lang_firsov_sector(model: LatticeModel, m, cutoff: int | None = None) -> SectorHamiltonian:
     """Polaron-frame sector Hamiltonian: phase-dressed hopping plus the
     effective Coulomb diagonal and the free phonon term.
 
     The hopping phases theta_xy = exp(-i sqrt(2) omega^{-3/2}
-    sum_z (g_xz - g_yz) p_z) are exponentials of truncated Hermitian
-    generators, hence exactly unitary.  The scalar part of the displacement
-    energy is not added to the matrix; it is reported separately as
-    ``dropped_constant`` so energies can be reconciled against the direct
-    Holstein form.  Any site-dependent remainder of the displacement energy
-    (possible for non-uniform diag(g^2)) stays in the matrix.
+    sum_z (g_xz - g_yz) p_z) are products over modes of exponentials of
+    truncated Hermitian generators, hence exactly unitary.  The scalar part
+    of the displacement energy is not added to the matrix; it is reported
+    separately as ``dropped_constant`` so energies can be reconciled against
+    the direct Holstein form.  Any site-dependent remainder of the
+    displacement energy (possible for non-uniform diag(g^2)) stays in the
+    matrix.
     """
     if model.phonon is None:
         raise ValueError("polaron-frame assembly needs a phonon block")
@@ -292,49 +354,15 @@ def assemble_lang_firsov_sector(model: LatticeModel, m, cutoff: int | None = Non
     cut = ph.per_site_cutoff if cutoff is None else int(cutoff)
     basis = enumerate_sector(model, m)
     bosons = boson_basis(model.sites, cut)
-    nb_dim = bosons.dimension
-    guard_dimension(basis.dimension * nb_dim, "polaron-frame sector assembly")
-    _guard_dense_phase(nb_dim, "polaron-frame sector assembly")
-
-    omega = ph.frequency
-    g = ph.coupling
-    p_ops = [momentum_quadrature(bosons, z, omega) for z in range(model.sites)]
-
-    thetas: dict[tuple[int, int], np.ndarray] = {}
-    t = model.hopping
-    for x in range(model.sites):
-        for y in range(x + 1, model.sites):
-            if t[x, y] == 0.0:
-                continue
-            gen = np.zeros((nb_dim, nb_dim), dtype=complex)
-            for z in range(model.sites):
-                coeff = -math.sqrt(2.0) * omega ** (-1.5) * (g[x, z] - g[y, z])
-                if coeff != 0.0:
-                    gen = gen + coeff * p_ops[z]
-            theta = unitary_exp(gen)
-            thetas[(x, y)] = theta
-            thetas[(y, x)] = theta.conjugate().T
-
-    # hopping blocks grouped by ordered bond, dressed by theta
-    total = sp.csr_matrix((basis.dimension * nb_dim, basis.dimension * nb_dim), dtype=complex)
-    for (x, y), block in move_blocks(model, basis).items():
-        phase = thetas.get((x, y), np.eye(nb_dim))
-        total = total + sp.kron(block, sp.csr_matrix(phase), format="csr")
-
-    occ = _config_occupations(basis)
-    ueff = effective_coulomb(model)
-    ueff_offdiag = ueff - np.diag(np.diag(ueff))
-    diag = np.einsum("ix,xy,iy->i", occ, ueff_offdiag, occ)
-    diag += occ @ np.diag(t)
-    gsq_diag = np.diag(g @ g)
-    residual = -(gsq_diag - np.mean(gsq_diag)) / omega   # zero for uniform diag(g^2)
-    diag += occ @ residual
-    eye_b = sp.identity(nb_dim, format="csr")
-    total = total + sp.kron(sp.diags(diag), eye_b, format="csr")
+    guard_dimension(basis.dimension * bosons.dimension, "polaron-frame sector assembly")
+    _guard_dense_phase(bosons.dimension, "polaron-frame sector assembly")
 
     nb = build_boson_op(bosons, "number_total").matrix
-    total = total + sp.kron(sp.identity(basis.dimension, format="csr"), omega * nb, format="csr")
-
+    hops = _dressed_hops(move_blocks(model, basis), lambda x, y: _polaron_phase(model, x, y, cut))
+    total = _kron_sum(hops + [
+        (sp.diags(_sector_diagonal(model, basis, dressed=True)),
+         sp.identity(bosons.dimension, format="csr")),
+        (sp.identity(basis.dimension, format="csr"), ph.frequency * nb)])
     return SectorHamiltonian(model=model, m=basis.m, basis=basis,
                              op=SparseHermitian(total, hermitian=True),
                              provenance="lang_firsov", boson=bosons,
@@ -455,33 +483,19 @@ def peierls_phase(model: LatticeModel, modes, x: int, y: int,
     return SparseHermitian(mat, hermitian=True)
 
 
-def riemann_peierls(model: LatticeModel, modes, x: int, y: int,
-                    n_segments: int, basis: BosonBasis) -> SparseHermitian:
-    """The Riemann-sum field operator; converges to the exact phase."""
-    return peierls_phase(model, modes, x, y, basis, n_segments=n_segments)
-
-
-def _single_mode_unitary(c: complex, cutoff: int) -> np.ndarray:
-    dim = cutoff + 1
-    a = np.diag(np.sqrt(np.arange(1, dim)), k=1)
-    return unitary_exp(c * a + np.conj(c) * a.conjugate().T)
-
-
 def peierls_unitary(model: LatticeModel, modes, x: int, y: int,
-                    basis: BosonBasis, n_segments: int | None = None) -> np.ndarray:
+                    basis: BosonBasis, n_segments: int | None = None) -> sp.csr_matrix:
     """exp(i phase) built as a product of commuting single-mode exponentials.
 
     Exactly equal to the matrix exponential of the truncated phase (the
-    summands act on disjoint tensor factors) and exactly unitary.
+    summands act on disjoint tensor factors) and exactly unitary.  Returned
+    in CSR; modes the bond does not couple are identity factors.
     """
     _guard_dense_phase(basis.dimension, "hopping-phase unitary")
     kernel = peierls_kernel if n_segments is None else (
         lambda px, py, k: riemann_kernel(px, py, k, n_segments))
     coeffs = _mode_coefficients(model, modes, x, y, kernel)
-    out = np.eye(1, dtype=complex)
-    for c in coeffs:
-        out = np.kron(out, _single_mode_unitary(c, basis.cutoff))
-    return out
+    return _mode_product(_mode_exponentials(coeffs, basis.cutoff))
 
 
 def assemble_radiation_sector(model: LatticeModel, m, cutoff: int | None = None,
@@ -504,27 +518,13 @@ def assemble_radiation_sector(model: LatticeModel, m, cutoff: int | None = None,
     guard_dimension(basis.dimension * bosons.dimension, "radiation sector assembly")
     _guard_dense_phase(bosons.dimension, "radiation sector assembly")
 
-    blocks = move_blocks(model, basis)
-    nb_dim = bosons.dimension
-    total = sp.csr_matrix((basis.dimension * nb_dim, basis.dimension * nb_dim), dtype=complex)
-    for x in range(model.sites):
-        for y in range(x + 1, model.sites):
-            if (x, y) not in blocks and (y, x) not in blocks:
-                continue
-            phase = sp.csr_matrix(peierls_unitary(model, modes, x, y, bosons))
-            if (x, y) in blocks:
-                total = total + sp.kron(blocks[(x, y)], phase, format="csr")
-            if (y, x) in blocks:
-                total = total + sp.kron(blocks[(y, x)], phase.conjugate().T.tocsr(), format="csr")
-
-    diag = _sector_diagonal(model, basis)
-    total = total + sp.kron(sp.diags(diag), sp.identity(nb_dim, format="csr"), format="csr")
-
     field_diag = np.array([sum(mode.omega * occ for mode, occ in zip(modes, state))
                            for state in bosons.states])
-    total = total + sp.kron(sp.identity(basis.dimension, format="csr"),
-                            sp.diags(field_diag), format="csr")
-
+    hops = _dressed_hops(move_blocks(model, basis),
+                         lambda x, y: peierls_unitary(model, modes, x, y, bosons))
+    total = _kron_sum(hops + [
+        (sp.diags(_sector_diagonal(model, basis)), sp.identity(bosons.dimension, format="csr")),
+        (sp.identity(basis.dimension, format="csr"), sp.diags(field_diag))])
     return SectorHamiltonian(model=model, m=basis.m, basis=basis,
                              op=SparseHermitian(total, hermitian=True),
                              provenance="radiation", boson=bosons, cutoff=cut)

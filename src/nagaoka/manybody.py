@@ -114,7 +114,7 @@ class FullFockBasis:
         return site + spin * self.sites
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def full_fock_basis(sites: int, n_electrons: int) -> FullFockBasis:
     if not 0 <= n_electrons <= 2 * sites:
         raise ValueError(f"cannot place {n_electrons} electrons on {sites} sites")
@@ -224,7 +224,7 @@ class BosonBasis:
         return len(self.states)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def boson_basis(modes: int, cutoff: int) -> BosonBasis:
     if modes < 0 or cutoff < 0:
         raise ValueError("modes and cutoff must be >= 0")

@@ -17,7 +17,6 @@ only come from a solver failure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,15 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import InconsistencyError, ModelValidationError, guard_dimension
-from .hamiltonian import effective_coulomb, lang_firsov_constant, move_blocks
+from .hamiltonian import (
+    _dressed_hops,
+    _kron_sum,
+    _mode_product,
+    _polaron_shift,
+    _sector_diagonal,
+    lang_firsov_constant,
+    move_blocks,
+)
 from .manybody import SparseHermitian, sector_lowering_fock
 from .model import LatticeModel
 from .sector import enumerate_sector
@@ -183,14 +190,6 @@ def _grid_shift(points: int, steps: int) -> sp.csr_matrix:
     return sp.eye(points, points, k=steps, format="csr")
 
 
-def _embed(op: sp.spmatrix, mode: int, modes: int, points: int) -> sp.csr_matrix:
-    out = sp.identity(1, format="csr")
-    for z in range(modes):
-        out = sp.kron(out, op if z == mode else sp.identity(points, format="csr"),
-                      format="csr")
-    return out
-
-
 def qgrid_holstein_certify(model: LatticeModel, m, points: int, spacing: float) -> GridCertificate:
     """Polaron-frame Hamiltonian on a product of position grids, certified
     in the product cone basis.
@@ -205,60 +204,30 @@ def qgrid_holstein_certify(model: LatticeModel, m, points: int, spacing: float) 
         raise ValueError("grid certificate needs a phonon block")
     if model.sites > 3:
         raise ModelValidationError("budget", "grid certificate supports at most 3 sites")
-    ph = model.phonon
-    omega = ph.frequency
-    g = ph.coupling
-    sites = model.sites
     basis = enumerate_sector(model, m)
-    grid_dim = points ** sites
+    grid_dim = points ** model.sites
     guard_dimension(basis.dimension * grid_dim, "grid certificate")
 
-    t = model.hopping
-    shifts: dict[tuple[int, int], list[int]] = {}
-    for x in range(sites):
-        for y in range(x + 1, sites):
-            if t[x, y] == 0.0:
-                continue
-            steps = []
-            for z in range(sites):
-                a = -math.sqrt(2.0) * omega ** (-1.5) * (g[x, z] - g[y, z])
-                ratio = a / spacing
-                if abs(ratio - round(ratio)) > 1e-9:
-                    raise ModelValidationError(
-                        "commensurability",
-                        f"displacement {a} for bond ({x}, {y}) mode {z} is not an "
-                        f"integer multiple of the grid spacing {spacing}")
-                steps.append(int(round(ratio)))
-            shifts[(x, y)] = steps
+    def shift(x: int, y: int) -> sp.csr_matrix:
+        steps = []
+        for z, a in enumerate(_polaron_shift(model, x, y)):
+            ratio = a / spacing
+            if abs(ratio - round(ratio)) > 1e-9:
+                raise ModelValidationError(
+                    "commensurability",
+                    f"displacement {a} for bond ({x}, {y}) mode {z} is not an "
+                    f"integer multiple of the grid spacing {spacing}")
+            steps.append(_grid_shift(points, int(round(ratio))))
+        return _mode_product(steps)
 
-    theta: dict[tuple[int, int], sp.csr_matrix] = {}
-    for (x, y), steps in shifts.items():
-        op = sp.identity(1, format="csr")
-        for s in steps:
-            op = sp.kron(op, _grid_shift(points, s), format="csr")
-        theta[(x, y)] = op
-        theta[(y, x)] = op.T.tocsr()
-
-    total = sp.csr_matrix((basis.dimension * grid_dim, basis.dimension * grid_dim))
-    for (x, y), block in move_blocks(model, basis).items():
-        total = total + sp.kron(block, theta[(x, y)], format="csr")
-
-    occ = np.ones((basis.dimension, sites))
-    for i, c in enumerate(basis.configs):
-        occ[i, c.hole] = 0.0
-    ueff = effective_coulomb(model)
-    ueff_offdiag = ueff - np.diag(np.diag(ueff))
-    diag = np.einsum("ix,xy,iy->i", occ, ueff_offdiag, occ)
-    diag += occ @ np.diag(t)
-    gsq_diag = np.diag(g @ g)
-    diag += occ @ (-(gsq_diag - np.mean(gsq_diag)) / omega)
-    total = total + sp.kron(sp.diags(diag), sp.identity(grid_dim, format="csr"), format="csr")
-
-    osc = _oscillator_matrix(points, spacing, omega)
-    grid_h = sp.csr_matrix((grid_dim, grid_dim))
-    for z in range(sites):
-        grid_h = grid_h + _embed(osc, z, sites, points)
-    total = total + sp.kron(sp.identity(basis.dimension, format="csr"), grid_h, format="csr")
+    osc = _oscillator_matrix(points, spacing, model.phonon.frequency)
+    eye = sp.identity(points, format="csr")
+    grid_h = sum(_mode_product([osc if j == z else eye for j in range(model.sites)])
+                 for z in range(model.sites))
+    total = _kron_sum(_dressed_hops(move_blocks(model, basis), shift) + [
+        (sp.diags(_sector_diagonal(model, basis, dressed=True)),
+         sp.identity(grid_dim, format="csr")),
+        (sp.identity(basis.dimension, format="csr"), grid_h)])
 
     neg_off = -_offdiagonal_support(total)
     if not preserves_positivity(neg_off, tol=STRICT_POSITIVITY_TOL):

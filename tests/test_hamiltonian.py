@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import nagaoka.hamiltonian as hamiltonian
+import nagaoka.positivity as positivity
+from nagaoka.acceptance import holstein_model
 from nagaoka.corpus import complete4, corpus_models, pair2, triangle3
 from nagaoka.hamiltonian import (
+    _kron_sum,
+    _polaron_phase,
     _sector_diagonal,
     assemble_holstein_sector,
     assemble_hubbard_full,
@@ -16,12 +21,15 @@ from nagaoka.hamiltonian import (
     hole_moves,
     lang_firsov_constant,
     move_blocks,
+    unitary_exp,
 )
 from nagaoka.manybody import (
     SparseHermitian,
+    boson_basis,
     build_gutzwiller,
     build_spin_ops,
     full_fock_basis,
+    momentum_quadrature,
     sector_embedding,
 )
 from nagaoka.model import LatticeModel, PhononBlock, generate_lattice
@@ -233,9 +241,11 @@ def test_unitary_exp_is_exactly_unitary():
     assert np.max(np.abs(u.conj().T @ u - np.eye(40))) <= 1e-12
 
 
+OFFDIAGONAL_G = np.array([[0.5, 0.2, 0.0], [0.2, 0.5, 0.2], [0.0, 0.2, 0.5]])
+
+
 def test_lang_firsov_phases_unitary_for_offdiagonal_coupling():
-    g = np.array([[0.5, 0.2, 0.0], [0.2, 0.5, 0.2], [0.0, 0.2, 0.5]])
-    model = with_phonons(triangle3(), g, cutoff=2)
+    model = with_phonons(triangle3(), OFFDIAGONAL_G, cutoff=2)
     lf = assemble_lang_firsov_sector(model, 0, cutoff=2)
     dense = lf.op.toarray()
     assert np.max(np.abs(dense - dense.conj().T)) <= 1e-12
@@ -292,3 +302,69 @@ def test_onsite_hopping_diagonal():
     assert np.allclose(np.diag(h), [0.25, 0.5])
     p = assemble_nagaoka_projected(model, Fraction(1, 2)).op.toarray()
     assert np.max(np.abs(h - p)) <= 1e-12
+
+
+POLARON_CASES = {
+    "complete4": (holstein_model(complete4(), gamma=0.5), Fraction(1, 2), 3),
+    "offdiagonal-triangle": (with_phonons(triangle3(), OFFDIAGONAL_G), 0, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLARON_CASES))
+def test_polaron_phase_product_equals_full_space_exponential(name):
+    """The per-mode product phase against one dense exponential of the
+    whole-space generator sum_z shift_z p_z, the route it replaced."""
+    model, _, cutoff = POLARON_CASES[name]
+    ph = model.phonon
+    bosons = boson_basis(model.sites, cutoff)
+    p_ops = [momentum_quadrature(bosons, z, ph.frequency) for z in range(model.sites)]
+    bonds = [(x, y) for x in range(model.sites) for y in range(x + 1, model.sites)
+             if model.hopping[x, y] != 0.0]
+    assert bonds
+    for x, y in bonds:
+        gen = sum(-np.sqrt(2.0) * ph.frequency ** (-1.5) * (ph.coupling[x, z] - ph.coupling[y, z])
+                  * p_ops[z] for z in range(model.sites))
+        product = _polaron_phase(model, x, y, cutoff).toarray()
+        assert np.max(np.abs(product - unitary_exp(gen))) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(POLARON_CASES))
+def test_polaron_frame_stores_no_rounding_noise(name):
+    model, m, cutoff = POLARON_CASES[name]
+    mat = assemble_lang_firsov_sector(model, m, cutoff=cutoff).op.matrix
+    assert np.min(np.abs(mat.data)) >= 1e-13
+
+
+class _Captured(Exception):
+    pass
+
+
+def _captured_terms(monkeypatch, module, build):
+    """The Kronecker terms a form hands to ``_kron_sum``; the build stops there."""
+    terms = []
+
+    def capture(arg):
+        terms.extend(arg)
+        raise _Captured
+
+    monkeypatch.setattr(module, "_kron_sum", capture)
+    with pytest.raises(_Captured):
+        build()
+    return terms
+
+
+@pytest.mark.parametrize("form", ["polaron-frame", "qgrid"])
+def test_kron_sum_equals_dense_kronecker_sum(monkeypatch, form):
+    """complete-4 polaron frame at cutoff 2, and criterion 12's 2-site model
+    on a 32-point grid (its 64-point grid would need a 0.5 GB dense oracle)."""
+    if form == "polaron-frame":
+        model = holstein_model(complete4(), gamma=0.5)
+        terms = _captured_terms(monkeypatch, hamiltonian, lambda: assemble_lang_firsov_sector(
+            model, Fraction(1, 2), cutoff=2))
+    else:
+        model = holstein_model(pair2(), gamma=0.5)
+        spacing = np.sqrt(2.0) * 0.5 / 3
+        terms = _captured_terms(monkeypatch, positivity, lambda: positivity.qgrid_holstein_certify(
+            model, Fraction(1, 2), 32, spacing))
+    dense = sum(np.kron(sp.csr_matrix(a).toarray(), sp.csr_matrix(b).toarray()) for a, b in terms)
+    assert np.max(np.abs(_kron_sum(terms).toarray() - dense)) <= 1e-14

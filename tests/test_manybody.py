@@ -252,3 +252,15 @@ def test_sector_budget_checked_before_enumerating(monkeypatch):
     assert enumerate_sector(complete4(), Fraction(3, 2)).dimension == 4
     with pytest.raises(DimensionBudgetError):
         enumerate_sector(complete4(), Fraction(1, 2))       # dimension 12
+
+
+@pytest.mark.parametrize("cache, args", [
+    (full_fock_basis, [(s, n) for s in range(1, 6) for n in range(2 * s + 1)]),
+    (boson_basis, [(modes, cut) for modes in range(4) for cut in range(5)]),
+])
+def test_basis_caches_are_bounded(cache, args):
+    maxsize = cache.cache_info().maxsize
+    assert maxsize is not None and len(args) > maxsize
+    for a in args:
+        cache(*a)
+        assert cache.cache_info().currsize <= maxsize

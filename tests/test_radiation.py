@@ -14,7 +14,6 @@ from nagaoka.hamiltonian import (
     peierls_unitary,
     photon_modes,
     riemann_kernel,
-    riemann_peierls,
 )
 from nagaoka.manybody import boson_basis
 from nagaoka.sector import sector_magnetizations
@@ -131,7 +130,7 @@ def test_riemann_operator_converges_to_phase():
     for n in (8, 32, 128):
         approx = peierls_unitary(model, sub, 0, 1, bosons, n_segments=n)
         errors.append(operator_norm(approx - target))
-        herm = riemann_peierls(model, sub, 0, 1, n, bosons)
+        herm = peierls_phase(model, sub, 0, 1, bosons, n_segments=n)
         assert herm.hermitian
     assert errors[1] < errors[0] and errors[2] < errors[1]
     assert errors[2] <= 2e-3
