@@ -49,7 +49,7 @@ from .manybody import (
     sector_embedding,
 )
 from .model import LatticeModel
-from .sector import SectorBasis, apply_move, enumerate_sector
+from .sector import SectorBasis, enumerate_sector, hole_moves
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,9 +77,8 @@ def _require_infinite_u(model: LatticeModel, what: str):
 
 def _config_occupations(basis: SectorBasis) -> np.ndarray:
     """occ[i, x] = electron count at site x in configuration i (0 at the hole)."""
-    holes = np.fromiter((c.hole for c in basis.configs), dtype=np.intp, count=basis.dimension)
     occ = np.ones((basis.dimension, basis.sites))
-    occ[np.arange(basis.dimension), holes] = 0.0
+    occ[np.arange(basis.dimension), basis.holes] = 0.0
     return occ
 
 
@@ -135,20 +134,6 @@ def _dressed_hops(blocks: dict, phase) -> list:
     return terms
 
 
-def hole_moves(model: LatticeModel, basis: SectorBasis) -> np.ndarray:
-    """All hole hops as rows of a (4, n_moves) integer array: target index,
-    source index, from site, to site."""
-    t = model.hopping
-    moves = []
-    for j, c in enumerate(basis.configs):
-        x = c.hole
-        for y in range(model.sites):
-            if y == x or t[x, y] == 0.0:
-                continue
-            moves.append((basis.index[apply_move(c, x, y)], j, x, y))
-    return np.array(moves, dtype=np.intp).reshape(-1, 4).T
-
-
 def _hop_matrix(model: LatticeModel, basis: SectorBasis, moves) -> sp.csr_matrix:
     """Sum of -t_xy over the given hole moves, one COO build.  Each
     (target, source) pair comes from exactly one move, so no entries add."""
@@ -183,6 +168,13 @@ def assemble_nagaoka_sector(model: LatticeModel, m) -> SectorHamiltonian:
                              provenance="direct_formula")
 
 
+def _fock_occupations(fock) -> np.ndarray:
+    """occ[i, spin, x] = occupation (0 or 1) of mode (x, spin) in Fock word i."""
+    words = np.array(fock.states, dtype=np.int64)
+    bits = (words[:, None] >> np.arange(fock.modes)) & 1
+    return bits.reshape(fock.dimension, 2, fock.sites)
+
+
 def hubbard_electron_matrix(model: LatticeModel, u: float) -> sp.csr_matrix:
     """Finite-U Hubbard matrix on the fixed-N Fock basis (no bosons)."""
     if not math.isfinite(u):
@@ -197,15 +189,10 @@ def hubbard_electron_matrix(model: LatticeModel, u: float) -> sp.csr_matrix:
             for spin in (UP, DOWN):
                 mat = mat + t[x, y] * hopping_bilinear(fock, x, y, spin)
 
-    site_mask = (1 << model.sites) - 1
-    diag = np.zeros(fock.dimension)
-    uxy = model.offsite_u
-    for i, w in enumerate(fock.states):
-        up_w, down_w = w & site_mask, (w >> model.sites) & site_mask
-        diag[i] += u * (up_w & down_w).bit_count()
-        n_site = np.array([((up_w >> x) & 1) + ((down_w >> x) & 1)
-                           for x in range(model.sites)], dtype=float)
-        diag[i] += n_site @ uxy @ n_site
+    occ = _fock_occupations(fock)
+    n_site = occ.sum(axis=1).astype(float)
+    diag = u * (occ[:, UP] & occ[:, DOWN]).sum(axis=1) \
+        + np.einsum("ix,xy,iy->i", n_site, model.offsite_u, n_site)
     return (mat + sp.diags(diag)).tocsr()
 
 
@@ -222,8 +209,7 @@ def assemble_hubbard_full(model: LatticeModel, u: float) -> SparseHermitian:
     fock = full_fock_basis(model.sites, model.n_electrons)
     bosons = boson_basis(model.sites, model.phonon.per_site_cutoff)
     guard_dimension(fock.dimension * bosons.dimension, "full-space phonon assembly")
-    bits = (np.array(fock.states, dtype=np.int64)[:, None] >> np.arange(2 * model.sites)) & 1
-    n_site = (bits[:, :model.sites] + bits[:, model.sites:]).astype(float)
+    n_site = _fock_occupations(fock).sum(axis=1).astype(float)
     return SparseHermitian(_kron_sum(_holstein_terms(hel, n_site, model.phonon, bosons)),
                            hermitian=True)
 

@@ -321,13 +321,6 @@ def projected_restriction(full_matrix, rows_a, signs_a, rows_b=None, signs_b=Non
     return (sp.diags(signs_a) @ sub @ sp.diags(signs_b)).tocsr()
 
 
-def _sector_keys(basis: SectorBasis) -> np.ndarray:
-    """(hole << sites) | up_mask per configuration; ascending, since the
-    canonical order is lexicographic in (hole, up_mask)."""
-    return np.fromiter(((c.hole << basis.sites) | c.up_mask for c in basis.configs),
-                       dtype=np.int64, count=basis.dimension)
-
-
 def _lowering_matrix(basis_hi: SectorBasis, basis_lo: SectorBasis) -> sp.csr_matrix:
     """S- from sector M to M-1 by the direct rule: every up spin of a
     configuration flips to down with coefficient +1.
@@ -336,12 +329,11 @@ def _lowering_matrix(basis_hi: SectorBasis, basis_lo: SectorBasis) -> sp.csr_mat
     S^2 built from it has the same CSR arrays as the one built from
     ``sector_lowering_fock``.
     """
-    keys_hi = _sector_keys(basis_hi)
-    keys_lo = _sector_keys(basis_lo)
+    holes, masks = basis_hi.holes, basis_hi.masks
     rows, cols = [], []
     for z in range(basis_hi.sites):
-        src = np.nonzero((keys_hi >> z) & 1)[0]
-        rows.append(np.searchsorted(keys_lo, keys_hi[src] ^ (1 << z)))
+        src = np.nonzero((masks >> z) & 1)[0]
+        rows.append(basis_lo.rank(holes[src], masks[src] ^ (1 << z)))
         cols.append(src)
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)

@@ -1,40 +1,42 @@
 """Hole-spin configuration space of the one-hole sector.
 
 A configuration places the single hole on one site and an up/down spin on
-every other site.  It is encoded as ``(hole, up_mask)`` machine words: bit z
-of ``up_mask`` is set iff site z carries an up spin, the hole's bit is
-forced to 0, and the down spins are implicit.  The encoding gives O(1) move
-application and hashing at desk scale.
+every other site, encoded as ``(hole, up_mask)``: bit z of ``up_mask`` is
+set iff site z carries an up spin, the hole's bit is 0, and the down spins
+are implicit.  A sector basis (S3 = M, i.e. n_up - n_down = 2M) holds the
+encoding as two int64 arrays in lexicographic (hole, up_mask) order: for
+each hole, the K = C(sites-1, n_up) ascending hole-free masks with the
+hole's zero bit inserted, so a configuration's row is hole * K plus the rank
+of its hole-free mask.
 
-The magnetization sector S3 = M collects the configurations with
-n_up - n_down = 2M.  Hole moves along nonzero hopping bonds turn each
-sector into an undirected graph; its connectivity is the combinatorial
-heart of the one-hole ferromagnetism results.
+Hole moves along nonzero hopping bonds turn each sector into an undirected
+graph whose connectivity is the combinatorial heart of the one-hole
+ferromagnetism results.  ``hole_moves`` applies the move rule to a whole
+basis at once; the scalar ``apply_move`` is the same rule for one
+configuration, and the tests hold the vectorized rule to it.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
-from weakref import WeakKeyDictionary
 
-from .errors import guard_dimension
+import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order, connected_components
+
+from .errors import ModelValidationError, guard_dimension
 from .model import LatticeModel
+
+#: Up masks are int64 words, so a model has at most 63 sites.
+MAX_SITES = 63
 
 
 @dataclass(frozen=True)
 class HoleSpinConfig:
     hole: int
     up_mask: int
-
-    def n_up(self) -> int:
-        return self.up_mask.bit_count()
-
-    def occupied(self, site: int) -> bool:
-        return site != self.hole
 
 
 def as_half_integer(m) -> Fraction:
@@ -51,31 +53,75 @@ def sector_magnetizations(sites: int) -> list[Fraction]:
     return [Fraction(2 * k - n, 2) for k in range(n + 1)]
 
 
+def _combination_masks(width: int, ones: int) -> np.ndarray:
+    """All ``width``-bit masks with ``ones`` bits set, ascending.  The masks
+    below bit i+1 with j ones are those below bit i with j ones, then those
+    with j-1 ones plus bit i (all larger); counts that can no longer reach
+    ``ones`` are dropped, so no intermediate array outgrows the result."""
+    none = np.empty(0, dtype=np.int64)
+    by_ones = {0: np.zeros(1, dtype=np.int64)}
+    for i in range(width):
+        by_ones = {j: np.concatenate([by_ones.get(j, none), by_ones.get(j - 1, none) | (1 << i)])
+                   for j in range(max(0, ones - width + i + 1), min(i + 1, ones) + 1)}
+    return by_ones[ones]
+
+
 @dataclass(frozen=True, eq=False)
 class SectorBasis:
-    """Canonically ordered basis of a magnetization sector.
-
-    Ordering is lexicographic in (hole, up_mask); ``index`` inverts it.
-    """
+    """Canonically ordered basis of a magnetization sector: configuration i
+    is ``(holes[i], masks[i])``, lexicographic in (hole, up_mask); ``rank``
+    inverts the order."""
 
     sites: int
     m: Fraction
-    configs: tuple[HoleSpinConfig, ...]
-    index: dict[HoleSpinConfig, int]
+    holes: np.ndarray     # int64
+    masks: np.ndarray     # int64
 
     @property
     def dimension(self) -> int:
-        return len(self.configs)
+        return self.holes.size
 
     @property
     def n_up(self) -> int:
         return (self.sites - 1 + int(2 * self.m)) // 2
+
+    @property
+    def configs(self) -> tuple[HoleSpinConfig, ...]:
+        """The basis as configuration objects, for listings and oracles."""
+        return tuple(HoleSpinConfig(h, u)
+                     for h, u in zip(self.holes.tolist(), self.masks.tolist()))
+
+    def rank(self, holes, masks):
+        """Canonical row of each configuration ``(holes[i], masks[i])``;
+        scalars give an int.  Raises ValueError if any configuration is not
+        in the sector."""
+        try:
+            holes = np.asarray(holes, dtype=np.int64)
+            masks = np.asarray(masks, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("configuration outside the sector") from None
+        per_hole = self.dimension // self.sites
+        free = self.masks[:per_hole] >> 1           # hole 0: masks are free masks << 1
+        ok = (holes >= 0) & (holes < self.sites)
+        at = np.where(ok, holes, 0)
+        ok &= ((masks >> at) & 1) == 0
+        reduced = (masks & ((1 << at) - 1)) | ((masks >> (at + 1)) << at)   # drop the hole bit
+        pos = np.minimum(np.searchsorted(free, reduced), per_hole - 1)
+        ok &= free[pos] == reduced
+        if not np.all(ok):
+            raise ValueError(f"configuration outside the sector M = {self.m} "
+                             f"of {self.sites} sites")
+        rows = at * per_hole + pos
+        return int(rows) if rows.ndim == 0 else rows
 
 
 def enumerate_sector(model: LatticeModel, m) -> SectorBasis:
     """Complete, duplicate-free, canonically ordered basis of sector M."""
     frac = as_half_integer(m)
     sites = model.sites
+    if sites > MAX_SITES:
+        raise ModelValidationError(
+            "size", f"{sites} sites; sector bases hold at most {MAX_SITES} sites")
     twice = int(2 * frac)
     n_up2 = sites - 1 + twice
     if n_up2 % 2 or not 0 <= n_up2 // 2 <= sites - 1:
@@ -86,18 +132,12 @@ def enumerate_sector(model: LatticeModel, m) -> SectorBasis:
     dim = sites * comb(sites - 1, n_up)
     guard_dimension(dim, f"sector M = {frac} of {sites} sites")
 
-    configs = []
-    for hole in range(sites):
-        others = [z for z in range(sites) if z != hole]
-        for ups in combinations(others, n_up):
-            mask = 0
-            for z in ups:
-                mask |= 1 << z
-            configs.append(HoleSpinConfig(hole, mask))
-    configs.sort(key=lambda c: (c.hole, c.up_mask))
-    assert len(configs) == dim
-    return SectorBasis(sites=sites, m=frac, configs=tuple(configs),
-                       index={c: i for i, c in enumerate(configs)})
+    free = _combination_masks(sites - 1, n_up)
+    hole = np.arange(sites, dtype=np.int64)[:, None]
+    masks = (free & ((1 << hole) - 1)) | ((free >> hole) << (hole + 1))   # insert the hole bit
+    holes = np.repeat(hole.ravel(), free.size)
+    assert holes.size == dim
+    return SectorBasis(sites=sites, m=frac, holes=holes, masks=masks.ravel())
 
 
 def apply_move(config: HoleSpinConfig, frm: int, to: int) -> HoleSpinConfig | None:
@@ -116,38 +156,32 @@ def apply_move(config: HoleSpinConfig, frm: int, to: int) -> HoleSpinConfig | No
     return HoleSpinConfig(to, mask)
 
 
-@dataclass(frozen=True, eq=False)
-class SectorGraph:
-    """Configuration graph of one sector: nodes are canonical basis indices,
-    edges are hole hops along nonzero hopping bonds, labeled by target site."""
+def hole_moves(model: LatticeModel, basis: SectorBasis) -> np.ndarray:
+    """All hole hops as rows of a (4, n_moves) integer array: target index,
+    source index, from site, to site; ordered by source, then target site.
 
-    basis: SectorBasis
-    neighbors: tuple[tuple[tuple[int, int], ...], ...]   # per node: (node', to_site)
-
-
-_GRAPH_CACHE: WeakKeyDictionary = WeakKeyDictionary()
-
-
-def configuration_graph(model: LatticeModel, m) -> SectorGraph:
-    """Build (or fetch the cached) configuration graph of sector M."""
-    frac = as_half_integer(m)
-    per_model = _GRAPH_CACHE.setdefault(model, {})
-    if frac in per_model:
-        return per_model[frac]
-    basis = enumerate_sector(model, frac)
+    The rule of ``apply_move`` on every configuration at once: for each
+    bond (x, y) the configurations with the hole at x are one block of rows,
+    and an up spin at y swaps with the hole.
+    """
     t = model.hopping
-    bonds = [[y for y in range(model.sites) if y != x and t[x, y] != 0.0]
-             for x in range(model.sites)]
-    neighbors = []
-    for config in basis.configs:
-        out = []
-        for y in bonds[config.hole]:
-            moved = apply_move(config, config.hole, y)
-            out.append((basis.index[moved], y))
-        neighbors.append(tuple(out))
-    graph = SectorGraph(basis=basis, neighbors=tuple(neighbors))
-    per_model[frac] = graph
-    return graph
+    xs, ys = np.nonzero((t != 0.0) & ~np.eye(basis.sites, dtype=bool))
+    per_hole = basis.dimension // basis.sites
+    src = xs[:, None] * per_hole + np.arange(per_hole)
+    masks = basis.masks[src]
+    swap = ((masks >> ys[:, None]) & 1) * ((1 << ys) | (1 << xs))[:, None]
+    target = basis.rank(np.broadcast_to(ys[:, None], src.shape), masks ^ swap)
+    moves = np.stack(np.broadcast_arrays(target, src, xs[:, None], ys[:, None])).reshape(4, -1)
+    return moves[:, np.argsort(moves[1], kind="stable")].astype(np.intp)
+
+
+def configuration_graph(model: LatticeModel, basis: SectorBasis) -> sp.csr_matrix:
+    """Adjacency of the sector's configuration graph: entry (i, j) is 1 iff
+    one hole hop takes configuration i to j, whose hole is the hop's target
+    site."""
+    target, source = hole_moves(model, basis)[:2]
+    n = basis.dimension
+    return sp.csr_matrix((np.ones(target.size), (source, target)), shape=(n, n))
 
 
 @dataclass(frozen=True)
@@ -163,31 +197,18 @@ class ConnectivityReport:
 
 
 def connectivity_check(model: LatticeModel, m) -> ConnectivityReport:
-    """BFS orbit decomposition of the sector's configuration graph.
+    """Orbit decomposition of the sector's configuration graph.
 
     The sector is connected iff there is a single orbit.  Every edge has a
     reverse edge (moves are involutions), so orbits are plain components.
+    Each orbit is sorted, and orbits are ordered by their smallest member.
     """
-    graph = configuration_graph(model, m)
-    n = graph.basis.dimension
-    seen = [False] * n
-    orbits = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        orbit = []
-        queue = deque([start])
-        seen[start] = True
-        while queue:
-            node = queue.popleft()
-            orbit.append(node)
-            for nxt, _ in graph.neighbors[node]:
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    queue.append(nxt)
-        orbits.append(tuple(sorted(orbit)))
-    orbits.sort(key=lambda o: o[0])
-    return ConnectivityReport(m=graph.basis.m, dimension=n,
+    basis = enumerate_sector(model, m)
+    _, labels = connected_components(configuration_graph(model, basis), directed=False)
+    by_label = np.argsort(labels, kind="stable")
+    groups = np.split(by_label, np.cumsum(np.bincount(labels))[:-1])
+    orbits = sorted((tuple(g.tolist()) for g in groups), key=lambda o: o[0])
+    return ConnectivityReport(m=basis.m, dimension=basis.dimension,
                               connected=len(orbits) == 1, orbits=tuple(orbits))
 
 
@@ -214,27 +235,17 @@ class Connector:
 def find_connector(model: LatticeModel, m, a: HoleSpinConfig,
                    b: HoleSpinConfig) -> Connector | None:
     """Shortest connector from a to b, or None when they sit in different
-    orbits.  Comes straight off the BFS tree of the configuration graph."""
-    graph = configuration_graph(model, m)
-    basis = graph.basis
-    src, dst = basis.index[a], basis.index[b]
-    if src == dst:
-        return Connector(path=(a.hole,))
-    prev: dict[int, tuple[int, int]] = {src: (-1, -1)}
-    queue = deque([src])
-    while queue:
-        node = queue.popleft()
-        for nxt, to_site in graph.neighbors[node]:
-            if nxt in prev:
-                continue
-            prev[nxt] = (node, to_site)
-            if nxt == dst:
-                hops = []
-                cur = dst
-                while cur != src:
-                    cur, site = prev[cur]
-                    hops.append(site)
-                hops.reverse()
-                return Connector(path=(a.hole, *hops))
-            queue.append(nxt)
-    return None
+    orbits.  Read off the breadth-first tree of the configuration graph:
+    each node on the tree path from a to b contributes its hole site."""
+    basis = enumerate_sector(model, m)
+    src = basis.rank(a.hole, a.up_mask)
+    node = basis.rank(b.hole, b.up_mask)
+    _, pred = breadth_first_order(configuration_graph(model, basis), src,
+                                  return_predecessors=True)
+    nodes = [node]
+    while node != src:
+        node = pred[node]
+        if node < 0:
+            return None
+        nodes.append(node)
+    return Connector(path=tuple(basis.holes[nodes[::-1]].tolist()))

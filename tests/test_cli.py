@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nagaoka.cli import main
+from nagaoka.model import generate_lattice
 
 TRIANGLE = """
 [lattice]
@@ -237,6 +238,45 @@ def test_ed_complete12_maximal_spin(capsys, tmp_path):
     assert row["dimension"] == 5544
     assert (row["resolved_s"], row["degeneracy"]) == ("11/2", 1)
     assert abs(row["ground_energy"] + 11.0) <= 1e-10    # -lambda_max(t) = -11 on K_12
+
+
+def test_ed_triangular_2x7_nagaoka_at_14_sites(capsys, tmp_path):
+    # Nagaoka's theorem beyond the corpus: dimension 14 * C(13, 7) = 24024
+    path = tmp_path / "tri2x7.ini"
+    path.write_text("[lattice]\nsites = 14\ngenerator = triangular_patch\nextent = 2x7\n"
+                    "t = 1.0\n[coulomb]\nu = inf\n")
+    code, out = run(capsys, "ed", "--model", str(path), "--m", "1/2")
+    assert code == 0
+    row = json.loads(out)["results"][0]
+    assert row["dimension"] == 24024
+    assert (row["resolved_s"], row["degeneracy"]) == ("13/2", 1)
+    top = np.linalg.eigvalsh(generate_lattice("triangular_patch", (2, 7), 1.0))[-1]
+    assert abs(row["ground_energy"] + top) <= 1e-9
+
+
+def _ring_file(tmp_path, sites):
+    path = tmp_path / f"ring{sites}.ini"
+    path.write_text(f"[lattice]\nsites = {sites}\ngenerator = ring\nextent = {sites}\n"
+                    "t = 1.0\n[coulomb]\nu = inf\n")
+    return str(path)
+
+
+def test_ed_ring60_polarized_sector(capsys, tmp_path):
+    # (hole, up_mask) of 60 sites does not fit one packed int64 key
+    code, out = run(capsys, "ed", "--model", _ring_file(tmp_path, 60), "--m", "59/2")
+    assert code == 0
+    row = json.loads(out)["results"][0]
+    assert (row["dimension"], row["resolved_s"], row["degeneracy"]) == (60, "59/2", 1)
+
+
+@pytest.mark.parametrize("argv", [("basis", "--m", "63/2"), ("ed", "--m", "63/2"),
+                                  ("connectivity", "--all")])
+def test_ring64_exits_1_naming_the_site_limit(capsys, tmp_path, argv):
+    code = main([*argv, "--model", _ring_file(tmp_path, 64)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "size violated" in err and "at most 63 sites" in err
+    assert "Traceback" not in err
 
 
 def test_certify_solves_once_per_row(capsys, triangle_file, monkeypatch):

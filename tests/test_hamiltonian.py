@@ -18,7 +18,7 @@ from nagaoka.hamiltonian import (
     assemble_nagaoka_projected,
     assemble_nagaoka_sector,
     effective_coulomb,
-    hole_moves,
+    hubbard_electron_matrix,
     lang_firsov_constant,
     move_blocks,
     unitary_exp,
@@ -33,7 +33,7 @@ from nagaoka.manybody import (
     sector_embedding,
 )
 from nagaoka.model import LatticeModel, PhononBlock, generate_lattice
-from nagaoka.sector import enumerate_sector, sector_magnetizations
+from nagaoka.sector import enumerate_sector, hole_moves, sector_magnetizations
 
 
 def with_phonons(base, coupling, omega=1.0, cutoff=2):
@@ -155,6 +155,27 @@ def test_onsite_term_vanishes_inside_projected_subspace():
     h9 = assemble_hubbard_full(model, 9.0).matrix
     diff = p @ (h9 - h0) @ p
     assert np.max(np.abs(diff.toarray())) == 0.0
+
+
+def test_fock_diagonal_equals_the_per_word_loop():
+    # reference: U * (doubly occupied sites) + n U_xy n, word by word
+    rng = np.random.default_rng(8)
+    uxy = rng.uniform(0.0, 2.0, size=(4, 4))
+    models = list(corpus_models().values()) + [
+        LatticeModel(4, complete4().hopping, offsite_u=uxy + uxy.T)]
+    for model in models:
+        fock = full_fock_basis(model.sites, model.n_electrons)
+        lo = (1 << model.sites) - 1
+        ref = []
+        for w in fock.states:
+            up, down = w & lo, w >> model.sites
+            n = np.array([(up >> x & 1) + (down >> x & 1) for x in range(model.sites)], float)
+            ref.append(3.5 * (up & down).bit_count() + n @ model.offsite_u @ n)
+        got = hubbard_electron_matrix(model, 3.5).diagonal()
+        if np.any(model.offsite_u):
+            assert np.max(np.abs(got - ref)) <= 1e-14
+        else:
+            assert np.array_equal(got, ref)
 
 
 def test_full_hubbard_hermitian_with_phonons():

@@ -1,15 +1,20 @@
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nagaoka.corpus import chain3, complete4, corpus_models, pair2
+from nagaoka.model import LatticeModel, generate_lattice
 from nagaoka.sector import (
     HoleSpinConfig,
     apply_move,
     connectivity_check,
     enumerate_sector,
     find_connector,
+    hole_moves,
     sector_magnetizations,
 )
 
@@ -35,6 +40,66 @@ def brute_force_orbits(model, m):
         remaining -= orbit
         orbits.append(orbit)
     return orbits
+
+
+def scalar_moves(model, basis):
+    """Independent oracle: the per-configuration ``apply_move`` walk, in
+    (source, target site) order, ranked by a dict over the listed basis."""
+    index = {c: i for i, c in enumerate(basis.configs)}
+    t = model.hopping
+    moves = [(index[apply_move(c, c.hole, y)], j, c.hole, y)
+             for j, c in enumerate(basis.configs)
+             for y in range(model.sites) if y != c.hole and t[c.hole, y] != 0.0]
+    return np.array(moves, dtype=np.intp).reshape(-1, 4).T
+
+
+def brute_force_distances(model, m, start):
+    """Independent oracle: hop count from ``start`` to every configuration
+    of its orbit, by a layered set-based flood fill."""
+    t = model.hopping
+    dist, layer, d = {start: 0}, [start], 0
+    while layer:
+        d += 1
+        nxt = []
+        for c in layer:
+            for y in range(model.sites):
+                if y == c.hole or t[c.hole, y] == 0.0:
+                    continue
+                moved = apply_move(c, c.hole, y)
+                if moved not in dist:
+                    dist[moved] = d
+                    nxt.append(moved)
+        layer = nxt
+    return dist
+
+
+def oracle_models():
+    models = dict(corpus_models())
+    models["complete6"] = LatticeModel(6, generate_lattice("complete", 6, 1.0))
+    models["ring8"] = LatticeModel(8, generate_lattice("ring", 8, 1.0))
+    for nx, ny in ((2, 3), (2, 4)):
+        models[f"tri{nx}x{ny}"] = LatticeModel(
+            nx * ny, generate_lattice("triangular_patch", (nx, ny), 1.0))
+    return models
+
+
+def assert_moves_match_scalar_walk(model, basis):
+    got = hole_moves(model, basis)
+    ref = scalar_moves(model, basis)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert set(map(tuple, got.T.tolist())) == set(map(tuple, ref.T.tolist()))
+    order = np.lexsort((got[3], got[1]))        # by source, then target site
+    assert np.array_equal(got[:, order], ref)
+
+
+def assert_orbits_match_brute_force(model, m, basis):
+    rep = connectivity_check(model, m)
+    oracle = {frozenset(basis.rank(c.hole, c.up_mask) for c in orbit)
+              for orbit in brute_force_orbits(model, m)}
+    assert {frozenset(o) for o in rep.orbits} == oracle
+    assert rep.connected == (len(oracle) == 1)
+    assert all(list(o) == sorted(o) for o in rep.orbits)
+    assert [o[0] for o in rep.orbits] == sorted(o[0] for o in rep.orbits)
 
 
 def test_sector_dimensions():
@@ -63,8 +128,34 @@ def test_canonical_ordering_and_index():
     basis = enumerate_sector(complete4(), Fraction(1, 2))
     keys = [(c.hole, c.up_mask) for c in basis.configs]
     assert keys == sorted(keys)
-    assert all(basis.index[c] == i for i, c in enumerate(basis.configs))
+    assert all(basis.rank(c.hole, c.up_mask) == i for i, c in enumerate(basis.configs))
     assert all(not (c.up_mask >> c.hole) & 1 for c in basis.configs)
+
+
+def test_rank_inverts_enumeration_and_rejects_outsiders():
+    for model in oracle_models().values():
+        for m in sector_magnetizations(model.sites):
+            basis = enumerate_sector(model, m)
+            rows = basis.rank(basis.holes, basis.masks)
+            assert np.array_equal(rows, np.arange(basis.dimension))
+    basis = enumerate_sector(complete4(), Fraction(1, 2))     # K = C(3, 2) per hole
+    assert basis.rank(1, 0b1100) == 3 * 1 + 2                 # largest mask of hole 1
+    with pytest.raises(ValueError):
+        basis.rank(1, 0b0110)                                 # hole bit set
+    with pytest.raises(ValueError):
+        basis.rank(1, 0b1000)                                 # one up spin
+    with pytest.raises(ValueError):
+        basis.rank(4, 0b0011)                                 # no site 4
+    with pytest.raises(ValueError):
+        basis.rank(0, 1 << 70)
+    with pytest.raises(ValueError):
+        basis.rank(np.array([0, 1]), np.array([0b0110, 0b0110]))
+
+
+def test_hole_moves_equal_the_scalar_walk():
+    for model in oracle_models().values():
+        for m in sector_magnetizations(model.sites):
+            assert_moves_match_scalar_walk(model, enumerate_sector(model, m))
 
 
 def test_apply_move_semantics():
@@ -88,12 +179,9 @@ def test_apply_move_is_involution():
 
 
 def test_connectivity_matches_brute_force():
-    for name, model in corpus_models().items():
+    for model in oracle_models().values():
         for m in sector_magnetizations(model.sites):
-            rep = connectivity_check(model, m)
-            oracle = brute_force_orbits(model, m)
-            assert rep.connected == (len(oracle) == 1), (name, m)
-            assert sorted(rep.orbit_sizes) == sorted(len(o) for o in oracle)
+            assert_orbits_match_brute_force(model, m, enumerate_sector(model, m))
 
 
 def test_open_chain_middle_sector_splits():
@@ -156,3 +244,46 @@ def test_connector_application_lands_on_target():
         assert conn.apply(a) == b
         for frm, to in zip(conn.path, conn.path[1:]):
             assert t[frm, to] != 0.0
+
+
+def test_connector_lengths_are_flood_fill_distances():
+    rng = np.random.default_rng(11)
+    for name, model in oracle_models().items():
+        for m in sector_magnetizations(model.sites):
+            configs = enumerate_sector(model, m).configs
+            for a in (configs[i] for i in rng.integers(len(configs), size=2)):
+                dist = brute_force_distances(model, m, a)
+                for b in (configs[i] for i in rng.integers(len(configs), size=4)):
+                    conn = find_connector(model, m, a, b)
+                    if b not in dist:
+                        assert conn is None, (name, m)
+                        continue
+                    assert conn.length == dist[b], (name, m)
+                    assert conn.apply(a) == b
+
+
+@st.composite
+def generated_sectors(draw):
+    sites = draw(st.integers(2, 7))
+    pairs = [(x, y) for x in range(sites) for y in range(x + 1, sites)]
+    bonds = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    t = np.zeros((sites, sites))
+    for x, y in bonds:
+        t[x, y] = t[y, x] = draw(st.floats(0.1, 2.0))
+    if draw(st.booleans()):
+        t[np.diag_indices(sites)] = draw(st.lists(st.floats(0.0, 2.0),
+                                                  min_size=sites, max_size=sites))
+    m = draw(st.sampled_from(sector_magnetizations(sites)))
+    return LatticeModel(sites, t), m
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(generated_sectors())
+def test_sector_layer_on_generated_graphs(case):
+    model, m = case
+    basis = enumerate_sector(model, m)
+    keys = list(zip(basis.holes.tolist(), basis.masks.tolist()))
+    assert keys == sorted(set(keys))
+    assert basis.dimension == model.sites * comb(model.sites - 1, basis.n_up)
+    assert_moves_match_scalar_walk(model, basis)
+    assert_orbits_match_brute_force(model, m, basis)
