@@ -46,7 +46,6 @@ from .spectral import (
     eig_lowest,
     energy_split_bound,
     ground_report,
-    operator_norm,
     resolvent_gap,
 )
 

@@ -57,13 +57,27 @@ class SparseHermitian:
         if hermitian:
             if m.shape[0] != m.shape[1]:
                 raise ValueError(f"hermitian flag on a {m.shape} matrix")
-            diff = (m - m.conjugate().T).tocsr()
-            scale = max(1.0, abs(m).max() if m.nnz else 0.0)
-            if diff.nnz and abs(diff).max() > self.HERMITICITY_TOL * scale:
-                raise ValueError(
-                    f"matrix flagged hermitian but ||A - A*|| = {abs(diff).max():.3e}")
+            worst, scale = self._hermiticity_defect(m)
+            if worst > self.HERMITICITY_TOL * scale:
+                raise ValueError(f"matrix flagged hermitian but ||A - A*|| = {worst:.3e}")
         self.matrix = m
         self.hermitian = hermitian
+
+    @staticmethod
+    def _hermiticity_defect(m: sp.csr_matrix) -> tuple[float, float]:
+        """Largest entry of |A - A*| and the tolerance scale max(1, max |A|),
+        in O(nnz).  Puts ``m`` in canonical form first; the CSC arrays of a
+        canonical A are the CSR arrays of A^T, so a Hermitian A matches them
+        index for index and its data equals their conjugate.  Only a pattern
+        mismatch forms the difference."""
+        m.sum_duplicates()
+        cols = m.tocsc()
+        if np.array_equal(m.indptr, cols.indptr) and np.array_equal(m.indices, cols.indices):
+            adjoint = cols.data.conj()
+            worst = 0.0 if np.array_equal(m.data, adjoint) else float(np.abs(m.data - adjoint).max())
+        else:
+            worst = float(abs(m - m.conjugate().T).max())
+        return worst, max(1.0, float(np.abs(m.data).max(initial=0.0)))
 
     @property
     def shape(self):

@@ -5,17 +5,30 @@ Tolerances used throughout, stated once:
 * eigenpair residual:   ||Hv - ev|| <= 1e-10 (1 + |e|)
 * degeneracy cluster:   1e-8 (1 + |E0|)
 * spin rounding:        |S(S+1) - <S^2>| <= 1e-6 after rounding S
-* dense/Krylov crossover at dimension 2048
 
 A sector matrix is split into the connected components of the graph of |H|
 and solved block by block at every dimension: a single Lanczos start vector
 cannot resolve exact degeneracies between decoupled blocks, and a matrix of
 many small blocks (decoupled boson modes, hole-move orbits) costs a sum of
-small solves instead of one large one.  Each block is solved densely up to
-the crossover and by Lanczos above it; dense solves compute only the
-requested lowest pairs.  Total spin is resolved on the whole degenerate
-ground cluster, so a cluster that mixes spins is reported by its content
-instead of by one arbitrary vector.
+small solves instead of one large one.
+
+One policy picks the solver of each matrix from its dimension, its number
+of stored entries and its dtype: Lanczos above dimension 2048, and below it
+on blocks of dimension above 512 (400 when complex, where LAPACK costs
+about four times more) that store at most dim^2/16 entries; dense LAPACK
+otherwise, computing only the requested lowest pairs.  A single Krylov run
+can still miss an exact copy of a degenerate level inside one connected
+block, so every Lanczos-solved block passes a deflation guard before its
+levels are used: one more Lanczos solve on the complement of the ground
+cluster must find nothing inside the cluster and nothing below the reported
+next level, or the block is solved again with twice the pairs.  Only a real
+block whose off-diagonal entries are all negative skips the guard when its
+cluster holds one vector: a connected block of that sign has a simple
+ground level (Perron-Frobenius).
+
+Total spin is resolved on the whole degenerate ground cluster, so a cluster
+that mixes spins is reported by its content instead of by one arbitrary
+vector.
 """
 
 from __future__ import annotations
@@ -44,8 +57,20 @@ RESIDUAL_TOL = 1e-10
 CLUSTER_TOL = 1e-8
 SPIN_TOL = 1e-6
 DENSE_CROSSOVER = 2048
+# Below the crossover, Lanczos (with its deflation guard) beats a dense solve
+# from these dimensions on, keyed by complex dtype, when the matrix stores at
+# most dim^2 / _LANCZOS_FILL entries.  Measured on single-threaded LAPACK:
+# slowly converging patch sectors break even near 500 real / 400 complex, and
+# random sparse blocks of dimension 600 near a fill of 1/16.
+_LANCZOS_FLOOR = {False: 512, True: 400}
+_LANCZOS_FILL = 16
+# ARPACK stops when ||r|| <= tol |theta| and a Ritz value lies within ||r|| of
+# an eigenvalue, so the guard's decisions err by at most tol |theta|: a
+# hundredth of the cluster tolerance unless |theta| > 100 (1 + |E0|)
+_GUARD_TOL = CLUSTER_TOL / 100
 
 _EIG_SEED = 20240915
+_GUARD_SEED = _EIG_SEED + 1
 
 
 def as_matrix(h, require_hermitian=False) -> sp.csr_matrix:
@@ -60,12 +85,35 @@ def as_matrix(h, require_hermitian=False) -> sp.csr_matrix:
     return sp.csr_matrix(h)
 
 
+def _use_lanczos(mat: sp.csr_matrix) -> bool:
+    """The solver policy: Lanczos rather than a dense solve for ``mat``,
+    decided from its dimension, stored entries and dtype."""
+    dim = mat.shape[0]
+    if dim > DENSE_CROSSOVER:
+        return True
+    return dim > _LANCZOS_FLOOR[np.iscomplexobj(mat.data)] and _LANCZOS_FILL * mat.nnz <= dim * dim
+
+
+def _lanczos(op, count: int, tol: float = 0.0, seed: int = _EIG_SEED):
+    """Lowest ``count`` pairs of a Hermitian matrix or operator by ARPACK,
+    ascending, from a seeded start vector so reruns give identical output."""
+    v0 = np.random.default_rng(seed).standard_normal(op.shape[0])
+    if np.issubdtype(op.dtype, np.complexfloating):
+        v0 = v0.astype(complex)
+    try:
+        vals, vecs = spla.eigsh(op, k=count, which="SA", v0=v0, tol=tol)
+    except spla.ArpackNoConvergence as exc:
+        raise ConvergenceError(f"Lanczos did not converge: {exc}") from exc
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
+
+
 def eig_lowest(h, count: int):
     """Lowest ``count`` eigenpairs, ascending, with verified residuals.
 
-    Dense solve at or below the crossover dimension (only the requested
-    pairs unless nearly all are asked for), Lanczos above it with a
-    deterministic start vector so repeated runs give identical output.
+    Dense solve when the policy says so (only the requested pairs unless
+    nearly all are asked for), Lanczos otherwise with a deterministic start
+    vector so repeated runs give identical output.
     """
     mat = as_matrix(h, require_hermitian=True)
     dim = mat.shape[0]
@@ -74,18 +122,10 @@ def eig_lowest(h, count: int):
     if count >= dim - 1:
         vals, vecs = np.linalg.eigh(mat.toarray())
         vals, vecs = vals[:count], vecs[:, :count]
-    elif dim <= DENSE_CROSSOVER:
+    elif not _use_lanczos(mat):
         vals, vecs = sla.eigh(mat.toarray(), subset_by_index=[0, count - 1])
     else:
-        v0 = np.random.default_rng(_EIG_SEED).standard_normal(dim)
-        if np.iscomplexobj(mat.data):
-            v0 = v0.astype(complex)
-        try:
-            vals, vecs = spla.eigsh(mat, k=count, which="SA", v0=v0)
-        except spla.ArpackNoConvergence as exc:
-            raise ConvergenceError(f"Lanczos did not converge: {exc}") from exc
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
+        vals, vecs = _lanczos(mat, count)
     for i in range(count):
         residual = np.linalg.norm(mat @ vecs[:, i] - vals[i] * vecs[:, i])
         allowed = RESIDUAL_TOL * (1.0 + abs(vals[i]))
@@ -127,14 +167,54 @@ def resolve_total_spin(stot2_expectation: float) -> Fraction:
 def _lowest_levels(h, dim: int, ref: float | None = None):
     """Lowest eigenpairs of ``h``, doubling the count until a value lies
     more than the cluster tolerance above ``ref`` (default: the lowest
-    value) or the spectrum is exhausted."""
-    k = min(dim, 6)
+    value) or the spectrum is exhausted.  Levels found by Lanczos are
+    returned only once the deflation guard has verified them."""
+    mat = as_matrix(h)
+    lanczos = _use_lanczos(mat)
+    k = min(dim, 2 if lanczos else 6)
     while True:
         vals, vecs = eig_lowest(h, k)
         base = vals[0] if ref is None else ref
-        if np.any(vals - base > CLUSTER_TOL * (1.0 + abs(base))) or k == dim:
+        tol = CLUSTER_TOL * (1.0 + abs(base))
+        if k == dim:
+            return vals, vecs
+        if np.any(vals - base > tol) and (
+                not lanczos or k >= dim - 1 or _deflation_verified(mat, vals, vecs, base, tol)):
             return vals, vecs
         k = min(dim, 2 * k)
+
+
+def _deflation_verified(mat: sp.csr_matrix, vals, vecs, base: float, tol: float) -> bool:
+    """Whether Lanczos levels ``vals`` of the connected block ``mat`` hold
+    every copy of the cluster within ``tol`` of ``base`` and no skipped
+    level below the first value above it.
+
+    The lowest level of (1 - P) H (1 - P) + sigma P, with P the projector on
+    the cluster vectors and sigma a row-sum bound above the spectrum, is the
+    lowest level of H outside the cluster: it must lie above the cluster and
+    no lower than the reported next level.  A real block whose off-diagonal
+    entries are all negative has a simple ground level by Perron-Frobenius,
+    so a one-vector cluster there needs no solve.
+    """
+    c = int(np.count_nonzero(vals - base <= tol))
+    if c == 1 and not np.iscomplexobj(mat.data):
+        coo = mat.tocoo()
+        if np.all(coo.data[coo.row != coo.col] < 0):
+            return True
+    v = vecs[:, :c]
+    sigma = float(abs(mat).sum(axis=1).max())
+
+    def deflated(x):
+        x = x.ravel()
+        inside = v @ (v.conj().T @ x)
+        y = mat @ (x - inside)
+        return y - v @ (v.conj().T @ y) + sigma * inside
+
+    op = spla.LinearOperator(mat.shape, matvec=deflated, dtype=mat.dtype)
+    # a fresh start: the first one's component in a missed copy's direction
+    # is the part of the cluster that Lanczos already found
+    outside = _lanczos(op, 1, tol=_GUARD_TOL, seed=_GUARD_SEED)[0][0]
+    return outside - base > tol and outside >= vals[c] - tol
 
 
 def _blocks(mat: sp.csr_matrix) -> list[np.ndarray]:
@@ -225,38 +305,6 @@ def ground_report(h: SectorHamiltonian, spin_ops: SparseHermitian | None = None)
         cutoff=h.cutoff, ground_vector=v0)
 
 
-def operator_norm(a, tol: float = 1e-8, max_iter: int = 100_000) -> float:
-    """Largest singular value by power iteration on A*A."""
-    mat = as_matrix(a) if not isinstance(a, np.ndarray) else a
-    if mat.shape[1] == 0 or mat.shape[0] == 0:
-        return 0.0
-    rng = np.random.default_rng(_EIG_SEED)
-    v = rng.standard_normal(mat.shape[1]) + 1j * rng.standard_normal(mat.shape[1])
-    v /= np.linalg.norm(v)
-    adj = mat.conjugate().T if isinstance(mat, np.ndarray) else mat.conjugate().T.tocsr()
-    sigma_prev, change_prev = 0.0, np.inf
-    for _ in range(max_iter):
-        w = adj @ (mat @ v)
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            return 0.0
-        sigma = float(np.sqrt(np.real(np.vdot(v, w))))
-        v = w / norm_w
-        change = abs(sigma - sigma_prev)
-        # the iterates converge geometrically; extrapolate the remaining error
-        # from the contraction ratio instead of trusting the last step alone,
-        # with a safety margin since the ratio estimate itself is noisy
-        rate = change / change_prev if change_prev > 0 else 0.0
-        remaining = change * rate / (1.0 - rate) if rate < 1.0 else np.inf
-        allowed = 0.05 * tol * max(sigma, 1e-300)
-        if change <= allowed and remaining <= allowed:
-            return sigma
-        sigma_prev, change_prev = sigma, change
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations "
-        f"(last estimate {sigma_prev!r})")
-
-
 def _full_space_pieces(model: LatticeModel):
     """H(U = 0) and the no-double-occupancy projector diagonal on the full
     space (both carrying the phonon factor when present)."""
@@ -270,10 +318,13 @@ def _full_space_pieces(model: LatticeModel):
 
 
 def projected_limit_norm(model: LatticeModel) -> float:
-    """Operator norm of the projected U = 0 Hamiltonian on its range."""
+    """Operator norm of the projected U = 0 Hamiltonian on its range: the
+    largest |eigenvalue| of that Hermitian restriction, solved densely as
+    the resolvent comparison solves it."""
     h0, p_diag = _full_space_pieces(model)
     idx = np.nonzero(p_diag > 0.5)[0]
-    return operator_norm(h0.tocsr()[np.ix_(idx, idx)])
+    return float(np.max(np.abs(np.linalg.eigvalsh(h0.tocsr()[np.ix_(idx, idx)].toarray())),
+                        initial=0.0))
 
 
 def default_resolvent_z(model: LatticeModel) -> complex:

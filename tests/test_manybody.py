@@ -139,6 +139,32 @@ def test_sparse_hermitian_flag_enforced():
         SparseHermitian(np.zeros((2, 3)), hermitian=True)
 
 
+@pytest.mark.parametrize("matrix, defect", [
+    (sp.csr_matrix(([1.0, 1.0, 0.5], ([0, 1, 2], [1, 0, 0])), shape=(3, 3)), 0.5),
+    (np.array([[1.0, 2.0], [2.0 + 1e-9, 0.0]]), 1e-9),
+    (np.array([[0.0, 1j], [1j, 0.0]]), 2.0),
+], ids=["structurally-asymmetric", "numerically-asymmetric", "complex-symmetric"])
+def test_non_hermitian_input_is_rejected_with_its_defect(matrix, defect):
+    with pytest.raises(ValueError, match=r"^matrix flagged hermitian but \|\|A - A\*\|\| = ") as exc:
+        SparseHermitian(matrix)
+    assert float(str(exc.value).rsplit("= ", 1)[1]) == pytest.approx(defect, rel=1e-3)
+
+
+def test_hermiticity_check_reads_unsorted_duplicate_entries():
+    # rows stored out of order, one entry split in two, and an unmirrored
+    # entry below the tolerance: accepted, as by the full difference A - A*
+    mat = sp.csr_matrix(([1.5 + 2j, 1.0, 1.5 - 6j, -3j, 1.0, 3j, 3.0 + 4j],
+                         [2, 1, 2, 2, 0, 1, 0], [0, 3, 5, 7]), shape=(3, 3))
+    assert not mat.has_canonical_format
+    def unmirrored(value):
+        return sp.csr_matrix(([value], ([2], [1])), shape=(3, 3))
+
+    assert SparseHermitian(mat).hermitian
+    assert SparseHermitian(mat + unmirrored(1e-15)).hermitian
+    with pytest.raises(ValueError):
+        SparseHermitian(mat + unmirrored(1e-9))
+
+
 def test_no_explicit_zeros_stored():
     mat = sp.lil_matrix((2, 2))
     mat[0, 0] = 0.0       # force an explicit zero

@@ -17,7 +17,8 @@ from nagaoka.hamiltonian import (
 )
 from nagaoka.manybody import boson_basis
 from nagaoka.sector import sector_magnetizations
-from nagaoka.spectral import ground_report, operator_norm
+from nagaoka.spectral import ground_report
+from norm_oracle import operator_norm
 
 
 def test_kernel_limits():

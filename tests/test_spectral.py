@@ -10,6 +10,7 @@ from nagaoka.corpus import chain3, complete4, pair2, square_diag4, triangle3
 from nagaoka.errors import AmbiguousSpinError, ConvergenceError
 from nagaoka.hamiltonian import (
     assemble_holstein_sector,
+    assemble_lang_firsov_sector,
     assemble_nagaoka_sector,
     assemble_radiation_sector,
 )
@@ -21,10 +22,11 @@ from nagaoka.spectral import (
     eig_lowest,
     energy_split_bound,
     ground_report,
-    operator_norm,
+    projected_limit_norm,
     resolve_total_spin,
     resolvent_gap,
 )
+from norm_oracle import operator_norm
 
 
 def test_eig_lowest_small_cases():
@@ -189,7 +191,7 @@ def test_lanczos_on_reducible_sector_counts_every_orbit(monkeypatch):
     assert connectivity_check(ring8, Fraction(1, 2)).orbit_sizes == (56,) * 5
     energy, degeneracy, gap = _dense_levels(h)
     assert degeneracy == 5
-    monkeypatch.setattr("nagaoka.spectral.DENSE_CROSSOVER", 16)
+    monkeypatch.setattr("nagaoka.spectral._use_lanczos", lambda mat: True)
     # the five ground states carry spins 1/2, 3/2 and 7/2, so the default
     # call must refuse; a zero spin operator keeps the check on the levels
     with pytest.raises(AmbiguousSpinError, match=r"S = 1/2, 3/2, 7/2"):
@@ -210,7 +212,7 @@ def test_lanczos_orbit_blocks_carry_the_boson_space(monkeypatch):
     h = assemble_holstein_sector(holstein_model(chain3(), 0.5, cutoff=1), 0)
     no_spin = SparseHermitian(sp.csr_matrix((h.basis.dimension, h.basis.dimension)))
     energy, degeneracy, gap = _dense_levels(h)
-    monkeypatch.setattr("nagaoka.spectral.DENSE_CROSSOVER", 8)
+    monkeypatch.setattr("nagaoka.spectral._use_lanczos", lambda mat: True)
     rep = ground_report(h, no_spin)
     assert abs(rep.ground_energy - energy) <= 1e-10
     assert rep.degeneracy == degeneracy == 2
@@ -219,8 +221,8 @@ def test_lanczos_orbit_blocks_carry_the_boson_space(monkeypatch):
                           - rep.ground_energy * rep.ground_vector) <= 1e-9
 
 
-@pytest.mark.parametrize("crossover", [None, 16], ids=["dense", "lanczos"])
-def test_ring8_counts_every_orbit_without_the_orbit_bfs(monkeypatch, crossover):
+@pytest.mark.parametrize("lanczos", [False, True], ids=["dense", "lanczos"])
+def test_ring8_counts_every_orbit_without_the_orbit_bfs(monkeypatch, lanczos):
     ring8 = LatticeModel(8, generate_lattice("ring", 8, 1.0))
     h = assemble_nagaoka_sector(ring8, Fraction(1, 2))
     energy, degeneracy, gap = _dense_levels(h)
@@ -230,8 +232,8 @@ def test_ring8_counts_every_orbit_without_the_orbit_bfs(monkeypatch, crossover):
 
     monkeypatch.setattr("nagaoka.sector.connectivity_check", no_bfs)
     monkeypatch.setattr("nagaoka.sector.configuration_graph", no_bfs)
-    if crossover is not None:
-        monkeypatch.setattr("nagaoka.spectral.DENSE_CROSSOVER", crossover)
+    if lanczos:
+        monkeypatch.setattr("nagaoka.spectral._use_lanczos", lambda mat: True)
     # a spin operator that is 3/4 everywhere: one S over the five-fold cluster
     quarter = SparseHermitian(0.75 * sp.identity(h.basis.dimension, format="csr"))
     rep = ground_report(h, quarter)
@@ -324,6 +326,8 @@ def test_subset_dense_path_matches_full_eigh_on_the_200_oracle(monkeypatch):
 def test_subset_dense_path_matches_full_eigh_on_holstein_972(monkeypatch):
     h = assemble_holstein_sector(holstein_model(complete4(), 0.5, cutoff=2), Fraction(1, 2))
     assert h.dimension == 972
+    assert spectral._use_lanczos(spectral.as_matrix(h))      # the policy's route
+    monkeypatch.setattr("nagaoka.spectral._use_lanczos", lambda mat: False)
     calls = _spy_eigh(monkeypatch)
     vals, vecs = eig_lowest(h, 6)
     assert calls == [[0, 5]]
@@ -345,3 +349,102 @@ def test_exact_resolvent_norm_matches_power_iteration():
         exact = resolvent_gap(model, u, z)
         assert exact == float(np.linalg.norm(diff, 2))
         assert abs(operator_norm(diff) - exact) <= 1e-8 * exact
+
+
+def test_projected_limit_norm_matches_power_iteration():
+    for model in (complete4(), square_diag4()):
+        h0, p_diag = spectral._full_space_pieces(model)
+        idx = np.nonzero(p_diag > 0.5)[0]
+        oracle = operator_norm(h0.tocsr()[np.ix_(idx, idx)])
+        assert abs(projected_limit_norm(model) - oracle) <= 1e-8 * oracle
+
+
+def _torus(n: int) -> sp.csr_matrix:
+    ring = sp.diags([np.ones(n - 1), np.ones(n - 1), [1.0], [1.0]], [1, -1, n - 1, 1 - n])
+    eye = sp.identity(n)
+    return (sp.kron(ring, eye) + sp.kron(eye, ring)).tocsr()
+
+
+@pytest.mark.parametrize("phased", [False, True], ids=["real", "complex"])
+def test_deflation_guard_finds_the_copy_lanczos_misses(monkeypatch, phased):
+    # adjacency of the 31 x 31 torus: one connected block of dimension 961
+    # whose lowest level 2 cos(30 pi / 31) + 2 cos(32 pi / 31) is four-fold;
+    # D T D* with seeded random phases D is complex Hermitian, connected and
+    # isospectral, and takes scipy's complex (eigs) route
+    mat = _torus(31)
+    if phased:
+        phases = np.exp(2j * np.pi * np.random.default_rng(6).random(mat.shape[0]))
+        mat = (sp.diags(phases) @ mat @ sp.diags(phases.conj())).tocsr()
+    dense = np.linalg.eigvalsh(mat.toarray())
+    tol = spectral.CLUSTER_TOL * (1.0 + abs(dense[0]))
+    assert np.count_nonzero(dense - dense[0] <= tol) == 4
+    assert len(spectral._blocks(mat)) == 1 and spectral._use_lanczos(mat)
+    # the case is real: from the lab's start vector ARPACK returns three copies
+    bare = spectral._lanczos(mat, 4)[0]
+    assert np.count_nonzero(bare - dense[0] <= tol) < 4
+
+    def copies_and_gap():
+        [(_, _, vals, _)], e0 = spectral._block_levels(mat)
+        copies = int(np.count_nonzero(vals - e0 <= tol))
+        return copies, vals[copies] - e0
+
+    copies, gap = copies_and_gap()
+    assert copies == 4
+    assert abs(gap - (dense[4] - dense[0])) <= 1e-9
+    monkeypatch.setattr("nagaoka.spectral._deflation_verified", lambda *args: True)
+    assert copies_and_gap()[0] < 4
+
+
+def _same_report(policy, dense):
+    assert (policy.degeneracy, policy.resolved_s) == (dense.degeneracy, dense.resolved_s)
+    assert abs(policy.ground_energy - dense.ground_energy) <= 1e-10
+    assert abs(policy.gap - dense.gap) <= 1e-9
+    assert abs(policy.stot2_expectation - dense.stot2_expectation) <= 1e-9
+
+
+_FORMS = {"holstein": assemble_holstein_sector, "langfirsov": assemble_lang_firsov_sector}
+
+
+@pytest.mark.parametrize("form", sorted(_FORMS))
+@pytest.mark.parametrize("cutoff", [2, 3])
+@pytest.mark.parametrize("gamma", [0.25, 0.5, 1.0])
+def test_policy_route_matches_dense_on_the_criterion7_sectors(monkeypatch, form, cutoff, gamma):
+    model = holstein_model(complete4(), gamma)
+    sectors = []
+    for m in sector_magnetizations(4):
+        h = _FORMS[form](model, m, cutoff=cutoff)
+        # above the crossover the route does not depend on sparsity, and the
+        # dense oracle costs seconds per sector: gamma = 0.5 at M = 1/2
+        # stands for the other couplings and the mirrored sector
+        if h.dimension <= spectral.DENSE_CROSSOVER or (gamma == 0.5 and m > 0):
+            sectors.append((h, ground_report(h)))
+    monkeypatch.setattr("nagaoka.spectral._use_lanczos", lambda mat: False)
+    for h, policy in sectors:
+        _same_report(policy, ground_report(h))
+
+
+@pytest.mark.parametrize("sites, m", [(9, Fraction(0)), (12, Fraction(1, 2))],
+                         ids=["complete9-M0", "complete12-M1/2"])
+def test_policy_route_matches_dense_on_complete_graphs(monkeypatch, sites, m):
+    h = assemble_nagaoka_sector(LatticeModel(sites, generate_lattice("complete", sites, 1.0)), m)
+    policy = ground_report(h)
+    monkeypatch.setattr("nagaoka.spectral._use_lanczos", lambda mat: False)
+    _same_report(policy, ground_report(h))
+
+
+def test_solver_policy_on_the_benchmark_matrices():
+    tri2x4 = LatticeModel(8, generate_lattice("triangular_patch", (2, 4), 1.0))
+    complete9 = LatticeModel(9, generate_lattice("complete", 9, 1.0))
+    phonons = holstein_model(complete4(), 0.5)
+    routes = {
+        # (dimension, stored entries per row, dtype): route
+        "2x4 patch M=1/2 (280, 3.2, real)": (assemble_nagaoka_sector(tri2x4, Fraction(1, 2)), False),
+        "complete-9 M=0 (630, 8, real)": (assemble_nagaoka_sector(complete9, 0), True),
+        "Holstein M=1/2 (972, 8, real)": (assemble_holstein_sector(phonons, Fraction(1, 2)), True),
+        "Lang-Firsov M=3/2 (324, 28, complex)":
+            (assemble_lang_firsov_sector(phonons, Fraction(3, 2)), False),
+        "Lang-Firsov M=1/2 (972, 28, complex)":
+            (assemble_lang_firsov_sector(phonons, Fraction(1, 2)), True),
+    }
+    for name, (h, lanczos) in routes.items():
+        assert spectral._use_lanczos(spectral.as_matrix(h)) is lanczos, name
