@@ -196,9 +196,9 @@ def _cmd_assemble(args) -> int:
     coo = op.matrix.tocoo()
     lines = [json.dumps(header), f"{op.shape[0]} {op.shape[1]} {coo.nnz}"]
     order = np.lexsort((coo.col, coo.row))
-    for idx in order:
-        value = complex(coo.data[idx])
-        lines.append(f"{coo.row[idx] + 1} {coo.col[idx] + 1} {value.real!r} {value.imag!r}")
+    data = coo.data[order]
+    lines += [f"{r + 1} {c + 1} {re!r} {im!r}" for r, c, re, im in zip(
+        coo.row[order].tolist(), coo.col[order].tolist(), data.real.tolist(), data.imag.tolist())]
     _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -22,7 +22,12 @@ builds any such sum in one COO assembly.  Every per-bond boson factor is a
 product of single-mode factors built by ``_mode_product``: the polaron and
 radiation phases exponentiate generators that act on one mode each, so
 they are exact products of (cutoff+1)-dimensional exponentials, and a
-mode the bond does not couple contributes an exact identity.
+mode the bond does not couple contributes an exact identity.  A factor
+whose amplitude is imaginary, as every polaron amplitude is for a real
+coupling matrix, is real orthogonal and stored as float64; so is the
+identity.  The polaron frame is therefore a real matrix, and a radiation
+form is complex only where a coupled mode has a coefficient with a real
+part.
 """
 
 from __future__ import annotations
@@ -298,12 +303,22 @@ def unitary_exp(hermitian: np.ndarray) -> np.ndarray:
     return (v * np.exp(1j * w)) @ v.conjugate().T
 
 
+def _mode_exponential(c: complex, b: np.ndarray) -> np.ndarray:
+    """exp(i (c b + conj(c) b*)).  For imaginary c the generator is i times a
+    real antisymmetric matrix, so the exponential is real orthogonal: keep
+    the real part, which is bit-identical to that of the complex result,
+    and drop imaginary rounding noise of order 1e-16."""
+    u = unitary_exp(c * b + np.conj(c) * b.T)
+    return u.real if c.real == 0 else u
+
+
 def _mode_exponentials(amplitudes, cutoff: int) -> list[sp.csr_matrix]:
     """exp(i (c b + conj(c) b*)) on one mode truncated at ``cutoff``, for each
-    amplitude c; the identity where c = 0."""
+    amplitude c; the identity where c = 0.  Factors are float64 unless c has
+    a real part, so a product of them is real when every factor is."""
     b = np.diag(np.sqrt(np.arange(1, cutoff + 1)), k=1)
-    eye = sp.identity(cutoff + 1, dtype=complex, format="csr")
-    return [eye if c == 0 else sp.csr_matrix(unitary_exp(c * b + np.conj(c) * b.conjugate().T))
+    eye = sp.identity(cutoff + 1, format="csr")
+    return [eye if c == 0 else sp.csr_matrix(_mode_exponential(complex(c), b))
             for c in amplitudes]
 
 
@@ -327,7 +342,9 @@ def assemble_lang_firsov_sector(model: LatticeModel, m, cutoff: int | None = Non
 
     The hopping phases theta_xy = exp(-i sqrt(2) omega^{-3/2}
     sum_z (g_xz - g_yz) p_z) are products over modes of exponentials of
-    truncated Hermitian generators, hence exactly unitary.  The scalar part
+    truncated Hermitian generators, hence exactly unitary; with p_z =
+    i sqrt(omega/2) (b*_z - b_z) each factor is exp(a (b* - b)) for a real
+    a, a real orthogonal matrix, so the form is float64.  The scalar part
     of the displacement energy is not added to the matrix; it is reported
     separately as ``dropped_constant`` so energies can be reconciled against
     the direct Holstein form.  Any site-dependent remainder of the

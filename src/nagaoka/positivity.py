@@ -36,7 +36,7 @@ from .hamiltonian import (
 from .manybody import SparseHermitian, sector_lowering_fock
 from .model import LatticeModel
 from .sector import enumerate_sector
-from .spectral import CLUSTER_TOL, as_matrix, eig_lowest
+from .spectral import _ground_cluster, as_matrix
 
 STRICT_POSITIVITY_TOL = 1e-12
 
@@ -198,7 +198,10 @@ def qgrid_holstein_certify(model: LatticeModel, m, points: int, spacing: float) 
     displacement sqrt(2) omega^{-3/2} (g_xz - g_yz) must be an integer
     multiple of the spacing; incommensurate couplings are rejected rather
     than interpolated, since interpolation would introduce negative weights
-    and destroy the very cone structure under test.
+    and destroy the very cone structure under test.  Degeneracy and ground
+    vector come from the block-wise solve behind ``ground_report``, so a
+    Lanczos-solved grid passes the deflation guard and a reducible grid
+    reports the ground vector of its lowest block.
     """
     if model.phonon is None:
         raise ValueError("grid certificate needs a phonon block")
@@ -234,11 +237,8 @@ def qgrid_holstein_certify(model: LatticeModel, m, points: int, spacing: float) 
         raise InconsistencyError("grid assembly lost the off-diagonal sign structure")
 
     hermitian = SparseHermitian(total, hermitian=True)
-    vals, vecs = eig_lowest(hermitian, min(hermitian.dimension, 4))
-    tol = CLUSTER_TOL * (1.0 + abs(vals[0]))
-    degeneracy = int(np.sum(vals - vals[0] <= tol))
-    cert = pf_certificate(hermitian, vecs[:, 0], degeneracy,
-                          basis_tag="configuration x grid")
-    return GridCertificate(certificate=cert, ground_energy=float(vals[0]),
+    _, e0, degeneracy, _, v0 = _ground_cluster(hermitian.matrix)
+    cert = pf_certificate(hermitian, v0, degeneracy, basis_tag="configuration x grid")
+    return GridCertificate(certificate=cert, ground_energy=float(e0),
                            dropped_constant=lang_firsov_constant(model),
                            points=points, spacing=spacing)

@@ -10,13 +10,17 @@ A sector matrix is split into the connected components of the graph of |H|
 and solved block by block at every dimension: a single Lanczos start vector
 cannot resolve exact degeneracies between decoupled blocks, and a matrix of
 many small blocks (decoupled boson modes, hole-move orbits) costs a sum of
-small solves instead of one large one.
+small solves instead of one large one.  Blocks small enough for the first
+dense request to solve whole are gathered by size and solved by one
+stacked ``eigh`` per size.
 
 One policy picks the solver of each matrix from its dimension, its number
 of stored entries and its dtype: Lanczos above dimension 2048, and below it
 on blocks of dimension above 512 (400 when complex, where LAPACK costs
 about four times more) that store at most dim^2/16 entries; dense LAPACK
-otherwise, computing only the requested lowest pairs.  A single Krylov run
+otherwise, computing only the requested lowest pairs.  Both take the
+matrix's dtype as it is: a real matrix gets real LAPACK and ARPACK's
+symmetric driver, a complex one the complex routines.  A single Krylov run
 can still miss an exact copy of a degenerate level inside one connected
 block, so every Lanczos-solved block passes a deflation guard before its
 levels are used: one more Lanczos solve on the complement of the ground
@@ -57,6 +61,9 @@ RESIDUAL_TOL = 1e-10
 CLUSTER_TOL = 1e-8
 SPIN_TOL = 1e-6
 DENSE_CROSSOVER = 2048
+# Pairs of the first dense request; a block of at most this dimension is
+# solved whole by it
+_DENSE_START = 6
 # Below the crossover, Lanczos (with its deflation guard) beats a dense solve
 # from these dimensions on, keyed by complex dtype, when the matrix stores at
 # most dim^2 / _LANCZOS_FILL entries.  Measured on single-threaded LAPACK:
@@ -171,7 +178,7 @@ def _lowest_levels(h, dim: int, ref: float | None = None):
     returned only once the deflation guard has verified them."""
     mat = as_matrix(h)
     lanczos = _use_lanczos(mat)
-    k = min(dim, 2 if lanczos else 6)
+    k = min(dim, 2 if lanczos else _DENSE_START)
     while True:
         vals, vecs = eig_lowest(h, k)
         base = vals[0] if ref is None else ref
@@ -227,25 +234,66 @@ def _blocks(mat: sp.csr_matrix) -> list[np.ndarray]:
     return np.split(order, np.cumsum(np.bincount(labels, minlength=n_comp))[:-1])
 
 
+def _stacked_levels(mat: sp.csr_matrix, blocks: list[np.ndarray]) -> dict:
+    """Every eigenpair of each block of dimension at most ``_DENSE_START``,
+    keyed by its position in ``blocks``, the connected components of
+    ``mat``.  The first dense request solves such a block whole; here the
+    blocks of one size are scattered straight from the COO entries of
+    ``mat`` into one stack and solved by one batched ``eigh``, and every
+    residual is checked as ``eig_lowest`` checks it."""
+    sizes = np.array([idx.size for idx in blocks])
+    order = np.concatenate(blocks)
+    owner = np.empty(mat.shape[0], dtype=np.int64)
+    owner[order] = np.repeat(np.arange(len(blocks)), sizes)
+    local = np.empty(mat.shape[0], dtype=np.int64)
+    local[order] = np.arange(order.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    coo = mat.tocoo()
+    entry_size = sizes[owner[coo.row]]
+    levels = {}
+    for size in np.unique(sizes[sizes <= _DENSE_START]):
+        members = np.nonzero(sizes == size)[0]
+        slot = np.empty(len(blocks), dtype=np.int64)
+        slot[members] = np.arange(members.size)
+        on = entry_size == size
+        row, col = coo.row[on], coo.col[on]
+        stack = np.zeros((members.size, size, size), dtype=mat.dtype)
+        np.add.at(stack, (slot[owner[row]], local[row], local[col]), coo.data[on])
+        vals, vecs = np.linalg.eigh(stack)
+        residual = np.linalg.norm(stack @ vecs - vecs * vals[:, None, :], axis=1)
+        allowed = RESIDUAL_TOL * (1.0 + np.abs(vals))
+        if np.any(residual > allowed):
+            b, i = np.argwhere(residual > allowed)[0]
+            raise ConvergenceError(
+                f"eigenpair {i} residual {residual[b, i]:.3e} exceeds {allowed[b, i]:.3e}")
+        levels.update(zip(members.tolist(), zip(vals, vecs)))
+    return levels
+
+
 def _block_levels(mat: sp.csr_matrix):
     """Low spectrum of ``mat`` solved block by block.
 
     Returns one ``[index, block, values, vectors]`` entry per block and the
     global ground energy.  Every block contributes all of its levels up to
     the first one above the global ground cluster, so degeneracy and gap
-    come out as from one exact solve.
+    come out as from one exact solve.  When there are several blocks, the
+    small ones are solved together by ``_stacked_levels`` and carry no
+    block matrix.
     """
     blocks = _blocks(mat)
     if len(blocks) == 1:
-        pieces = [mat]
+        parts = [[blocks[0], mat, *_lowest_levels(mat, mat.shape[0])]]
     else:
-        order = np.concatenate(blocks)
-        permuted = mat[order][:, order]
-        ends = np.cumsum([idx.size for idx in blocks])
-        pieces = [permuted[end - idx.size:end, end - idx.size:end]
-                  for idx, end in zip(blocks, ends)]
-    parts = [[idx, block, *_lowest_levels(block, idx.size)]
-             for idx, block in zip(blocks, pieces)]
+        stacked = _stacked_levels(mat, blocks)
+        if len(stacked) < len(blocks):
+            order = np.concatenate(blocks)
+            permuted = mat[order][:, order]
+        parts = []
+        for j, (idx, end) in enumerate(zip(blocks, np.cumsum([idx.size for idx in blocks]))):
+            if j in stacked:
+                parts.append([idx, None, *stacked[j]])
+            else:
+                block = permuted[end - idx.size:end, end - idx.size:end]
+                parts.append([idx, block, *_lowest_levels(block, idx.size)])
     e0 = min(vals[0] for _, _, vals, _ in parts)
     tol = CLUSTER_TOL * (1.0 + abs(e0))
     for part in parts:
@@ -278,6 +326,22 @@ def _cluster_spin(parts, e0: float, tol: float, s2_mat: sp.csr_matrix):
     return float(np.mean(s2_levels)), content[0]
 
 
+def _ground_cluster(mat: sp.csr_matrix):
+    """Block levels of ``mat`` (see ``_block_levels``), its ground energy,
+    the degeneracy and gap of its ground cluster, and the ground vector of
+    the lowest block embedded in the whole space."""
+    parts, e0 = _block_levels(mat)
+    dim = mat.shape[0]
+    levels = np.sort(np.concatenate([part[2] for part in parts]))
+    above = np.nonzero(levels - e0 > CLUSTER_TOL * (1.0 + abs(e0)))[0]
+    degeneracy = int(above[0]) if above.size else dim
+    gap = float(levels[above[0]] - e0) if above.size else 0.0
+    idx, _, _, vecs = min(parts, key=lambda part: part[2][0])
+    v0 = np.zeros(dim, dtype=vecs.dtype)
+    v0[idx] = vecs[:, 0]
+    return parts, e0, degeneracy, gap, v0
+
+
 def ground_report(h: SectorHamiltonian, spin_ops: SparseHermitian | None = None) -> SpectralReport:
     """Ground-state cluster, gap and resolved total spin of one sector."""
     s2 = spin_ops if spin_ops is not None else sector_spin_squared(h.model, h.m)
@@ -285,21 +349,11 @@ def ground_report(h: SectorHamiltonian, spin_ops: SparseHermitian | None = None)
     if h.boson is not None:
         s2_mat = sp.kron(s2_mat, sp.identity(h.boson.dimension, format="csr"), format="csr")
 
-    dim = h.dimension
-    parts, e0 = _block_levels(as_matrix(h, require_hermitian=True))
-    levels = np.sort(np.concatenate([part[2] for part in parts]))
-    tol = CLUSTER_TOL * (1.0 + abs(e0))
-    above = np.nonzero(levels - e0 > tol)[0]
-    degeneracy = int(above[0]) if above.size else dim
-    gap = float(levels[above[0]] - e0) if above.size else 0.0
-
-    s2_exp, resolved = _cluster_spin(parts, e0, tol, s2_mat)
-    idx, _, _, vecs = min(parts, key=lambda part: part[2][0])
-    v0 = np.zeros(dim, dtype=vecs.dtype)
-    v0[idx] = vecs[:, 0]
+    parts, e0, degeneracy, gap, v0 = _ground_cluster(as_matrix(h, require_hermitian=True))
+    s2_exp, resolved = _cluster_spin(parts, e0, CLUSTER_TOL * (1.0 + abs(e0)), s2_mat)
     return SpectralReport(
         m=h.m, ground_energy=float(e0), degeneracy=degeneracy, gap=gap,
-        stot2_expectation=s2_exp, resolved_s=resolved, dimension=dim,
+        stot2_expectation=s2_exp, resolved_s=resolved, dimension=h.dimension,
         sector_dimension=h.basis.dimension,
         boson_dimension=None if h.boson is None else h.boson.dimension,
         cutoff=h.cutoff, ground_vector=v0)

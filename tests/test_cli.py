@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 import time
 
 import numpy as np
@@ -140,6 +141,46 @@ def test_assemble_triplets(capsys, triangle_file):
     assert np.max(np.abs(mat - mat.conj().T)) == 0.0
 
 
+def _export_oracle(mat) -> list[str]:
+    """The triplet lines as the per-entry loop wrote them."""
+    coo = mat.tocoo()
+    lines = []
+    for idx in np.lexsort((coo.col, coo.row)):
+        value = complex(coo.data[idx])
+        lines.append(f"{coo.row[idx] + 1} {coo.col[idx] + 1} {value.real!r} {value.imag!r}")
+    return lines
+
+
+def test_assemble_export_matches_per_entry_loop(capsys, tmp_path, radiation_file, monkeypatch):
+    import nagaoka.cli as cli
+    from nagaoka.acceptance import holstein_model, radiation_triangle, transverse_mode_subset
+    from nagaoka.corpus import complete4
+    from nagaoka.hamiltonian import assemble_lang_firsov_sector, assemble_radiation_sector
+
+    # a real form: the benchmark's Lang-Firsov export (complete-4, M = 1/2, cutoff 2)
+    path = tmp_path / "holstein4.ini"
+    path.write_text("[lattice]\nsites = 4\ngenerator = complete\nextent = 4\nt = 1.0\n"
+                    "[coulomb]\nu = inf\n[phonon]\nomega = 1.0\ncutoff = 2\n"
+                    + "".join(f"{x} {x} 0.5\n" for x in range(4)))
+    code, out = run(capsys, "assemble", "--model", str(path), "--form", "langfirsov",
+                    "--m", "1/2", "--cutoff", "2")
+    assert code == 0
+    mat = assemble_lang_firsov_sector(holstein_model(complete4(), 0.5), Fraction(1, 2),
+                                      cutoff=2).op.matrix
+    lines = out.splitlines()[2:]
+    assert lines == _export_oracle(mat) and len(lines) == mat.nnz == 27204
+    assert {line.split()[3] for line in lines} == {"0.0"}
+
+    # a complex form: the coupled transverse-subset radiation sector
+    coupled = radiation_triangle(kappa=1.8)
+    h = assemble_radiation_sector(coupled, 0, cutoff=2, modes=transverse_mode_subset(coupled))
+    assert h.op.matrix.dtype == np.complex128
+    monkeypatch.setattr(cli, "_assemble", lambda *args: h)
+    code, out = run(capsys, "assemble", "--model", radiation_file, "--form", "radiation", "--m", "0")
+    assert code == 0
+    assert out.splitlines()[2:] == _export_oracle(h.op.matrix)
+
+
 def test_assemble_hubbard_needs_finite_u(capsys, triangle_file):
     code, _ = run(capsys, "assemble", "--model", triangle_file, "--form", "hubbard")
     assert code == 1
@@ -195,6 +236,26 @@ def test_certify_qgrid(capsys, holstein_file):
     row = json.loads(out)["results"][0]
     assert row["ground_strictly_positive"]
     assert row["points"] == 32
+
+
+def test_certify_qgrid_lanczos_route_matches_dense(capsys, holstein_file, monkeypatch):
+    """Criterion 12's model with every solve forced to Lanczos (and its
+    deflation guard) against every solve forced dense."""
+    spacing = float(np.sqrt(2.0) * 0.5 / 3)
+
+    def rows(points, lanczos):
+        with monkeypatch.context() as mp:
+            mp.setattr("nagaoka.spectral._use_lanczos", lambda mat: lanczos)
+            code, out = run(capsys, "certify", "--model", holstein_file, "--all",
+                            "--qgrid", str(points), "--spacing", f"{spacing!r}")
+        assert code == 0
+        return json.loads(out)["results"]
+
+    for points in (16, 32):
+        for guarded, dense in zip(rows(points, True), rows(points, False)):
+            assert abs(guarded.pop("ground_energy") - dense.pop("ground_energy")) <= 1e-10
+            guarded.pop("min_entry"), dense.pop("min_entry")
+            assert guarded == dense and guarded["ground_unique"]
 
 
 def test_unknown_subcommand_exits_1(capsys):

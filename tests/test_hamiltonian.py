@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 import nagaoka.hamiltonian as hamiltonian
 import nagaoka.positivity as positivity
-from nagaoka.acceptance import holstein_model
+from nagaoka.acceptance import holstein_model, radiation_triangle, transverse_mode_subset
 from nagaoka.corpus import complete4, corpus_models, pair2, triangle3
 from nagaoka.hamiltonian import (
     _kron_sum,
@@ -17,6 +17,7 @@ from nagaoka.hamiltonian import (
     assemble_lang_firsov_sector,
     assemble_nagaoka_projected,
     assemble_nagaoka_sector,
+    assemble_radiation_sector,
     effective_coulomb,
     hubbard_electron_matrix,
     lang_firsov_constant,
@@ -354,6 +355,47 @@ def test_polaron_frame_stores_no_rounding_noise(name):
     model, m, cutoff = POLARON_CASES[name]
     mat = assemble_lang_firsov_sector(model, m, cutoff=cutoff).op.matrix
     assert np.min(np.abs(mat.data)) >= 1e-13
+
+
+def _complex_mode_exponentials(amplitudes, cutoff: int):
+    """The complex route the real factors replaced: every factor, the
+    identity included, is complex128 from one complex ``unitary_exp``."""
+    b = np.diag(np.sqrt(np.arange(1, cutoff + 1)), k=1)
+    eye = sp.identity(cutoff + 1, dtype=complex, format="csr")
+    return [eye if c == 0 else sp.csr_matrix(unitary_exp(c * b + np.conj(c) * b.conjugate().T))
+            for c in amplitudes]
+
+
+@pytest.mark.parametrize("name", sorted(POLARON_CASES))
+def test_polaron_phase_is_the_real_part_of_the_complex_route(monkeypatch, name):
+    model, _, cutoff = POLARON_CASES[name]
+    bonds = [(x, y) for x in range(model.sites) for y in range(x + 1, model.sites)
+             if model.hopping[x, y] != 0.0]
+    for x, y in bonds:
+        phase = _polaron_phase(model, x, y, cutoff)
+        assert phase.dtype == np.float64
+        with monkeypatch.context() as mp:
+            mp.setattr(hamiltonian, "_mode_exponentials", _complex_mode_exponentials)
+            oracle = _polaron_phase(model, x, y, cutoff).toarray()
+        theta = phase.toarray()
+        assert np.array_equal(theta, oracle.real)
+        assert np.max(np.abs(oracle.imag)) <= 1e-15
+        assert np.max(np.abs(theta.T @ theta - np.eye(theta.shape[0]))) <= 1e-14
+
+
+def test_radiation_form_is_real_only_without_coupled_modes(monkeypatch):
+    coupled = radiation_triangle(kappa=1.8)
+    sub = transverse_mode_subset(coupled)
+    for m in sector_magnetizations(3):
+        mat = assemble_radiation_sector(coupled, m, cutoff=2, modes=sub).op.matrix
+        with monkeypatch.context() as mp:
+            mp.setattr(hamiltonian, "_mode_exponentials", _complex_mode_exponentials)
+            oracle = assemble_radiation_sector(coupled, m, cutoff=2, modes=sub).op.matrix
+        assert mat.dtype == oracle.dtype == np.complex128
+        for arrays in ("data", "indices", "indptr"):
+            assert getattr(mat, arrays).tobytes() == getattr(oracle, arrays).tobytes()
+        decoupled = assemble_radiation_sector(radiation_triangle(kappa=1.0), m)
+        assert decoupled.op.matrix.dtype == np.float64
 
 
 class _Captured(Exception):

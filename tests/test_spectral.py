@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -291,6 +292,48 @@ def test_blocks_are_linked_by_imaginary_couplings():
     assert abs(e0 - np.linalg.eigvalsh(mat.toarray())[0]) <= 1e-12
 
 
+def _scattered_blocks(sizes, phased: bool, seed: int = 3) -> sp.csr_matrix:
+    """Random Hermitian blocks of the given sizes on randomly interleaved
+    index sets: a matrix whose connected components are exactly those."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for n in sizes:
+        a = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if phased else 0)
+        blocks.append(a + a.conj().T + 3 * np.eye(n))       # a full block is connected
+    perm = rng.permutation(sum(sizes))
+    return sp.csr_matrix(sp.block_diag(blocks).toarray()[np.ix_(perm, perm)])
+
+
+@pytest.mark.parametrize("phased", [False, True], ids=["real", "complex"])
+def test_stacked_small_blocks_equal_their_single_block_solves(phased):
+    mat = _scattered_blocks([1, 2, 3, 4, 5, 6, 7, 8, 6, 3, 1], phased)
+    parts, e0 = spectral._block_levels(mat)
+    small = 0
+    for idx, block, vals, vecs in parts:
+        oracle = spectral._lowest_levels(mat[idx][:, idx], idx.size, ref=e0)
+        if idx.size <= spectral._DENSE_START:
+            small += 1
+            assert block is None
+            assert np.array_equal(vals, oracle[0]) and np.array_equal(vecs, oracle[1])
+        else:
+            assert np.max(np.abs(vals[:oracle[0].size] - oracle[0])) <= 1e-12
+    assert small == 9 and abs(e0 - np.linalg.eigvalsh(mat.toarray())[0]) <= 1e-12
+
+
+def test_stacked_small_blocks_check_every_residual(monkeypatch):
+    mat = _scattered_blocks([3, 3], phased=False)
+    real_eigh = np.linalg.eigh
+
+    def skewed(a):
+        vals, vecs = real_eigh(a)
+        vals[-1, -1] += 1e-6        # one pair of the last stack is off
+        return vals, vecs
+
+    monkeypatch.setattr(spectral.np.linalg, "eigh", skewed)
+    with pytest.raises(ConvergenceError, match="eigenpair 2 residual"):
+        spectral._block_levels(mat)
+
+
 def _spy_eigh(monkeypatch):
     calls = []
     real_eigh = spectral.sla.eigh
@@ -423,6 +466,17 @@ def test_policy_route_matches_dense_on_the_criterion7_sectors(monkeypatch, form,
         _same_report(policy, ground_report(h))
 
 
+@pytest.mark.parametrize("cutoff", [2, 3])
+@pytest.mark.parametrize("gamma", [0.25, 0.5, 1.0])
+def test_real_polaron_frame_reports_as_its_complex_cast(gamma, cutoff):
+    model = holstein_model(complete4(), gamma)
+    for m in sector_magnetizations(4):
+        h = assemble_lang_firsov_sector(model, m, cutoff=cutoff)
+        assert h.op.matrix.dtype == np.float64
+        cast = replace(h, op=SparseHermitian(h.op.matrix.astype(complex), hermitian=True))
+        _same_report(ground_report(h), ground_report(cast))
+
+
 @pytest.mark.parametrize("sites, m", [(9, Fraction(0)), (12, Fraction(1, 2))],
                          ids=["complete9-M0", "complete12-M1/2"])
 def test_policy_route_matches_dense_on_complete_graphs(monkeypatch, sites, m):
@@ -441,9 +495,9 @@ def test_solver_policy_on_the_benchmark_matrices():
         "2x4 patch M=1/2 (280, 3.2, real)": (assemble_nagaoka_sector(tri2x4, Fraction(1, 2)), False),
         "complete-9 M=0 (630, 8, real)": (assemble_nagaoka_sector(complete9, 0), True),
         "Holstein M=1/2 (972, 8, real)": (assemble_holstein_sector(phonons, Fraction(1, 2)), True),
-        "Lang-Firsov M=3/2 (324, 28, complex)":
+        "Lang-Firsov M=3/2 (324, 28, real)":
             (assemble_lang_firsov_sector(phonons, Fraction(3, 2)), False),
-        "Lang-Firsov M=1/2 (972, 28, complex)":
+        "Lang-Firsov M=1/2 (972, 28, real)":
             (assemble_lang_firsov_sector(phonons, Fraction(1, 2)), True),
     }
     for name, (h, lanczos) in routes.items():
