@@ -318,7 +318,7 @@ def _mode_exponentials(amplitudes, cutoff: int) -> list[sp.csr_matrix]:
     a real part, so a product of them is real when every factor is."""
     b = np.diag(np.sqrt(np.arange(1, cutoff + 1)), k=1)
     eye = sp.identity(cutoff + 1, format="csr")
-    return [eye if c == 0 else sp.csr_matrix(_mode_exponential(complex(c), b))
+    return [eye if c == 0 else sp.csr_matrix(_mode_exponential(c, b))
             for c in amplitudes]
 
 
