@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -112,6 +113,30 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
+def _resolvent_z(text: str) -> complex | None:
+    """``auto`` (None: the model picks z) or RE,IM with both parts finite
+    and IM nonzero."""
+    if text == "auto":
+        return None
+    re_s, _, im_s = text.partition(",")
+    try:
+        z = complex(float(re_s), float(im_s))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected auto or RE,IM, got {text!r}") from None
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise argparse.ArgumentTypeError(f"both parts must be finite, got {text!r}")
+    if z.imag == 0:
+        raise argparse.ArgumentTypeError(f"needs a nonzero imaginary part, got {text!r}")
+    return z
 
 
 def _map_jobs(fn, payloads, jobs: int) -> list:
@@ -242,13 +267,7 @@ def _largeu_job(payload):
 
 def _cmd_largeu(args) -> int:
     model = load_model(args.model)
-    if args.z == "auto":
-        z = default_resolvent_z(model)
-    else:
-        re_s, _, im_s = args.z.partition(",")
-        z = complex(float(re_s), float(im_s))
-        if z.imag == 0:
-            raise ModelValidationError("cli", "--z needs a nonzero imaginary part")
+    z = default_resolvent_z(model) if args.z is None else args.z
     us = [float(tok) for tok in args.u_list.split(",") if tok]
     if not us:
         raise ModelValidationError("cli", "--u-list is empty")
@@ -275,7 +294,7 @@ def _certificate_row(m, cert, **extra) -> dict:
 def _cmd_certify(args) -> int:
     model = load_model(args.model)
     rows = []
-    if args.qgrid:
+    if args.qgrid is not None:
         if args.spacing is None:
             raise ModelValidationError("cli", "--qgrid needs --spacing")
         for m in _sectors(model, args):
@@ -360,13 +379,16 @@ def build_parser() -> _Parser:
     p = sub.add_parser("largeu", help="resolvent distance sweep over U")
     common(p, sector=False)
     p.add_argument("--u-list", required=True, help="comma-separated U values")
-    p.add_argument("--z", default="auto", help="auto or RE,IM")
+    p.add_argument("--z", type=_resolvent_z, default="auto",
+                   help="auto or RE,IM (finite, IM nonzero)")
     p.set_defaults(func=_cmd_largeu)
 
     p = sub.add_parser("certify", help="positivity certificates per sector")
     common(p)
-    p.add_argument("--qgrid", type=int, default=None, help="grid points per mode")
-    p.add_argument("--spacing", type=float, default=None, help="grid spacing")
+    p.add_argument("--qgrid", type=_positive_int, default=None,
+                   help="grid points per mode (>= 1)")
+    p.add_argument("--spacing", type=_positive_float, default=None,
+                   help="grid spacing (finite, > 0)")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("reproduce", help="run the acceptance pipeline")

@@ -18,8 +18,10 @@ The boson-dressed forms (full-space and sector Holstein, polaron frame,
 radiation, and the position-grid certificate of ``positivity``) all have
 the shape sum_k A_k (x) B_k: hole-move blocks per bond (x) a boson factor,
 an electron diagonal (x) I, and I (x) the field energy.  ``_kron_sum``
-builds any such sum in one COO assembly.  Every per-bond boson factor is a
-product of single-mode factors built by ``_mode_product``: the polaron and
+builds any such sum in one COO assembly.  Every boson factor comes from
+single-mode factors through ``manybody``: a per-bond factor is a
+``_mode_product`` and a field energy or a coupling b*_y + b_y a
+``_mode_sum``.  The polaron and
 radiation phases exponentiate generators that act on one mode each, so
 they are exact products of (cutoff+1)-dimensional exponentials, and a
 mode the bond does not couple contributes an exact identity.  A factor
@@ -35,7 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,10 +47,13 @@ from .manybody import (
     UP,
     BosonBasis,
     SparseHermitian,
+    _bilinear,
+    _lowering,
+    _mode_product,
+    _mode_sum,
+    _number,
     boson_basis,
-    build_boson_op,
     full_fock_basis,
-    hopping_bilinear,
     projected_restriction,
     sector_embedding,
 )
@@ -120,12 +124,6 @@ def _kron_sum(terms) -> sp.csr_matrix:
                          shape=shape).tocsr()
 
 
-def _mode_product(factors) -> sp.csr_matrix:
-    """Kronecker product of per-mode factors, mode 0 most significant (the
-    order of ``boson_basis``)."""
-    return reduce(lambda acc, f: sp.kron(acc, f, format="csr"), factors)
-
-
 def _dressed_hops(blocks: dict, phase) -> list:
     """(hop block, boson factor) terms for every ordered bond.  ``phase(x, y)``
     is called for x < y only; the reversed bond carries its adjoint, so
@@ -169,36 +167,42 @@ def assemble_nagaoka_sector(model: LatticeModel, m) -> SectorHamiltonian:
     mat = _hop_matrix(model, basis, hole_moves(model, basis))
     mat = mat + sp.diags(_sector_diagonal(model, basis))
     return SectorHamiltonian(model=model, m=basis.m, basis=basis,
-                             op=SparseHermitian(mat.tocsr(), hermitian=True),
-                             provenance="direct_formula")
-
-
-def _fock_occupations(fock) -> np.ndarray:
-    """occ[i, spin, x] = occupation (0 or 1) of mode (x, spin) in Fock word i."""
-    words = np.array(fock.states, dtype=np.int64)
-    bits = (words[:, None] >> np.arange(fock.modes)) & 1
-    return bits.reshape(fock.dimension, 2, fock.sites)
+                             op=SparseHermitian(mat.tocsr()), provenance="direct_formula")
 
 
 def hubbard_electron_matrix(model: LatticeModel, u: float) -> sp.csr_matrix:
-    """Finite-U Hubbard matrix on the fixed-N Fock basis (no bosons)."""
+    """Finite-U Hubbard matrix sum_xy,spin t_xy c*_x c_y + U sum_x n_x,up
+    n_x,down + sum_xy U_xy n_x n_y on the fixed-N Fock basis (no bosons),
+    from one COO build.  Each off-diagonal entry comes from one hop; t_xx
+    is a site potential and joins the diagonal, summed in (x, spin) order."""
     if not math.isfinite(u):
         raise ValueError("finite-U assembly needs a finite U; use the sector forms for U = INFINITE")
     fock = full_fock_basis(model.sites, model.n_electrons)
     t = model.hopping
-    mat = sp.csr_matrix((fock.dimension, fock.dimension))
-    for x in range(model.sites):
-        for y in range(model.sites):
-            if t[x, y] == 0.0:
-                continue
-            for spin in (UP, DOWN):
-                mat = mat + t[x, y] * hopping_bilinear(fock, x, y, spin)
+    occ = fock.occupations
+    rows, cols, vals = [], [], []
+    for x, y in zip(*np.nonzero(t)):
+        if x == y:
+            continue
+        for spin in (UP, DOWN):
+            r, c, signs = _bilinear(fock, fock.mode(x, spin), fock.mode(y, spin))
+            rows.append(r)
+            cols.append(c)
+            vals.append(t[x, y] * signs)
 
-    occ = _fock_occupations(fock)
+    potential = 0.0
+    for x in np.nonzero(np.diag(t))[0]:
+        for spin in (UP, DOWN):
+            potential = potential + t[x, x] * occ[:, spin, x]
     n_site = occ.sum(axis=1).astype(float)
-    diag = u * (occ[:, UP] & occ[:, DOWN]).sum(axis=1) \
-        + np.einsum("ix,xy,iy->i", n_site, model.offsite_u, n_site)
-    return (mat + sp.diags(diag)).tocsr()
+    diag = potential + (u * (occ[:, UP] & occ[:, DOWN]).sum(axis=1)
+                        + np.einsum("ix,xy,iy->i", n_site, model.offsite_u, n_site))
+    on = np.nonzero(diag)[0]
+    rows.append(on)
+    cols.append(on)
+    vals.append(diag[on])
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(fock.dimension, fock.dimension)).tocsr()
 
 
 def assemble_hubbard_full(model: LatticeModel, u: float) -> SparseHermitian:
@@ -209,14 +213,13 @@ def assemble_hubbard_full(model: LatticeModel, u: float) -> SparseHermitian:
     """
     hel = hubbard_electron_matrix(model, u)
     if model.phonon is None:
-        return SparseHermitian(hel, hermitian=True)
+        return SparseHermitian(hel)
 
     fock = full_fock_basis(model.sites, model.n_electrons)
     bosons = boson_basis(model.sites, model.phonon.per_site_cutoff)
     guard_dimension(fock.dimension * bosons.dimension, "full-space phonon assembly")
-    n_site = _fock_occupations(fock).sum(axis=1).astype(float)
-    return SparseHermitian(_kron_sum(_holstein_terms(hel, n_site, model.phonon, bosons)),
-                           hermitian=True)
+    n_site = fock.occupations.sum(axis=1).astype(float)
+    return SparseHermitian(_kron_sum(_holstein_terms(hel, n_site, model.phonon, bosons)))
 
 
 def _holstein_terms(electron, occ: np.ndarray, phonon, bosons: BosonBasis) -> list:
@@ -224,15 +227,19 @@ def _holstein_terms(electron, occ: np.ndarray, phonon, bosons: BosonBasis) -> li
     I (x) omega N_b, with ``occ[i, x]`` the electron count at site x in
     electron state i."""
     terms = [(electron, sp.identity(bosons.dimension, format="csr"))]
+    b = _lowering(bosons.cutoff)
     for y in range(occ.shape[1]):
         gcol = phonon.coupling[:, y]
-        if not np.any(gcol):
-            continue
-        bdag = build_boson_op(bosons, "create", y).matrix
-        terms.append((sp.diags(occ @ gcol), bdag + bdag.conjugate().T))
-    nb = build_boson_op(bosons, "number_total").matrix
-    terms.append((sp.identity(occ.shape[0], format="csr"), phonon.frequency * nb))
+        if np.any(gcol):
+            terms.append((sp.diags(occ @ gcol), _mode_sum({y: b + b.T}, bosons.modes)))
+    terms.append((sp.identity(occ.shape[0], format="csr"),
+                  phonon.frequency * _total_number(bosons)))
     return terms
+
+
+def _total_number(bosons: BosonBasis) -> sp.csr_matrix:
+    """N_b, the boson number summed over every mode."""
+    return _mode_sum(dict.fromkeys(range(bosons.modes), _number(bosons.cutoff)), bosons.modes)
 
 
 def assemble_nagaoka_projected(model: LatticeModel, m) -> SectorHamiltonian:
@@ -246,8 +253,7 @@ def assemble_nagaoka_projected(model: LatticeModel, m) -> SectorHamiltonian:
     hfull = hubbard_electron_matrix(model, u=0.0)
     mat = projected_restriction(hfull, rows, signs)
     return SectorHamiltonian(model=model, m=basis.m, basis=basis,
-                             op=SparseHermitian(mat, hermitian=True),
-                             provenance="projected")
+                             op=SparseHermitian(mat), provenance="projected")
 
 
 def effective_coulomb(model: LatticeModel) -> np.ndarray:
@@ -281,8 +287,8 @@ def assemble_holstein_sector(model: LatticeModel, m, cutoff: int | None = None) 
     total = _kron_sum(_holstein_terms(electron.op.matrix, _config_occupations(electron.basis),
                                       ph, bosons))
     return SectorHamiltonian(model=model, m=electron.m, basis=electron.basis,
-                             op=SparseHermitian(total, hermitian=True),
-                             provenance="holstein_direct", boson=bosons, cutoff=cut)
+                             op=SparseHermitian(total), provenance="holstein_direct",
+                             boson=bosons, cutoff=cut)
 
 
 #: Dressed hopping phases are dense in the boson space; cap that factor
@@ -316,7 +322,7 @@ def _mode_exponentials(amplitudes, cutoff: int) -> list[sp.csr_matrix]:
     """exp(i (c b + conj(c) b*)) on one mode truncated at ``cutoff``, for each
     amplitude c; the identity where c = 0.  Factors are float64 unless c has
     a real part, so a product of them is real when every factor is."""
-    b = np.diag(np.sqrt(np.arange(1, cutoff + 1)), k=1)
+    b = _lowering(cutoff).toarray()
     eye = sp.identity(cutoff + 1, format="csr")
     return [eye if c == 0 else sp.csr_matrix(_mode_exponential(c, b))
             for c in amplitudes]
@@ -360,14 +366,12 @@ def assemble_lang_firsov_sector(model: LatticeModel, m, cutoff: int | None = Non
     guard_dimension(basis.dimension * bosons.dimension, "polaron-frame sector assembly")
     _guard_dense_phase(bosons.dimension, "polaron-frame sector assembly")
 
-    nb = build_boson_op(bosons, "number_total").matrix
     hops = _dressed_hops(move_blocks(model, basis), lambda x, y: _polaron_phase(model, x, y, cut))
     total = _kron_sum(hops + [
         (sp.diags(_sector_diagonal(model, basis, dressed=True)),
          sp.identity(bosons.dimension, format="csr")),
-        (sp.identity(basis.dimension, format="csr"), ph.frequency * nb)])
-    return SectorHamiltonian(model=model, m=basis.m, basis=basis,
-                             op=SparseHermitian(total, hermitian=True),
+        (sp.identity(basis.dimension, format="csr"), ph.frequency * _total_number(bosons))])
+    return SectorHamiltonian(model=model, m=basis.m, basis=basis, op=SparseHermitian(total),
                              provenance="lang_firsov", boson=bosons,
                              dropped_constant=lang_firsov_constant(model), cutoff=cut)
 
@@ -452,7 +456,7 @@ def riemann_kernel(x, y, k, n_segments: int) -> complex:
     return complex(total / n_segments)
 
 
-def _mode_coefficients(model: LatticeModel, modes, x: int, y: int, kernel) -> np.ndarray:
+def _mode_coefficients(model: LatticeModel, modes, x: int, y: int) -> np.ndarray:
     """Per-mode complex amplitude of the line-integrated vector potential
     between two sites; the operator is sum_j (c_j a_j + conj(c_j) a*_j)."""
     rad = model.radiation
@@ -463,42 +467,22 @@ def _mode_coefficients(model: LatticeModel, modes, x: int, y: int, kernel) -> np
         direction = float(mode.eps @ (pos[y] - pos[x]))
         if direction == 0.0:
             continue
-        coeffs[j] = direction / math.sqrt(2.0 * mode.omega * volume) * kernel(pos[x], pos[y], mode.k)
+        coeffs[j] = (direction / math.sqrt(2.0 * mode.omega * volume)
+                     * peierls_kernel(pos[x], pos[y], mode.k))
     return coeffs
 
 
-def peierls_phase(model: LatticeModel, modes, x: int, y: int,
-                  basis: BosonBasis, n_segments: int | None = None) -> SparseHermitian:
-    """Hermitian line-integral field operator between sites x and y on the
-    truncated photon basis.  With ``n_segments`` the Riemann-sum kernel is
-    used instead of the exact one."""
-    if x == y:
-        raise ValueError("phase needs two distinct sites")
-    kernel = peierls_kernel if n_segments is None else (
-        lambda px, py, k: riemann_kernel(px, py, k, n_segments))
-    coeffs = _mode_coefficients(model, modes, x, y, kernel)
-    mat = sp.csr_matrix((basis.dimension, basis.dimension), dtype=complex)
-    for j, c in enumerate(coeffs):
-        if c == 0.0:
-            continue
-        a = build_boson_op(basis, "annihilate", j).matrix
-        mat = mat + c * a + np.conj(c) * a.conjugate().T
-    return SparseHermitian(mat, hermitian=True)
-
-
 def peierls_unitary(model: LatticeModel, modes, x: int, y: int,
-                    basis: BosonBasis, n_segments: int | None = None) -> sp.csr_matrix:
-    """exp(i phase) built as a product of commuting single-mode exponentials.
+                    basis: BosonBasis) -> sp.csr_matrix:
+    """exp(i phase) for the Hermitian line-integral field operator between
+    sites x and y, built as a product of commuting single-mode exponentials.
 
     Exactly equal to the matrix exponential of the truncated phase (the
     summands act on disjoint tensor factors) and exactly unitary.  Returned
     in CSR; modes the bond does not couple are identity factors.
     """
     _guard_dense_phase(basis.dimension, "hopping-phase unitary")
-    kernel = peierls_kernel if n_segments is None else (
-        lambda px, py, k: riemann_kernel(px, py, k, n_segments))
-    coeffs = _mode_coefficients(model, modes, x, y, kernel)
-    return _mode_product(_mode_exponentials(coeffs, basis.cutoff))
+    return _mode_product(_mode_exponentials(_mode_coefficients(model, modes, x, y), basis.cutoff))
 
 
 def assemble_radiation_sector(model: LatticeModel, m, cutoff: int | None = None,
@@ -521,13 +505,11 @@ def assemble_radiation_sector(model: LatticeModel, m, cutoff: int | None = None,
     guard_dimension(basis.dimension * bosons.dimension, "radiation sector assembly")
     _guard_dense_phase(bosons.dimension, "radiation sector assembly")
 
-    field_diag = np.array([sum(mode.omega * occ for mode, occ in zip(modes, state))
-                           for state in bosons.states])
+    field = _mode_sum({j: mode.omega * _number(cut) for j, mode in enumerate(modes)}, len(modes))
     hops = _dressed_hops(move_blocks(model, basis),
                          lambda x, y: peierls_unitary(model, modes, x, y, bosons))
     total = _kron_sum(hops + [
         (sp.diags(_sector_diagonal(model, basis)), sp.identity(bosons.dimension, format="csr")),
-        (sp.identity(basis.dimension, format="csr"), sp.diags(field_diag))])
-    return SectorHamiltonian(model=model, m=basis.m, basis=basis,
-                             op=SparseHermitian(total, hermitian=True),
+        (sp.identity(basis.dimension, format="csr"), field)])
+    return SectorHamiltonian(model=model, m=basis.m, basis=basis, op=SparseHermitian(total),
                              provenance="radiation", boson=bosons, cutoff=cut)

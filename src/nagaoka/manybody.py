@@ -8,12 +8,15 @@ order.  Annihilating or creating mode m therefore carries the sign
 (-1)^(number of occupied modes below m).
 
 The electron basis is a fixed-N slice of Fock space (N = sites - 1
-everywhere); creation and annihilation are rectangular maps between
-adjacent slices, while bilinears such as hopping terms are square.
+everywhere), held as the ascending array of its words; every operator on
+it is applied to all words at once, and the diagonal ones read the words
+through ``FullFockBasis.occupations``.
 
-Boson bases are truncated per mode; the raising operator annihilates the
-top level instead of erroring, so truncation artifacts surface as cutoff
-convergence failures rather than crashes.
+Boson bases are truncated per mode and carry no state list: every boson
+operator is built from (cutoff+1)-dimensional single-mode factors by
+``_mode_product`` and ``_mode_sum``, which fix the mode order.  The raising
+operator annihilates the top level instead of erroring, so truncation
+artifacts surface as cutoff convergence failures rather than crashes.
 
 Spin resolution on the magnetization sectors never builds the Fock space:
 the lowering map between adjacent sectors comes from the direct rule (flip
@@ -25,8 +28,7 @@ restricted to the signed sector vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
+from functools import cached_property, lru_cache, reduce
 from math import comb
 
 import numpy as np
@@ -34,34 +36,33 @@ import scipy.sparse as sp
 
 from .errors import guard_dimension
 from .model import LatticeModel
-from .sector import SectorBasis, enumerate_sector
+from .sector import SectorBasis, _combination_masks, enumerate_sector
 
 UP, DOWN = 0, 1
 
 
 class SparseHermitian:
-    """Dimension-labeled sparse matrix with an enforced hermiticity flag.
+    """Dimension-labeled sparse Hermitian matrix.
 
-    When ``hermitian`` is set the constructor verifies A = A* within a
-    1e-12 relative tolerance and rejects the matrix otherwise.  Explicit
-    zeros are never stored.
+    The constructor verifies A = A* within a 1e-12 relative tolerance and
+    rejects the matrix otherwise.  Explicit zeros are never stored.
+    Operators that are not Hermitian (ladder operators, S+ and S-) are
+    plain CSR matrices.
     """
 
-    __slots__ = ("matrix", "hermitian")
+    __slots__ = ("matrix",)
 
     HERMITICITY_TOL = 1e-12
 
-    def __init__(self, matrix, hermitian: bool = True):
+    def __init__(self, matrix):
         m = sp.csr_matrix(matrix)
         m.eliminate_zeros()
-        if hermitian:
-            if m.shape[0] != m.shape[1]:
-                raise ValueError(f"hermitian flag on a {m.shape} matrix")
-            worst, scale = self._hermiticity_defect(m)
-            if worst > self.HERMITICITY_TOL * scale:
-                raise ValueError(f"matrix flagged hermitian but ||A - A*|| = {worst:.3e}")
+        if m.shape[0] != m.shape[1]:
+            raise ValueError(f"a Hermitian matrix must be square, got {m.shape}")
+        worst, scale = self._hermiticity_defect(m)
+        if worst > self.HERMITICITY_TOL * scale:
+            raise ValueError(f"matrix flagged hermitian but ||A - A*|| = {worst:.3e}")
         self.matrix = m
-        self.hermitian = hermitian
 
     @staticmethod
     def _hermiticity_defect(m: sp.csr_matrix) -> tuple[float, float]:
@@ -95,8 +96,7 @@ class SparseHermitian:
         return self.matrix.toarray()
 
     def __repr__(self):
-        tag = "hermitian" if self.hermitian else "general"
-        return f"SparseHermitian({self.shape[0]}x{self.shape[1]}, {tag}, nnz={self.nnz})"
+        return f"SparseHermitian({self.shape[0]}x{self.shape[1]}, nnz={self.nnz})"
 
 
 # ---------------------------------------------------------------------------
@@ -107,14 +107,20 @@ def _jw_sign(word: int, mode: int) -> int:
     return -1 if (word & ((1 << mode) - 1)).bit_count() & 1 else 1
 
 
+def _jw_signs(words: np.ndarray, mode: int) -> np.ndarray:
+    """``_jw_sign`` of every word at once, as float."""
+    below = np.bitwise_count(words & ((1 << mode) - 1)).astype(np.int64)   # uint8 otherwise
+    return (1 - 2 * (below & 1)).astype(float)
+
+
 @dataclass(frozen=True, eq=False)
 class FullFockBasis:
-    """All bit words over 2*sites modes with a fixed electron count."""
+    """All bit words over 2*sites modes with a fixed electron count, as an
+    ascending int64 array; ``rank`` inverts the order."""
 
     sites: int
     n_electrons: int
-    states: tuple[int, ...]
-    index: dict[int, int]
+    words: np.ndarray     # int64
 
     @property
     def modes(self) -> int:
@@ -122,102 +128,68 @@ class FullFockBasis:
 
     @property
     def dimension(self) -> int:
-        return len(self.states)
+        return self.words.size
 
     def mode(self, site: int, spin: int) -> int:
         return site + spin * self.sites
+
+    def rank(self, words) -> np.ndarray:
+        """Row of each word; raises ValueError if any word is not in the basis."""
+        words = np.asarray(words, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(self.words, words), self.dimension - 1)
+        if not np.array_equal(self.words[pos], words):
+            raise ValueError(f"word outside the Fock basis of {self.n_electrons} "
+                             f"electrons on {self.sites} sites")
+        return pos
+
+    @cached_property
+    def occupations(self) -> np.ndarray:
+        """occ[i, spin, x] = occupation (0 or 1) of mode (x, spin) in word i."""
+        bits = (self.words[:, None] >> np.arange(self.modes)) & 1
+        return bits.reshape(self.dimension, 2, self.sites)
 
 
 @lru_cache(maxsize=8)
 def full_fock_basis(sites: int, n_electrons: int) -> FullFockBasis:
     if not 0 <= n_electrons <= 2 * sites:
         raise ValueError(f"cannot place {n_electrons} electrons on {sites} sites")
-    dim = comb(2 * sites, n_electrons)
-    guard_dimension(dim, f"Fock basis of {n_electrons} electrons on {sites} sites")
-    states = tuple(w for w in range(1 << (2 * sites))
-                   if w.bit_count() == n_electrons)
-    assert len(states) == dim
-    return FullFockBasis(sites=sites, n_electrons=n_electrons, states=states,
-                         index={w: i for i, w in enumerate(states)})
+    guard_dimension(comb(2 * sites, n_electrons),
+                    f"Fock basis of {n_electrons} electrons on {sites} sites")
+    return FullFockBasis(sites=sites, n_electrons=n_electrons,
+                         words=_combination_masks(2 * sites, n_electrons))
 
 
-def build_fermion_op(basis: FullFockBasis, kind: str, site: int, spin: int) -> SparseHermitian:
-    """Matrix of c*, c, or n for one (site, spin) mode.
-
-    ``create``/``annihilate`` return rectangular maps into the basis with one
-    electron more/fewer; ``number`` is square and diagonal.
-    """
-    if not 0 <= site < basis.sites:
-        raise ValueError(f"site {site} out of range")
-    mode = basis.mode(site, spin)
-    if kind == "number":
-        diag = np.array([(w >> mode) & 1 for w in basis.states], dtype=float)
-        return SparseHermitian(sp.diags(diag).tocsr(), hermitian=True)
-    if kind not in ("create", "annihilate"):
-        raise ValueError(f"unknown fermion op kind {kind!r}")
-    delta = 1 if kind == "create" else -1
-    target = full_fock_basis(basis.sites, basis.n_electrons + delta)
-    mat = sp.lil_matrix((target.dimension, basis.dimension))
-    for j, w in enumerate(basis.states):
-        occupied = (w >> mode) & 1
-        if kind == "create" and not occupied:
-            mat[target.index[w | (1 << mode)], j] = _jw_sign(w, mode)
-        elif kind == "annihilate" and occupied:
-            mat[target.index[w ^ (1 << mode)], j] = _jw_sign(w, mode)
-    return SparseHermitian(mat.tocsr(), hermitian=False)
-
-
-def _bilinear(basis: FullFockBasis, create_mode: int, annihilate_mode: int) -> sp.csr_matrix:
-    """Square matrix of c*_create c_annihilate on a fixed-N basis."""
-    rows, cols, vals = [], [], []
-    for j, w in enumerate(basis.states):
-        if not (w >> annihilate_mode) & 1:
-            continue
-        s = _jw_sign(w, annihilate_mode)
-        w1 = w ^ (1 << annihilate_mode)
-        if (w1 >> create_mode) & 1:
-            continue
-        s *= _jw_sign(w1, create_mode)
-        rows.append(basis.index[w1 | (1 << create_mode)])
-        cols.append(j)
-        vals.append(float(s))
-    return sp.csr_matrix((vals, (rows, cols)),
-                         shape=(basis.dimension, basis.dimension))
-
-
-def hopping_bilinear(basis: FullFockBasis, x: int, y: int, spin: int) -> sp.csr_matrix:
-    """c*_{x spin} c_{y spin} as a square matrix."""
-    return _bilinear(basis, basis.mode(x, spin), basis.mode(y, spin))
+def _bilinear(basis: FullFockBasis, create_mode: int, annihilate_mode: int):
+    """c*_create c_annihilate applied to every word at once: the rows,
+    columns and signs of its entries on a fixed-N basis, by column."""
+    cols = np.nonzero((basis.words >> annihilate_mode) & 1)[0]
+    emptied = basis.words[cols] ^ (1 << annihilate_mode)
+    free = ((emptied >> create_mode) & 1) == 0
+    cols, emptied = cols[free], emptied[free]
+    # the modes below the annihilated one are the same before and after it
+    signs = _jw_signs(emptied, annihilate_mode) * _jw_signs(emptied, create_mode)
+    return basis.rank(emptied | (1 << create_mode)), cols, signs
 
 
 def build_gutzwiller(basis: FullFockBasis) -> SparseHermitian:
     """Diagonal projection onto words with no doubly occupied site."""
-    mask = (1 << basis.sites) - 1
-    diag = np.array([0.0 if (w & (w >> basis.sites)) & mask else 1.0
-                     for w in basis.states])
-    return SparseHermitian(sp.diags(diag).tocsr(), hermitian=True)
+    occ = basis.occupations
+    diag = 1.0 - np.any(occ[:, UP] & occ[:, DOWN], axis=1)
+    return SparseHermitian(sp.diags(diag).tocsr())
 
 
-def build_spin_ops(basis: FullFockBasis) -> dict[str, SparseHermitian]:
-    """Total-spin operators S3, S+, S-, and the Casimir Stot2 = S(S+1)."""
-    sites = basis.sites
-    s3_diag = np.zeros(basis.dimension)
-    for i, w in enumerate(basis.states):
-        ups = (w & ((1 << sites) - 1)).bit_count()
-        s3_diag[i] = 0.5 * (2 * ups - basis.n_electrons)
-    s3 = sp.diags(s3_diag).tocsr()
-
-    sminus = sp.csr_matrix((basis.dimension, basis.dimension))
-    for x in range(sites):
-        sminus = sminus + _bilinear(basis, basis.mode(x, DOWN), basis.mode(x, UP))
+def build_spin_ops(basis: FullFockBasis) -> dict:
+    """Total-spin operators: S3 and the Casimir Stot2 = S(S+1) as
+    ``SparseHermitian``, S+ and S- as CSR matrices."""
+    s3 = sp.diags(0.5 * (2 * basis.occupations[:, UP].sum(axis=1) - basis.n_electrons)).tocsr()
+    rows, cols, signs = zip(*(_bilinear(basis, basis.mode(x, DOWN), basis.mode(x, UP))
+                              for x in range(basis.sites)))
+    sminus = sp.coo_matrix((np.concatenate(signs), (np.concatenate(rows), np.concatenate(cols))),
+                           shape=(basis.dimension, basis.dimension)).tocsr()
     splus = sminus.conjugate().T.tocsr()
     stot2 = (s3 @ s3 + 0.5 * (splus @ sminus + sminus @ splus)).tocsr()
-    return {
-        "S3": SparseHermitian(s3, hermitian=True),
-        "Splus": SparseHermitian(splus, hermitian=False),
-        "Sminus": SparseHermitian(sminus, hermitian=False),
-        "Stot2": SparseHermitian(stot2, hermitian=True),
-    }
+    return {"S3": SparseHermitian(s3), "Splus": splus, "Sminus": sminus,
+            "Stot2": SparseHermitian(stot2)}
 
 
 # ---------------------------------------------------------------------------
@@ -226,16 +198,15 @@ def build_spin_ops(basis: FullFockBasis) -> dict[str, SparseHermitian]:
 
 @dataclass(frozen=True, eq=False)
 class BosonBasis:
-    """Occupation tuples with a per-mode cutoff, in lexicographic order."""
+    """Occupations 0..cutoff on each of ``modes`` modes, in lexicographic
+    order: mode 0 is the most significant digit, as in ``_mode_product``."""
 
     modes: int
     cutoff: int
-    states: tuple[tuple[int, ...], ...]
-    index: dict[tuple[int, ...], int]
 
     @property
     def dimension(self) -> int:
-        return len(self.states)
+        return (self.cutoff + 1) ** self.modes
 
 
 @lru_cache(maxsize=8)
@@ -243,48 +214,45 @@ def boson_basis(modes: int, cutoff: int) -> BosonBasis:
     if modes < 0 or cutoff < 0:
         raise ValueError("modes and cutoff must be >= 0")
     guard_dimension((cutoff + 1) ** modes, f"boson basis with {modes} modes")
-    states = tuple(product(range(cutoff + 1), repeat=modes))
-    return BosonBasis(modes=modes, cutoff=cutoff, states=states,
-                      index={s: i for i, s in enumerate(states)})
+    return BosonBasis(modes=modes, cutoff=cutoff)
 
 
-def build_boson_op(basis: BosonBasis, kind: str, mode: int | None = None) -> SparseHermitian:
-    """Truncated b*, b, or the total number operator.
-
-    b* raises by sqrt(n+1) below the cutoff and annihilates the ceiling
-    level; b lowers by sqrt(n).
-    """
-    if kind == "number_total":
-        diag = np.array([float(sum(s)) for s in basis.states])
-        return SparseHermitian(sp.diags(diag).tocsr(), hermitian=True)
-    if kind not in ("create", "annihilate"):
-        raise ValueError(f"unknown boson op kind {kind!r}")
-    if mode is None or not 0 <= mode < basis.modes:
-        raise ValueError(f"mode {mode} out of range")
-    rows, cols, vals = [], [], []
-    for j, s in enumerate(basis.states):
-        n = s[mode]
-        if kind == "create" and n < basis.cutoff:
-            s2 = s[:mode] + (n + 1,) + s[mode + 1:]
-            rows.append(basis.index[s2]); cols.append(j); vals.append(np.sqrt(n + 1.0))
-        elif kind == "annihilate" and n > 0:
-            s2 = s[:mode] + (n - 1,) + s[mode + 1:]
-            rows.append(basis.index[s2]); cols.append(j); vals.append(np.sqrt(float(n)))
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(basis.dimension, basis.dimension))
-    return SparseHermitian(mat, hermitian=False)
+def _lowering(cutoff: int) -> sp.csr_matrix:
+    """b on one mode truncated at ``cutoff``: level n goes to n - 1 with
+    sqrt(n).  Its adjoint, the raising operator, annihilates the top level."""
+    n = np.arange(1, cutoff + 1)
+    return sp.csr_matrix((np.sqrt(n.astype(float)), (n - 1, n)), shape=(cutoff + 1, cutoff + 1))
 
 
-def momentum_quadrature(basis: BosonBasis, mode: int, frequency: float) -> np.ndarray:
-    """Hermitian p = i sqrt(omega/2) (b* - b) on the truncated basis, dense."""
-    bdag = build_boson_op(basis, "create", mode).matrix
-    return (1j * np.sqrt(frequency / 2.0) * (bdag - bdag.conjugate().T)).toarray()
+def _number(cutoff: int) -> sp.csr_matrix:
+    """b* b on one mode truncated at ``cutoff``."""
+    n = np.arange(1, cutoff + 1)
+    return sp.csr_matrix((n.astype(float), (n, n)), shape=(cutoff + 1, cutoff + 1))
 
 
-def tensor(a: SparseHermitian, b: SparseHermitian) -> SparseHermitian:
-    """Kronecker product, left factor index major, guarded by the budget."""
-    guard_dimension(a.shape[0] * b.shape[0], "tensor product")
-    return SparseHermitian(sp.kron(a.matrix, b.matrix, format="csr"),
-                           hermitian=a.hermitian and b.hermitian)
+def _mode_product(factors) -> sp.csr_matrix:
+    """Kronecker product of per-mode factors, mode 0 most significant (the
+    order of ``BosonBasis``)."""
+    return reduce(lambda acc, f: sp.kron(acc, f, format="csr"), factors)
+
+
+def _mode_sum(factors: dict, modes: int) -> sp.csr_matrix:
+    """Kronecker sum: factors[z] acting on mode z of ``modes`` equal modes,
+    summed over the modes z that ``factors`` names, in that order.  Each
+    term I (x) factors[z] (x) I of ``_mode_product``'s order is written down
+    entry by entry, not as a chain of Kronecker products."""
+    total = 0
+    for z, factor in factors.items():
+        f = sp.coo_matrix(factor)
+        levels = f.shape[0]
+        left = np.arange(levels ** z)[:, None, None]
+        right = np.arange(levels ** (modes - z - 1))
+        rows = (left * levels + f.row[:, None]) * right.size + right
+        cols = (left * levels + f.col[:, None]) * right.size + right
+        data = np.broadcast_to(f.data[:, None], rows.shape)
+        total = total + sp.csr_matrix((data.ravel(), (rows.ravel(), cols.ravel())),
+                                      shape=(levels ** modes, levels ** modes))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +286,8 @@ def sector_embedding(model: LatticeModel, m):
     """
     basis = enumerate_sector(model, m)
     fock = full_fock_basis(model.sites, model.n_electrons)
-    rows = np.empty(basis.dimension, dtype=int)
-    signs = np.empty(basis.dimension, dtype=float)
-    for i, config in enumerate(basis.configs):
-        word, sign = config_fock_state(model.sites, config)
-        rows[i] = fock.index[word]
-        signs[i] = sign
-    return basis, fock, rows, signs
+    words, signs = zip(*(config_fock_state(model.sites, c) for c in basis.configs))
+    return basis, fock, fock.rank(words), np.array(signs, dtype=float)
 
 
 def projected_restriction(full_matrix, rows_a, signs_a, rows_b=None, signs_b=None) -> sp.csr_matrix:
@@ -377,7 +340,7 @@ def sector_lowering_fock(model: LatticeModel, m) -> tuple[sp.csr_matrix, SectorB
     basis_hi, fock, rows_hi, signs_hi = sector_embedding(model, m)
     m_lo = basis_hi.m - 1
     basis_lo, _, rows_lo, signs_lo = sector_embedding(model, m_lo)
-    sminus = build_spin_ops(fock)["Sminus"].matrix
+    sminus = build_spin_ops(fock)["Sminus"]
     mat = projected_restriction(sminus, rows_lo, signs_lo, rows_hi, signs_hi)
     return mat, basis_hi, basis_lo
 
@@ -397,4 +360,4 @@ def sector_spin_squared(model: LatticeModel, m) -> SparseHermitian:
     if float(m_frac) < max_m:
         low_above = _lowering_matrix(enumerate_sector(model, m_frac + 1), basis)
         s2 = s2 + 0.5 * (low_above @ low_above.conjugate().T)
-    return SparseHermitian(s2.tocsr(), hermitian=True)
+    return SparseHermitian(s2.tocsr())

@@ -27,13 +27,12 @@ from .errors import InconsistencyError, ModelValidationError, guard_dimension
 from .hamiltonian import (
     _dressed_hops,
     _kron_sum,
-    _mode_product,
     _polaron_shift,
     _sector_diagonal,
     lang_firsov_constant,
     move_blocks,
 )
-from .manybody import SparseHermitian, sector_lowering_fock
+from .manybody import SparseHermitian, _mode_product, _mode_sum, sector_lowering_fock
 from .model import LatticeModel
 from .sector import enumerate_sector
 from .spectral import _ground_cluster, as_matrix
@@ -224,9 +223,7 @@ def qgrid_holstein_certify(model: LatticeModel, m, points: int, spacing: float) 
         return _mode_product(steps)
 
     osc = _oscillator_matrix(points, spacing, model.phonon.frequency)
-    eye = sp.identity(points, format="csr")
-    grid_h = sum(_mode_product([osc if j == z else eye for j in range(model.sites)])
-                 for z in range(model.sites))
+    grid_h = _mode_sum(dict.fromkeys(range(model.sites), osc), model.sites)
     total = _kron_sum(_dressed_hops(move_blocks(model, basis), shift) + [
         (sp.diags(_sector_diagonal(model, basis, dressed=True)),
          sp.identity(grid_dim, format="csr")),
@@ -236,7 +233,7 @@ def qgrid_holstein_certify(model: LatticeModel, m, points: int, spacing: float) 
     if not preserves_positivity(neg_off, tol=STRICT_POSITIVITY_TOL):
         raise InconsistencyError("grid assembly lost the off-diagonal sign structure")
 
-    hermitian = SparseHermitian(total, hermitian=True)
+    hermitian = SparseHermitian(total)
     _, e0, degeneracy, _, v0 = _ground_cluster(hermitian.matrix)
     cert = pf_certificate(hermitian, v0, degeneracy, basis_tag="configuration x grid")
     return GridCertificate(certificate=cert, ground_energy=float(e0),

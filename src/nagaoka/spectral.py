@@ -80,14 +80,12 @@ _EIG_SEED = 20240915
 _GUARD_SEED = _EIG_SEED + 1
 
 
-def as_matrix(h, require_hermitian=False) -> sp.csr_matrix:
+def as_matrix(h) -> sp.csr_matrix:
     """CSR matrix of a sector Hamiltonian, a ``SparseHermitian``, an array
     or any scipy sparse matrix."""
     if isinstance(h, SectorHamiltonian):
         h = h.op
     if isinstance(h, SparseHermitian):
-        if require_hermitian and not h.hermitian:
-            raise ValueError("eigensolver needs a matrix flagged hermitian")
         return h.matrix
     return sp.csr_matrix(h)
 
@@ -122,7 +120,7 @@ def eig_lowest(h, count: int):
     nearly all are asked for), Lanczos otherwise with a deterministic start
     vector so repeated runs give identical output.
     """
-    mat = as_matrix(h, require_hermitian=True)
+    mat = as_matrix(h)
     dim = mat.shape[0]
     if not 1 <= count <= dim:
         raise ValueError(f"requested {count} eigenpairs of a {dim}-dim matrix")
@@ -349,7 +347,7 @@ def ground_report(h: SectorHamiltonian, spin_ops: SparseHermitian | None = None)
     if h.boson is not None:
         s2_mat = sp.kron(s2_mat, sp.identity(h.boson.dimension, format="csr"), format="csr")
 
-    parts, e0, degeneracy, gap, v0 = _ground_cluster(as_matrix(h, require_hermitian=True))
+    parts, e0, degeneracy, gap, v0 = _ground_cluster(as_matrix(h))
     s2_exp, resolved = _cluster_spin(parts, e0, CLUSTER_TOL * (1.0 + abs(e0)), s2_mat)
     return SpectralReport(
         m=h.m, ground_energy=float(e0), degeneracy=degeneracy, gap=gap,
@@ -433,11 +431,10 @@ def energy_split_bound(model: LatticeModel, u: float) -> EnergySplit:
     block; its minimum is +inf and the bound holds vacuously.
     """
     h_u = assemble_hubbard_full(model, u).matrix
-    _, p_diag = _full_space_pieces(model)
+    h0, p_diag = _full_space_pieces(model)
     idx = np.nonzero(p_diag < 0.5)[0]
     if idx.size == 0:
         return EnergySplit(u=u, e_h1=np.inf, c_const=np.inf, bound_ok=True)
-    h0 = assemble_hubbard_full(model, 0.0).matrix
     block_u = h_u.tocsr()[np.ix_(idx, idx)]
     block_0 = h0.tocsr()[np.ix_(idx, idx)]
     e_h1 = float(eig_lowest(SparseHermitian(block_u), 1)[0][0])

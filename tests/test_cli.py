@@ -238,6 +238,25 @@ def test_certify_qgrid(capsys, holstein_file):
     assert row["points"] == 32
 
 
+@pytest.mark.parametrize("argv, condition", [
+    (("certify", "--all", "--qgrid", "0", "--spacing", "0.2"), "--qgrid: must be >= 1, got 0"),
+    (("certify", "--all", "--qgrid", "-3", "--spacing", "0.2"), "--qgrid: must be >= 1, got -3"),
+    (("certify", "--all", "--qgrid", "8", "--spacing", "0"), "--spacing: must be finite and > 0"),
+    (("certify", "--all", "--qgrid", "8", "--spacing", "nan"), "--spacing: must be finite and > 0"),
+    (("certify", "--all", "--qgrid", "8", "--spacing=-inf"), "--spacing: must be finite and > 0"),
+    (("largeu", "--u-list", "10", "--z", "1,nan"), "--z: both parts must be finite"),
+    (("largeu", "--u-list", "10", "--z", "inf,1"), "--z: both parts must be finite"),
+    (("largeu", "--u-list", "10", "--z", "1,0"), "--z: needs a nonzero imaginary part"),
+    (("largeu", "--u-list", "10", "--z", "1"), "--z: expected auto or RE,IM"),
+])
+def test_grid_and_resolvent_arguments_are_validated_by_the_parser(capsys, holstein_file,
+                                                                   argv, condition):
+    code = main([*argv, "--model", holstein_file])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert condition in captured.err and "Traceback" not in captured.err
+
+
 def test_certify_qgrid_lanczos_route_matches_dense(capsys, holstein_file, monkeypatch):
     """Criterion 12's model with every solve forced to Lanczos (and its
     deflation guard) against every solve forced dense."""

@@ -30,11 +30,11 @@ from nagaoka.manybody import (
     build_gutzwiller,
     build_spin_ops,
     full_fock_basis,
-    momentum_quadrature,
     sector_embedding,
 )
 from nagaoka.model import LatticeModel, PhononBlock, generate_lattice
 from nagaoka.sector import enumerate_sector, hole_moves, sector_magnetizations
+from occupation_oracle import momentum_quadrature
 
 
 def with_phonons(base, coupling, omega=1.0, cutoff=2):
@@ -168,7 +168,7 @@ def test_fock_diagonal_equals_the_per_word_loop():
         fock = full_fock_basis(model.sites, model.n_electrons)
         lo = (1 << model.sites) - 1
         ref = []
-        for w in fock.states:
+        for w in fock.words.tolist():
             up, down = w & lo, w >> model.sites
             n = np.array([(up >> x & 1) + (down >> x & 1) for x in range(model.sites)], float)
             ref.append(3.5 * (up & down).bit_count() + n @ model.offsite_u @ n)
@@ -183,7 +183,7 @@ def test_full_hubbard_hermitian_with_phonons():
     model = with_phonons(LatticeModel(3, triangle3().hopping, onsite_u=2.0),
                          0.3 * np.eye(3), cutoff=1)
     h = assemble_hubbard_full(model, 2.0)
-    assert h.hermitian
+    assert isinstance(h, SparseHermitian)
     dense = h.toarray()
     assert np.max(np.abs(dense - dense.conj().T)) <= 1e-12
 
@@ -338,8 +338,7 @@ def test_polaron_phase_product_equals_full_space_exponential(name):
     whole-space generator sum_z shift_z p_z, the route it replaced."""
     model, _, cutoff = POLARON_CASES[name]
     ph = model.phonon
-    bosons = boson_basis(model.sites, cutoff)
-    p_ops = [momentum_quadrature(bosons, z, ph.frequency) for z in range(model.sites)]
+    p_ops = [momentum_quadrature(model.sites, cutoff, z, ph.frequency) for z in range(model.sites)]
     bonds = [(x, y) for x in range(model.sites) for y in range(x + 1, model.sites)
              if model.hopping[x, y] != 0.0]
     assert bonds

@@ -11,9 +11,11 @@ from nagaoka.manybody import (
     DOWN,
     UP,
     SparseHermitian,
+    _lowering,
+    _mode_product,
+    _mode_sum,
+    _number,
     boson_basis,
-    build_boson_op,
-    build_fermion_op,
     build_gutzwiller,
     build_spin_ops,
     full_fock_basis,
@@ -21,34 +23,32 @@ from nagaoka.manybody import (
     sector_lowering,
     sector_lowering_fock,
     sector_spin_squared,
-    tensor,
 )
 from nagaoka.model import LatticeModel, generate_lattice
 from nagaoka.sector import enumerate_sector, sector_magnetizations
+from nagaoka.spectral import as_matrix
+from occupation_oracle import build_fermion_op
 
 
 def test_car_anticommutator_is_identity():
-    basis_n = full_fock_basis(3, 2)
-    basis_up = full_fock_basis(3, 3)
-    basis_dn = full_fock_basis(3, 1)
+    # the oracle's c and c*, whose products the Fock-space tests compare against
     for (x, sx), (y, sy) in [((0, UP), (0, UP)), ((1, DOWN), (1, DOWN)),
                              ((0, UP), (1, UP)), ((2, UP), (2, DOWN))]:
-        create_y = build_fermion_op(basis_n, "create", y, sy).matrix
-        annihilate_x_hi = build_fermion_op(basis_up, "annihilate", x, sx).matrix
-        annihilate_x = build_fermion_op(basis_n, "annihilate", x, sx).matrix
-        create_y_lo = build_fermion_op(basis_dn, "create", y, sy).matrix
+        create_y = build_fermion_op(3, 2, "create", y, sy)
+        annihilate_x_hi = build_fermion_op(3, 3, "annihilate", x, sx)
+        annihilate_x = build_fermion_op(3, 2, "annihilate", x, sx)
+        create_y_lo = build_fermion_op(3, 1, "create", y, sy)
         anti = (annihilate_x_hi @ create_y + create_y_lo @ annihilate_x).toarray()
-        expected = np.eye(basis_n.dimension) if (x, sx) == (y, sy) else 0.0
+        expected = np.eye(full_fock_basis(3, 2).dimension) if (x, sx) == (y, sy) else 0.0
         assert np.allclose(anti, expected)
 
 
 def test_number_operator_diagonal_and_pauli_exclusion():
-    basis = full_fock_basis(3, 2)
-    n = build_fermion_op(basis, "number", 1, UP).matrix.toarray()
+    n = build_fermion_op(3, 2, "number", 1, UP).toarray()
     assert np.allclose(n, np.diag(np.diag(n)))
     assert set(np.round(np.diag(n), 12)) <= {0.0, 1.0}
-    ann = build_fermion_op(basis, "annihilate", 1, UP).matrix
-    ann_again = build_fermion_op(full_fock_basis(3, 1), "annihilate", 1, UP).matrix
+    ann = build_fermion_op(3, 2, "annihilate", 1, UP)
+    ann_again = build_fermion_op(3, 1, "annihilate", 1, UP)
     assert (ann_again @ ann).nnz == 0       # c c = 0
 
 
@@ -65,7 +65,8 @@ def test_gutzwiller_projection():
 def test_spin_algebra():
     basis = full_fock_basis(3, 2)
     ops = build_spin_ops(basis)
-    s3, sp_, sm, s2 = (ops[k].matrix.toarray() for k in ("S3", "Splus", "Sminus", "Stot2"))
+    s3, sp_, sm, s2 = (as_matrix(ops[k]).toarray() for k in ("S3", "Splus", "Sminus", "Stot2"))
+    assert isinstance(ops["S3"], SparseHermitian) and isinstance(ops["Stot2"], SparseHermitian)
     assert np.allclose(sp_ @ sm - sm @ sp_, 2.0 * s3, atol=1e-12)
     assert np.allclose(s2 @ s3 - s3 @ s2, 0.0, atol=1e-12)
 
@@ -76,7 +77,7 @@ def test_polarized_state_has_maximal_spin():
     s2 = build_spin_ops(basis)["Stot2"].matrix
     word = 0b110        # both electrons up, hole at site 0
     vec = np.zeros(basis.dimension)
-    vec[basis.index[word]] = 1.0
+    vec[basis.rank(word)] = 1.0
     s = (sites - 1) / 2.0
     assert np.allclose(s2 @ vec, s * (s + 1) * vec)
 
@@ -85,58 +86,53 @@ def test_projection_commutes_with_spin_ops():
     basis = full_fock_basis(3, 2)
     p = build_gutzwiller(basis).matrix
     for name, op in build_spin_ops(basis).items():
-        comm = (p @ op.matrix - op.matrix @ p).toarray()
+        comm = (p @ as_matrix(op) - as_matrix(op) @ p).toarray()
         assert np.max(np.abs(comm)) <= 1e-12, name
 
 
 def test_boson_ccr_below_cutoff_and_ceiling():
-    basis = boson_basis(2, 3)
-    b = build_boson_op(basis, "annihilate", 0).matrix
-    bdag = build_boson_op(basis, "create", 0).matrix
+    levels = (4, 4)                                  # two modes, cutoff 3
+    b = _mode_sum({0: _lowering(3)}, 2)
+    bdag = b.T
     comm = (b @ bdag - bdag @ b).toarray()
-    below = [i for i, s in enumerate(basis.states) if s[0] < basis.cutoff]
+    below = np.nonzero(np.unravel_index(np.arange(16), levels)[0] < 3)[0]
     assert np.allclose(comm[np.ix_(below, below)], np.eye(len(below)))
-    vacuum = np.zeros(basis.dimension)
-    vacuum[basis.index[(0, 0)]] = 1.0
+    vacuum = np.zeros(16)
+    vacuum[np.ravel_multi_index((0, 0), levels)] = 1.0
     assert np.allclose(b @ vacuum, 0.0)
-    top = np.zeros(basis.dimension)
-    top[basis.index[(3, 0)]] = 1.0
+    top = np.zeros(16)
+    top[np.ravel_multi_index((3, 0), levels)] = 1.0
     assert np.allclose(bdag @ top, 0.0)    # raising annihilates the ceiling
 
 
 def test_boson_number_total():
-    basis = boson_basis(2, 2)
-    nb = build_boson_op(basis, "number_total").matrix.toarray()
-    assert np.allclose(np.diag(nb), [sum(s) for s in basis.states])
+    nb = _mode_sum(dict.fromkeys(range(2), _number(2)), 2).toarray()
+    assert np.allclose(np.diag(nb), np.indices((3, 3)).sum(axis=0).ravel())
     assert np.count_nonzero(nb - np.diag(np.diag(nb))) == 0
 
 
-def test_tensor_identities():
-    eye2 = SparseHermitian(sp.identity(2))
-    eye3 = SparseHermitian(sp.identity(3))
-    assert np.allclose(tensor(eye2, eye3).toarray(), np.eye(6))
+def test_mode_product_mixed_product_identity():
+    assert np.array_equal(_mode_product([sp.identity(2), sp.identity(3)]).toarray(), np.eye(6))
     rng = np.random.default_rng(11)
-    a, b, c, d = (rng.standard_normal((3, 3)) for _ in range(4))
-    left = tensor(SparseHermitian(a + a.T), SparseHermitian(b + b.T)).matrix @ \
-        tensor(SparseHermitian(c + c.T), SparseHermitian(d + d.T)).matrix
-    right = np.kron((a + a.T) @ (c + c.T), (b + b.T) @ (d + d.T))
+    a, b, c, d, e, f = (rng.standard_normal((3, 3)) for _ in range(6))
+    left = _mode_product([a, b, e]) @ _mode_product([c, d, f])
+    right = np.kron(np.kron(a @ c, b @ d), e @ f)
     assert np.allclose(left.toarray(), right)
 
 
-def test_tensor_budget_guard(monkeypatch):
+def test_boson_basis_budget_guard(monkeypatch):
     monkeypatch.setenv("NAGAOKA_DIM_BUDGET", "8")
-    eye = SparseHermitian(sp.identity(3))
+    boson_basis.cache_clear()
+    assert boson_basis(3, 1).dimension == 8
     with pytest.raises(DimensionBudgetError):
-        tensor(eye, eye)
+        boson_basis(2, 3)
 
 
 def test_sparse_hermitian_flag_enforced():
     with pytest.raises(ValueError):
-        SparseHermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian=True)
-    ok = SparseHermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian=False)
-    assert not ok.hermitian
-    with pytest.raises(ValueError):
-        SparseHermitian(np.zeros((2, 3)), hermitian=True)
+        SparseHermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="must be square"):
+        SparseHermitian(np.zeros((2, 3)))
 
 
 @pytest.mark.parametrize("matrix, defect", [
@@ -159,8 +155,8 @@ def test_hermiticity_check_reads_unsorted_duplicate_entries():
     def unmirrored(value):
         return sp.csr_matrix(([value], ([2], [1])), shape=(3, 3))
 
-    assert SparseHermitian(mat).hermitian
-    assert SparseHermitian(mat + unmirrored(1e-15)).hermitian
+    SparseHermitian(mat)
+    SparseHermitian(mat + unmirrored(1e-15))
     with pytest.raises(ValueError):
         SparseHermitian(mat + unmirrored(1e-9))
 
@@ -219,7 +215,7 @@ def _fock_spin_squared(model, m):
     if float(basis.m) < max_m:
         low_above, _, _ = sector_lowering_fock(model, basis.m + 1)
         s2 = s2 + 0.5 * (low_above @ low_above.conjugate().T)
-    return SparseHermitian(s2.tocsr(), hermitian=True).matrix
+    return SparseHermitian(s2.tocsr()).matrix
 
 
 def _spin_identity_models():

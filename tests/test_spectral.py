@@ -473,7 +473,7 @@ def test_real_polaron_frame_reports_as_its_complex_cast(gamma, cutoff):
     for m in sector_magnetizations(4):
         h = assemble_lang_firsov_sector(model, m, cutoff=cutoff)
         assert h.op.matrix.dtype == np.float64
-        cast = replace(h, op=SparseHermitian(h.op.matrix.astype(complex), hermitian=True))
+        cast = replace(h, op=SparseHermitian(h.op.matrix.astype(complex)))
         _same_report(ground_report(h), ground_report(cast))
 
 
