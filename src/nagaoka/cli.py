@@ -38,10 +38,17 @@ from .hamiltonian import (
     assemble_nagaoka_sector,
     assemble_radiation_sector,
 )
+from .manybody import sector_spin_squared
 from .model import load_model
 from .positivity import pf_certificate, qgrid_holstein_certify
 from .sector import as_half_integer, connectivity_check, enumerate_sector, sector_magnetizations
-from .spectral import default_resolvent_z, ground_report, resolvent_gap
+from .spectral import (
+    default_resolvent_z,
+    ground_report,
+    resolvent_gap,
+    spin_flipped_report,
+    verified_spin_flip,
+)
 
 EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL = 0, 1, 2
 
@@ -139,6 +146,22 @@ def _resolvent_z(text: str) -> complex | None:
     return z
 
 
+def _u_list(text: str) -> list[float]:
+    """Comma-separated finite U values; empty tokens are skipped."""
+    us = []
+    for tok in filter(None, text.split(",")):
+        try:
+            u = float(tok)
+        except ValueError:
+            u = math.nan
+        if not math.isfinite(u):
+            raise argparse.ArgumentTypeError(f"every U must be a finite number, got {tok!r}")
+        us.append(u)
+    if not us:
+        raise argparse.ArgumentTypeError("no U values given")
+    return us
+
+
 def _map_jobs(fn, payloads, jobs: int) -> list:
     """``fn`` over ``payloads`` in order, on min(jobs, tasks, cpus) workers."""
     workers = min(jobs, len(payloads), os.cpu_count() or 1)
@@ -228,18 +251,46 @@ def _cmd_assemble(args) -> int:
     return EXIT_OK
 
 
+def _sector_jobs(model, form: str, ms, cutoff) -> list[tuple]:
+    """One job per requested sector M >= 0, which also reports -M when that
+    is requested, and one per M < 0 whose -M is not.  Jobs run in the order
+    of the lowest sector each reports, so the first failure is the one a
+    sector-by-sector run in ascending M meets first."""
+    wanted = set(ms)
+    jobs = []
+    for m in sorted(ms):
+        if m < 0 and -m in wanted:
+            jobs.append((model, form, -m, cutoff, True))
+        elif m <= 0 or -m not in wanted:
+            jobs.append((model, form, m, cutoff, False))
+    return jobs
+
+
+def _sector_reports(payload) -> list:
+    """Ground reports of one job of ``_sector_jobs``.  A paired job solves
+    M only; -M is assembled, verified to be the exact spin flip of M, and
+    reported from M's solve."""
+    model, form, m, cutoff, paired = payload
+    flip = _assemble(model, form, -m, cutoff) if paired else None
+    h = _assemble(model, form, m, cutoff)
+    s2 = sector_spin_squared(model, h.m)
+    if flip is None:
+        return [ground_report(h, s2)]
+    perm = verified_spin_flip(h, s2, flip, sector_spin_squared(model, flip.m))
+    rep = ground_report(h, s2)
+    return [rep, spin_flipped_report(rep, perm)]
+
+
 def _ed_job(payload):
-    model, form, m, cutoff = payload
-    rep = ground_report(_assemble(model, form, m, cutoff))
-    return _frac(m), _spectral_row(rep)
+    return [(rep.m, _spectral_row(rep)) for rep in _sector_reports(payload)]
 
 
 def _cmd_ed(args) -> int:
     model = load_model(args.model)
     form = args.form or _pick_form(model)
-    jobs = [(model, form, m, args.cutoff) for m in _sectors(model, args)]
-    rows = _map_jobs(_ed_job, jobs, args.jobs)
-    rows.sort(key=lambda kv: Fraction(kv[0]))
+    jobs = _sector_jobs(model, form, _sectors(model, args), args.cutoff)
+    rows = sorted((kv for batch in _map_jobs(_ed_job, jobs, args.jobs) for kv in batch),
+                  key=lambda kv: kv[0])
     _emit(args, json.dumps(_report(args, [row for _, row in rows]), indent=2))
     return EXIT_OK
 
@@ -247,13 +298,11 @@ def _cmd_ed(args) -> int:
 def _cmd_spin(args) -> int:
     model = load_model(args.model)
     form = args.form or _pick_form(model)
-    rows = []
-    for m in sector_magnetizations(model.sites):
-        rep = ground_report(_assemble(model, form, m, args.cutoff))
-        rows.append((rep.m, rep))
+    jobs = _sector_jobs(model, form, sector_magnetizations(model.sites), args.cutoff)
+    reports = sorted((rep for job in jobs for rep in _sector_reports(job)), key=lambda rep: rep.m)
     lines = [f"{'M':>6} {'dim':>6} {'E0':>22} {'deg':>4} {'gap':>12} {'S':>5}"]
-    for m, rep in rows:
-        lines.append(f"{_frac(m):>6} {rep.dimension:>6} {rep.ground_energy:>22.15f} "
+    for rep in reports:
+        lines.append(f"{_frac(rep.m):>6} {rep.dimension:>6} {rep.ground_energy:>22.15f} "
                      f"{rep.degeneracy:>4} {rep.gap:>12.6e} {_frac(rep.resolved_s):>5}")
     _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
@@ -268,10 +317,7 @@ def _largeu_job(payload):
 def _cmd_largeu(args) -> int:
     model = load_model(args.model)
     z = default_resolvent_z(model) if args.z is None else args.z
-    us = [float(tok) for tok in args.u_list.split(",") if tok]
-    if not us:
-        raise ModelValidationError("cli", "--u-list is empty")
-    pairs = _map_jobs(_largeu_job, [(model, u, z) for u in us], args.jobs)
+    pairs = _map_jobs(_largeu_job, [(model, u, z) for u in args.u_list], args.jobs)
     pairs.sort(key=lambda kv: kv[0])
     print(f"# command={' '.join(args.echo)} digest={_model_digest(args.model)} "
           f"z={z.real!r},{z.imag!r}", file=sys.stderr)
@@ -292,11 +338,12 @@ def _certificate_row(m, cert, **extra) -> dict:
 
 
 def _cmd_certify(args) -> int:
+    if (args.qgrid is None) != (args.spacing is None):
+        raise ModelValidationError(
+            "cli", "--spacing needs --qgrid" if args.qgrid is None else "--qgrid needs --spacing")
     model = load_model(args.model)
     rows = []
     if args.qgrid is not None:
-        if args.spacing is None:
-            raise ModelValidationError("cli", "--qgrid needs --spacing")
         for m in _sectors(model, args):
             res = qgrid_holstein_certify(model, m, args.qgrid, args.spacing)
             rows.append(_certificate_row(m, res.certificate, ground_energy=res.ground_energy,
@@ -378,7 +425,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("largeu", help="resolvent distance sweep over U")
     common(p, sector=False)
-    p.add_argument("--u-list", required=True, help="comma-separated U values")
+    p.add_argument("--u-list", type=_u_list, required=True,
+                   help="comma-separated finite U values")
     p.add_argument("--z", type=_resolvent_z, default="auto",
                    help="auto or RE,IM (finite, IM nonzero)")
     p.set_defaults(func=_cmd_largeu)

@@ -13,7 +13,9 @@ Hole moves along nonzero hopping bonds turn each sector into an undirected
 graph whose connectivity is the combinatorial heart of the one-hole
 ferromagnetism results.  ``hole_moves`` applies the move rule to a whole
 basis at once; the scalar ``apply_move`` is the same rule for one
-configuration, and the tests hold the vectorized rule to it.
+configuration, and the tests hold the vectorized rule to it.  Global spin
+inversion, ``spin_flip``, maps sector M onto sector -M configuration by
+configuration; hole moves commute with it.
 """
 
 from __future__ import annotations
@@ -117,8 +119,11 @@ class SectorBasis:
 
 def enumerate_sector(model: LatticeModel, m) -> SectorBasis:
     """Complete, duplicate-free, canonically ordered basis of sector M."""
+    return _sector_basis(model.sites, m)
+
+
+def _sector_basis(sites: int, m) -> SectorBasis:
     frac = as_half_integer(m)
-    sites = model.sites
     if sites > MAX_SITES:
         raise ModelValidationError(
             "size", f"{sites} sites; sector bases hold at most {MAX_SITES} sites")
@@ -138,6 +143,17 @@ def enumerate_sector(model: LatticeModel, m) -> SectorBasis:
     holes = np.repeat(hole.ravel(), free.size)
     assert holes.size == dim
     return SectorBasis(sites=sites, m=frac, holes=holes, masks=masks.ravel())
+
+
+def spin_flip(basis: SectorBasis) -> tuple[SectorBasis, np.ndarray]:
+    """Global spin inversion from sector M to sector -M: the -M basis and,
+    for each configuration of ``basis``, the row of its image there.  The
+    hole stays put and every spin flips, so the up mask becomes its
+    complement on the occupied sites."""
+    sites = basis.sites
+    flipped = _sector_basis(sites, -basis.m)
+    masks = ~basis.masks & ((1 << sites) - 1) & ~(1 << basis.holes)
+    return flipped, flipped.rank(basis.holes, masks)
 
 
 def apply_move(config: HoleSpinConfig, frm: int, to: int) -> HoleSpinConfig | None:

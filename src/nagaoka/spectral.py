@@ -33,11 +33,16 @@ ground level (Perron-Frobenius).
 Total spin is resolved on the whole degenerate ground cluster, so a cluster
 that mixes spins is reported by its content instead of by one arbitrary
 vector.
+
+Every form is spin-blind, so global spin inversion maps sector M onto
+sector -M and a report of M is a report of -M.  It is used only after the
+assembled -M matrices have been checked to be exactly the inverted M ones,
+an O(nnz) comparison of CSR arrays instead of a second solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -46,7 +51,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .errors import AmbiguousSpinError, ConvergenceError, guard_dimension
+from .errors import AmbiguousSpinError, ConvergenceError, InconsistencyError, guard_dimension
 from .hamiltonian import SectorHamiltonian, assemble_hubbard_full
 from .manybody import (
     SparseHermitian,
@@ -56,6 +61,7 @@ from .manybody import (
     sector_spin_squared,
 )
 from .model import LatticeModel
+from .sector import spin_flip
 
 RESIDUAL_TOL = 1e-10
 CLUSTER_TOL = 1e-8
@@ -355,6 +361,50 @@ def ground_report(h: SectorHamiltonian, spin_ops: SparseHermitian | None = None)
         sector_dimension=h.basis.dimension,
         boson_dimension=None if h.boson is None else h.boson.dimension,
         cutoff=h.cutoff, ground_vector=v0)
+
+
+def _permuted(mat: sp.csr_matrix, perm: np.ndarray) -> sp.csr_matrix:
+    """Canonical CSR of the matrix whose entry (i, j) is mat[perm[i], perm[j]]."""
+    out = mat[perm][:, perm]
+    out.sort_indices()
+    return out
+
+
+def _same_csr(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
+    return a.dtype == b.dtype and all(np.array_equal(getattr(a, name), getattr(b, name))
+                                      for name in ("indptr", "indices", "data"))
+
+
+def verified_spin_flip(h: SectorHamiltonian, spin_ops: SparseHermitian,
+                       h_flip: SectorHamiltonian, spin_ops_flip: SparseHermitian) -> np.ndarray:
+    """Row in the space of ``h_flip`` (sector -M) of each row of ``h``
+    (sector M) under global spin inversion, boson states unchanged.
+
+    Raises InconsistencyError unless ``h_flip`` and its S^2 ``spin_ops_flip``,
+    permuted by the inversion, equal ``h`` and ``spin_ops`` as CSR arrays
+    (dtype, indptr, indices and data), which holds exactly for a spin-blind
+    form."""
+    if h_flip.m != -h.m or h_flip.dimension != h.dimension:
+        raise InconsistencyError(f"sector M = {h_flip.m} ({h_flip.dimension} states) is not "
+                                 f"the spin flip of M = {h.m} ({h.dimension} states)")
+    _, rows = spin_flip(h.basis)
+    nb = 1 if h.boson is None else h.boson.dimension
+    perm = (rows[:, None] * nb + np.arange(nb)).ravel()
+    for what, mat, flip, p in (("H", as_matrix(h), as_matrix(h_flip), perm),
+                               ("S^2", spin_ops.matrix, spin_ops_flip.matrix, rows)):
+        if not _same_csr(_permuted(flip, p), mat):
+            raise InconsistencyError(f"{what} of sector M = {h_flip.m} is not the spin flip of "
+                                     f"{what} of M = {h.m}; the form is not spin-blind")
+    return perm
+
+
+def spin_flipped_report(report: SpectralReport, perm: np.ndarray) -> SpectralReport:
+    """The report of sector -M read off the ``report`` of M, with ``perm``
+    from ``verified_spin_flip``: the same levels, spin and dimensions, and
+    the ground vector carried over by the inversion."""
+    v = np.empty_like(report.ground_vector)
+    v[perm] = report.ground_vector
+    return replace(report, m=-report.m, ground_vector=v)
 
 
 def _full_space_pieces(model: LatticeModel):

@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nagaoka.cli import main
 from nagaoka.model import generate_lattice
@@ -397,7 +398,7 @@ class _RecordingExecutor:
 
 @pytest.mark.parametrize("jobs, cpus, expected", [
     ("64", 2, [2]),          # capped by the CPU count
-    ("64", 8, [3]),          # capped by the three sectors
+    ("64", 8, [2]),          # capped by the two solved sectors (M = -1 is the flip of M = 1)
     ("2", 8, [2]),
     ("1", 8, []),            # serial: no executor at all
 ])
@@ -430,3 +431,149 @@ def test_reproduce_subset(capsys, tmp_path):
     summary = json.loads(target.read_text())
     assert summary["all_passed"]
     assert [row["criterion"] for row in summary["results"]] == [2, 3, 9]
+
+
+HOLSTEIN_COMPLETE4 = ("[lattice]\nsites = 4\ngenerator = complete\nextent = 4\nt = 1.0\n"
+                      "[coulomb]\nu = inf\n[phonon]\nomega = 1.0\ncutoff = 2\n"
+                      + "".join(f"{x} {x} 0.5\n" for x in range(4)))
+
+CORPUS_FILES = {"pair2": ("complete", "2"), "chain3": ("chain", "3"),
+                "triangle3": ("complete", "3"), "cycle4": ("square_patch", "2x2"),
+                "complete4": ("complete", "4"), "square_diag4": ("triangular_patch", "2x2")}
+
+
+def _corpus_file(tmp_path, name):
+    generator, extent = CORPUS_FILES[name]
+    sites = int(np.prod([int(n) for n in extent.split("x")]))
+    path = tmp_path / f"{name}.ini"
+    path.write_text(f"[lattice]\nsites = {sites}\ngenerator = {generator}\nextent = {extent}\n"
+                    "t = 1.0\n[coulomb]\nu = inf\n")
+    return str(path)
+
+
+def run_err(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err.split("# wall time")[0]
+
+
+def _negative_rows_match_direct_solves(capsys, path, *extra):
+    code, out, err = run_err(capsys, "ed", "--all", "--model", path, *extra)
+    if code != 0:
+        return code, err
+    for row in json.loads(out)["results"]:
+        if Fraction(row["m"]) >= 0:
+            continue
+        code, direct, _ = run_err(capsys, "ed", f"--m={row['m']}", "--model", path, *extra)
+        assert code == 0
+        (solved,) = json.loads(direct)["results"]
+        for key, value in row.items():
+            if isinstance(value, float):
+                assert abs(value - solved[key]) <= 1e-12, (path, row["m"], key)
+            else:
+                assert value == solved[key], (path, row["m"], key)
+    return code, err
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_FILES))
+def test_negative_sectors_of_ed_all_match_direct_solves_on_the_corpus(capsys, tmp_path, name):
+    path = _corpus_file(tmp_path, name)
+    code, err = _negative_rows_match_direct_solves(capsys, path)
+    if name == "chain3":
+        # the mixed-spin M = 0 cluster fails the same way by both routes
+        direct = run_err(capsys, "ed", "--m", "0", "--model", path)
+        assert code == direct[0] == 2
+        assert err == direct[2] and "holds S = 0, 1" in err
+    else:
+        assert code == 0
+
+
+@pytest.mark.parametrize("form", ["holstein", "langfirsov", "radiation"])
+def test_negative_sectors_of_ed_all_match_direct_solves_with_bosons(capsys, tmp_path,
+                                                                    radiation_file, form):
+    path, extra = radiation_file, ()
+    if form != "radiation":
+        path, extra = tmp_path / "holstein4.ini", ("--form", form, "--cutoff", "2")
+        path.write_text(HOLSTEIN_COMPLETE4)
+    assert _negative_rows_match_direct_solves(capsys, str(path), *extra)[0] == 0
+
+
+@pytest.mark.parametrize("command", ["ed", "spin"])
+def test_only_nonnegative_sectors_are_solved(capsys, tmp_path, monkeypatch, command):
+    import nagaoka.cli as cli
+
+    solved = []
+    real = cli.ground_report
+    monkeypatch.setattr(cli, "ground_report", lambda h, s2: solved.append(h.m) or real(h, s2))
+    argv = [command, "--model", _corpus_file(tmp_path, "complete4")]
+    code, out = run(capsys, *argv, *(["--all"] if command == "ed" else []))
+    assert code == 0
+    assert sorted(solved) == [Fraction(1, 2), Fraction(3, 2)]
+    if command == "ed":
+        assert [row["m"] for row in json.loads(out)["results"]] == ["-3/2", "-1/2", "1/2", "3/2"]
+
+
+def test_spin_table_reports_negative_sectors_from_positive_ones(capsys, holstein_file):
+    code, out = run(capsys, "spin", "--model", holstein_file)
+    assert code == 0
+    header, low, high = out.strip().splitlines()
+    assert (low.split()[0], high.split()[0]) == ("-1/2", "1/2")
+    assert low.split()[1:] == high.split()[1:]
+
+
+def test_ed_all_exits_2_when_a_sector_is_not_the_spin_flip(capsys, tmp_path, monkeypatch):
+    import nagaoka.cli as cli
+    from nagaoka.hamiltonian import SectorHamiltonian
+    from nagaoka.manybody import SparseHermitian
+
+    real = cli._assemble
+
+    def zeeman_at_negative_m(model, form, m, cutoff):
+        h = real(model, form, m, cutoff)
+        if m >= 0:
+            return h
+        field = sp.diags(0.1 * (h.basis.masks & 1))              # a field on site 0's spin
+        return SectorHamiltonian(model=h.model, m=h.m, basis=h.basis, provenance=h.provenance,
+                                 op=SparseHermitian(h.op.matrix + field))
+
+    monkeypatch.setattr(cli, "_assemble", zeeman_at_negative_m)
+    path = _corpus_file(tmp_path, "complete4")
+    code, out, err = run_err(capsys, "ed", "--all", "--model", path)
+    assert code == 2 and out == ""
+    assert "numerical failure: H of sector M = -1/2 is not the spin flip of H of M = 1/2" in err
+
+
+def test_paired_jobs_rerun_and_spread_identically(capsys, tmp_path):
+    path = tmp_path / "holstein4.ini"
+    path.write_text(HOLSTEIN_COMPLETE4)
+    argv = ["ed", "--all", "--form", "holstein", "--cutoff", "2", "--model", str(path)]
+    _, first = run(capsys, *argv)
+    _, again = run(capsys, *argv)
+    _, spread = run(capsys, *argv, "--jobs", "2")
+    assert first == again
+    assert spread == first.replace(str(path), f"{path} --jobs 2")
+
+
+def test_certify_spacing_needs_qgrid(capsys, holstein_file):
+    code, out, err = run_err(capsys, "certify", "--all", "--spacing", "0.2",
+                             "--model", holstein_file)
+    assert code == 1 and out == ""
+    assert "--spacing needs --qgrid" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("u_list", ["nan", "inf", "-inf", "abc", "100,nan", "1e3,x2"])
+def test_largeu_u_list_is_validated_by_the_parser(capsys, u_list):
+    # the model is never read: the bad token is named first
+    code, out, err = run_err(capsys, "largeu", f"--u-list={u_list}", "--model", "missing.ini")
+    bad = u_list.split(",")[-1]
+    assert code == 1 and out == ""
+    assert f"--u-list: every U must be a finite number, got {bad!r}" in err
+    assert "Traceback" not in err
+
+
+def test_largeu_u_list_accepts_zero_and_negative_u(capsys, triangle_file):
+    code, out = run(capsys, "largeu", "--model", triangle_file, "--u-list=-5,0,100")
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["-5.0", "0.0", "100.0"]
+    code, _, err = run_err(capsys, "largeu", "--model", triangle_file, "--u-list", ",")
+    assert code == 1 and "--u-list: no U values given" in err

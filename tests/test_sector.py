@@ -16,6 +16,7 @@ from nagaoka.sector import (
     find_connector,
     hole_moves,
     sector_magnetizations,
+    spin_flip,
 )
 
 
@@ -203,6 +204,27 @@ def test_spin_flip_symmetry():
             b = connectivity_check(model, -m)
             assert a.connected == b.connected
             assert sorted(a.orbit_sizes) == sorted(b.orbit_sizes)
+
+
+def test_spin_flip_is_an_involution_that_keeps_holes():
+    for name, model in oracle_models().items():
+        full = (1 << model.sites) - 1
+        for m in sector_magnetizations(model.sites):
+            basis = enumerate_sector(model, m)
+            flipped, rows = spin_flip(basis)
+            target = enumerate_sector(model, -m)
+            assert flipped.m == -basis.m and flipped.sites == basis.sites, (name, m)
+            assert np.array_equal(flipped.holes, target.holes)
+            assert np.array_equal(flipped.masks, target.masks)
+            assert np.array_equal(np.sort(rows), np.arange(basis.dimension))
+            assert np.array_equal(flipped.holes[rows], basis.holes)
+            images = flipped.masks[rows]
+            assert np.all(images & basis.masks == 0)
+            assert np.all(images | basis.masks | (1 << basis.holes) == full)
+            assert np.all(np.bitwise_count(images) == model.sites - 1 - basis.n_up)
+            back, rows_back = spin_flip(flipped)
+            assert back.m == basis.m
+            assert np.array_equal(rows_back[rows], np.arange(basis.dimension))
 
 
 def test_identity_connector():
