@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -38,11 +39,11 @@ from .hamiltonian import (
     assemble_nagaoka_sector,
     assemble_radiation_sector,
 )
-from .manybody import sector_spin_squared
 from .model import load_model
 from .positivity import pf_certificate, qgrid_holstein_certify
 from .sector import as_half_integer, connectivity_check, enumerate_sector, sector_magnetizations
 from .spectral import (
+    _ground_cluster,
     default_resolvent_z,
     ground_report,
     resolvent_gap,
@@ -54,7 +55,12 @@ EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL = 0, 1, 2
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems with exit code 1."""
+    """argparse that reports usage problems with exit code 1 and reads a
+    negative fraction such as -1/2 as a value, as it reads -1 or -0.5."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -96,18 +102,14 @@ def _emit(args, text: str):
         print(text, end="" if text.endswith("\n") else "\n")
 
 
-def _frac(value: Fraction) -> str:
-    return str(value)
-
-
 def _spectral_row(rep) -> dict:
     return {
-        "m": _frac(rep.m),
+        "m": str(rep.m),
         "ground_energy": rep.ground_energy,
         "degeneracy": rep.degeneracy,
         "gap": rep.gap,
         "stot2_expectation": rep.stot2_expectation,
-        "resolved_s": _frac(rep.resolved_s),
+        "resolved_s": str(rep.resolved_s),
         "dimension": rep.dimension,
         "sector_dimension": rep.sector_dimension,
         "boson_dimension": rep.boson_dimension,
@@ -200,7 +202,7 @@ def _cmd_basis(args) -> int:
     rows = []
     for m in _sectors(model, args):
         basis = enumerate_sector(model, m)
-        row = {"m": _frac(basis.m), "dimension": basis.dimension}
+        row = {"m": str(basis.m), "dimension": basis.dimension}
         if args.list:
             row["configs"] = [{"hole": c.hole, "up_mask": c.up_mask}
                               for c in basis.configs]
@@ -214,7 +216,7 @@ def _cmd_connectivity(args) -> int:
     rows = []
     for m in _sectors(model, args):
         rep = connectivity_check(model, m)
-        rows.append({"m": _frac(rep.m), "dimension": rep.dimension,
+        rows.append({"m": str(rep.m), "dimension": rep.dimension,
                      "connected": rep.connected,
                      "orbit_sizes": list(rep.orbit_sizes)})
     _emit(args, json.dumps(_report(args, rows), indent=2))
@@ -235,7 +237,7 @@ def _cmd_assemble(args) -> int:
         m = _parse_m(args.m) if args.m is not None else sector_magnetizations(model.sites)[-1]
         sector_h = _assemble(model, args.form, m, args.cutoff)
         op = sector_h.op
-        header = {"form": args.form, "m": _frac(sector_h.m),
+        header = {"form": args.form, "m": str(sector_h.m),
                   "dimension": op.dimension, "provenance": sector_h.provenance,
                   "dropped_constant": sector_h.dropped_constant,
                   "cutoff": sector_h.cutoff}
@@ -271,13 +273,11 @@ def _sector_reports(payload) -> list:
     M only; -M is assembled, verified to be the exact spin flip of M, and
     reported from M's solve."""
     model, form, m, cutoff, paired = payload
-    flip = _assemble(model, form, -m, cutoff) if paired else None
     h = _assemble(model, form, m, cutoff)
-    s2 = sector_spin_squared(model, h.m)
-    if flip is None:
-        return [ground_report(h, s2)]
-    perm = verified_spin_flip(h, s2, flip, sector_spin_squared(model, flip.m))
-    rep = ground_report(h, s2)
+    if not paired:
+        return [ground_report(h)]
+    perm = verified_spin_flip(h, _assemble(model, form, -m, cutoff))
+    rep = ground_report(h)
     return [rep, spin_flipped_report(rep, perm)]
 
 
@@ -299,11 +299,12 @@ def _cmd_spin(args) -> int:
     model = load_model(args.model)
     form = args.form or _pick_form(model)
     jobs = _sector_jobs(model, form, sector_magnetizations(model.sites), args.cutoff)
-    reports = sorted((rep for job in jobs for rep in _sector_reports(job)), key=lambda rep: rep.m)
+    rows = sorted((kv for batch in _map_jobs(_ed_job, jobs, args.jobs) for kv in batch),
+                  key=lambda kv: kv[0])
     lines = [f"{'M':>6} {'dim':>6} {'E0':>22} {'deg':>4} {'gap':>12} {'S':>5}"]
-    for rep in reports:
-        lines.append(f"{_frac(rep.m):>6} {rep.dimension:>6} {rep.ground_energy:>22.15f} "
-                     f"{rep.degeneracy:>4} {rep.gap:>12.6e} {_frac(rep.resolved_s):>5}")
+    for _, row in rows:
+        lines.append(f"{row['m']:>6} {row['dimension']:>6} {row['ground_energy']:>22.15f} "
+                     f"{row['degeneracy']:>4} {row['gap']:>12.6e} {row['resolved_s']:>5}")
     _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -329,7 +330,7 @@ def _cmd_largeu(args) -> int:
 
 
 def _certificate_row(m, cert, **extra) -> dict:
-    return {"m": _frac(m), "basis": cert.basis_tag,
+    return {"m": str(m), "basis": cert.basis_tag,
             "offdiag_sign_ok": cert.offdiag_sign_ok,
             "irreducible": cert.irreducible,
             "ground_unique": cert.ground_unique,
@@ -352,8 +353,8 @@ def _cmd_certify(args) -> int:
     else:
         for m in _sectors(model, args):
             h = assemble_nagaoka_sector(model, m)
-            rep = ground_report(h)
-            rows.append(_certificate_row(m, pf_certificate(h, rep.ground_vector, rep.degeneracy)))
+            _, _, degeneracy, _, v0 = _ground_cluster(h.op.matrix)
+            rows.append(_certificate_row(m, pf_certificate(h, v0, degeneracy)))
     _emit(args, json.dumps(_report(args, rows), indent=2))
     return EXIT_OK
 
@@ -380,7 +381,7 @@ def build_parser() -> _Parser:
                                  "ferromagnetism in Hubbard-type models")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, model=True, sector=True, cutoff=False, form=False):
+    def common(p, model=True, sector=True, cutoff=False, form=False, jobs=False):
         if model:
             p.add_argument("--model", required=True, help="model file path")
         if sector:
@@ -395,8 +396,9 @@ def build_parser() -> _Parser:
                            choices=["nagaoka", "holstein", "langfirsov", "radiation"],
                            default=None, help="Hamiltonian form (default: by model content)")
         p.add_argument("--out", default=None, help="write the payload to a file")
-        p.add_argument("--jobs", type=_positive_int, default=1,
-                       help="parallel workers (>= 1; capped at the task and CPU counts)")
+        if jobs:
+            p.add_argument("--jobs", type=_positive_int, default=1,
+                           help="parallel workers (>= 1; capped at the task and CPU counts)")
 
     p = sub.add_parser("basis", help="sector dimensions and configurations")
     common(p)
@@ -416,15 +418,15 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_assemble)
 
     p = sub.add_parser("ed", help="ground-state reports per sector")
-    common(p, cutoff=True, form=True)
+    common(p, cutoff=True, form=True, jobs=True)
     p.set_defaults(func=_cmd_ed)
 
     p = sub.add_parser("spin", help="per-sector total-spin table")
-    common(p, sector=False, cutoff=True, form=True)
+    common(p, sector=False, cutoff=True, form=True, jobs=True)
     p.set_defaults(func=_cmd_spin)
 
     p = sub.add_parser("largeu", help="resolvent distance sweep over U")
-    common(p, sector=False)
+    common(p, sector=False, jobs=True)
     p.add_argument("--u-list", type=_u_list, required=True,
                    help="comma-separated finite U values")
     p.add_argument("--z", type=_resolvent_z, default="auto",
@@ -465,6 +467,12 @@ def main(argv=None) -> int:
             DimensionBudgetError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to devnull,
+        # so the interpreter's final flush does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the whole payload was written", file=sys.stderr)
+        return EXIT_VALIDATION
     print(f"# wall time {time.perf_counter() - start:.3f}s", file=sys.stderr)
     return code
 

@@ -20,9 +20,10 @@ artifacts surface as cutoff convergence failures rather than crashes.
 
 Spin resolution on the magnetization sectors never builds the Fock space:
 the lowering map between adjacent sectors comes from the direct rule (flip
-one up spin, coefficient +1).  The Fock space is the finite-U space and the
-oracle of the sector forms; ``sector_lowering_fock`` is the fermionic S-
-restricted to the signed sector vectors.
+one up spin, coefficient +1), and the spectral layer reads total spin off
+that one map.  The Fock space is the finite-U space and the oracle of the
+sector forms; ``sector_lowering_fock`` is the fermionic S- restricted to
+the signed sector vectors.
 """
 
 from __future__ import annotations
@@ -302,8 +303,8 @@ def _lowering_matrix(basis_hi: SectorBasis, basis_lo: SectorBasis) -> sp.csr_mat
     """S- from sector M to M-1 by the direct rule: every up spin of a
     configuration flips to down with coefficient +1.
 
-    The result is canonical CSR (sorted indices, no explicit zeros), so the
-    S^2 built from it has the same CSR arrays as the one built from
+    The result is canonical CSR (sorted indices, no explicit zeros), so
+    products built from it have the same CSR arrays as those built from
     ``sector_lowering_fock``.
     """
     holes, masks = basis_hi.holes, basis_hi.masks
@@ -344,20 +345,3 @@ def sector_lowering_fock(model: LatticeModel, m) -> tuple[sp.csr_matrix, SectorB
     mat = projected_restriction(sminus, rows_lo, signs_lo, rows_hi, signs_hi)
     return mat, basis_hi, basis_lo
 
-
-def sector_spin_squared(model: LatticeModel, m) -> SparseHermitian:
-    """Total-spin Casimir restricted to one magnetization sector:
-    M^2 + (L*L + L_+ L_+*) / 2, with L the lowering map out of M and L_+
-    the one into it."""
-    basis = enumerate_sector(model, m)
-    n = basis.dimension
-    m_frac = basis.m
-    max_m = (model.sites - 1) / 2
-    s2 = float(m_frac) ** 2 * sp.identity(n, format="csr")
-    if float(m_frac) > -max_m:
-        low = _lowering_matrix(basis, enumerate_sector(model, m_frac - 1))
-        s2 = s2 + 0.5 * (low.conjugate().T @ low)
-    if float(m_frac) < max_m:
-        low_above = _lowering_matrix(enumerate_sector(model, m_frac + 1), basis)
-        s2 = s2 + 0.5 * (low_above @ low_above.conjugate().T)
-    return SparseHermitian(s2.tocsr())

@@ -30,14 +30,16 @@ block whose off-diagonal entries are all negative skips the guard when its
 cluster holds one vector: a connected block of that sign has a simple
 ground level (Perron-Frobenius).
 
-Total spin is resolved on the whole degenerate ground cluster, so a cluster
-that mixes spins is reported by its content instead of by one arbitrary
-vector.
+Total spin is resolved on the whole degenerate ground cluster V, so a
+cluster that mixes spins is reported by its content instead of by one
+arbitrary vector.  It is read off the ladder map A out of sector M away
+from M = 0 (S+ for M >= 0, S- for M < 0, into a sector never larger than
+M's): V*S^2V = |M|(|M| + 1) I + (AV)*(AV), and an end sector needs no map.
 
 Every form is spin-blind, so global spin inversion maps sector M onto
 sector -M and a report of M is a report of -M.  It is used only after the
-assembled -M matrices have been checked to be exactly the inverted M ones,
-an O(nnz) comparison of CSR arrays instead of a second solve.
+assembled -M matrix has been checked to be exactly the inverted M one, an
+O(nnz) comparison of CSR arrays instead of a second solve.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from .manybody import (
     boson_basis,
     build_gutzwiller,
     full_fock_basis,
-    sector_spin_squared,
+    sector_lowering,
 )
 from .model import LatticeModel
 from .sector import spin_flip
@@ -158,7 +160,7 @@ class SpectralReport:
     sector_dimension: int
     boson_dimension: int | None = None
     cutoff: int | None = None
-    # ground vector of the lowest block; kept for certificates, never serialized
+    # ground vector of the lowest block; carried to -M by the spin flip, never serialized
     ground_vector: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
@@ -307,21 +309,29 @@ def _block_levels(mat: sp.csr_matrix):
     return parts, e0
 
 
-def _cluster_spin(parts, e0: float, tol: float, s2_mat: sp.csr_matrix):
-    """<S^2> and S of the ground cluster, from the eigenvalues of V*S^2V
-    over every cluster vector of every block; raises when the cluster holds
-    more than one total spin."""
-    rows, cols, data = [], [], []
-    n = 0
-    for idx, _, vals, vecs in parts:
-        c = int(np.count_nonzero(vals - e0 <= tol))
-        rows.append(np.repeat(idx, c))
-        cols.append(np.tile(np.arange(n, n + c), idx.size))
-        data.append(vecs[:, :c].ravel())
-        n += c
-    v = sp.csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(s2_mat.shape[0], n))
-    s2_levels = np.linalg.eigvalsh((v.conjugate().T @ (s2_mat @ v)).toarray())
+def _spin_ladder(h: SectorHamiltonian) -> sp.spmatrix | None:
+    """The ladder map out of the sector of ``h`` away from M = 0 by the
+    direct rule: S+ into M + 1 (the transposed lowering map from M + 1)
+    when M >= 0, S- into M - 1 when M < 0; None at an end sector."""
+    if 2 * abs(h.m) == h.model.sites - 1:
+        return None
+    if h.m >= 0:
+        return sector_lowering(h.model, h.m + 1)[0].T
+    return sector_lowering(h.model, h.m)[0]
+
+
+def _cluster_spin(v: np.ndarray, h: SectorHamiltonian):
+    """<S^2> and S of the ground cluster ``v`` of ``h``, from the
+    eigenvalues of V*S^2V; raises when the cluster holds more than one total
+    spin.  The ladder map acts on the electron index of V, reshaped to
+    (sector dimension, boson dimension * cluster size)."""
+    n, m = v.shape[1], abs(float(h.m))
+    s2 = m * (m + 1) * np.eye(n)
+    ladder = _spin_ladder(h)
+    if ladder is not None:
+        av = (ladder @ v.reshape(h.basis.dimension, -1)).reshape(-1, n)
+        s2 = s2 + av.conj().T @ av
+    s2_levels = np.linalg.eigvalsh(s2)
     content = sorted({resolve_total_spin(float(x)) for x in s2_levels})
     if len(content) > 1:
         raise AmbiguousSpinError(
@@ -331,30 +341,31 @@ def _cluster_spin(parts, e0: float, tol: float, s2_mat: sp.csr_matrix):
 
 
 def _ground_cluster(mat: sp.csr_matrix):
-    """Block levels of ``mat`` (see ``_block_levels``), its ground energy,
-    the degeneracy and gap of its ground cluster, and the ground vector of
-    the lowest block embedded in the whole space."""
+    """The ground cluster of ``mat`` from its block levels (see
+    ``_block_levels``): every cluster vector of every block embedded in the
+    whole space as one column, the ground energy, the degeneracy and gap,
+    and the ground vector of the lowest block."""
     parts, e0 = _block_levels(mat)
-    dim = mat.shape[0]
+    tol = CLUSTER_TOL * (1.0 + abs(e0))
+    columns = []
+    for idx, _, vals, vecs in parts:
+        column = np.zeros((mat.shape[0], np.count_nonzero(vals - e0 <= tol)), vecs.dtype)
+        column[idx] = vecs[:, :column.shape[1]]
+        columns.append(column)
+    cluster = np.hstack(columns)
     levels = np.sort(np.concatenate([part[2] for part in parts]))
-    above = np.nonzero(levels - e0 > CLUSTER_TOL * (1.0 + abs(e0)))[0]
-    degeneracy = int(above[0]) if above.size else dim
-    gap = float(levels[above[0]] - e0) if above.size else 0.0
+    above = levels[levels - e0 > tol]
+    gap = float(above[0] - e0) if above.size else 0.0
     idx, _, _, vecs = min(parts, key=lambda part: part[2][0])
-    v0 = np.zeros(dim, dtype=vecs.dtype)
+    v0 = np.zeros(mat.shape[0], dtype=vecs.dtype)
     v0[idx] = vecs[:, 0]
-    return parts, e0, degeneracy, gap, v0
+    return cluster, e0, cluster.shape[1], gap, v0
 
 
-def ground_report(h: SectorHamiltonian, spin_ops: SparseHermitian | None = None) -> SpectralReport:
+def ground_report(h: SectorHamiltonian) -> SpectralReport:
     """Ground-state cluster, gap and resolved total spin of one sector."""
-    s2 = spin_ops if spin_ops is not None else sector_spin_squared(h.model, h.m)
-    s2_mat = s2.matrix
-    if h.boson is not None:
-        s2_mat = sp.kron(s2_mat, sp.identity(h.boson.dimension, format="csr"), format="csr")
-
-    parts, e0, degeneracy, gap, v0 = _ground_cluster(as_matrix(h))
-    s2_exp, resolved = _cluster_spin(parts, e0, CLUSTER_TOL * (1.0 + abs(e0)), s2_mat)
+    cluster, e0, degeneracy, gap, v0 = _ground_cluster(as_matrix(h))
+    s2_exp, resolved = _cluster_spin(cluster, h)
     return SpectralReport(
         m=h.m, ground_energy=float(e0), degeneracy=degeneracy, gap=gap,
         stot2_expectation=s2_exp, resolved_s=resolved, dimension=h.dimension,
@@ -375,26 +386,22 @@ def _same_csr(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
                                       for name in ("indptr", "indices", "data"))
 
 
-def verified_spin_flip(h: SectorHamiltonian, spin_ops: SparseHermitian,
-                       h_flip: SectorHamiltonian, spin_ops_flip: SparseHermitian) -> np.ndarray:
+def verified_spin_flip(h: SectorHamiltonian, h_flip: SectorHamiltonian) -> np.ndarray:
     """Row in the space of ``h_flip`` (sector -M) of each row of ``h``
     (sector M) under global spin inversion, boson states unchanged.
 
-    Raises InconsistencyError unless ``h_flip`` and its S^2 ``spin_ops_flip``,
-    permuted by the inversion, equal ``h`` and ``spin_ops`` as CSR arrays
-    (dtype, indptr, indices and data), which holds exactly for a spin-blind
-    form."""
+    Raises InconsistencyError unless ``h_flip``, permuted by the inversion,
+    equals ``h`` as CSR arrays (dtype, indptr, indices and data), which
+    holds exactly for a spin-blind form."""
     if h_flip.m != -h.m or h_flip.dimension != h.dimension:
         raise InconsistencyError(f"sector M = {h_flip.m} ({h_flip.dimension} states) is not "
                                  f"the spin flip of M = {h.m} ({h.dimension} states)")
     _, rows = spin_flip(h.basis)
     nb = 1 if h.boson is None else h.boson.dimension
     perm = (rows[:, None] * nb + np.arange(nb)).ravel()
-    for what, mat, flip, p in (("H", as_matrix(h), as_matrix(h_flip), perm),
-                               ("S^2", spin_ops.matrix, spin_ops_flip.matrix, rows)):
-        if not _same_csr(_permuted(flip, p), mat):
-            raise InconsistencyError(f"{what} of sector M = {h_flip.m} is not the spin flip of "
-                                     f"{what} of M = {h.m}; the form is not spin-blind")
+    if not _same_csr(_permuted(as_matrix(h_flip), perm), as_matrix(h)):
+        raise InconsistencyError(f"H of sector M = {h_flip.m} is not the spin flip of "
+                                 f"H of M = {h.m}; the form is not spin-blind")
     return perm
 
 

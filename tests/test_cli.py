@@ -1,11 +1,16 @@
 import json
-from fractions import Fraction
+import os
+import subprocess
+import sys
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import nagaoka
 from nagaoka.cli import main
 from nagaoka.model import generate_lattice
 
@@ -504,7 +509,7 @@ def test_only_nonnegative_sectors_are_solved(capsys, tmp_path, monkeypatch, comm
 
     solved = []
     real = cli.ground_report
-    monkeypatch.setattr(cli, "ground_report", lambda h, s2: solved.append(h.m) or real(h, s2))
+    monkeypatch.setattr(cli, "ground_report", lambda h: solved.append(h.m) or real(h))
     argv = [command, "--model", _corpus_file(tmp_path, "complete4")]
     code, out = run(capsys, *argv, *(["--all"] if command == "ed" else []))
     assert code == 0
@@ -552,6 +557,72 @@ def test_paired_jobs_rerun_and_spread_identically(capsys, tmp_path):
     _, spread = run(capsys, *argv, "--jobs", "2")
     assert first == again
     assert spread == first.replace(str(path), f"{path} --jobs 2")
+
+
+def test_spin_jobs_parallel_matches_serial(capsys, tmp_path):
+    path = tmp_path / "holstein4.ini"
+    path.write_text(HOLSTEIN_COMPLETE4)
+    argv = ["spin", "--form", "holstein", "--cutoff", "2", "--model", str(path)]
+    _, serial = run(capsys, *argv)
+    code, parallel = run(capsys, *argv, "--jobs", "2")
+    assert code == 0
+    assert parallel == serial
+
+
+@pytest.mark.parametrize("command", ["basis", "connectivity", "assemble", "certify"])
+def test_jobs_is_refused_where_it_does_not_act(capsys, triangle_file, command):
+    extra = ("--form", "nagaoka") if command == "assemble" else ("--all",)
+    code, out, err = run_err(capsys, command, *extra, "--jobs", "2", "--model", triangle_file)
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --jobs 2" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["ed", "basis"])
+@pytest.mark.parametrize("m", ["-1/2", "-3/2"])
+def test_negative_half_integer_sector_parses_without_equals(capsys, tmp_path, command, m):
+    path = _corpus_file(tmp_path, "complete4")
+    code, spaced = run(capsys, command, "--m", m, "--model", path)
+    _, glued = run(capsys, command, f"--m={m}", "--model", path)
+    assert code == 0
+    assert json.loads(spaced)["results"] == json.loads(glued)["results"]
+    assert json.loads(spaced)["results"][0]["m"] == m
+
+
+def test_negative_integer_sector_parses_and_a_flag_is_not_a_sector(capsys, tmp_path):
+    path = _corpus_file(tmp_path, "chain3")
+    code, out = run(capsys, "basis", "--m", "-1", "--model", path)
+    assert code == 0 and json.loads(out)["results"][0]["m"] == "-1"
+    code, out, err = run_err(capsys, "basis", "--m", "-x", "--model", path)
+    assert code == 1 and out == ""
+    assert "argument --m: expected one argument" in err
+
+
+def test_closed_stdout_pipe_exits_1_without_a_traceback(tmp_path):
+    path = tmp_path / "ring10.ini"
+    path.write_text("[lattice]\nsites = 10\ngenerator = ring\nextent = 10\nt = 1.0\n"
+                    "[coulomb]\nu = inf\n")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(Path(nagaoka.__file__).parents[1]),
+                                          os.environ.get("PYTHONPATH", "")])}
+    # about 300 kB of configurations: more than a pipe buffer holds
+    proc = subprocess.Popen([sys.executable, "-m", "nagaoka", "basis", "--all", "--list",
+                             "--model", str(path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert "stdout was closed" in err
+
+
+def test_certify_does_not_resolve_spin(capsys, tmp_path):
+    # chain3 M = 0: two orbits whose ground states carry S = 0 and S = 1;
+    # the certificate reports the reducible sector instead of a spin failure
+    code, out = run(capsys, "certify", "--all", "--model", _corpus_file(tmp_path, "chain3"))
+    assert code == 0
+    rows = {row["m"]: row for row in json.loads(out)["results"]}
+    assert not rows["0"]["irreducible"] and not rows["0"]["ground_unique"]
+    assert all(rows[m]["irreducible"] and rows[m]["ground_unique"] for m in ("-1", "1"))
 
 
 def test_certify_spacing_needs_qgrid(capsys, holstein_file):

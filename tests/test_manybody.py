@@ -22,12 +22,12 @@ from nagaoka.manybody import (
     sector_embedding,
     sector_lowering,
     sector_lowering_fock,
-    sector_spin_squared,
 )
 from nagaoka.model import LatticeModel, generate_lattice
 from nagaoka.sector import enumerate_sector, sector_magnetizations
 from nagaoka.spectral import as_matrix
 from occupation_oracle import build_fermion_op
+from spin_oracle import sector_spin_squared
 
 
 def test_car_anticommutator_is_identity():

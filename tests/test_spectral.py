@@ -194,11 +194,12 @@ def test_lanczos_on_reducible_sector_counts_every_orbit(monkeypatch):
     assert degeneracy == 5
     monkeypatch.setattr("nagaoka.spectral._use_lanczos", lambda mat: True)
     # the five ground states carry spins 1/2, 3/2 and 7/2, so the default
-    # call must refuse; a zero spin operator keeps the check on the levels
+    # call must refuse; a vanishing ladder map (S^2 = 3/4 everywhere) keeps
+    # the check on the levels
     with pytest.raises(AmbiguousSpinError, match=r"S = 1/2, 3/2, 7/2"):
         ground_report(h)
-    no_spin = SparseHermitian(sp.csr_matrix((h.basis.dimension, h.basis.dimension)))
-    rep = ground_report(h, no_spin)
+    monkeypatch.setattr("nagaoka.spectral._spin_ladder", lambda h: None)
+    rep = ground_report(h)
     assert abs(rep.ground_energy - energy) <= 1e-10
     assert rep.degeneracy == degeneracy
     assert abs(rep.gap - gap) <= 1e-9
@@ -209,12 +210,13 @@ def test_lanczos_on_reducible_sector_counts_every_orbit(monkeypatch):
 def test_lanczos_orbit_blocks_carry_the_boson_space(monkeypatch):
     # open 3-chain, M = 0 (orbits 3 + 3) with local phonons: 48 states.  The
     # two degenerate ground states carry different spin, so one vector has
-    # no sharp S; a zero spin operator keeps the check on the levels.
+    # no sharp S; a vanishing ladder map (S^2 = 0 at M = 0) keeps the check
+    # on the levels.
     h = assemble_holstein_sector(holstein_model(chain3(), 0.5, cutoff=1), 0)
-    no_spin = SparseHermitian(sp.csr_matrix((h.basis.dimension, h.basis.dimension)))
     energy, degeneracy, gap = _dense_levels(h)
     monkeypatch.setattr("nagaoka.spectral._use_lanczos", lambda mat: True)
-    rep = ground_report(h, no_spin)
+    monkeypatch.setattr("nagaoka.spectral._spin_ladder", lambda h: None)
+    rep = ground_report(h)
     assert abs(rep.ground_energy - energy) <= 1e-10
     assert rep.degeneracy == degeneracy == 2
     assert abs(rep.gap - gap) <= 1e-9
@@ -235,9 +237,10 @@ def test_ring8_counts_every_orbit_without_the_orbit_bfs(monkeypatch, lanczos):
     monkeypatch.setattr("nagaoka.sector.configuration_graph", no_bfs)
     if lanczos:
         monkeypatch.setattr("nagaoka.spectral._use_lanczos", lambda mat: True)
-    # a spin operator that is 3/4 everywhere: one S over the five-fold cluster
-    quarter = SparseHermitian(0.75 * sp.identity(h.basis.dimension, format="csr"))
-    rep = ground_report(h, quarter)
+    # a vanishing ladder map makes S^2 = 3/4 everywhere at M = 1/2: one S
+    # over the five-fold cluster
+    monkeypatch.setattr("nagaoka.spectral._spin_ladder", lambda h: None)
+    rep = ground_report(h)
     assert rep.degeneracy == degeneracy == 5
     assert rep.resolved_s == Fraction(1, 2)
     assert abs(rep.stot2_expectation - 0.75) <= 1e-12

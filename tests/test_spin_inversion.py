@@ -1,7 +1,8 @@
 """Global spin inversion: every form is spin-blind, so the assembled matrix
 and S^2 of sector -M are exactly those of sector M permuted by the flip.
 The permutation here is the scalar oracle: each configuration flipped on
-its own and looked up in a dict over the -M basis."""
+its own and looked up in a dict over the -M basis.  Production checks H
+only; the S^2 identity is checked here on the oracle's sector S^2."""
 
 from fractions import Fraction
 from functools import partial
@@ -21,7 +22,7 @@ from nagaoka.hamiltonian import (
     assemble_nagaoka_sector,
     assemble_radiation_sector,
 )
-from nagaoka.manybody import SparseHermitian, sector_spin_squared
+from nagaoka.manybody import SparseHermitian
 from nagaoka.model import LatticeModel, PhononBlock
 from nagaoka.sector import HoleSpinConfig, sector_magnetizations
 from nagaoka.spectral import (
@@ -31,6 +32,7 @@ from nagaoka.spectral import (
     verified_spin_flip,
 )
 from test_hamiltonian import OFFDIAGONAL_G, with_phonons
+from spin_oracle import sector_spin_squared
 from test_sector import oracle_models
 
 
@@ -64,7 +66,7 @@ def assert_exact_flip(h, h_flip):
     s2, s2_flip = (sector_spin_squared(h.model, m) for m in (h.m, h_flip.m))
     assert_same_csr(permuted(h_flip.op.matrix, perm), h.op.matrix)
     assert_same_csr(permuted(s2_flip.matrix, rows), s2.matrix)
-    assert np.array_equal(verified_spin_flip(h, s2, h_flip, s2_flip), perm)
+    assert np.array_equal(verified_spin_flip(h, h_flip), perm)
 
 
 def positive_sectors(sites: int) -> list[Fraction]:
@@ -155,9 +157,8 @@ def test_flipped_ground_vector_solves_the_flipped_sector(case):
     model, build = SOLVED_FORMS[case]
     for m in positive_sectors(model.sites):
         h, h_flip = build(model, m), build(model, -m)
-        s2 = sector_spin_squared(model, m)
-        perm = verified_spin_flip(h, s2, h_flip, sector_spin_squared(model, -m))
-        rep = ground_report(h, s2)
+        perm = verified_spin_flip(h, h_flip)
+        rep = ground_report(h)
         flipped = spin_flipped_report(rep, perm)
         assert flipped.m == -rep.m
         assert (flipped.ground_energy, flipped.degeneracy, flipped.gap, flipped.resolved_s) == \
@@ -172,14 +173,11 @@ def test_verified_spin_flip_rejects_a_spin_dependent_form():
     model = complete4()
     m = Fraction(1, 2)
     h, h_flip = assemble_nagaoka_sector(model, m), assemble_nagaoka_sector(model, -m)
-    s2, s2_flip = sector_spin_squared(model, m), sector_spin_squared(model, -m)
     field = sp.diags(0.1 * (h_flip.basis.masks & 1))             # a field on site 0's spin
     zeeman = type(h_flip)(model=model, m=h_flip.m, basis=h_flip.basis,
                           op=SparseHermitian(h_flip.op.matrix + field),
                           provenance=h_flip.provenance)
     with pytest.raises(InconsistencyError, match="not the spin flip"):
-        verified_spin_flip(h, s2, zeeman, s2_flip)
-    with pytest.raises(InconsistencyError, match="S\\^2"):
-        verified_spin_flip(h, s2, h_flip, SparseHermitian(2.0 * s2_flip.matrix))
+        verified_spin_flip(h, zeeman)
     with pytest.raises(InconsistencyError, match="is not the spin flip of M"):
-        verified_spin_flip(h, s2, h, s2)
+        verified_spin_flip(h, h)
