@@ -31,8 +31,8 @@ from nagaoka.spectral import (
     spin_flipped_report,
     verified_spin_flip,
 )
-from test_hamiltonian import OFFDIAGONAL_G, with_phonons
 from spin_oracle import sector_spin_squared
+from test_hamiltonian import OFFDIAGONAL_G, with_phonons
 from test_sector import oracle_models
 
 
