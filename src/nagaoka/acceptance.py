@@ -27,7 +27,7 @@ from .hamiltonian import (
     photon_modes,
     riemann_kernel,
 )
-from .manybody import boson_basis
+from .manybody import _csr, boson_basis
 from .model import LatticeModel, PhononBlock, RadiationBlock
 from .positivity import (
     diagonal_perturbation_equivalence,
@@ -314,7 +314,7 @@ def criterion_10() -> str:
     coupled = radiation_triangle(kappa=1.8)
     sub = transverse_mode_subset(coupled)
     bosons = boson_basis(len(sub), 2)
-    phase = peierls_unitary(coupled, sub, 0, 1, bosons).toarray()
+    phase = _csr([peierls_unitary(coupled, sub, 0, 1, bosons)], bosons.dimension).toarray()
     unitarity = float(np.max(np.abs(phase.conj().T @ phase - np.eye(phase.shape[0]))))
     assert unitarity <= 1e-12, f"phase unitarity defect {unitarity:.2e}"
 

@@ -21,8 +21,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
 from .acceptance import run_acceptance
 from .errors import (
@@ -117,11 +115,15 @@ def _spectral_row(rep) -> dict:
     }
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an integer >= ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"      # argparse names a non-integer "invalid int value"
+    return parse
 
 
 def _positive_float(text: str) -> float:
@@ -181,6 +183,15 @@ def _pick_form(model) -> str:
     return "nagaoka"
 
 
+def _refuse_ignored_options(args, form: str):
+    """Exit 1, naming the option, where ``form`` would ignore it."""
+    hubbard = form == "hubbard"
+    for option, ignored in (("cutoff", hubbard or form == "nagaoka"), ("u", not hubbard),
+                            ("m", hubbard)):
+        if ignored and getattr(args, option, None) is not None:
+            raise ModelValidationError("cli", f"--{option} does not apply to the {form} form")
+
+
 def _assemble(model, form: str, m, cutoff):
     if form == "nagaoka":
         return assemble_nagaoka_sector(model, m)
@@ -224,10 +235,11 @@ def _cmd_connectivity(args) -> int:
 
 
 def _cmd_assemble(args) -> int:
+    _refuse_ignored_options(args, args.form)
     model = load_model(args.model)
     if args.form == "hubbard":
         u = model.onsite_u if args.u is None else float(args.u)
-        if not np.isfinite(u):
+        if not math.isfinite(u):
             raise ModelValidationError(
                 "cli", "full-space assembly needs a finite U (pass --u)")
         op = assemble_hubbard_full(model, u)
@@ -243,12 +255,10 @@ def _cmd_assemble(args) -> int:
                   "cutoff": sector_h.cutoff}
     header.update(_report(args, None))
     header.pop("results")
-    coo = op.matrix.tocoo()
+    coo = op.matrix.tocoo()      # canonical CSR: row-major, columns sorted
     lines = [json.dumps(header), f"{op.shape[0]} {op.shape[1]} {coo.nnz}"]
-    order = np.lexsort((coo.col, coo.row))
-    data = coo.data[order]
     lines += [f"{r + 1} {c + 1} {re!r} {im!r}" for r, c, re, im in zip(
-        coo.row[order].tolist(), coo.col[order].tolist(), data.real.tolist(), data.imag.tolist())]
+        coo.row.tolist(), coo.col.tolist(), coo.data.real.tolist(), coo.data.imag.tolist())]
     _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -276,33 +286,34 @@ def _sector_reports(payload) -> list:
     h = _assemble(model, form, m, cutoff)
     if not paired:
         return [ground_report(h)]
-    perm = verified_spin_flip(h, _assemble(model, form, -m, cutoff))
+    verified_spin_flip(h, _assemble(model, form, -m, cutoff))
     rep = ground_report(h)
-    return [rep, spin_flipped_report(rep, perm)]
+    return [rep, spin_flipped_report(rep)]
 
 
 def _ed_job(payload):
     return [(rep.m, _spectral_row(rep)) for rep in _sector_reports(payload)]
 
 
-def _cmd_ed(args) -> int:
+def _ed_rows(args) -> list[dict]:
+    """Spectral rows of the requested sectors, ascending in M."""
     model = load_model(args.model)
     form = args.form or _pick_form(model)
+    _refuse_ignored_options(args, form)
     jobs = _sector_jobs(model, form, _sectors(model, args), args.cutoff)
     rows = sorted((kv for batch in _map_jobs(_ed_job, jobs, args.jobs) for kv in batch),
                   key=lambda kv: kv[0])
-    _emit(args, json.dumps(_report(args, [row for _, row in rows]), indent=2))
+    return [row for _, row in rows]
+
+
+def _cmd_ed(args) -> int:
+    _emit(args, json.dumps(_report(args, _ed_rows(args)), indent=2))
     return EXIT_OK
 
 
 def _cmd_spin(args) -> int:
-    model = load_model(args.model)
-    form = args.form or _pick_form(model)
-    jobs = _sector_jobs(model, form, sector_magnetizations(model.sites), args.cutoff)
-    rows = sorted((kv for batch in _map_jobs(_ed_job, jobs, args.jobs) for kv in batch),
-                  key=lambda kv: kv[0])
     lines = [f"{'M':>6} {'dim':>6} {'E0':>22} {'deg':>4} {'gap':>12} {'S':>5}"]
-    for _, row in rows:
+    for row in _ed_rows(args):
         lines.append(f"{row['m']:>6} {row['dimension']:>6} {row['ground_energy']:>22.15f} "
                      f"{row['degeneracy']:>4} {row['gap']:>12.6e} {row['resolved_s']:>5}")
     _emit(args, "\n".join(lines) + "\n")
@@ -389,7 +400,7 @@ def build_parser() -> _Parser:
             group.add_argument("--m", help="half-integer sector, e.g. 1/2 or -1")
             group.add_argument("--all", action="store_true", help="every sector")
         if cutoff:
-            p.add_argument("--cutoff", type=int, default=None,
+            p.add_argument("--cutoff", type=_int_at_least(0), default=None,
                            help="per-mode boson cutoff override")
         if form:
             p.add_argument("--form",
@@ -397,7 +408,7 @@ def build_parser() -> _Parser:
                            default=None, help="Hamiltonian form (default: by model content)")
         p.add_argument("--out", default=None, help="write the payload to a file")
         if jobs:
-            p.add_argument("--jobs", type=_positive_int, default=1,
+            p.add_argument("--jobs", type=_int_at_least(1), default=1,
                            help="parallel workers (>= 1; capped at the task and CPU counts)")
 
     p = sub.add_parser("basis", help="sector dimensions and configurations")
@@ -423,7 +434,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("spin", help="per-sector total-spin table")
     common(p, sector=False, cutoff=True, form=True, jobs=True)
-    p.set_defaults(func=_cmd_spin)
+    p.set_defaults(func=_cmd_spin, all=True)      # every sector
 
     p = sub.add_parser("largeu", help="resolvent distance sweep over U")
     common(p, sector=False, jobs=True)
@@ -435,7 +446,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("certify", help="positivity certificates per sector")
     common(p)
-    p.add_argument("--qgrid", type=_positive_int, default=None,
+    p.add_argument("--qgrid", type=_int_at_least(1), default=None,
                    help="grid points per mode (>= 1)")
     p.add_argument("--spacing", type=_positive_float, default=None,
                    help="grid spacing (finite, > 0)")

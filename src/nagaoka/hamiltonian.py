@@ -17,19 +17,21 @@ convention and is enforced by the test suite.
 The boson-dressed forms (full-space and sector Holstein, polaron frame,
 radiation, and the position-grid certificate of ``positivity``) all have
 the shape sum_k A_k (x) B_k: hole-move blocks per bond (x) a boson factor,
-an electron diagonal (x) I, and I (x) the field energy.  ``_kron_sum``
-builds any such sum in one COO assembly.  Every boson factor comes from
-single-mode factors through ``manybody``: a per-bond factor is a
-``_mode_product`` and a field energy or a coupling b*_y + b_y a
-``_mode_sum``.  The polaron and
-radiation phases exponentiate generators that act on one mode each, so
-they are exact products of (cutoff+1)-dimensional exponentials, and a
-mode the bond does not couple contributes an exact identity.  A factor
+an electron diagonal (x) I, and I (x) the field energy.  Each factor is
+held as (rows, cols, vals) index arrays, and ``_kron_sum`` builds the sum
+with one COO->CSR.  A bond's hop block is its slice of ``hole_moves``; a
+boson factor comes from dense single-mode factors through ``manybody``,
+a per-bond phase as a ``_mode_product``, a field energy or a coupling
+b*_y + b_y as a ``_mode_sum``.  The polaron and radiation phases
+exponentiate generators that act on one mode each, so they are exact
+products of (cutoff+1)-dimensional exponentials, and a mode the bond does
+not couple is an identity that costs index arithmetic only.  A factor
 whose amplitude is imaginary, as every polaron amplitude is for a real
-coupling matrix, is real orthogonal and stored as float64; so is the
-identity.  The polaron frame is therefore a real matrix, and a radiation
-form is complex only where a coupled mode has a coefficient with a real
-part.
+coupling matrix, is real orthogonal and stored as float64, so the polaron
+frame is real and a radiation form is complex only where a coupled mode
+has a coefficient with a real part.  No position receives more than two
+entries (boson diagonals are summed before they meet the electron
+diagonal), so the CSR arrays do not depend on the order of the terms.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,6 +51,7 @@ from .manybody import (
     BosonBasis,
     SparseHermitian,
     _bilinear,
+    _csr,
     _lowering,
     _mode_product,
     _mode_sum,
@@ -110,49 +114,49 @@ def _sector_diagonal(model: LatticeModel, basis: SectorBasis, dressed: bool = Fa
     return np.einsum("ix,xy,iy->i", occ, coulomb, occ) + occ @ potential
 
 
-def _kron_sum(terms) -> sp.csr_matrix:
-    """sum_k A_k (x) B_k from one COO build.  All A_k share one shape, as do
-    all B_k; entries that several terms place at one position add."""
-    rows, cols, vals = [], [], []
+def _diagonal(values: np.ndarray) -> tuple:
+    """A diagonal matrix as (rows, cols, vals)."""
+    idx = np.arange(len(values))
+    return idx, idx, values
+
+
+def _kron_sum(terms, dims: tuple[int, int]) -> sp.csr_matrix:
+    """sum_k A_k (x) B_k from one COO build, each A_k and B_k a (rows, cols,
+    vals) triplet over the dims[0] and dims[1] states of its factor, or None
+    for its identity; entries that several terms place at one position add."""
+    n_a, n_b = dims
+    parts = []
     for a, b in terms:
-        a, b = sp.coo_matrix(a), sp.coo_matrix(b)
-        rows.append((a.row.astype(np.int64)[:, None] * b.shape[0] + b.row).ravel())
-        cols.append((a.col.astype(np.int64)[:, None] * b.shape[1] + b.col).ravel())
-        vals.append((a.data[:, None] * b.data).ravel())
-    shape = (a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=shape).tocsr()
+        a = _diagonal(np.ones(n_a)) if a is None else a
+        b = _diagonal(np.ones(n_b)) if b is None else b
+        parts.append(((a[0].astype(np.int64)[:, None] * n_b + b[0]).ravel(),
+                      (a[1].astype(np.int64)[:, None] * n_b + b[1]).ravel(),
+                      (a[2][:, None] * b[2]).ravel()))
+    return _csr(parts, n_a * n_b)
 
 
-def _dressed_hops(blocks: dict, phase) -> list:
-    """(hop block, boson factor) terms for every ordered bond.  ``phase(x, y)``
-    is called for x < y only; the reversed bond carries its adjoint, so
-    hermiticity is structural.  Hopping is symmetric and every site hosts the
-    hole somewhere, so each bond appears in both directions."""
+def _sector_electron(model: LatticeModel, basis: SectorBasis) -> list:
+    """The infinite-U sector matrix as triplets: -t_xy on every hole move,
+    and the diagonal.  Each (target, source) pair comes from exactly one
+    move, so no entries add."""
+    rows, cols, xs, ys = hole_moves(model, basis)
+    return [(rows, cols, -model.hopping[xs, ys]), _diagonal(_sector_diagonal(model, basis))]
+
+
+def _dressed_hops(model: LatticeModel, basis: SectorBasis, phase) -> list:
+    """(hop block, boson factor) terms for every ordered bond, the block of
+    bond (x, y) being its slice of ``hole_moves`` with value -t_xy.
+    ``phase(x, y)`` is called for x < y only; the reversed bond carries its
+    adjoint, so hermiticity is structural.  Hopping is symmetric and every
+    site hosts the hole somewhere, so each bond appears in both directions."""
+    rows, cols, xs, ys = hole_moves(model, basis)
     terms = []
-    for (x, y), block in blocks.items():
-        if x < y:
-            theta = phase(x, y)
-            terms += [(block, theta), (blocks[(y, x)], theta.conjugate().T)]
+    for x, y in zip(*np.nonzero(np.triu(model.hopping, 1))):
+        r, c, v = phase(x, y)
+        for (a, b), theta in (((x, y), (r, c, v)), ((y, x), (c, r, v.conj()))):
+            on = (xs == a) & (ys == b)
+            terms.append(((rows[on], cols[on], -model.hopping[xs[on], ys[on]]), theta))
     return terms
-
-
-def _hop_matrix(model: LatticeModel, basis: SectorBasis, moves) -> sp.csr_matrix:
-    """Sum of -t_xy over the given hole moves, one COO build.  Each
-    (target, source) pair comes from exactly one move, so no entries add."""
-    rows, cols, xs, ys = moves
-    n = basis.dimension
-    return sp.coo_matrix((-model.hopping[xs, ys], (rows, cols)), shape=(n, n)).tocsr()
-
-
-def move_blocks(model: LatticeModel, basis: SectorBasis) -> dict[tuple[int, int], sp.csr_matrix]:
-    """Hopping matrices grouped by ordered bond (hole from x to y)."""
-    moves = hole_moves(model, basis)
-    blocks = {}
-    for x, y in np.unique(moves[2:].T, axis=0):
-        on_bond = (moves[2] == x) & (moves[3] == y)
-        blocks[(int(x), int(y))] = _hop_matrix(model, basis, moves[:, on_bond])
-    return blocks
 
 
 def assemble_nagaoka_sector(model: LatticeModel, m) -> SectorHamiltonian:
@@ -164,10 +168,9 @@ def assemble_nagaoka_sector(model: LatticeModel, m) -> SectorHamiltonian:
     """
     _require_infinite_u(model, "sector assembly")
     basis = enumerate_sector(model, m)
-    mat = _hop_matrix(model, basis, hole_moves(model, basis))
-    mat = mat + sp.diags(_sector_diagonal(model, basis))
+    mat = _csr(_sector_electron(model, basis), basis.dimension)
     return SectorHamiltonian(model=model, m=basis.m, basis=basis,
-                             op=SparseHermitian(mat.tocsr()), provenance="direct_formula")
+                             op=SparseHermitian(mat), provenance="direct_formula")
 
 
 def hubbard_electron_matrix(model: LatticeModel, u: float) -> sp.csr_matrix:
@@ -180,15 +183,13 @@ def hubbard_electron_matrix(model: LatticeModel, u: float) -> sp.csr_matrix:
     fock = full_fock_basis(model.sites, model.n_electrons)
     t = model.hopping
     occ = fock.occupations
-    rows, cols, vals = [], [], []
+    parts = []
     for x, y in zip(*np.nonzero(t)):
         if x == y:
             continue
         for spin in (UP, DOWN):
             r, c, signs = _bilinear(fock, fock.mode(x, spin), fock.mode(y, spin))
-            rows.append(r)
-            cols.append(c)
-            vals.append(t[x, y] * signs)
+            parts.append((r, c, t[x, y] * signs))
 
     potential = 0.0
     for x in np.nonzero(np.diag(t))[0]:
@@ -198,11 +199,7 @@ def hubbard_electron_matrix(model: LatticeModel, u: float) -> sp.csr_matrix:
     diag = potential + (u * (occ[:, UP] & occ[:, DOWN]).sum(axis=1)
                         + np.einsum("ix,xy,iy->i", n_site, model.offsite_u, n_site))
     on = np.nonzero(diag)[0]
-    rows.append(on)
-    cols.append(on)
-    vals.append(diag[on])
-    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(fock.dimension, fock.dimension)).tocsr()
+    return _csr(parts + [(on, on, diag[on])], fock.dimension)
 
 
 def assemble_hubbard_full(model: LatticeModel, u: float) -> SparseHermitian:
@@ -219,27 +216,28 @@ def assemble_hubbard_full(model: LatticeModel, u: float) -> SparseHermitian:
     bosons = boson_basis(model.sites, model.phonon.per_site_cutoff)
     guard_dimension(fock.dimension * bosons.dimension, "full-space phonon assembly")
     n_site = fock.occupations.sum(axis=1).astype(float)
-    return SparseHermitian(_kron_sum(_holstein_terms(hel, n_site, model.phonon, bosons)))
+    coo = hel.tocoo()
+    terms = _holstein_terms([(coo.row, coo.col, coo.data)], n_site, model.phonon, bosons)
+    return SparseHermitian(_kron_sum(terms, (fock.dimension, bosons.dimension)))
 
 
-def _holstein_terms(electron, occ: np.ndarray, phonon, bosons: BosonBasis) -> list:
+def _holstein_terms(electron: list, occ: np.ndarray, phonon, bosons: BosonBasis) -> list:
     """Kronecker terms of electron (x) I + sum_xy g_xy n_x (b*_y + b_y) +
-    I (x) omega N_b, with ``occ[i, x]`` the electron count at site x in
-    electron state i."""
-    terms = [(electron, sp.identity(bosons.dimension, format="csr"))]
+    I (x) omega N_b, with ``electron`` the triplets of the electron matrix
+    and ``occ[i, x]`` the electron count at site x in electron state i."""
     b = _lowering(bosons.cutoff)
+    terms = [(part, None) for part in electron]
     for y in range(occ.shape[1]):
         gcol = phonon.coupling[:, y]
         if np.any(gcol):
-            terms.append((sp.diags(occ @ gcol), _mode_sum({y: b + b.T}, bosons.modes)))
-    terms.append((sp.identity(occ.shape[0], format="csr"),
-                  phonon.frequency * _total_number(bosons)))
-    return terms
+            terms.append((_diagonal(occ @ gcol), _mode_sum({y: b + b.T}, bosons)))
+    return terms + [(None, _phonon_energy(phonon, bosons))]
 
 
-def _total_number(bosons: BosonBasis) -> sp.csr_matrix:
-    """N_b, the boson number summed over every mode."""
-    return _mode_sum(dict.fromkeys(range(bosons.modes), _number(bosons.cutoff)), bosons.modes)
+def _phonon_energy(phonon, bosons: BosonBasis) -> tuple:
+    """omega N_b, with N_b the boson number summed over every mode."""
+    rows, cols, n = _mode_sum(dict.fromkeys(range(bosons.modes), _number(bosons.cutoff)), bosons)
+    return rows, cols, phonon.frequency * n
 
 
 def assemble_nagaoka_projected(model: LatticeModel, m) -> SectorHamiltonian:
@@ -281,12 +279,13 @@ def assemble_holstein_sector(model: LatticeModel, m, cutoff: int | None = None) 
         raise ValueError("Holstein assembly needs a phonon block")
     ph = model.phonon
     cut = ph.per_site_cutoff if cutoff is None else int(cutoff)
-    electron = assemble_nagaoka_sector(model, m)
+    _require_infinite_u(model, "sector assembly")
+    basis = enumerate_sector(model, m)
     bosons = boson_basis(model.sites, cut)
-    guard_dimension(electron.dimension * bosons.dimension, "Holstein sector assembly")
-    total = _kron_sum(_holstein_terms(electron.op.matrix, _config_occupations(electron.basis),
-                                      ph, bosons))
-    return SectorHamiltonian(model=model, m=electron.m, basis=electron.basis,
+    guard_dimension(basis.dimension * bosons.dimension, "Holstein sector assembly")
+    terms = _holstein_terms(_sector_electron(model, basis), _config_occupations(basis), ph, bosons)
+    total = _kron_sum(terms, (basis.dimension, bosons.dimension))
+    return SectorHamiltonian(model=model, m=basis.m, basis=basis,
                              op=SparseHermitian(total), provenance="holstein_direct",
                              boson=bosons, cutoff=cut)
 
@@ -318,14 +317,13 @@ def _mode_exponential(c: complex, b: np.ndarray) -> np.ndarray:
     return u.real if c.real == 0 else u
 
 
-def _mode_exponentials(amplitudes, cutoff: int) -> list[sp.csr_matrix]:
-    """exp(i (c b + conj(c) b*)) on one mode truncated at ``cutoff``, for each
-    amplitude c; the identity where c = 0.  Factors are float64 unless c has
-    a real part, so a product of them is real when every factor is."""
-    b = _lowering(cutoff).toarray()
-    eye = sp.identity(cutoff + 1, format="csr")
-    return [eye if c == 0 else sp.csr_matrix(_mode_exponential(c, b))
-            for c in amplitudes]
+def _mode_exponentials(amplitudes, cutoff: int) -> dict[int, np.ndarray]:
+    """exp(i (c b + conj(c) b*)) on one mode truncated at ``cutoff``, keyed
+    by mode, for each nonzero amplitude c; a mode with c = 0 carries the
+    identity and is left out.  Factors are float64 unless c has a real part,
+    so a product of them is real when every factor is."""
+    b = _lowering(cutoff)
+    return {z: _mode_exponential(c, b) for z, c in enumerate(amplitudes) if c != 0}
 
 
 def _polaron_shift(model: LatticeModel, x: int, y: int) -> np.ndarray:
@@ -335,11 +333,12 @@ def _polaron_shift(model: LatticeModel, x: int, y: int) -> np.ndarray:
     return -math.sqrt(2.0) * ph.frequency ** (-1.5) * (ph.coupling[x] - ph.coupling[y])
 
 
-def _polaron_phase(model: LatticeModel, x: int, y: int, cutoff: int) -> sp.csr_matrix:
-    """theta_xy as a product of single-mode exponentials; p_z = i sqrt(omega/2)
-    (b*_z - b_z), so shift_z p_z has amplitude -i sqrt(omega/2) shift_z on b_z."""
+def _polaron_phase(model: LatticeModel, x: int, y: int, bosons: BosonBasis) -> tuple:
+    """theta_xy as a product of single-mode exponentials, in triplets;
+    p_z = i sqrt(omega/2) (b*_z - b_z), so shift_z p_z has amplitude
+    -i sqrt(omega/2) shift_z on b_z."""
     amplitudes = -1j * math.sqrt(model.phonon.frequency / 2.0) * _polaron_shift(model, x, y)
-    return _mode_product(_mode_exponentials(amplitudes, cutoff))
+    return _mode_product(_mode_exponentials(amplitudes, bosons.cutoff), bosons)
 
 
 def assemble_lang_firsov_sector(model: LatticeModel, m, cutoff: int | None = None) -> SectorHamiltonian:
@@ -366,11 +365,10 @@ def assemble_lang_firsov_sector(model: LatticeModel, m, cutoff: int | None = Non
     guard_dimension(basis.dimension * bosons.dimension, "polaron-frame sector assembly")
     _guard_dense_phase(bosons.dimension, "polaron-frame sector assembly")
 
-    hops = _dressed_hops(move_blocks(model, basis), lambda x, y: _polaron_phase(model, x, y, cut))
-    total = _kron_sum(hops + [
-        (sp.diags(_sector_diagonal(model, basis, dressed=True)),
-         sp.identity(bosons.dimension, format="csr")),
-        (sp.identity(basis.dimension, format="csr"), ph.frequency * _total_number(bosons))])
+    hops = _dressed_hops(model, basis, lambda x, y: _polaron_phase(model, x, y, bosons))
+    total = _kron_sum(hops + [(_diagonal(_sector_diagonal(model, basis, dressed=True)), None),
+                              (None, _phonon_energy(ph, bosons))],
+                      (basis.dimension, bosons.dimension))
     return SectorHamiltonian(model=model, m=basis.m, basis=basis, op=SparseHermitian(total),
                              provenance="lang_firsov", boson=bosons,
                              dropped_constant=lang_firsov_constant(model), cutoff=cut)
@@ -399,15 +397,9 @@ def photon_modes(model: LatticeModel) -> list[PhotonMode]:
         raise ValueError("model has no radiation block")
     unit = 2.0 * math.pi / rad.box_length
     nmax = int(math.floor(rad.uv_cutoff / unit + 1e-12))
-    nvecs = [(0, 0, 0)]
-    for nx in range(-nmax, nmax + 1):
-        for ny in range(-nmax, nmax + 1):
-            for nz in range(-nmax, nmax + 1):
-                if (nx, ny, nz) == (0, 0, 0):
-                    continue
-                if unit * math.sqrt(nx * nx + ny * ny + nz * nz) <= rad.uv_cutoff + 1e-12:
-                    nvecs.append((nx, ny, nz))
-    nvecs.sort()
+    nvecs = [(nx, ny, nz) for nx, ny, nz in product(range(-nmax, nmax + 1), repeat=3)   # ascending
+             if (nx, ny, nz) == (0, 0, 0)
+             or unit * math.sqrt(nx * nx + ny * ny + nz * nz) <= rad.uv_cutoff + 1e-12]
     modes = []
     for nvec in nvecs:
         k = unit * np.array(nvec, dtype=float)
@@ -472,17 +464,18 @@ def _mode_coefficients(model: LatticeModel, modes, x: int, y: int) -> np.ndarray
     return coeffs
 
 
-def peierls_unitary(model: LatticeModel, modes, x: int, y: int,
-                    basis: BosonBasis) -> sp.csr_matrix:
+def peierls_unitary(model: LatticeModel, modes, x: int, y: int, basis: BosonBasis) -> tuple:
     """exp(i phase) for the Hermitian line-integral field operator between
     sites x and y, built as a product of commuting single-mode exponentials.
 
     Exactly equal to the matrix exponential of the truncated phase (the
     summands act on disjoint tensor factors) and exactly unitary.  Returned
-    in CSR; modes the bond does not couple are identity factors.
+    as (rows, cols, vals); modes the bond does not couple are identity
+    factors.
     """
     _guard_dense_phase(basis.dimension, "hopping-phase unitary")
-    return _mode_product(_mode_exponentials(_mode_coefficients(model, modes, x, y), basis.cutoff))
+    return _mode_product(_mode_exponentials(_mode_coefficients(model, modes, x, y), basis.cutoff),
+                         basis)
 
 
 def assemble_radiation_sector(model: LatticeModel, m, cutoff: int | None = None,
@@ -505,11 +498,9 @@ def assemble_radiation_sector(model: LatticeModel, m, cutoff: int | None = None,
     guard_dimension(basis.dimension * bosons.dimension, "radiation sector assembly")
     _guard_dense_phase(bosons.dimension, "radiation sector assembly")
 
-    field = _mode_sum({j: mode.omega * _number(cut) for j, mode in enumerate(modes)}, len(modes))
-    hops = _dressed_hops(move_blocks(model, basis),
-                         lambda x, y: peierls_unitary(model, modes, x, y, bosons))
-    total = _kron_sum(hops + [
-        (sp.diags(_sector_diagonal(model, basis)), sp.identity(bosons.dimension, format="csr")),
-        (sp.identity(basis.dimension, format="csr"), field)])
+    field = _mode_sum({j: mode.omega * _number(cut) for j, mode in enumerate(modes)}, bosons)
+    hops = _dressed_hops(model, basis, lambda x, y: peierls_unitary(model, modes, x, y, bosons))
+    total = _kron_sum(hops + [(_diagonal(_sector_diagonal(model, basis)), None), (None, field)],
+                      (basis.dimension, bosons.dimension))
     return SectorHamiltonian(model=model, m=basis.m, basis=basis, op=SparseHermitian(total),
                              provenance="radiation", boson=bosons, cutoff=cut)

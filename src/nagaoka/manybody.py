@@ -13,10 +13,12 @@ it is applied to all words at once, and the diagonal ones read the words
 through ``FullFockBasis.occupations``.
 
 Boson bases are truncated per mode and carry no state list: every boson
-operator is built from (cutoff+1)-dimensional single-mode factors by
-``_mode_product`` and ``_mode_sum``, which fix the mode order.  The raising
-operator annihilates the top level instead of erroring, so truncation
-artifacts surface as cutoff convergence failures rather than crashes.
+operator is built from dense (cutoff+1)-dimensional single-mode factors by
+``_mode_product`` and ``_mode_sum``, which fix the mode order and return
+(rows, cols, vals) index arrays, not matrices; a mode without a factor is
+an identity and costs index arithmetic only.  The raising operator
+annihilates the top level instead of erroring, so truncation artifacts
+surface as cutoff convergence failures rather than crashes.
 
 Spin resolution on the magnetization sectors never builds the Fock space:
 the lowering map between adjacent sectors comes from the direct rule (flip
@@ -98,6 +100,13 @@ class SparseHermitian:
 
     def __repr__(self):
         return f"SparseHermitian({self.shape[0]}x{self.shape[1]}, nnz={self.nnz})"
+
+
+def _csr(parts, dim: int) -> sp.csr_matrix:
+    """A dim x dim CSR matrix from one COO build of (rows, cols, vals)
+    triplets; entries that several triplets place at one position add."""
+    rows, cols, vals = (np.concatenate(arrays) for arrays in zip(*parts))
+    return sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +192,8 @@ def build_spin_ops(basis: FullFockBasis) -> dict:
     """Total-spin operators: S3 and the Casimir Stot2 = S(S+1) as
     ``SparseHermitian``, S+ and S- as CSR matrices."""
     s3 = sp.diags(0.5 * (2 * basis.occupations[:, UP].sum(axis=1) - basis.n_electrons)).tocsr()
-    rows, cols, signs = zip(*(_bilinear(basis, basis.mode(x, DOWN), basis.mode(x, UP))
-                              for x in range(basis.sites)))
-    sminus = sp.coo_matrix((np.concatenate(signs), (np.concatenate(rows), np.concatenate(cols))),
-                           shape=(basis.dimension, basis.dimension)).tocsr()
+    sminus = _csr((_bilinear(basis, basis.mode(x, DOWN), basis.mode(x, UP))
+                   for x in range(basis.sites)), basis.dimension)
     splus = sminus.conjugate().T.tocsr()
     stot2 = (s3 @ s3 + 0.5 * (splus @ sminus + sminus @ splus)).tocsr()
     return {"S3": SparseHermitian(s3), "Splus": splus, "Sminus": sminus,
@@ -218,42 +225,47 @@ def boson_basis(modes: int, cutoff: int) -> BosonBasis:
     return BosonBasis(modes=modes, cutoff=cutoff)
 
 
-def _lowering(cutoff: int) -> sp.csr_matrix:
+def _lowering(cutoff: int) -> np.ndarray:
     """b on one mode truncated at ``cutoff``: level n goes to n - 1 with
     sqrt(n).  Its adjoint, the raising operator, annihilates the top level."""
-    n = np.arange(1, cutoff + 1)
-    return sp.csr_matrix((np.sqrt(n.astype(float)), (n - 1, n)), shape=(cutoff + 1, cutoff + 1))
+    return np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), k=1)
 
 
-def _number(cutoff: int) -> sp.csr_matrix:
+def _number(cutoff: int) -> np.ndarray:
     """b* b on one mode truncated at ``cutoff``."""
-    n = np.arange(1, cutoff + 1)
-    return sp.csr_matrix((n.astype(float), (n, n)), shape=(cutoff + 1, cutoff + 1))
+    return np.diag(np.arange(cutoff + 1.0))
 
 
-def _mode_product(factors) -> sp.csr_matrix:
-    """Kronecker product of per-mode factors, mode 0 most significant (the
-    order of ``BosonBasis``)."""
-    return reduce(lambda acc, f: sp.kron(acc, f, format="csr"), factors)
+def _mode_product(factors: dict, bosons: BosonBasis) -> tuple:
+    """Kronecker product with the dense factors[z] on mode z and the identity
+    on every mode ``factors`` does not name, mode 0 most significant, as
+    (rows, cols, vals) over the stored entries of the factors.  A value is
+    the product of the named factors' entries taken in mode order; an
+    identity mode only repeats indices."""
+    levels, modes = bosons.cutoff + 1, bosons.modes
+    rows = cols = np.zeros((), dtype=np.int64)
+    for z in range(modes):
+        r, c = np.nonzero(factors.get(z, np.eye(levels)))
+        rows, cols = rows[..., None] * levels + r, cols[..., None] * levels + c
+    named = [f[np.nonzero(f)].reshape((-1,) + (1,) * (modes - z - 1))
+             for z, f in sorted(factors.items())]
+    vals = reduce(np.multiply, named) if named else np.ones(())
+    return rows.ravel(), cols.ravel(), np.broadcast_to(vals, rows.shape).ravel()
 
 
-def _mode_sum(factors: dict, modes: int) -> sp.csr_matrix:
-    """Kronecker sum: factors[z] acting on mode z of ``modes`` equal modes,
-    summed over the modes z that ``factors`` names, in that order.  Each
-    term I (x) factors[z] (x) I of ``_mode_product``'s order is written down
-    entry by entry, not as a chain of Kronecker products."""
-    total = 0
-    for z, factor in factors.items():
-        f = sp.coo_matrix(factor)
-        levels = f.shape[0]
-        left = np.arange(levels ** z)[:, None, None]
-        right = np.arange(levels ** (modes - z - 1))
-        rows = (left * levels + f.row[:, None]) * right.size + right
-        cols = (left * levels + f.col[:, None]) * right.size + right
-        data = np.broadcast_to(f.data[:, None], rows.shape)
-        total = total + sp.csr_matrix((data.ravel(), (rows.ravel(), cols.ravel())),
-                                      shape=(levels ** modes, levels ** modes))
-    return total
+def _mode_sum(factors: dict, bosons: BosonBasis) -> tuple:
+    """Kronecker sum: the dense factors[z] acting on mode z, summed over the
+    modes z that ``factors`` names, as (rows, cols, vals) with no position
+    twice and no zero diagonal entry.  The diagonals add up first, as a left
+    fold in the order of ``factors``; off-diagonal entries of different
+    modes never meet."""
+    diag, parts = 0.0, []
+    for z, f in factors.items():
+        diag = diag + np.diagonal(f).reshape((-1,) + (1,) * (bosons.modes - z - 1))
+        parts.append(_mode_product({z: f - np.diag(np.diagonal(f))}, bosons))
+    diag = np.broadcast_to(diag, (bosons.cutoff + 1,) * bosons.modes).ravel()
+    on = np.nonzero(diag)[0]
+    return tuple(np.concatenate(arrays) for arrays in zip((on, on, diag[on]), *parts))
 
 
 # ---------------------------------------------------------------------------

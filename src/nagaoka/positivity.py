@@ -25,14 +25,14 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import InconsistencyError, ModelValidationError, guard_dimension
 from .hamiltonian import (
+    _diagonal,
     _dressed_hops,
     _kron_sum,
     _polaron_shift,
     _sector_diagonal,
     lang_firsov_constant,
-    move_blocks,
 )
-from .manybody import SparseHermitian, _mode_product, _mode_sum, sector_lowering_fock
+from .manybody import BosonBasis, SparseHermitian, _mode_product, _mode_sum, sector_lowering_fock
 from .model import LatticeModel
 from .sector import enumerate_sector
 from .spectral import _ground_cluster, as_matrix
@@ -168,25 +168,14 @@ class GridCertificate:
     spacing: float
 
 
-def _oscillator_matrix(points: int, spacing: float, frequency: float) -> sp.csr_matrix:
+def _oscillator_matrix(points: int, spacing: float, frequency: float) -> np.ndarray:
     """Second-difference-plus-quadratic oscillator on a Dirichlet grid,
     shifted by -omega/2 so its spectrum approximates omega {0, 1, 2, ...}.
     Off-diagonal entries are negative, so -H is entrywise >= 0."""
     q = (np.arange(points) - (points - 1) / 2.0) * spacing
-    kinetic = sp.diags([np.full(points, 1.0 / spacing**2),
-                        np.full(points - 1, -0.5 / spacing**2),
-                        np.full(points - 1, -0.5 / spacing**2)],
-                       offsets=[0, 1, -1])
-    potential = sp.diags(0.5 * frequency**2 * q**2 - 0.5 * frequency)
-    return (kinetic + potential).tocsr()
-
-
-def _grid_shift(points: int, steps: int) -> sp.csr_matrix:
-    """Translation by ``steps`` grid cells with zero fill at the walls;
-    entries are exactly 0 or 1."""
-    if steps == 0:
-        return sp.identity(points, format="csr")
-    return sp.eye(points, points, k=steps, format="csr")
+    off = np.full(points - 1, -0.5 / spacing**2)
+    return (np.diag(1.0 / spacing**2 + (0.5 * frequency**2 * q**2 - 0.5 * frequency))
+            + np.diag(off, 1) + np.diag(off, -1))
 
 
 def qgrid_holstein_certify(model: LatticeModel, m, points: int, spacing: float) -> GridCertificate:
@@ -207,11 +196,11 @@ def qgrid_holstein_certify(model: LatticeModel, m, points: int, spacing: float) 
     if model.sites > 3:
         raise ModelValidationError("budget", "grid certificate supports at most 3 sites")
     basis = enumerate_sector(model, m)
-    grid_dim = points ** model.sites
-    guard_dimension(basis.dimension * grid_dim, "grid certificate")
+    grid = BosonBasis(modes=model.sites, cutoff=points - 1)     # ``points`` levels per mode
+    guard_dimension(basis.dimension * grid.dimension, "grid certificate")
 
-    def shift(x: int, y: int) -> sp.csr_matrix:
-        steps = []
+    def shift(x: int, y: int) -> tuple:     # 0/1 translations, zero fill at the walls
+        steps = {}
         for z, a in enumerate(_polaron_shift(model, x, y)):
             ratio = a / spacing
             if abs(ratio - round(ratio)) > 1e-9:
@@ -219,15 +208,15 @@ def qgrid_holstein_certify(model: LatticeModel, m, points: int, spacing: float) 
                     "commensurability",
                     f"displacement {a} for bond ({x}, {y}) mode {z} is not an "
                     f"integer multiple of the grid spacing {spacing}")
-            steps.append(_grid_shift(points, int(round(ratio))))
-        return _mode_product(steps)
+            if round(ratio):
+                steps[z] = np.eye(points, k=int(round(ratio)))
+        return _mode_product(steps, grid)
 
     osc = _oscillator_matrix(points, spacing, model.phonon.frequency)
-    grid_h = _mode_sum(dict.fromkeys(range(model.sites), osc), model.sites)
-    total = _kron_sum(_dressed_hops(move_blocks(model, basis), shift) + [
-        (sp.diags(_sector_diagonal(model, basis, dressed=True)),
-         sp.identity(grid_dim, format="csr")),
-        (sp.identity(basis.dimension, format="csr"), grid_h)])
+    grid_h = _mode_sum(dict.fromkeys(range(model.sites), osc), grid)
+    total = _kron_sum(_dressed_hops(model, basis, shift)
+                      + [(_diagonal(_sector_diagonal(model, basis, dressed=True)), None),
+                         (None, grid_h)], (basis.dimension, grid.dimension))
 
     neg_off = -_offdiagonal_support(total)
     if not preserves_positivity(neg_off, tol=STRICT_POSITIVITY_TOL):

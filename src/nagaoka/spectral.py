@@ -160,7 +160,7 @@ class SpectralReport:
     sector_dimension: int
     boson_dimension: int | None = None
     cutoff: int | None = None
-    # ground vector of the lowest block; carried to -M by the spin flip, never serialized
+    # ground vector of the lowest block; never serialized, and None on a spin-flipped report
     ground_vector: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
@@ -405,13 +405,10 @@ def verified_spin_flip(h: SectorHamiltonian, h_flip: SectorHamiltonian) -> np.nd
     return perm
 
 
-def spin_flipped_report(report: SpectralReport, perm: np.ndarray) -> SpectralReport:
-    """The report of sector -M read off the ``report`` of M, with ``perm``
-    from ``verified_spin_flip``: the same levels, spin and dimensions, and
-    the ground vector carried over by the inversion."""
-    v = np.empty_like(report.ground_vector)
-    v[perm] = report.ground_vector
-    return replace(report, m=-report.m, ground_vector=v)
+def spin_flipped_report(report: SpectralReport) -> SpectralReport:
+    """The report of sector -M read off the ``report`` of M, once ``verified_spin_flip``
+    holds: the same levels, spin and dimensions, and no ground vector."""
+    return replace(report, m=-report.m, ground_vector=None)
 
 
 def _full_space_pieces(model: LatticeModel):

@@ -648,3 +648,53 @@ def test_largeu_u_list_accepts_zero_and_negative_u(capsys, triangle_file):
     assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["-5.0", "0.0", "100.0"]
     code, _, err = run_err(capsys, "largeu", "--model", triangle_file, "--u-list", ",")
     assert code == 1 and "--u-list: no U values given" in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("ed", "--all", "--cutoff", "2"), "--cutoff"),                   # nagaoka picked by content
+    (("ed", "--m", "1", "--form", "nagaoka", "--cutoff", "2"), "--cutoff"),
+    (("spin", "--cutoff", "0"), "--cutoff"),
+    (("assemble", "--form", "nagaoka", "--cutoff", "2"), "--cutoff"),
+    (("assemble", "--form", "hubbard", "--u", "4", "--cutoff", "2"), "--cutoff"),
+    (("assemble", "--form", "nagaoka", "--u", "4"), "--u"),
+    (("assemble", "--form", "hubbard", "--u", "4", "--m", "1/2"), "--m"),
+])
+def test_options_the_form_would_ignore_exit_1(capsys, triangle_file, argv, option):
+    code, out, err = run_err(capsys, *argv, "--model", triangle_file)
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.splitlines()[0] == f"error: cli violated: {option} does not apply to the " \
+        f"{'hubbard' if 'hubbard' in argv else 'nagaoka'} form"
+
+
+def test_sector_forms_refuse_u(capsys, holstein_file):
+    for form in ("holstein", "langfirsov"):
+        code, out, err = run_err(capsys, "assemble", "--form", form, "--u", "4",
+                                 "--model", holstein_file)
+        assert code == 1 and out == "" and f"--u does not apply to the {form} form" in err
+
+
+@pytest.mark.parametrize("command", ["ed", "spin", "assemble"])
+def test_cutoff_is_parsed_as_a_nonnegative_integer(capsys, holstein_file, command):
+    extra = {"ed": ("--all",), "spin": (), "assemble": ("--form", "holstein", "--m", "1/2")}[command]
+    for value in ("-1", "1.5", "two"):
+        # the model is never read: the parser names the option first
+        code, out, err = run_err(capsys, command, *extra, "--cutoff", value, "--model", "missing.ini")
+        assert code == 1 and out == "" and "argument --cutoff: " in err
+    code, _, err = run_err(capsys, command, *extra, "--cutoff", "-1", "--model", "missing.ini")
+    assert "--cutoff: must be >= 0, got -1" in err
+    code, out, _ = run_err(capsys, command, *extra, "--cutoff", "0", "--model", holstein_file)
+    assert code == 0 and out
+
+
+@pytest.mark.parametrize("form", ["holstein", "langfirsov", "radiation", "hubbard"])
+def test_assemble_triplets_come_out_in_row_major_order(capsys, holstein_file, radiation_file,
+                                                       form):
+    path = radiation_file if form == "radiation" else holstein_file
+    extra = ("--u", "3") if form == "hubbard" else ("--m", "1/2" if form != "radiation" else "0")
+    code, out = run(capsys, "assemble", "--form", form, *extra, "--model", path)
+    assert code == 0
+    lines = out.splitlines()
+    nnz = int(lines[1].split()[2])
+    pairs = [tuple(map(int, line.split()[:2])) for line in lines[2:]]
+    assert len(pairs) == nnz > 0
+    assert all(a < b for a, b in zip(pairs, pairs[1:]))       # rows, then columns, ascending

@@ -9,6 +9,7 @@ import nagaoka.positivity as positivity
 from nagaoka.acceptance import holstein_model, radiation_triangle, transverse_mode_subset
 from nagaoka.corpus import complete4, corpus_models, pair2, triangle3
 from nagaoka.hamiltonian import (
+    _dressed_hops,
     _kron_sum,
     _polaron_phase,
     _sector_diagonal,
@@ -21,11 +22,11 @@ from nagaoka.hamiltonian import (
     effective_coulomb,
     hubbard_electron_matrix,
     lang_firsov_constant,
-    move_blocks,
     unitary_exp,
 )
 from nagaoka.manybody import (
     SparseHermitian,
+    _csr,
     boson_basis,
     build_gutzwiller,
     build_spin_ops,
@@ -76,16 +77,21 @@ def test_coo_assembly_equals_the_per_hop_loop():
             assert np.array_equal(a, b)
 
 
-def test_move_blocks_partition_the_hopping_matrix():
+def dense(triplets, dim: int) -> np.ndarray:
+    return _csr([triplets], dim).toarray()
+
+
+def test_bond_slices_partition_the_hopping_matrix():
     model = complete4()
     basis = enumerate_sector(model, Fraction(1, 2))
-    blocks = move_blocks(model, basis)
-    assert len(blocks) == 12                     # every ordered bond of K4
+    one = (np.zeros(1, dtype=np.int64),) * 2 + (np.ones(1),)
+    terms = _dressed_hops(model, basis, lambda x, y: one)
+    assert len(terms) == 12                      # every ordered bond of K4
     h = assemble_nagaoka_sector(model, Fraction(1, 2)).op.toarray()
-    hop = sum(block.toarray() for block in blocks.values())
+    hop = sum(dense(block, basis.dimension) for block, _ in terms)
     assert np.array_equal(hop, h - np.diag(np.diag(h)))
-    for (x, y), block in blocks.items():
-        assert set(block.data) == {-model.hopping[x, y]}
+    for block, _ in terms:
+        assert np.unique(block[2]).size == 1 and block[2][0] < 0
 
 
 def test_direct_equals_projected_with_offsite_coulomb():
@@ -338,6 +344,7 @@ def test_polaron_phase_product_equals_full_space_exponential(name):
     whole-space generator sum_z shift_z p_z, the route it replaced."""
     model, _, cutoff = POLARON_CASES[name]
     ph = model.phonon
+    bosons = boson_basis(model.sites, cutoff)
     p_ops = [momentum_quadrature(model.sites, cutoff, z, ph.frequency) for z in range(model.sites)]
     bonds = [(x, y) for x in range(model.sites) for y in range(x + 1, model.sites)
              if model.hopping[x, y] != 0.0]
@@ -345,7 +352,7 @@ def test_polaron_phase_product_equals_full_space_exponential(name):
     for x, y in bonds:
         gen = sum(-np.sqrt(2.0) * ph.frequency ** (-1.5) * (ph.coupling[x, z] - ph.coupling[y, z])
                   * p_ops[z] for z in range(model.sites))
-        product = _polaron_phase(model, x, y, cutoff).toarray()
+        product = dense(_polaron_phase(model, x, y, bosons), bosons.dimension)
         assert np.max(np.abs(product - unitary_exp(gen))) <= 1e-12
 
 
@@ -357,26 +364,28 @@ def test_polaron_frame_stores_no_rounding_noise(name):
 
 
 def _complex_mode_exponentials(amplitudes, cutoff: int):
-    """The complex route the real factors replaced: every factor, the
-    identity included, is complex128 from one complex ``unitary_exp``."""
+    """The complex route the real factors replaced: every mode has a
+    factor, the identity included, complex128 from one complex
+    ``unitary_exp``."""
     b = np.diag(np.sqrt(np.arange(1, cutoff + 1)), k=1)
-    eye = sp.identity(cutoff + 1, dtype=complex, format="csr")
-    return [eye if c == 0 else sp.csr_matrix(unitary_exp(c * b + np.conj(c) * b.conjugate().T))
-            for c in amplitudes]
+    return {z: np.eye(cutoff + 1, dtype=complex) if c == 0
+            else unitary_exp(c * b + np.conj(c) * b.conjugate().T)
+            for z, c in enumerate(amplitudes)}
 
 
 @pytest.mark.parametrize("name", sorted(POLARON_CASES))
 def test_polaron_phase_is_the_real_part_of_the_complex_route(monkeypatch, name):
     model, _, cutoff = POLARON_CASES[name]
+    bosons = boson_basis(model.sites, cutoff)
     bonds = [(x, y) for x in range(model.sites) for y in range(x + 1, model.sites)
              if model.hopping[x, y] != 0.0]
     for x, y in bonds:
-        phase = _polaron_phase(model, x, y, cutoff)
-        assert phase.dtype == np.float64
+        phase = _polaron_phase(model, x, y, bosons)
+        assert phase[2].dtype == np.float64
         with monkeypatch.context() as mp:
             mp.setattr(hamiltonian, "_mode_exponentials", _complex_mode_exponentials)
-            oracle = _polaron_phase(model, x, y, cutoff).toarray()
-        theta = phase.toarray()
+            oracle = dense(_polaron_phase(model, x, y, bosons), bosons.dimension)
+        theta = dense(phase, bosons.dimension)
         assert np.array_equal(theta, oracle.real)
         assert np.max(np.abs(oracle.imag)) <= 1e-15
         assert np.max(np.abs(theta.T @ theta - np.eye(theta.shape[0]))) <= 1e-14
@@ -402,17 +411,18 @@ class _Captured(Exception):
 
 
 def _captured_terms(monkeypatch, module, build):
-    """The Kronecker terms a form hands to ``_kron_sum``; the build stops there."""
-    terms = []
+    """The Kronecker terms and factor dimensions a form hands to
+    ``_kron_sum``; the build stops there."""
+    captured = []
 
-    def capture(arg):
-        terms.extend(arg)
+    def capture(terms, dims):
+        captured.extend([terms, dims])
         raise _Captured
 
     monkeypatch.setattr(module, "_kron_sum", capture)
     with pytest.raises(_Captured):
         build()
-    return terms
+    return captured
 
 
 @pytest.mark.parametrize("form", ["polaron-frame", "qgrid"])
@@ -421,12 +431,15 @@ def test_kron_sum_equals_dense_kronecker_sum(monkeypatch, form):
     on a 32-point grid (its 64-point grid would need a 0.5 GB dense oracle)."""
     if form == "polaron-frame":
         model = holstein_model(complete4(), gamma=0.5)
-        terms = _captured_terms(monkeypatch, hamiltonian, lambda: assemble_lang_firsov_sector(
+        terms, dims = _captured_terms(monkeypatch, hamiltonian, lambda: assemble_lang_firsov_sector(
             model, Fraction(1, 2), cutoff=2))
     else:
         model = holstein_model(pair2(), gamma=0.5)
         spacing = np.sqrt(2.0) * 0.5 / 3
-        terms = _captured_terms(monkeypatch, positivity, lambda: positivity.qgrid_holstein_certify(
-            model, Fraction(1, 2), 32, spacing))
-    dense = sum(np.kron(sp.csr_matrix(a).toarray(), sp.csr_matrix(b).toarray()) for a, b in terms)
-    assert np.max(np.abs(_kron_sum(terms).toarray() - dense)) <= 1e-14
+        terms, dims = _captured_terms(monkeypatch, positivity,
+                                      lambda: positivity.qgrid_holstein_certify(
+                                          model, Fraction(1, 2), 32, spacing))
+    eye = [np.eye(n) for n in dims]
+    want = sum(np.kron(eye[0] if a is None else dense(a, dims[0]),
+                       eye[1] if b is None else dense(b, dims[1])) for a, b in terms)
+    assert np.max(np.abs(_kron_sum(terms, dims).toarray() - want)) <= 1e-14

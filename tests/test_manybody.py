@@ -11,6 +11,7 @@ from nagaoka.manybody import (
     DOWN,
     UP,
     SparseHermitian,
+    _csr,
     _lowering,
     _mode_product,
     _mode_sum,
@@ -92,7 +93,7 @@ def test_projection_commutes_with_spin_ops():
 
 def test_boson_ccr_below_cutoff_and_ceiling():
     levels = (4, 4)                                  # two modes, cutoff 3
-    b = _mode_sum({0: _lowering(3)}, 2)
+    b = _csr([_mode_sum({0: _lowering(3)}, boson_basis(2, 3))], 16)
     bdag = b.T
     comm = (b @ bdag - bdag @ b).toarray()
     below = np.nonzero(np.unravel_index(np.arange(16), levels)[0] < 3)[0]
@@ -106,18 +107,22 @@ def test_boson_ccr_below_cutoff_and_ceiling():
 
 
 def test_boson_number_total():
-    nb = _mode_sum(dict.fromkeys(range(2), _number(2)), 2).toarray()
+    nb = _csr([_mode_sum(dict.fromkeys(range(2), _number(2)), boson_basis(2, 2))], 9).toarray()
     assert np.allclose(np.diag(nb), np.indices((3, 3)).sum(axis=0).ravel())
     assert np.count_nonzero(nb - np.diag(np.diag(nb))) == 0
 
 
 def test_mode_product_mixed_product_identity():
-    assert np.array_equal(_mode_product([sp.identity(2), sp.identity(3)]).toarray(), np.eye(6))
+    assert np.array_equal(_csr([_mode_product({}, boson_basis(2, 2))], 9).toarray(), np.eye(9))
     rng = np.random.default_rng(11)
-    a, b, c, d, e, f = (rng.standard_normal((3, 3)) for _ in range(6))
-    left = _mode_product([a, b, e]) @ _mode_product([c, d, f])
-    right = np.kron(np.kron(a @ c, b @ d), e @ f)
-    assert np.allclose(left.toarray(), right)
+    a, b, c, d, f = (rng.standard_normal((3, 3)) for _ in range(5))
+    bosons = boson_basis(3, 2)
+
+    def product(factors):
+        return _csr([_mode_product(factors, bosons)], bosons.dimension).toarray()
+
+    assert np.allclose(product({0: a, 1: b}) @ product({0: c, 2: f}), np.kron(np.kron(a @ c, b), f))
+    assert np.array_equal(product({1: d}), np.kron(np.kron(np.eye(3), d), np.eye(3)))
 
 
 def test_boson_basis_budget_guard(monkeypatch):

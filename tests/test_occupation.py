@@ -24,9 +24,11 @@ from nagaoka.hamiltonian import (
     photon_modes,
 )
 from nagaoka.manybody import (
+    _csr,
     _lowering,
     _mode_sum,
     _number,
+    boson_basis,
     build_gutzwiller,
     build_spin_ops,
     full_fock_basis,
@@ -136,22 +138,29 @@ BOSON_SIZES = [(1, 0), (2, 0), (1, 3), (2, 3), (3, 2), (4, 3), (1, 20), (2, 20)]
 
 @pytest.mark.parametrize("modes, cutoff", BOSON_SIZES)
 def test_single_mode_embeddings_equal_the_per_state_builder(modes, cutoff):
+    bosons = boson_basis(modes, cutoff)
     b = _lowering(cutoff)
+
+    def embedded(factor):
+        return _csr([_mode_sum({y: factor}, bosons)], bosons.dimension)
+
     for y in range(modes):
         for kind, factor in (("annihilate", b), ("create", b.T)):
-            assert_same_csr(_mode_sum({y: factor}, modes),
+            assert_same_csr(embedded(factor),
                             oracle.build_boson_op(modes, cutoff, kind, y), f"{kind} {y}")
         bdag = oracle.build_boson_op(modes, cutoff, "create", y)
-        assert_same_csr(_mode_sum({y: b + b.T}, modes), bdag + bdag.T, f"b* + b on {y}")
+        assert_same_csr(embedded(b + b.T), bdag + bdag.T, f"b* + b on {y}")
 
 
 @pytest.mark.parametrize("modes, cutoff", BOSON_SIZES)
 def test_kronecker_sums_equal_the_per_state_builder(modes, cutoff):
+    bosons = boson_basis(modes, cutoff)
     n = _number(cutoff)
-    assert_same_csr(_mode_sum(dict.fromkeys(range(modes), n), modes),
+    assert_same_csr(_csr([_mode_sum(dict.fromkeys(range(modes), n), bosons)], bosons.dimension),
                     oracle.build_boson_op(modes, cutoff, "number_total"), "N_b")
     omegas = [1.0 + 0.1 * np.pi * j for j in range(modes)]
-    assert_same_csr(_mode_sum({j: w * n for j, w in enumerate(omegas)}, modes),
+    assert_same_csr(_csr([_mode_sum({j: w * n for j, w in enumerate(omegas)}, bosons)],
+                         bosons.dimension),
                     sp.diags(oracle.field_energy(omegas, cutoff)).tocsr(), "field energy")
 
 
@@ -160,17 +169,18 @@ class _Captured(Exception):
 
 
 def _captured_terms(monkeypatch, module, build):
-    """The Kronecker terms a form hands to ``_kron_sum``; the build stops there."""
-    terms = []
+    """The Kronecker terms a form hands to ``_kron_sum`` with the factor
+    dimensions; the build stops there."""
+    captured = []
 
-    def capture(arg):
-        terms.extend(arg)
+    def capture(terms, dims):
+        captured.extend([terms, dims])
         raise _Captured
 
     monkeypatch.setattr(module, "_kron_sum", capture)
     with pytest.raises(_Captured):
         build()
-    return terms
+    return captured
 
 
 def _oracle_holstein(electron, occ, phonon, cutoff):
@@ -223,20 +233,21 @@ def test_radiation_field_energy_equals_the_per_state_sum(monkeypatch):
     omegas = [md.omega * (1.0 + 0.25 * j) for j, md in enumerate(photon_modes(model))]
     modes = [hamiltonian.PhotonMode(nvec=md.nvec, lam=md.lam, k=md.k, omega=w, eps=md.eps)
              for md, w in zip(photon_modes(model), omegas)]
-    terms = _captured_terms(monkeypatch, hamiltonian,
-                            lambda: assemble_radiation_sector(model, Fraction(0), modes=modes))
-    assert_same_csr(terms[-1][1], sp.diags(oracle.field_energy(omegas, 4)).tocsr())
+    terms, dims = _captured_terms(monkeypatch, hamiltonian,
+                                  lambda: assemble_radiation_sector(model, Fraction(0), modes=modes))
+    assert_same_csr(_csr([terms[-1][1]], dims[1]), sp.diags(oracle.field_energy(omegas, 4)).tocsr())
 
 
 def test_qgrid_oscillator_sum_equals_the_dense_kronecker_sum(monkeypatch):
     model = holstein_model(triangle3(), gamma=0.5)
     spacing = np.sqrt(2.0) * 0.5 / 3
-    terms = _captured_terms(monkeypatch, positivity, lambda: positivity.qgrid_holstein_certify(
-        model, Fraction(0), 8, spacing))
-    osc = positivity._oscillator_matrix(8, spacing, 1.0).toarray()
+    terms, dims = _captured_terms(monkeypatch, positivity,
+                                  lambda: positivity.qgrid_holstein_certify(model, Fraction(0), 8,
+                                                                            spacing))
+    osc = positivity._oscillator_matrix(8, spacing, 1.0)
     eye = np.eye(8)
     want = 0
     for z in range(3):
         factors = [osc if j == z else eye for j in range(3)]
         want = want + np.kron(np.kron(factors[0], factors[1]), factors[2])
-    assert np.array_equal(terms[-1][1].toarray(), want)
+    assert np.array_equal(_csr([terms[-1][1]], dims[1]).toarray(), want)

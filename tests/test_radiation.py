@@ -14,7 +14,7 @@ from nagaoka.hamiltonian import (
     photon_modes,
     riemann_kernel,
 )
-from nagaoka.manybody import SparseHermitian, boson_basis
+from nagaoka.manybody import SparseHermitian, _csr, boson_basis
 from nagaoka.sector import sector_magnetizations
 from nagaoka.spectral import ground_report
 from norm_oracle import operator_norm
@@ -115,7 +115,7 @@ def test_phase_unitary_matches_matrix_exponential():
     sub = transverse_mode_subset(model)
     bosons = boson_basis(len(sub), 2)
     phase = peierls_phase(model, sub, 0, 2, 2)
-    via_kron = peierls_unitary(model, sub, 0, 2, bosons)
+    via_kron = _csr([peierls_unitary(model, sub, 0, 2, bosons)], bosons.dimension).toarray()
     assert np.max(np.abs(sla.expm(1j * phase) - via_kron)) <= 1e-12
     defect = np.max(np.abs(via_kron.conj().T @ via_kron - np.eye(via_kron.shape[0])))
     assert defect <= 1e-12
@@ -125,7 +125,7 @@ def test_riemann_operator_converges_to_phase():
     model = radiation_triangle(kappa=1.8)
     sub = transverse_mode_subset(model)
     bosons = boson_basis(len(sub), 1)
-    target = peierls_unitary(model, sub, 0, 1, bosons).toarray()
+    target = _csr([peierls_unitary(model, sub, 0, 1, bosons)], bosons.dimension).toarray()
     errors = []
     for n in (8, 32, 128):
         herm = peierls_phase(model, sub, 0, 1, 1, n_segments=n)

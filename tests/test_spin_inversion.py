@@ -159,11 +159,12 @@ def test_flipped_ground_vector_solves_the_flipped_sector(case):
         h, h_flip = build(model, m), build(model, -m)
         perm = verified_spin_flip(h, h_flip)
         rep = ground_report(h)
-        flipped = spin_flipped_report(rep, perm)
-        assert flipped.m == -rep.m
+        flipped = spin_flipped_report(rep)
+        assert flipped.m == -rep.m and flipped.ground_vector is None
         assert (flipped.ground_energy, flipped.degeneracy, flipped.gap, flipped.resolved_s) == \
             (rep.ground_energy, rep.degeneracy, rep.gap, rep.resolved_s)
-        v, e = flipped.ground_vector, flipped.ground_energy
+        v, e = np.empty_like(rep.ground_vector), flipped.ground_energy
+        v[perm] = rep.ground_vector                  # M's ground vector carried by the inversion
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
         residual = np.linalg.norm(h_flip.op.matrix @ v - e * v)
         assert residual <= RESIDUAL_TOL * (1.0 + abs(e))
