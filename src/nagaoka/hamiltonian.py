@@ -360,6 +360,7 @@ def assemble_lang_firsov_sector(model: LatticeModel, m, cutoff: int | None = Non
         raise ValueError("polaron-frame assembly needs a phonon block")
     ph = model.phonon
     cut = ph.per_site_cutoff if cutoff is None else int(cutoff)
+    _require_infinite_u(model, "sector assembly")
     basis = enumerate_sector(model, m)
     bosons = boson_basis(model.sites, cut)
     guard_dimension(basis.dimension * bosons.dimension, "polaron-frame sector assembly")
@@ -491,6 +492,7 @@ def assemble_radiation_sector(model: LatticeModel, m, cutoff: int | None = None,
     if rad is None:
         raise ValueError("radiation assembly needs a radiation block")
     cut = rad.photon_cutoff if cutoff is None else int(cutoff)
+    _require_infinite_u(model, "sector assembly")
     if modes is None:
         modes = photon_modes(model)
     basis = enumerate_sector(model, m)

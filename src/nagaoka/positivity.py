@@ -188,8 +188,8 @@ def qgrid_holstein_certify(model: LatticeModel, m, points: int, spacing: float) 
     than interpolated, since interpolation would introduce negative weights
     and destroy the very cone structure under test.  Degeneracy and ground
     vector come from the block-wise solve behind ``ground_report``, so a
-    Lanczos-solved grid passes the deflation guard and a reducible grid
-    reports the ground vector of its lowest block.
+    Lanczos-solved grid finds every copy of its ground level by deflation
+    and a reducible grid reports the ground vector of its lowest block.
     """
     if model.phonon is None:
         raise ValueError("grid certificate needs a phonon block")

@@ -20,15 +20,14 @@ on blocks of dimension above 512 (400 when complex, where LAPACK costs
 about four times more) that store at most dim^2/16 entries; dense LAPACK
 otherwise, computing only the requested lowest pairs.  Both take the
 matrix's dtype as it is: a real matrix gets real LAPACK and ARPACK's
-symmetric driver, a complex one the complex routines.  A single Krylov run
-can still miss an exact copy of a degenerate level inside one connected
-block, so every Lanczos-solved block passes a deflation guard before its
-levels are used: one more Lanczos solve on the complement of the ground
-cluster must find nothing inside the cluster and nothing below the reported
-next level, or the block is solved again with twice the pairs.  Only a real
-block whose off-diagonal entries are all negative skips the guard when its
-cluster holds one vector: a connected block of that sign has a simple
-ground level (Perron-Frobenius).
+symmetric driver, a complex one the complex routines.  Lanczos solves the
+lowest pair of a block and takes the next level from one more solve, on
+the complement of the ground cluster, from a fresh start vector.  A value
+found there inside the cluster is an exact copy of the ground level that
+the first Krylov run missed: it joins the cluster and the complement is
+solved again.  A real block whose off-diagonal entries are all negative
+has a simple ground level (Perron-Frobenius); it is solved for its lowest
+two pairs at once instead.
 
 Total spin is resolved on the whole degenerate ground cluster V, so a
 cluster that mixes spins is reported by its content instead of by one
@@ -72,7 +71,7 @@ DENSE_CROSSOVER = 2048
 # Pairs of the first dense request; a block of at most this dimension is
 # solved whole by it
 _DENSE_START = 6
-# Below the crossover, Lanczos (with its deflation guard) beats a dense solve
+# Below the crossover, Lanczos (with its deflated solves) beats a dense solve
 # from these dimensions on, keyed by complex dtype, when the matrix stores at
 # most dim^2 / _LANCZOS_FILL entries.  Measured on single-threaded LAPACK:
 # slowly converging patch sectors break even near 500 real / 400 complex, and
@@ -80,7 +79,7 @@ _DENSE_START = 6
 _LANCZOS_FLOOR = {False: 512, True: 400}
 _LANCZOS_FILL = 16
 # ARPACK stops when ||r|| <= tol |theta| and a Ritz value lies within ||r|| of
-# an eigenvalue, so the guard's decisions err by at most tol |theta|: a
+# an eigenvalue, so a deflated solve's value errs by at most tol |theta|: a
 # hundredth of the cluster tolerance unless |theta| > 100 (1 + |E0|)
 _GUARD_TOL = CLUSTER_TOL / 100
 
@@ -121,6 +120,17 @@ def _lanczos(op, count: int, tol: float = 0.0, seed: int = _EIG_SEED):
     return vals[order], vecs[:, order]
 
 
+def _check_residuals(mat, vals, vecs):
+    """Raise ConvergenceError unless ||H v - e v|| <= RESIDUAL_TOL (1 + |e|)
+    for every pair."""
+    for i in range(vals.size):
+        residual = np.linalg.norm(mat @ vecs[:, i] - vals[i] * vecs[:, i])
+        allowed = RESIDUAL_TOL * (1.0 + abs(vals[i]))
+        if residual > allowed:
+            raise ConvergenceError(
+                f"eigenpair {i} residual {residual:.3e} exceeds {allowed:.3e}")
+
+
 def eig_lowest(h, count: int):
     """Lowest ``count`` eigenpairs, ascending, with verified residuals.
 
@@ -139,12 +149,7 @@ def eig_lowest(h, count: int):
         vals, vecs = sla.eigh(mat.toarray(), subset_by_index=[0, count - 1])
     else:
         vals, vecs = _lanczos(mat, count)
-    for i in range(count):
-        residual = np.linalg.norm(mat @ vecs[:, i] - vals[i] * vecs[:, i])
-        allowed = RESIDUAL_TOL * (1.0 + abs(vals[i]))
-        if residual > allowed:
-            raise ConvergenceError(
-                f"eigenpair {i} residual {residual:.3e} exceeds {allowed:.3e}")
+    _check_residuals(mat, vals, vecs)
     return vals, vecs
 
 
@@ -178,56 +183,54 @@ def resolve_total_spin(stot2_expectation: float) -> Fraction:
 
 
 def _lowest_levels(h, dim: int, ref: float | None = None):
-    """Lowest eigenpairs of ``h``, doubling the count until a value lies
-    more than the cluster tolerance above ``ref`` (default: the lowest
-    value) or the spectrum is exhausted.  Levels found by Lanczos are
-    returned only once the deflation guard has verified them."""
-    mat = as_matrix(h)
-    lanczos = _use_lanczos(mat)
-    k = min(dim, 2 if lanczos else _DENSE_START)
-    while True:
-        vals, vecs = eig_lowest(h, k)
-        base = vals[0] if ref is None else ref
-        tol = CLUSTER_TOL * (1.0 + abs(base))
-        if k == dim:
-            return vals, vecs
-        if np.any(vals - base > tol) and (
-                not lanczos or k >= dim - 1 or _deflation_verified(mat, vals, vecs, base, tol)):
-            return vals, vecs
-        k = min(dim, 2 * k)
+    """Lowest levels of the connected block ``h``: every pair within the
+    cluster tolerance of ``ref`` (default: the lowest value), then the first
+    value above it, which carries no vector when Lanczos found it.
 
-
-def _deflation_verified(mat: sp.csr_matrix, vals, vecs, base: float, tol: float) -> bool:
-    """Whether Lanczos levels ``vals`` of the connected block ``mat`` hold
-    every copy of the cluster within ``tol`` of ``base`` and no skipped
-    level below the first value above it.
-
-    The lowest level of (1 - P) H (1 - P) + sigma P, with P the projector on
-    the cluster vectors and sigma a row-sum bound above the spectrum, is the
-    lowest level of H outside the cluster: it must lie above the cluster and
-    no lower than the reported next level.  A real block whose off-diagonal
-    entries are all negative has a simple ground level by Perron-Frobenius,
-    so a one-vector cluster there needs no solve.
+    A dense solve doubles its count until a value lies above the cluster.
+    Lanczos solves the lowest pair (two on a Perron-Frobenius-signed block,
+    whose ground level is simple), then the lowest level of
+    (1 - P) H (1 - P) + sigma P, with P the projector on the cluster vectors
+    and sigma a row-sum bound above the spectrum: the lowest level of H
+    outside the cluster.  Each cluster size takes its own start vector, as
+    the previous start's component along a missed copy is the copy already
+    found.  A value inside the cluster is such a copy; it is solved again to
+    full accuracy and joins the cluster.
     """
-    c = int(np.count_nonzero(vals - base <= tol))
-    if c == 1 and not np.iscomplexobj(mat.data):
-        coo = mat.tocoo()
-        if np.all(coo.data[coo.row != coo.col] < 0):
-            return True
-    v = vecs[:, :c]
+    mat = as_matrix(h)
+    if not _use_lanczos(mat):
+        k = min(dim, _DENSE_START)
+        while True:
+            vals, vecs = eig_lowest(mat, k)
+            base = vals[0] if ref is None else ref
+            if k == dim or np.any(vals - base > CLUSTER_TOL * (1.0 + abs(base))):
+                return vals, vecs
+            k = min(dim, 2 * k)
+    coo = mat.tocoo()
+    pf = not np.iscomplexobj(mat.data) and np.all(coo.data[coo.row != coo.col] < 0)
+    vals, vecs = eig_lowest(mat, 2 if pf else 1)
+    base = vals[0] if ref is None else ref
+    tol = CLUSTER_TOL * (1.0 + abs(base))
+    if np.any(vals - base > tol):
+        return vals, vecs
     sigma = float(abs(mat).sum(axis=1).max())
+    while vals.size < dim - 1:
+        def deflated(x):
+            x = x.ravel()
+            inside = vecs @ (vecs.conj().T @ x)
+            y = mat @ (x - inside)
+            return y - vecs @ (vecs.conj().T @ y) + sigma * inside
 
-    def deflated(x):
-        x = x.ravel()
-        inside = v @ (v.conj().T @ x)
-        y = mat @ (x - inside)
-        return y - v @ (v.conj().T @ y) + sigma * inside
-
-    op = spla.LinearOperator(mat.shape, matvec=deflated, dtype=mat.dtype)
-    # a fresh start: the first one's component in a missed copy's direction
-    # is the part of the cluster that Lanczos already found
-    outside = _lanczos(op, 1, tol=_GUARD_TOL, seed=_GUARD_SEED)[0][0]
-    return outside - base > tol and outside >= vals[c] - tol
+        op = spla.LinearOperator(mat.shape, matvec=deflated, dtype=mat.dtype)
+        seed = _GUARD_SEED + vals.size
+        outside = _lanczos(op, 1, tol=_GUARD_TOL, seed=seed)[0][0]
+        if outside - base > tol:
+            order = np.argsort(vals)
+            return np.append(vals[order], outside), vecs[:, order]
+        copy = _lanczos(op, 1, seed=seed)
+        _check_residuals(mat, *copy)
+        vals, vecs = np.append(vals, copy[0]), np.hstack([vecs, copy[1]])
+    return eig_lowest(mat, dim)
 
 
 def _blocks(mat: sp.csr_matrix) -> list[np.ndarray]:

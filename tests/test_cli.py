@@ -673,6 +673,19 @@ def test_sector_forms_refuse_u(capsys, holstein_file):
         assert code == 1 and out == "" and f"--u does not apply to the {form} form" in err
 
 
+@pytest.mark.parametrize("form", ["holstein", "langfirsov", "radiation"])
+def test_sector_forms_refuse_a_finite_u_model(capsys, tmp_path, form):
+    # 3 sites at u = 4.0: every sector form is an infinite-U construction
+    boson = ("[radiation]\nL = 4.0\nkappa = 1.0\nm0 = 1.0\ncutoff = 2\n" if form == "radiation"
+             else "[phonon]\nomega = 1.0\ncutoff = 1\n0 0 0.5\n1 1 0.5\n2 2 0.5\n")
+    path = tmp_path / "finite_u.ini"
+    path.write_text(TRIANGLE.replace("u = inf", "u = 4.0") + boson)
+    extra = () if form == "radiation" else ("--form", form)
+    code, out, err = run_err(capsys, "ed", "--m", "1", *extra, "--model", str(path))
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert "sector assembly is an infinite-U construction; model has U = 4.0" in err
+
+
 @pytest.mark.parametrize("command", ["ed", "spin", "assemble"])
 def test_cutoff_is_parsed_as_a_nonnegative_integer(capsys, holstein_file, command):
     extra = {"ed": ("--all",), "spin": (), "assemble": ("--form", "holstein", "--m", "1/2")}[command]

@@ -411,6 +411,19 @@ def _torus(n: int) -> sp.csr_matrix:
     return (sp.kron(ring, eye) + sp.kron(eye, ring)).tocsr()
 
 
+def _spy_lanczos(monkeypatch):
+    calls = []
+    real_lanczos = spectral._lanczos
+
+    def spy(op, count, tol=0.0, seed=spectral._EIG_SEED):
+        vals, vecs = real_lanczos(op, count, tol=tol, seed=seed)
+        calls.append((tol, seed, vals))
+        return vals, vecs
+
+    monkeypatch.setattr(spectral, "_lanczos", spy)
+    return calls
+
+
 @pytest.mark.parametrize("phased", [False, True], ids=["real", "complex"])
 def test_deflation_guard_finds_the_copy_lanczos_misses(monkeypatch, phased):
     # adjacency of the 31 x 31 torus: one connected block of dimension 961
@@ -425,20 +438,17 @@ def test_deflation_guard_finds_the_copy_lanczos_misses(monkeypatch, phased):
     tol = spectral.CLUSTER_TOL * (1.0 + abs(dense[0]))
     assert np.count_nonzero(dense - dense[0] <= tol) == 4
     assert len(spectral._blocks(mat)) == 1 and spectral._use_lanczos(mat)
-    # the case is real: from the lab's start vector ARPACK returns three copies
-    bare = spectral._lanczos(mat, 4)[0]
-    assert np.count_nonzero(bare - dense[0] <= tol) < 4
-
-    def copies_and_gap():
-        [(_, _, vals, _)], e0 = spectral._block_levels(mat)
-        copies = int(np.count_nonzero(vals - e0 <= tol))
-        return copies, vals[copies] - e0
-
-    copies, gap = copies_and_gap()
-    assert copies == 4
-    assert abs(gap - (dense[4] - dense[0])) <= 1e-9
-    monkeypatch.setattr("nagaoka.spectral._deflation_verified", lambda *args: True)
-    assert copies_and_gap()[0] < 4
+    calls = _spy_lanczos(monkeypatch)
+    [(_, _, vals, vecs)], e0 = spectral._block_levels(mat)
+    copies = int(np.count_nonzero(vals - e0 <= tol))
+    assert copies == vecs.shape[1] == 4
+    assert abs(vals[copies] - e0 - (dense[4] - dense[0])) <= 1e-9
+    # the first solve holds one copy; three deflated solves land on a missed
+    # one, each from its own start vector, and the fourth above the cluster
+    assert calls[0][2].size == 1
+    guards = [(seed, found[0]) for tol_, seed, found in calls if tol_ > 0]
+    assert [found - e0 <= tol for _, found in guards] == [True, True, True, False]
+    assert len({seed for seed, _ in guards}) == 4
 
 
 def _same_report(policy, dense):
@@ -446,6 +456,29 @@ def _same_report(policy, dense):
     assert abs(policy.ground_energy - dense.ground_energy) <= 1e-10
     assert abs(policy.gap - dense.gap) <= 1e-9
     assert abs(policy.stot2_expectation - dense.stot2_expectation) <= 1e-9
+
+
+# complete-4 with seeded hoppings in [0.5, 1.5] and gamma = 0.5: its Lang-Firsov
+# M = 1/2 sector at cutoff 2 has the excited pair 0.9688 and 0.9689 above E0
+_SEEDED_COMPLETE4 = {(0, 1): 1.1155107145922238, (0, 2): 1.104311521729088,
+                     (0, 3): 1.274519101879528, (1, 2): 1.1063294995345345,
+                     (1, 3): 1.251599042656105, (2, 3): 1.071615045732822}
+
+
+def test_lanczos_route_matches_dense_on_a_clustered_lang_firsov_sector(monkeypatch):
+    t = np.zeros((4, 4))
+    for (x, y), value in _SEEDED_COMPLETE4.items():
+        t[x, y] = t[y, x] = value
+    h = assemble_lang_firsov_sector(holstein_model(LatticeModel(4, t), 0.5), Fraction(1, 2))
+    coo = spectral.as_matrix(h).tocoo()
+    assert h.dimension == 972 and spectral._use_lanczos(coo.tocsr())
+    assert np.any(coo.data[coo.row != coo.col] > 0)         # not Perron-Frobenius signed
+    calls = _spy_lanczos(monkeypatch)
+    policy = ground_report(h)
+    # a simple ground level: one solve for it and one deflated solve for the gap
+    assert policy.degeneracy == 1 and len(calls) == 2
+    monkeypatch.setattr("nagaoka.spectral._use_lanczos", lambda mat: False)
+    _same_report(policy, ground_report(h))
 
 
 _FORMS = {"holstein": assemble_holstein_sector, "langfirsov": assemble_lang_firsov_sector}
@@ -484,7 +517,10 @@ def test_real_polaron_frame_reports_as_its_complex_cast(gamma, cutoff):
                          ids=["complete9-M0", "complete12-M1/2"])
 def test_policy_route_matches_dense_on_complete_graphs(monkeypatch, sites, m):
     h = assemble_nagaoka_sector(LatticeModel(sites, generate_lattice("complete", sites, 1.0)), m)
+    calls = _spy_lanczos(monkeypatch)
     policy = ground_report(h)
+    # a Perron-Frobenius-signed block: one solve for its lowest two pairs
+    assert [(tol, vals.size) for tol, _, vals in calls] == [(0.0, 2)]
     monkeypatch.setattr("nagaoka.spectral._use_lanczos", lambda mat: False)
     _same_report(policy, ground_report(h))
 
