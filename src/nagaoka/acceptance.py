@@ -38,6 +38,7 @@ from .positivity import (
 )
 from .sector import connectivity_check, sector_magnetizations
 from .spectral import (
+    _ground_cluster,
     default_resolvent_z,
     eig_lowest,
     ground_report,
@@ -159,8 +160,8 @@ def criterion_4() -> str:
             if not connectivity_check(model, m).connected:
                 continue
             h = assemble_nagaoka_sector(model, m)
-            rep = ground_report(h)
-            cert = pf_certificate(h, rep.ground_vector, rep.degeneracy)
+            _, _, degeneracy, _, v0 = _ground_cluster(h.op.matrix)
+            cert = pf_certificate(h, v0, degeneracy)
             assert cert.offdiag_sign_ok, f"{name} M={m}: off-diagonal sign broken"
             assert cert.irreducible, f"{name} M={m}: reducible"
             assert cert.ground_unique and cert.ground_strictly_positive, \

@@ -22,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import __version__
-from .acceptance import run_acceptance
+from .acceptance import CRITERIA, run_acceptance
 from .errors import (
     AmbiguousSpinError,
     ConvergenceError,
@@ -164,6 +164,24 @@ def _u_list(text: str) -> list[float]:
     if not us:
         raise argparse.ArgumentTypeError("no U values given")
     return us
+
+
+def _criteria(text: str) -> list[int]:
+    """Comma-separated acceptance criteria, ascending, each once; empty
+    tokens are skipped."""
+    numbers = set()
+    for tok in filter(None, text.split(",")):
+        try:
+            number = int(tok)
+        except ValueError:
+            number = None
+        if number not in CRITERIA:
+            raise argparse.ArgumentTypeError(
+                f"unknown criterion {tok!r}; valid: {', '.join(map(str, sorted(CRITERIA)))}")
+        numbers.add(number)
+    if not numbers:
+        raise argparse.ArgumentTypeError("no criteria given")
+    return sorted(numbers)
 
 
 def _map_jobs(fn, payloads, jobs: int) -> list:
@@ -371,11 +389,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    numbers = None
-    if args.criteria:
-        numbers = [int(tok) for tok in args.criteria.split(",") if tok]
-    buffer_out = sys.stdout
-    results, ok = run_acceptance(numbers, stream=buffer_out)
+    results, ok = run_acceptance(args.criteria, stream=sys.stdout)
     if args.out:
         rows = [{"criterion": r.number, "name": r.name, "passed": r.passed,
                  "detail": r.detail} for r in results]
@@ -453,7 +467,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("reproduce", help="run the acceptance pipeline")
-    p.add_argument("--criteria", default=None, help="comma-separated subset, e.g. 1,3,9")
+    p.add_argument("--criteria", type=_criteria, default=None,
+                   help="comma-separated subset, e.g. 1,3,9")
     p.add_argument("--out", default=None, help="write a JSON summary")
     p.set_defaults(func=_cmd_reproduce)
     return parser

@@ -63,7 +63,7 @@ class SparseHermitian:
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"a Hermitian matrix must be square, got {m.shape}")
         worst, scale = self._hermiticity_defect(m)
-        if worst > self.HERMITICITY_TOL * scale:
+        if not worst <= self.HERMITICITY_TOL * scale:      # a NaN defect fails too
             raise ValueError(f"matrix flagged hermitian but ||A - A*|| = {worst:.3e}")
         self.matrix = m
 

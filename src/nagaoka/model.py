@@ -9,6 +9,10 @@ A model is valid when it satisfies the four conditions
          stored),
     A.4  the electron-phonon coupling matrix g is real symmetric.
 
+Every value is also finite: the matrices, the phonon frequency, the
+radiation box, ball radius and mass, and the site positions (an infinite
+on-site U is the one symbolic exception).
+
 Site indices are 0-based integers in a fixed global order; that order is
 used for all fermionic sign bookkeeping downstream.
 """
@@ -35,7 +39,16 @@ def _as_square(a, n, what) -> np.ndarray:
     arr = np.array(a, dtype=float)  # copy: the model owns (and freezes) its matrices
     if arr.shape != (n, n):
         raise ModelValidationError("shape", f"{what} must be {n}x{n}, got {arr.shape}")
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        x, y = bad[0]
+        raise ModelValidationError("finite", f"{what} entry ({x}, {y}) = {arr[x, y]} is not finite")
     return arr
+
+
+def _finite_positive(value: float, condition: str, what: str):
+    if not (math.isfinite(value) and value > 0):
+        raise ModelValidationError(condition, f"{what} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,20 +123,18 @@ class LatticeModel:
             if bad.size:
                 x, y = bad[0]
                 raise ModelValidationError("A.4", f"phonon coupling asymmetric at ({x}, {y})")
-            if not ph.frequency > 0:
-                raise ModelValidationError("phonon", f"frequency must be > 0, got {ph.frequency}")
+            _finite_positive(ph.frequency, "phonon", "frequency")
             if ph.per_site_cutoff < 0:
                 raise ModelValidationError("phonon", "per_site_cutoff must be >= 0")
             object.__setattr__(ph, "coupling", g)
 
         if self.radiation is not None:
             rad = self.radiation
-            if not rad.box_length > 0:
-                raise ModelValidationError("radiation", "box_length must be > 0")
-            if not rad.uv_cutoff > 0:
-                raise ModelValidationError("radiation", "uv_cutoff must be > 0")
-            if not rad.mass > 0:
-                raise ModelValidationError("radiation", "mass must be > 0")
+            _finite_positive(rad.box_length, "radiation", "box_length")
+            _finite_positive(rad.uv_cutoff, "radiation", "uv_cutoff")
+            _finite_positive(rad.mass, "radiation", "mass")
+            if rad.photon_cutoff < 0:
+                raise ModelValidationError("radiation", "photon_cutoff must be >= 0")
             pos = rad.site_positions
             if pos is None:
                 # default embedding: integer points of a line through the box center
@@ -133,6 +144,8 @@ class LatticeModel:
             if pos.shape != (self.sites, 3):
                 raise ModelValidationError(
                     "radiation", f"site_positions must be ({self.sites}, 3), got {pos.shape}")
+            if not np.all(np.isfinite(pos)):
+                raise ModelValidationError("radiation", "site_positions must be finite")
             half = rad.box_length / 2.0
             if np.any(np.abs(pos) > half + 1e-12):
                 raise ModelValidationError("radiation", "site_positions outside the box V")
@@ -234,6 +247,13 @@ def _parse_number(text, where):
         raise ModelParseError(f"expected a number at {where}, got {text!r}") from None
 
 
+def _parse_int(text, where):
+    try:
+        return int(text)
+    except ValueError:
+        raise ModelParseError(f"expected an integer at {where}, got {text!r}") from None
+
+
 def load_model(path) -> LatticeModel:
     """Parse and validate a model file.  See the README for the format."""
     try:
@@ -265,12 +285,9 @@ def load_model(path) -> LatticeModel:
         toks = line.split()
         if len(toks) not in (3, 4):
             raise ModelParseError(f"expected 'x y value' row at {where}, got {line!r}")
-        try:
-            x = int(toks[0])
-        except ValueError:
-            raise ModelParseError(f"row index must be an integer at {where}") from None
+        x = _parse_int(toks[0], where)
         if len(toks) == 3:
-            y = int(toks[1])
+            y = _parse_int(toks[1], where)
             rows[section].append((x, y, _parse_number(toks[2], where), where))
         else:
             vec = tuple(_parse_number(v, where) for v in toks[1:])
@@ -279,12 +296,13 @@ def load_model(path) -> LatticeModel:
     lat = scalars["lattice"]
     if "sites" not in lat:
         raise ModelParseError("[lattice] must declare sites")
-    sites = int(lat["sites"])
+    sites = _parse_int(lat["sites"], "[lattice] sites")
 
     if "generator" in lat:
         name = lat["generator"]
         extent_text = lat.get("extent", str(sites))
-        dims = tuple(int(v) for v in re.split(r"[x,\s]+", extent_text.strip()) if v)
+        dims = tuple(_parse_int(v, "[lattice] extent")
+                     for v in re.split(r"[x,\s]+", extent_text.strip()) if v)
         extent = dims[0] if len(dims) == 1 else dims
         t = _parse_number(lat.get("t", "1.0"), "[lattice] t")
         hopping = generate_lattice(name, extent, t)
@@ -307,7 +325,7 @@ def load_model(path) -> LatticeModel:
         phonon = PhononBlock(
             coupling=_triplets_to_matrix(rows["phonon"], sites, "coupling"),
             frequency=_parse_number(ph["omega"], "[phonon] omega"),
-            per_site_cutoff=int(ph.get("cutoff", "2")),
+            per_site_cutoff=_parse_int(ph.get("cutoff", "2"), "[phonon] cutoff"),
         )
 
     radiation = None
@@ -335,7 +353,7 @@ def load_model(path) -> LatticeModel:
             box_length=_parse_number(rd["L"], "[radiation] L"),
             uv_cutoff=_parse_number(rd["kappa"], "[radiation] kappa"),
             mass=_parse_number(rd["m0"], "[radiation] m0"),
-            photon_cutoff=int(rd.get("cutoff", "1")),
+            photon_cutoff=_parse_int(rd.get("cutoff", "1"), "[radiation] cutoff"),
             site_positions=positions,
         )
 

@@ -35,7 +35,7 @@ from .hamiltonian import (
 from .manybody import BosonBasis, SparseHermitian, _mode_product, _mode_sum, sector_lowering_fock
 from .model import LatticeModel
 from .sector import enumerate_sector
-from .spectral import _ground_cluster, as_matrix
+from .spectral import _ground_cluster, _sign_structure, as_matrix
 
 STRICT_POSITIVITY_TOL = 1e-12
 
@@ -52,12 +52,8 @@ class PositivityCertificate:
 
 def preserves_positivity(a, tol: float = 0.0) -> bool:
     """Entrywise nonnegativity in the distinguished basis."""
-    mat = as_matrix(a)
-    if mat.nnz == 0:
-        return True
-    data = mat.data
-    return bool(np.all(np.abs(data.imag) <= tol) if np.iscomplexobj(data) else True) \
-        and bool(np.all(data.real >= -tol))
+    data = as_matrix(a).data
+    return bool(np.all(data.real >= -tol) and np.all(np.abs(data.imag) <= tol))
 
 
 def improves_positivity_exp(a, tol: float = 0.0) -> bool:
@@ -68,31 +64,15 @@ def improves_positivity_exp(a, tol: float = 0.0) -> bool:
     mat = as_matrix(a)
     if not preserves_positivity(mat, tol):
         raise ValueError("defined only for positivity-preserving matrices")
-    if mat.shape[0] <= 1:
-        return True
-    support = sp.csr_matrix((np.ones(mat.data.shape), mat.indices, mat.indptr),
-                            shape=mat.shape)
-    n_comp, _ = connected_components(support, directed=True, connection="strong")
-    return n_comp == 1
-
-
-def _offdiagonal_support(mat: sp.csr_matrix) -> sp.csr_matrix:
-    off = mat - sp.diags(mat.diagonal())
-    off.eliminate_zeros()
-    return off.tocsr()
+    n_comp, _ = connected_components(abs(mat), directed=True, connection="strong")
+    return n_comp <= 1
 
 
 def ergodicity_certificate(h) -> bool:
-    """Connectivity of the off-diagonal support graph of -H.
-
-    On a configuration-basis Hamiltonian this is, by construction, the same
-    predicate as the hole-move connectivity of the sector.
-    """
-    off = _offdiagonal_support(as_matrix(h))
-    if off.shape[0] <= 1:
-        return True
-    n_comp, _ = connected_components(abs(off), directed=False)
-    return n_comp == 1
+    """Connectivity of the off-diagonal support graph of -H: at most one
+    block.  On a configuration-basis Hamiltonian this is, by construction,
+    the same predicate as the hole-move connectivity of the sector."""
+    return len(_sign_structure(as_matrix(h))[0]) <= 1
 
 
 def pf_certificate(h, ground_vector: np.ndarray, degeneracy: int,
@@ -106,18 +86,18 @@ def pf_certificate(h, ground_vector: np.ndarray, degeneracy: int,
     or positivity fail, the certificate raises instead of reporting, because
     the implication is a theorem at finite dimension.
     """
-    mat = as_matrix(h)
-    neg_off = -_offdiagonal_support(mat)
-    sign_ok = preserves_positivity(neg_off, tol=STRICT_POSITIVITY_TOL)
-    irreducible = ergodicity_certificate(mat)
+    blocks, re_max, im_max = _sign_structure(as_matrix(h))
+    tol = STRICT_POSITIVITY_TOL
+    sign_ok = bool(np.all(re_max <= tol) and np.all(im_max <= tol))
+    irreducible = len(blocks) <= 1
 
     v = np.asarray(ground_vector).ravel()
     pivot = v[int(np.argmax(np.abs(v)))]
     v = v * np.conj(pivot) / abs(pivot)
-    real_ok = not np.iscomplexobj(v) or float(np.max(np.abs(v.imag))) <= STRICT_POSITIVITY_TOL
+    real_ok = not np.iscomplexobj(v) or float(np.max(np.abs(v.imag))) <= tol
     min_entry = float(np.min(v.real))
     unique = degeneracy == 1
-    strictly_positive = bool(real_ok and min_entry > STRICT_POSITIVITY_TOL)
+    strictly_positive = bool(real_ok and min_entry > tol)
 
     if sign_ok and irreducible and not (unique and strictly_positive):
         raise InconsistencyError(
@@ -218,13 +198,11 @@ def qgrid_holstein_certify(model: LatticeModel, m, points: int, spacing: float) 
                       + [(_diagonal(_sector_diagonal(model, basis, dressed=True)), None),
                          (None, grid_h)], (basis.dimension, grid.dimension))
 
-    neg_off = -_offdiagonal_support(total)
-    if not preserves_positivity(neg_off, tol=STRICT_POSITIVITY_TOL):
-        raise InconsistencyError("grid assembly lost the off-diagonal sign structure")
-
     hermitian = SparseHermitian(total)
     _, e0, degeneracy, _, v0 = _ground_cluster(hermitian.matrix)
     cert = pf_certificate(hermitian, v0, degeneracy, basis_tag="configuration x grid")
+    if not cert.offdiag_sign_ok:
+        raise InconsistencyError("grid assembly lost the off-diagonal sign structure")
     return GridCertificate(certificate=cert, ground_energy=float(e0),
                            dropped_constant=lang_firsov_constant(model),
                            points=points, spacing=spacing)

@@ -7,16 +7,16 @@ Tolerances used throughout, stated once:
 * spin rounding:        |S(S+1) - <S^2>| <= 1e-6 after rounding S
 
 A sector matrix is split into the connected components of the graph of |H|
-and solved block by block at every dimension: a single Lanczos start vector
-cannot resolve exact degeneracies between decoupled blocks, and a matrix of
-many small blocks (decoupled boson modes, hole-move orbits) costs a sum of
-small solves instead of one large one.  Blocks small enough for the first
-dense request to solve whole are gathered by size and solved by one
-stacked ``eigh`` per size.
+(stored zeros are no edges) and solved block by block at every dimension:
+a single Lanczos start vector cannot resolve exact degeneracies between
+decoupled blocks, and a matrix of many small blocks (decoupled boson
+modes, hole-move orbits) costs a sum of small solves instead of one large
+one.  Blocks small enough for the first dense request to solve whole are
+gathered by size and solved by one stacked ``eigh`` per size.
 
 One policy picks the solver of each matrix from its dimension, its number
-of stored entries and its dtype: Lanczos above dimension 2048, and below it
-on blocks of dimension above 512 (400 when complex, where LAPACK costs
+of stored entries and its dtype: Lanczos above dimension 2048, and below
+it on blocks of dimension above 512 (400 when complex, where LAPACK costs
 about four times more) that store at most dim^2/16 entries; dense LAPACK
 otherwise, computing only the requested lowest pairs.  Both take the
 matrix's dtype as it is: a real matrix gets real LAPACK and ARPACK's
@@ -25,9 +25,10 @@ lowest pair of a block and takes the next level from one more solve, on
 the complement of the ground cluster, from a fresh start vector.  A value
 found there inside the cluster is an exact copy of the ground level that
 the first Krylov run missed: it joins the cluster and the complement is
-solved again.  A real block whose off-diagonal entries are all negative
-has a simple ground level (Perron-Frobenius); it is solved for its lowest
-two pairs at once instead.
+solved again.  A real block whose stored off-diagonal entries are all
+negative, read off in the same pass as the blocks, has a simple ground
+level (Perron-Frobenius); Lanczos solves its lowest two pairs at once
+instead.
 
 Total spin is resolved on the whole degenerate ground cluster V, so a
 cluster that mixes spins is reported by its content instead of by one
@@ -43,7 +44,7 @@ O(nnz) comparison of CSR arrays instead of a second solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -165,8 +166,6 @@ class SpectralReport:
     sector_dimension: int
     boson_dimension: int | None = None
     cutoff: int | None = None
-    # ground vector of the lowest block; never serialized, and None on a spin-flipped report
-    ground_vector: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def resolve_total_spin(stot2_expectation: float) -> Fraction:
@@ -182,14 +181,14 @@ def resolve_total_spin(stot2_expectation: float) -> Fraction:
     return s
 
 
-def _lowest_levels(h, dim: int, ref: float | None = None):
-    """Lowest levels of the connected block ``h``: every pair within the
+def _lowest_levels(mat: sp.csr_matrix, pf: bool, ref: float | None = None):
+    """Lowest levels of the connected block ``mat``: every pair within the
     cluster tolerance of ``ref`` (default: the lowest value), then the first
     value above it, which carries no vector when Lanczos found it.
 
     A dense solve doubles its count until a value lies above the cluster.
-    Lanczos solves the lowest pair (two on a Perron-Frobenius-signed block,
-    whose ground level is simple), then the lowest level of
+    Lanczos solves the lowest pair (two when ``pf`` flags a block signed for
+    Perron-Frobenius, whose ground level is simple), then the lowest level of
     (1 - P) H (1 - P) + sigma P, with P the projector on the cluster vectors
     and sigma a row-sum bound above the spectrum: the lowest level of H
     outside the cluster.  Each cluster size takes its own start vector, as
@@ -197,7 +196,7 @@ def _lowest_levels(h, dim: int, ref: float | None = None):
     found.  A value inside the cluster is such a copy; it is solved again to
     full accuracy and joins the cluster.
     """
-    mat = as_matrix(h)
+    dim = mat.shape[0]
     if not _use_lanczos(mat):
         k = min(dim, _DENSE_START)
         while True:
@@ -206,8 +205,6 @@ def _lowest_levels(h, dim: int, ref: float | None = None):
             if k == dim or np.any(vals - base > CLUSTER_TOL * (1.0 + abs(base))):
                 return vals, vecs
             k = min(dim, 2 * k)
-    coo = mat.tocoo()
-    pf = not np.iscomplexobj(mat.data) and np.all(coo.data[coo.row != coo.col] < 0)
     vals, vecs = eig_lowest(mat, 2 if pf else 1)
     base = vals[0] if ref is None else ref
     tol = CLUSTER_TOL * (1.0 + abs(base))
@@ -233,14 +230,37 @@ def _lowest_levels(h, dim: int, ref: float | None = None):
     return eig_lowest(mat, dim)
 
 
-def _blocks(mat: sp.csr_matrix) -> list[np.ndarray]:
-    """Ascending index sets of the connected components of the graph of
-    |H|, ordered by their smallest index.  The graph is taken from |H|
-    because the component search casts complex weights to real, which would
-    drop a purely imaginary coupling."""
-    n_comp, labels = connected_components(abs(mat), directed=False)
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(labels, minlength=n_comp))[:-1])
+def _sign_structure(mat: sp.csr_matrix):
+    """The blocks of ``mat`` and the sign of their off-diagonal entries: the
+    two facts a Perron-Frobenius argument reads off a matrix.
+
+    Blocks are the ascending index sets of the connected components of the
+    graph of |H| without its stored zeros, ordered by their smallest index
+    (|H|, as the component search casts complex weights to real, which
+    would drop a purely imaginary coupling).  Per block come the largest
+    real part and the largest |imaginary part| of its stored off-diagonal
+    entries, -inf and 0 when it has none."""
+    graph = abs(mat)
+    if not graph.data.all():
+        graph.eliminate_zeros()
+    n_comp, labels = connected_components(graph, directed=False)
+    rows = np.repeat(np.arange(mat.shape[0], dtype=mat.indices.dtype), np.diff(mat.indptr))
+    off = rows != mat.indices
+    if n_comp <= 1:
+        blocks = [np.arange(mat.shape[0])]
+    else:
+        blocks = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
+
+    def largest(data, empty):
+        if n_comp <= 1:         # one pass over the whole matrix
+            return np.array([np.max(data, where=off, initial=empty)])
+        out = np.full(n_comp, empty)
+        np.maximum.at(out, labels[rows[off]], data[off])
+        return out
+
+    im_max = (largest(np.abs(mat.data.imag), 0.0) if np.iscomplexobj(mat.data)
+              else np.zeros(len(blocks)))
+    return blocks, largest(mat.data.real, -np.inf), im_max
 
 
 def _stacked_levels(mat: sp.csr_matrix, blocks: list[np.ndarray]) -> dict:
@@ -288,9 +308,10 @@ def _block_levels(mat: sp.csr_matrix):
     small ones are solved together by ``_stacked_levels`` and carry no
     block matrix.
     """
-    blocks = _blocks(mat)
+    blocks, re_max, _ = _sign_structure(mat)
+    pf = (re_max < 0) & (not np.iscomplexobj(mat.data))
     if len(blocks) == 1:
-        parts = [[blocks[0], mat, *_lowest_levels(mat, mat.shape[0])]]
+        parts = [[blocks[0], mat, *_lowest_levels(mat, pf[0])]]
     else:
         stacked = _stacked_levels(mat, blocks)
         if len(stacked) < len(blocks):
@@ -302,13 +323,13 @@ def _block_levels(mat: sp.csr_matrix):
                 parts.append([idx, None, *stacked[j]])
             else:
                 block = permuted[end - idx.size:end, end - idx.size:end]
-                parts.append([idx, block, *_lowest_levels(block, idx.size)])
+                parts.append([idx, block, *_lowest_levels(block, pf[j])])
     e0 = min(vals[0] for _, _, vals, _ in parts)
     tol = CLUSTER_TOL * (1.0 + abs(e0))
-    for part in parts:
+    for part, flag in zip(parts, pf):
         idx, block, vals, _ = part
         if not np.any(vals - e0 > tol) and vals.size < idx.size:
-            part[2:] = _lowest_levels(block, idx.size, ref=e0)
+            part[2:] = _lowest_levels(block, flag, ref=e0)
     return parts, e0
 
 
@@ -367,14 +388,14 @@ def _ground_cluster(mat: sp.csr_matrix):
 
 def ground_report(h: SectorHamiltonian) -> SpectralReport:
     """Ground-state cluster, gap and resolved total spin of one sector."""
-    cluster, e0, degeneracy, gap, v0 = _ground_cluster(as_matrix(h))
+    cluster, e0, degeneracy, gap, _ = _ground_cluster(as_matrix(h))
     s2_exp, resolved = _cluster_spin(cluster, h)
     return SpectralReport(
         m=h.m, ground_energy=float(e0), degeneracy=degeneracy, gap=gap,
         stot2_expectation=s2_exp, resolved_s=resolved, dimension=h.dimension,
         sector_dimension=h.basis.dimension,
         boson_dimension=None if h.boson is None else h.boson.dimension,
-        cutoff=h.cutoff, ground_vector=v0)
+        cutoff=h.cutoff)
 
 
 def _permuted(mat: sp.csr_matrix, perm: np.ndarray) -> sp.csr_matrix:
@@ -410,8 +431,8 @@ def verified_spin_flip(h: SectorHamiltonian, h_flip: SectorHamiltonian) -> np.nd
 
 def spin_flipped_report(report: SpectralReport) -> SpectralReport:
     """The report of sector -M read off the ``report`` of M, once ``verified_spin_flip``
-    holds: the same levels, spin and dimensions, and no ground vector."""
-    return replace(report, m=-report.m, ground_vector=None)
+    holds: the same levels, spin and dimensions."""
+    return replace(report, m=-report.m)
 
 
 def _full_space_pieces(model: LatticeModel):

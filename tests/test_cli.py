@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -9,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nagaoka
 from nagaoka.cli import main
@@ -711,3 +716,103 @@ def test_assemble_triplets_come_out_in_row_major_order(capsys, holstein_file, ra
     pairs = [tuple(map(int, line.split()[:2])) for line in lines[2:]]
     assert len(pairs) == nnz > 0
     assert all(a < b for a, b in zip(pairs, pairs[1:]))       # rows, then columns, ascending
+
+
+_BAD_MODELS = {
+    "hopping inf": ("[lattice]\nsites = 3\n0 1 1.0\n1 2 inf\n", "hopping entry (1, 2) = inf"),
+    "hopping nan": ("[lattice]\nsites = 3\n0 1 nan\n", "hopping entry (0, 1) = nan"),
+    "coulomb inf": ("[lattice]\nsites = 3\n0 1 1.0\n1 2 1.0\n[coulomb]\n0 1 inf\n",
+                    "offsite_u entry (0, 1) = inf"),
+    "coupling nan": ("[phonon]\nomega = 1.0\n0 0 nan\n", "phonon coupling entry (0, 0) = nan"),
+    "omega inf": ("[phonon]\nomega = inf\n0 0 0.5\n", "frequency must be finite and > 0"),
+    "L inf": ("[radiation]\nL = inf\nkappa = 1.0\nm0 = 1.0\n", "box_length must be finite"),
+    "kappa inf": ("[radiation]\nL = 4.0\nkappa = inf\nm0 = 1.0\n", "uv_cutoff must be finite"),
+    "m0 inf": ("[radiation]\nL = 4.0\nkappa = 1.0\nm0 = inf\n", "mass must be finite"),
+    "position nan": ("[radiation]\nL = 4.0\nkappa = 1.0\nm0 = 1.0\n0 -1 0 0\n1 nan 0 0\n"
+                     "2 1 0 0\n", "site_positions must be finite"),
+    "radiation cutoff": ("[radiation]\nL = 4.0\nkappa = 1.0\nm0 = 1.0\ncutoff = -1\n",
+                         "photon_cutoff must be >= 0"),
+    "sites": ("[lattice]\nsites = 3.5\n", "expected an integer at [lattice] sites, got '3.5'"),
+    "extent": ("[lattice]\nsites = 3\ngenerator = chain\nextent = a\n",
+               "expected an integer at [lattice] extent, got 'a'"),
+    "phonon cutoff": ("[phonon]\nomega = 1.0\ncutoff = 2.5\n0 0 0.5\n",
+                      "expected an integer at [phonon] cutoff, got '2.5'"),
+    "row index": ("[lattice]\nsites = 3\n0 x 1.0\n", "expected an integer at line 3, got 'x'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_MODELS))
+def test_malformed_model_values_exit_1_with_one_line(capsys, tmp_path, case):
+    text, message = _BAD_MODELS[case]
+    if not text.startswith("[lattice]"):
+        text = "[lattice]\nsites = 3\n0 1 1.0\n1 2 1.0\n" + text
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    code, out, err = run_err(capsys, "ed", "--all", "--model", str(path))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("criteria, message", [
+    (",", "no criteria given"),
+    ("", "no criteria given"),
+    ("a", "unknown criterion 'a'"),
+    ("1,13", "unknown criterion '13'"),
+    ("0", "unknown criterion '0'"),
+])
+def test_reproduce_criteria_are_validated_by_the_parser(capsys, criteria, message):
+    code, out, err = run_err(capsys, "reproduce", "--criteria", criteria)
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert f"argument --criteria: {message}" in err
+
+
+def test_reproduce_runs_a_repeated_criterion_once(capsys):
+    code, out = run(capsys, "reproduce", "--criteria", "3,1,3,")
+    assert code == 0
+    assert [line[:9] for line in out.splitlines()] == ["PASS [ 1]", "PASS [ 3]", "ALL CRITE"]
+
+
+_NON_FINITE = ("inf", "-inf", "nan", "-nan", "Infinity")
+_VALUES = ("1.0", "0.5", "0", "-0.75", "2.5", "7", "1e300", "-1e300", "1e-300")
+_INTEGERS = ("0", "1", "2", "2.5", "1e300", "99999999999999999999")
+
+
+@st.composite
+def model_files(draw):
+    """Text of a 2- or 3-site model file whose numeric tokens are drawn from
+    finite, non-finite, non-integer and huge values, and whether any value
+    is non-finite.  Fields whose size sets the work (the radiation box and
+    mode-ball radius) draw either a fixed small value or a non-finite one."""
+    bad = []
+
+    def token(pool, non_finite=_NON_FINITE):        # one token in eight non-finite
+        bad.append(draw(st.integers(0, 7)) == 7)
+        return draw(st.sampled_from(non_finite if bad[-1] else pool))
+
+    sites = draw(st.integers(2, 3))
+    lines = ["[lattice]", f"sites = {sites}"]
+    lines += [f"{x} {x + 1} {token(_VALUES)}" for x in range(sites - 1)]
+    lines += ["[coulomb]", f"u = {token(('inf', 'infinite', '4.0'), ('-inf', 'nan'))}"]
+    if draw(st.booleans()):
+        lines.append(f"0 1 {token(_VALUES)}")
+    if draw(st.booleans()):
+        lines += ["[phonon]", f"omega = {token(_VALUES)}", f"cutoff = {token(_INTEGERS)}"]
+        lines += [f"{x} {x} {token(_VALUES)}" for x in range(sites)]
+    if draw(st.booleans()):
+        lines += ["[radiation]", f"L = {token(('4.0',))}", f"kappa = {token(('1.0',))}",
+                  f"m0 = {token(_VALUES)}", f"cutoff = {token(_INTEGERS)}"]
+    return "\n".join(lines) + "\n", any(bad)
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(model_files())
+def test_model_file_fuzz_exits_cleanly(case):
+    text, non_finite = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.ini"
+        path.write_text(text)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["ed", "--all", "--model", str(path)])
+    assert code in (0, 1, 2), text
+    if non_finite:
+        assert code == 1, text

@@ -151,6 +151,12 @@ def test_non_hermitian_input_is_rejected_with_its_defect(matrix, defect):
     assert float(str(exc.value).rsplit("= ", 1)[1]) == pytest.approx(defect, rel=1e-3)
 
 
+def test_nan_defect_fails_the_hermiticity_check():
+    # symmetric pattern, NaN data: the defect is NaN, never within the tolerance
+    with pytest.raises(ValueError, match=r"\|\|A - A\*\|\| = nan"):
+        SparseHermitian(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+
+
 def test_hermiticity_check_reads_unsorted_duplicate_entries():
     # rows stored out of order, one entry split in two, and an unmirrored
     # entry below the tolerance: accepted, as by the full difference A - A*

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -176,3 +178,60 @@ def test_infinite_is_symbolic():
     assert INFINITE == float("inf")
     model = LatticeModel(2, np.zeros((2, 2)))
     assert model.onsite_u is INFINITE or model.onsite_u == INFINITE
+
+
+def _with(**changes):
+    sites = 3
+    hopping = generate_lattice("complete", 3, 1.0)
+    phonon = dict(coupling=0.5 * np.eye(sites), frequency=1.0)
+    radiation = dict(box_length=4.0, uv_cutoff=1.0, mass=1.0)
+    offsite = None
+    for key, value in changes.items():
+        if key in phonon:
+            phonon[key] = value
+        elif key in radiation or key in ("site_positions", "photon_cutoff"):
+            radiation[key] = value
+        elif key == "hopping":
+            hopping = value
+        else:
+            offsite = value
+    return LatticeModel(sites, hopping, offsite_u=offsite, phonon=PhononBlock(**phonon),
+                        radiation=RadiationBlock(**radiation))
+
+
+_INF_AT_02 = np.array([[0.0, 1.0, np.inf], [1.0, 0.0, 1.0], [np.inf, 1.0, 0.0]])
+
+
+@pytest.mark.parametrize("changes, condition, message", [
+    (dict(hopping=_INF_AT_02), "finite", "hopping entry (0, 2) = inf is not finite"),
+    (dict(hopping=np.where(np.eye(3) > 0, 0.0, np.nan)), "finite", "hopping entry (0, 1) = nan"),
+    (dict(offsite_u=_INF_AT_02), "finite", "offsite_u entry (0, 2) = inf"),
+    (dict(coupling=np.diag([0.5, np.nan, 0.5])), "finite", "phonon coupling entry (1, 1) = nan"),
+    (dict(frequency=np.inf), "phonon", "frequency must be finite and > 0, got inf"),
+    (dict(box_length=np.inf), "radiation", "box_length must be finite and > 0, got inf"),
+    (dict(uv_cutoff=np.inf), "radiation", "uv_cutoff must be finite and > 0, got inf"),
+    (dict(mass=np.nan), "radiation", "mass must be finite and > 0, got nan"),
+    (dict(site_positions=np.array([[-1.0, 0, 0], [0, np.nan, 0], [1, 0, 0]])), "radiation",
+     "site_positions must be finite"),
+    (dict(photon_cutoff=-1), "radiation", "photon_cutoff must be >= 0"),
+], ids=["hopping-inf", "hopping-nan", "offsite-inf", "coupling-nan", "omega-inf", "L-inf",
+        "kappa-inf", "m0-nan", "position-nan", "photon-cutoff"])
+def test_non_finite_model_values_name_their_condition(changes, condition, message):
+    assert _with().sites == 3                 # the base model is valid
+    with pytest.raises(ModelValidationError, match=re.escape(message)) as err:
+        _with(**changes)
+    assert err.value.condition == condition
+
+
+@pytest.mark.parametrize("text, where", [
+    ("sites = 3.5\n", "[lattice] sites, got '3.5'"),
+    ("sites = 3\ngenerator = chain\nextent = a\n", "[lattice] extent, got 'a'"),
+    ("sites = 3\n0 x 1.0\n", "line 3, got 'x'"),
+    ("sites = 3\nx 1 1.0\n", "line 3, got 'x'"),
+    ("sites = 2\n0 1 1.0\n[phonon]\nomega = 1.0\ncutoff = 2.5\n", "[phonon] cutoff, got '2.5'"),
+    ("sites = 2\n0 1 1.0\n[radiation]\nL = 4\nkappa = 1\nm0 = 1\ncutoff = one\n",
+     "[radiation] cutoff, got 'one'"),
+])
+def test_model_file_integers_name_their_field(tmp_path, text, where):
+    with pytest.raises(ModelParseError, match=re.escape(f"expected an integer at {where}")):
+        load_model(write(tmp_path, "[lattice]\n" + text))

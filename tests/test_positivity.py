@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from nagaoka import positivity
 from nagaoka.acceptance import holstein_model
 from nagaoka.corpus import chain3, complete4, corpus_models, pair2, triangle3
 from nagaoka.errors import InconsistencyError, ModelValidationError
@@ -17,7 +19,13 @@ from nagaoka.positivity import (
     spin_lowering_positivity,
 )
 from nagaoka.sector import connectivity_check, sector_magnetizations
-from nagaoka.spectral import eig_lowest, ground_report
+from nagaoka.spectral import (
+    _block_levels,
+    _ground_cluster,
+    _sign_structure,
+    eig_lowest,
+    ground_report,
+)
 
 
 def test_preserves_positivity():
@@ -79,6 +87,23 @@ def test_pf_certificate_disconnected_makes_no_claim():
     cert = pf_certificate(h, vecs[:, 0], degeneracy)
     assert not cert.irreducible
     assert not cert.ground_unique               # reported, not raised
+
+
+def test_stored_zeros_link_no_blocks():
+    # two copies of [[0, -1], [-1, 0]] joined only by stored zeros at (1, 2)
+    # and (2, 1): every reader of the sign structure sees the same two blocks
+    rows, cols = [0, 1, 1, 2, 2, 3], [1, 0, 2, 1, 3, 2]
+    mat = sp.csr_matrix(([-1.0, -1.0, 0.0, 0.0, -1.0, -1.0], (rows, cols)), shape=(4, 4))
+    assert mat.nnz == 6
+    blocks, re_max, im_max = _sign_structure(mat)
+    assert [idx.tolist() for idx in blocks] == [[0, 1], [2, 3]]
+    assert re_max.tolist() == [0.0, 0.0] and im_max.tolist() == [0.0, 0.0]
+    assert not ergodicity_certificate(mat)
+    assert len(_block_levels(mat)[0]) == 2
+    _, e0, degeneracy, _, v0 = _ground_cluster(mat)
+    assert e0 == pytest.approx(-1.0) and degeneracy == 2
+    cert = pf_certificate(mat, v0, degeneracy)
+    assert cert.offdiag_sign_ok and not cert.irreducible and not cert.ground_unique
 
 
 def test_pf_certificate_inconsistency_guard():
@@ -143,6 +168,16 @@ def test_qgrid_site_limit():
     model = holstein_model(complete4(), gamma=0.5)
     with pytest.raises(ModelValidationError):
         qgrid_holstein_certify(model, Fraction(1, 2), 8, 0.1)
+
+
+def test_qgrid_broken_sign_is_an_inconsistency(monkeypatch):
+    # an oscillator with positive off-diagonal entries breaks the cone the
+    # grid certificate is built for: the certificate's sign check catches it
+    real = positivity._oscillator_matrix
+    monkeypatch.setattr(positivity, "_oscillator_matrix",
+                        lambda *args: np.abs(real(*args)))
+    with pytest.raises(InconsistencyError, match="lost the off-diagonal sign structure"):
+        qgrid_holstein_certify(holstein_model(pair2(), gamma=0.0), Fraction(1, 2), 8, 0.2)
 
 
 def test_qgrid_zero_coupling_reduces_to_bare_certificate():
