@@ -210,16 +210,18 @@ def _refuse_ignored_options(args, form: str):
             raise ModelValidationError("cli", f"--{option} does not apply to the {form} form")
 
 
+#: The sector forms by ``--form`` name, each called as (model, m, cutoff).
+#: The assemblers are looked up when called, so a wrapped one is the one used.
+_SECTOR_FORMS = {
+    "nagaoka": lambda model, m, cutoff: assemble_nagaoka_sector(model, m),
+    "holstein": lambda model, m, cutoff: assemble_holstein_sector(model, m, cutoff),
+    "langfirsov": lambda model, m, cutoff: assemble_lang_firsov_sector(model, m, cutoff),
+    "radiation": lambda model, m, cutoff: assemble_radiation_sector(model, m, cutoff),
+}
+
+
 def _assemble(model, form: str, m, cutoff):
-    if form == "nagaoka":
-        return assemble_nagaoka_sector(model, m)
-    if form == "holstein":
-        return assemble_holstein_sector(model, m, cutoff=cutoff)
-    if form == "langfirsov":
-        return assemble_lang_firsov_sector(model, m, cutoff=cutoff)
-    if form == "radiation":
-        return assemble_radiation_sector(model, m, cutoff=cutoff)
-    raise ModelValidationError("cli", f"unknown form {form!r}")
+    return _SECTOR_FORMS[form](model, m, cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +419,8 @@ def build_parser() -> _Parser:
             p.add_argument("--cutoff", type=_int_at_least(0), default=None,
                            help="per-mode boson cutoff override")
         if form:
-            p.add_argument("--form",
-                           choices=["nagaoka", "holstein", "langfirsov", "radiation"],
-                           default=None, help="Hamiltonian form (default: by model content)")
+            p.add_argument("--form", choices=list(_SECTOR_FORMS), default=None,
+                           help="Hamiltonian form (default: by model content)")
         p.add_argument("--out", default=None, help="write the payload to a file")
         if jobs:
             p.add_argument("--jobs", type=_int_at_least(1), default=1,
@@ -437,8 +438,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("assemble", help="emit a Hamiltonian as sparse triplets")
     common(p, sector=False, cutoff=True)
     p.add_argument("--m", default=None, help="sector (default: fully polarized)")
-    p.add_argument("--form", required=True,
-                   choices=["hubbard", "nagaoka", "holstein", "langfirsov", "radiation"])
+    p.add_argument("--form", required=True, choices=["hubbard", *_SECTOR_FORMS])
     p.add_argument("--u", type=float, default=None, help="finite U for --form hubbard")
     p.set_defaults(func=_cmd_assemble)
 

@@ -51,9 +51,13 @@ def dim_budget() -> int:
 
 def guard_dimension(dim: int, what: str):
     """Raise DimensionBudgetError when ``dim`` exceeds the budget; callers
-    check the count before they enumerate or assemble anything."""
+    check the count before they enumerate or assemble anything.  A count
+    past 63 bits is reported by its power-of-two lower bound, so no message
+    formats an integer of unbounded length."""
     budget = dim_budget()
     if dim > budget:
+        bits = int(dim).bit_length()
+        size = dim if bits <= 63 else f"at least 2^{bits - 1}"
         raise DimensionBudgetError(
-            f"{what} needs dimension {dim} > budget {budget} "
+            f"{what} needs dimension {size} > budget {budget} "
             f"(raise NAGAOKA_DIM_BUDGET to override)")

@@ -15,12 +15,13 @@ Entrywise agreement of the two routes certifies the fermionic sign
 convention and is enforced by the test suite.
 
 The boson-dressed forms (full-space and sector Holstein, polaron frame,
-radiation, and the position-grid certificate of ``positivity``) all have
+radiation, and the polaron frame on position grids) all have
 the shape sum_k A_k (x) B_k: hole-move blocks per bond (x) a boson factor,
 an electron diagonal (x) I, and I (x) the field energy.  Each factor is
 held as (rows, cols, vals) index arrays, and ``_kron_sum`` builds the sum
-with one COO->CSR.  A bond's hop block is its slice of ``hole_moves``; a
-boson factor comes from dense single-mode factors through ``manybody``,
+with one COO->CSR, through ``_dressed_sector`` for the four sector forms.
+A bond's hop block is its slice of ``hole_moves``; a boson factor comes
+from dense single-mode factors through ``manybody``,
 a per-bond phase as a ``_mode_product``, a field energy or a coupling
 b*_y + b_y as a ``_mode_sum``.  The polaron and radiation phases
 exponentiate generators that act on one mode each, so they are exact
@@ -44,9 +45,10 @@ from itertools import product
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionBudgetError, guard_dimension
+from .errors import DimensionBudgetError, ModelValidationError, guard_dimension
 from .manybody import (
     DOWN,
+    MAX_MODES,
     UP,
     BosonBasis,
     SparseHermitian,
@@ -86,6 +88,13 @@ class SectorHamiltonian:
 def _require_infinite_u(model: LatticeModel, what: str):
     if not model.u_is_infinite:
         raise ValueError(f"{what} is an infinite-U construction; model has U = {model.onsite_u}")
+
+
+def _required(block, what: str, kind: str):
+    """The model's ``kind`` block, which ``what`` cannot do without."""
+    if block is None:
+        raise ValueError(f"{what} needs a {kind} block")
+    return block
 
 
 def _config_occupations(basis: SectorBasis) -> np.ndarray:
@@ -157,6 +166,20 @@ def _dressed_hops(model: LatticeModel, basis: SectorBasis, phase) -> list:
             on = (xs == a) & (ys == b)
             terms.append(((rows[on], cols[on], -model.hopping[xs[on], ys[on]]), theta))
     return terms
+
+
+def _dressed_sector(model: LatticeModel, m, modes: int, cutoff: int, provenance: str, terms,
+                    **fields) -> SectorHamiltonian:
+    """Sector M (x) ``modes`` boson modes truncated at ``cutoff``, summed
+    from the Kronecker terms ``terms(basis, bosons)`` once U and the budgets
+    hold; ``fields`` complete the record."""
+    _require_infinite_u(model, "sector assembly")
+    basis = enumerate_sector(model, m)
+    bosons = boson_basis(modes, cutoff)
+    guard_dimension(basis.dimension * bosons.dimension, f"{provenance} sector assembly")
+    total = _kron_sum(terms(basis, bosons), (basis.dimension, bosons.dimension))
+    return SectorHamiltonian(model=model, m=basis.m, basis=basis, op=SparseHermitian(total),
+                             provenance=provenance, boson=bosons, cutoff=cutoff, **fields)
 
 
 def assemble_nagaoka_sector(model: LatticeModel, m) -> SectorHamiltonian:
@@ -256,9 +279,7 @@ def assemble_nagaoka_projected(model: LatticeModel, m) -> SectorHamiltonian:
 
 def effective_coulomb(model: LatticeModel) -> np.ndarray:
     """Phonon-dressed Coulomb matrix U_xy - (1/omega) sum_z g_xz g_zy."""
-    if model.phonon is None:
-        raise ValueError("effective Coulomb needs a phonon block")
-    g = model.phonon.coupling
+    g = _required(model.phonon, "effective Coulomb", "phonon").coupling
     return model.offsite_u - (g @ g) / model.phonon.frequency
 
 
@@ -266,32 +287,23 @@ def lang_firsov_constant(model: LatticeModel) -> float:
     """Scalar part of the density-density term generated by the polaron
     displacement: -(1/omega) * mean((g^2)_xx) * N.  Exact whenever the
     diagonal of g^2 is uniform (any diagonal coupling)."""
-    if model.phonon is None:
-        raise ValueError("needs a phonon block")
-    g = model.phonon.coupling
+    g = _required(model.phonon, "the Lang-Firsov constant", "phonon").coupling
     gsq_diag = np.diag(g @ g)
     return -float(np.mean(gsq_diag)) * model.n_electrons / model.phonon.frequency
 
 
 def assemble_holstein_sector(model: LatticeModel, m, cutoff: int | None = None) -> SectorHamiltonian:
     """Infinite-U electron block tensored with truncated local phonons."""
-    if model.phonon is None:
-        raise ValueError("Holstein assembly needs a phonon block")
-    ph = model.phonon
+    ph = _required(model.phonon, "Holstein assembly", "phonon")
     cut = ph.per_site_cutoff if cutoff is None else int(cutoff)
-    _require_infinite_u(model, "sector assembly")
-    basis = enumerate_sector(model, m)
-    bosons = boson_basis(model.sites, cut)
-    guard_dimension(basis.dimension * bosons.dimension, "Holstein sector assembly")
-    terms = _holstein_terms(_sector_electron(model, basis), _config_occupations(basis), ph, bosons)
-    total = _kron_sum(terms, (basis.dimension, bosons.dimension))
-    return SectorHamiltonian(model=model, m=basis.m, basis=basis,
-                             op=SparseHermitian(total), provenance="holstein_direct",
-                             boson=bosons, cutoff=cut)
+    return _dressed_sector(model, m, model.sites, cut, "holstein_direct", lambda basis, bosons:
+                           _holstein_terms(_sector_electron(model, basis),
+                                           _config_occupations(basis), ph, bosons))
 
 
-#: Dressed hopping phases are dense in the boson space; cap that factor
-#: separately from the total-dimension budget (memory grows quadratically).
+#: Dense matrices (hopping phases in the boson space, the full-space
+#: resolvents of ``spectral``) are capped at this dimension, separately from
+#: the total-dimension budget: their memory grows quadratically.
 DENSE_PHASE_LIMIT = 4096
 
 
@@ -337,6 +349,7 @@ def _polaron_phase(model: LatticeModel, x: int, y: int, bosons: BosonBasis) -> t
     """theta_xy as a product of single-mode exponentials, in triplets;
     p_z = i sqrt(omega/2) (b*_z - b_z), so shift_z p_z has amplitude
     -i sqrt(omega/2) shift_z on b_z."""
+    _guard_dense_phase(bosons.dimension, "polaron-frame hopping phase")
     amplitudes = -1j * math.sqrt(model.phonon.frequency / 2.0) * _polaron_shift(model, x, y)
     return _mode_product(_mode_exponentials(amplitudes, bosons.cutoff), bosons)
 
@@ -356,23 +369,59 @@ def assemble_lang_firsov_sector(model: LatticeModel, m, cutoff: int | None = Non
     displacement energy (possible for non-uniform diag(g^2)) stays in the
     matrix.
     """
-    if model.phonon is None:
-        raise ValueError("polaron-frame assembly needs a phonon block")
-    ph = model.phonon
+    ph = _required(model.phonon, "polaron-frame assembly", "phonon")
     cut = ph.per_site_cutoff if cutoff is None else int(cutoff)
-    _require_infinite_u(model, "sector assembly")
-    basis = enumerate_sector(model, m)
-    bosons = boson_basis(model.sites, cut)
-    guard_dimension(basis.dimension * bosons.dimension, "polaron-frame sector assembly")
-    _guard_dense_phase(bosons.dimension, "polaron-frame sector assembly")
 
-    hops = _dressed_hops(model, basis, lambda x, y: _polaron_phase(model, x, y, bosons))
-    total = _kron_sum(hops + [(_diagonal(_sector_diagonal(model, basis, dressed=True)), None),
-                              (None, _phonon_energy(ph, bosons))],
-                      (basis.dimension, bosons.dimension))
-    return SectorHamiltonian(model=model, m=basis.m, basis=basis, op=SparseHermitian(total),
-                             provenance="lang_firsov", boson=bosons,
-                             dropped_constant=lang_firsov_constant(model), cutoff=cut)
+    def terms(basis, bosons):
+        return (_dressed_hops(model, basis, lambda x, y: _polaron_phase(model, x, y, bosons))
+                + [(_diagonal(_sector_diagonal(model, basis, dressed=True)), None),
+                   (None, _phonon_energy(ph, bosons))])
+
+    return _dressed_sector(model, m, model.sites, cut, "lang_firsov", terms,
+                           dropped_constant=lang_firsov_constant(model))
+
+
+def _oscillator_matrix(points: int, spacing: float, frequency: float) -> np.ndarray:
+    """Second-difference-plus-quadratic oscillator on a Dirichlet grid,
+    shifted by -omega/2 so its spectrum approximates omega {0, 1, 2, ...}.
+    Off-diagonal entries are negative, so -H is entrywise >= 0."""
+    q = (np.arange(points) - (points - 1) / 2.0) * spacing
+    off = np.full(points - 1, -0.5 / spacing**2)
+    return (np.diag(1.0 / spacing**2 + (0.5 * frequency**2 * q**2 - 0.5 * frequency))
+            + np.diag(off, 1) + np.diag(off, -1))
+
+
+def assemble_qgrid_sector(model: LatticeModel, m, points: int, spacing: float) -> SectorHamiltonian:
+    """The polaron frame on a grid of ``points`` positions per site (cutoff
+    points - 1), where each hopping phase is an exact index shift: every
+    displacement sqrt(2) omega^{-3/2} (g_xz - g_yz) must be a multiple of
+    the spacing, since interpolating would add negative weights and break
+    the cone that ``positivity`` certifies on this basis."""
+    ph = _required(model.phonon, "position-grid assembly", "phonon")
+    if model.sites > 3:
+        raise ModelValidationError("budget", "position-grid assembly supports at most 3 sites")
+
+    def terms(basis, grid):
+        def shift(x: int, y: int) -> tuple:     # 0/1 translations, zero fill at the walls
+            steps = {}
+            for z, a in enumerate(_polaron_shift(model, x, y)):
+                ratio = a / spacing
+                if abs(ratio - round(ratio)) > 1e-9:
+                    raise ModelValidationError(
+                        "commensurability",
+                        f"displacement {a} for bond ({x}, {y}) mode {z} is not an "
+                        f"integer multiple of the grid spacing {spacing}")
+                if round(ratio):
+                    steps[z] = np.eye(points, k=int(round(ratio)))
+            return _mode_product(steps, grid)
+
+        osc = dict.fromkeys(range(model.sites), _oscillator_matrix(points, spacing, ph.frequency))
+        return (_dressed_hops(model, basis, shift)
+                + [(_diagonal(_sector_diagonal(model, basis, dressed=True)), None),
+                   (None, _mode_sum(osc, grid))])
+
+    return _dressed_sector(model, m, model.sites, points - 1, "qgrid", terms,
+                           dropped_constant=lang_firsov_constant(model))
 
 
 # ---------------------------------------------------------------------------
@@ -392,15 +441,22 @@ class PhotonMode:
 
 def photon_modes(model: LatticeModel) -> list[PhotonMode]:
     """Mode set {(k, lambda): 0 < |k| <= kappa} plus the k = 0 pair,
-    ordered lexicographically in (k, lambda)."""
-    rad = model.radiation
-    if rad is None:
-        raise ValueError("model has no radiation block")
+    ordered lexicographically in (k, lambda).
+
+    A set of more modes than a boson basis holds (``MAX_MODES``, whatever
+    the cutoff) is refused before any mode is built.  Past 7 units of
+    2 pi / L the 37 axis vectors (+-n, 0, 0), ..., n <= 6, alone carry 74
+    modes, so the walk over the (2 nmax + 1)^3 candidates stops at
+    nmax = 7, at most 3375 of them."""
+    rad = _required(model.radiation, "the photon mode set", "radiation")
     unit = 2.0 * math.pi / rad.box_length
-    nmax = int(math.floor(rad.uv_cutoff / unit + 1e-12))
+    nmax = int(math.floor(min(rad.uv_cutoff / unit + 1e-12, 7)))       # kappa L may overflow
     nvecs = [(nx, ny, nz) for nx, ny, nz in product(range(-nmax, nmax + 1), repeat=3)   # ascending
              if (nx, ny, nz) == (0, 0, 0)
              or unit * math.sqrt(nx * nx + ny * ny + nz * nz) <= rad.uv_cutoff + 1e-12]
+    if 2 * len(nvecs) > MAX_MODES:                      # two polarizations per k
+        raise DimensionBudgetError(f"the radiation mode set holds more than {MAX_MODES} modes, "
+                                   "the most a boson basis holds")
     modes = []
     for nvec in nvecs:
         k = unit * np.array(nvec, dtype=float)
@@ -488,21 +544,14 @@ def assemble_radiation_sector(model: LatticeModel, m, cutoff: int | None = None,
     (path reversal flips the phase sign), so hermiticity is structural.
     ``modes`` overrides the model's mode set for reduced desk-scale runs.
     """
-    rad = model.radiation
-    if rad is None:
-        raise ValueError("radiation assembly needs a radiation block")
+    rad = _required(model.radiation, "radiation assembly", "radiation")
     cut = rad.photon_cutoff if cutoff is None else int(cutoff)
-    _require_infinite_u(model, "sector assembly")
     if modes is None:
         modes = photon_modes(model)
-    basis = enumerate_sector(model, m)
-    bosons = boson_basis(len(modes), cut)
-    guard_dimension(basis.dimension * bosons.dimension, "radiation sector assembly")
-    _guard_dense_phase(bosons.dimension, "radiation sector assembly")
 
-    field = _mode_sum({j: mode.omega * _number(cut) for j, mode in enumerate(modes)}, bosons)
-    hops = _dressed_hops(model, basis, lambda x, y: peierls_unitary(model, modes, x, y, bosons))
-    total = _kron_sum(hops + [(_diagonal(_sector_diagonal(model, basis)), None), (None, field)],
-                      (basis.dimension, bosons.dimension))
-    return SectorHamiltonian(model=model, m=basis.m, basis=basis, op=SparseHermitian(total),
-                             provenance="radiation", boson=bosons, cutoff=cut)
+    def terms(basis, bosons):
+        field = _mode_sum({j: mode.omega * _number(cut) for j, mode in enumerate(modes)}, bosons)
+        hops = _dressed_hops(model, basis, lambda x, y: peierls_unitary(model, modes, x, y, bosons))
+        return hops + [(_diagonal(_sector_diagonal(model, basis)), None), (None, field)]
+
+    return _dressed_sector(model, m, len(modes), cut, "radiation", terms)

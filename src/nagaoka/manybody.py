@@ -37,7 +37,7 @@ from math import comb
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import guard_dimension
+from .errors import DimensionBudgetError, guard_dimension
 from .model import LatticeModel
 from .sector import SectorBasis, _combination_masks, enumerate_sector
 
@@ -217,10 +217,18 @@ class BosonBasis:
         return (self.cutoff + 1) ** self.modes
 
 
+#: Boson states are int64 indices and ``_mode_product`` gives each mode an
+#: array axis, so a basis holds at most 63 modes, single-level ones too.
+MAX_MODES = 63
+
+
 @lru_cache(maxsize=8)
 def boson_basis(modes: int, cutoff: int) -> BosonBasis:
     if modes < 0 or cutoff < 0:
         raise ValueError("modes and cutoff must be >= 0")
+    if modes > MAX_MODES:
+        raise DimensionBudgetError(
+            f"boson basis with {modes} modes; at most {MAX_MODES} are supported")
     guard_dimension((cutoff + 1) ** modes, f"boson basis with {modes} modes")
     return BosonBasis(modes=modes, cutoff=cutoff)
 

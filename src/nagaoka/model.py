@@ -32,6 +32,10 @@ from .errors import ModelParseError, ModelValidationError
 #: never approximated by a large float.
 INFINITE = math.inf
 
+#: Sector bases keep a configuration's up spins in an int64 word, so a
+#: model has at most 63 sites.
+MAX_SITES = 63
+
 _SYM_TOL = 1e-12
 
 
@@ -297,6 +301,8 @@ def load_model(path) -> LatticeModel:
     if "sites" not in lat:
         raise ModelParseError("[lattice] must declare sites")
     sites = _parse_int(lat["sites"], "[lattice] sites")
+    if sites > MAX_SITES:       # before any sites x sites matrix is allocated
+        raise ModelValidationError("size", f"{sites} sites; models hold at most {MAX_SITES} sites")
 
     if "generator" in lat:
         name = lat["generator"]

@@ -2,7 +2,8 @@
 
 The distinguished cone is always the nonnegative-coefficient cone over a
 concrete basis: the configuration basis of a sector, or its product with a
-position grid for the phonon-dressed case.  In that setting
+position grid for the phonon-dressed case (the grid form is assembled in
+``hamiltonian``; this module only certifies it).  In that setting
 
 * an operator preserves positivity iff its matrix is entrywise >= 0,
 * the exponential of such an operator improves positivity iff the support
@@ -23,18 +24,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .errors import InconsistencyError, ModelValidationError, guard_dimension
-from .hamiltonian import (
-    _diagonal,
-    _dressed_hops,
-    _kron_sum,
-    _polaron_shift,
-    _sector_diagonal,
-    lang_firsov_constant,
-)
-from .manybody import BosonBasis, SparseHermitian, _mode_product, _mode_sum, sector_lowering_fock
+from .errors import InconsistencyError
+from .hamiltonian import assemble_qgrid_sector
+from .manybody import sector_lowering_fock
 from .model import LatticeModel
-from .sector import enumerate_sector
 from .spectral import _ground_cluster, _sign_structure, as_matrix
 
 STRICT_POSITIVITY_TOL = 1e-12
@@ -148,61 +141,15 @@ class GridCertificate:
     spacing: float
 
 
-def _oscillator_matrix(points: int, spacing: float, frequency: float) -> np.ndarray:
-    """Second-difference-plus-quadratic oscillator on a Dirichlet grid,
-    shifted by -omega/2 so its spectrum approximates omega {0, 1, 2, ...}.
-    Off-diagonal entries are negative, so -H is entrywise >= 0."""
-    q = (np.arange(points) - (points - 1) / 2.0) * spacing
-    off = np.full(points - 1, -0.5 / spacing**2)
-    return (np.diag(1.0 / spacing**2 + (0.5 * frequency**2 * q**2 - 0.5 * frequency))
-            + np.diag(off, 1) + np.diag(off, -1))
-
-
 def qgrid_holstein_certify(model: LatticeModel, m, points: int, spacing: float) -> GridCertificate:
-    """Polaron-frame Hamiltonian on a product of position grids, certified
-    in the product cone basis.
-
-    The phase-dressed hopping becomes an exact index shift, so every grid
-    displacement sqrt(2) omega^{-3/2} (g_xz - g_yz) must be an integer
-    multiple of the spacing; incommensurate couplings are rejected rather
-    than interpolated, since interpolation would introduce negative weights
-    and destroy the very cone structure under test.  Degeneracy and ground
-    vector come from the block-wise solve behind ``ground_report``, so a
-    Lanczos-solved grid finds every copy of its ground level by deflation
-    and a reducible grid reports the ground vector of its lowest block.
-    """
-    if model.phonon is None:
-        raise ValueError("grid certificate needs a phonon block")
-    if model.sites > 3:
-        raise ModelValidationError("budget", "grid certificate supports at most 3 sites")
-    basis = enumerate_sector(model, m)
-    grid = BosonBasis(modes=model.sites, cutoff=points - 1)     # ``points`` levels per mode
-    guard_dimension(basis.dimension * grid.dimension, "grid certificate")
-
-    def shift(x: int, y: int) -> tuple:     # 0/1 translations, zero fill at the walls
-        steps = {}
-        for z, a in enumerate(_polaron_shift(model, x, y)):
-            ratio = a / spacing
-            if abs(ratio - round(ratio)) > 1e-9:
-                raise ModelValidationError(
-                    "commensurability",
-                    f"displacement {a} for bond ({x}, {y}) mode {z} is not an "
-                    f"integer multiple of the grid spacing {spacing}")
-            if round(ratio):
-                steps[z] = np.eye(points, k=int(round(ratio)))
-        return _mode_product(steps, grid)
-
-    osc = _oscillator_matrix(points, spacing, model.phonon.frequency)
-    grid_h = _mode_sum(dict.fromkeys(range(model.sites), osc), grid)
-    total = _kron_sum(_dressed_hops(model, basis, shift)
-                      + [(_diagonal(_sector_diagonal(model, basis, dressed=True)), None),
-                         (None, grid_h)], (basis.dimension, grid.dimension))
-
-    hermitian = SparseHermitian(total)
-    _, e0, degeneracy, _, v0 = _ground_cluster(hermitian.matrix)
-    cert = pf_certificate(hermitian, v0, degeneracy, basis_tag="configuration x grid")
+    """``assemble_qgrid_sector`` certified in the product cone basis, with
+    the degeneracy and ground vector of the block-wise solve behind
+    ``ground_report``: a Lanczos-solved grid finds every copy of its ground
+    level by deflation, and a reducible grid reports its lowest block's."""
+    h = assemble_qgrid_sector(model, m, points, spacing)
+    _, e0, degeneracy, _, v0 = _ground_cluster(h.op.matrix)
+    cert = pf_certificate(h, v0, degeneracy, basis_tag="configuration x grid")
     if not cert.offdiag_sign_ok:
         raise InconsistencyError("grid assembly lost the off-diagonal sign structure")
     return GridCertificate(certificate=cert, ground_energy=float(e0),
-                           dropped_constant=lang_firsov_constant(model),
-                           points=points, spacing=spacing)
+                           dropped_constant=h.dropped_constant, points=points, spacing=spacing)

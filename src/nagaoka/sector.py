@@ -29,10 +29,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import ModelValidationError, guard_dimension
-from .model import LatticeModel
-
-#: Up masks are int64 words, so a model has at most 63 sites.
-MAX_SITES = 63
+from .model import MAX_SITES, LatticeModel
 
 
 @dataclass(frozen=True)

@@ -53,8 +53,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .errors import AmbiguousSpinError, ConvergenceError, InconsistencyError, guard_dimension
-from .hamiltonian import SectorHamiltonian, assemble_hubbard_full
+from .errors import AmbiguousSpinError, ConvergenceError, DimensionBudgetError, InconsistencyError
+from .hamiltonian import DENSE_PHASE_LIMIT, SectorHamiltonian, assemble_hubbard_full
 from .manybody import (
     SparseHermitian,
     boson_basis,
@@ -447,10 +447,22 @@ def _full_space_pieces(model: LatticeModel):
     return h0, p_diag
 
 
+def _guard_dense_full_space(model: LatticeModel, what: str):
+    """Cap the full space, bosons included, at the dense-matrix limit before
+    ``what`` densifies any of it."""
+    dim = full_fock_basis(model.sites, model.n_electrons).dimension
+    if model.phonon is not None:
+        dim *= boson_basis(model.sites, model.phonon.per_site_cutoff).dimension
+    if dim > DENSE_PHASE_LIMIT:
+        raise DimensionBudgetError(f"{what} needs dense {dim}x{dim} full-space matrices "
+                                   f"(limit {DENSE_PHASE_LIMIT})")
+
+
 def projected_limit_norm(model: LatticeModel) -> float:
     """Operator norm of the projected U = 0 Hamiltonian on its range: the
     largest |eigenvalue| of that Hermitian restriction, solved densely as
     the resolvent comparison solves it."""
+    _guard_dense_full_space(model, "projected-limit norm")
     h0, p_diag = _full_space_pieces(model)
     idx = np.nonzero(p_diag > 0.5)[0]
     return float(np.max(np.abs(np.linalg.eigvalsh(h0.tocsr()[np.ix_(idx, idx)].toarray())),
@@ -465,9 +477,9 @@ def default_resolvent_z(model: LatticeModel) -> complex:
 
 def _resolvent_difference(model: LatticeModel, u: float, z: complex) -> np.ndarray:
     """(H_U - z)^{-1} - (H_limit - z)^{-1} P as a dense full-space matrix."""
+    _guard_dense_full_space(model, "resolvent comparison")
     h_u = assemble_hubbard_full(model, u).matrix
     dim = h_u.shape[0]
-    guard_dimension(dim, "resolvent comparison")
     h0, p_diag = _full_space_pieces(model)
     idx = np.nonzero(p_diag > 0.5)[0]
 

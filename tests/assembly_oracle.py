@@ -167,7 +167,7 @@ def oscillator(points: int, spacing: float, frequency: float) -> sp.csr_matrix:
 
 
 def qgrid_sector(model, m, points: int, spacing: float) -> sp.csr_matrix:
-    """The position-grid polaron frame of ``qgrid_holstein_certify``, for a
+    """The position-grid polaron frame of ``assemble_qgrid_sector``, for a
     commensurate spacing."""
     basis = enumerate_sector(model, m)
 

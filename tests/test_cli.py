@@ -319,6 +319,37 @@ def test_hubbard_budget_refused_before_enumeration(capsys, tmp_path):
     assert time.perf_counter() - start < 5.0
 
 
+@pytest.mark.parametrize("cutoff", ["0", "2"])
+@pytest.mark.parametrize("kappa", ["40", "80", "1e4"])
+def test_radiation_mode_set_is_budgeted_before_it_is_built(capsys, tmp_path, kappa, cutoff):
+    # L = 4: kappa L / 2 pi = 2 kappa / pi, so at kappa = 40 the ball holds
+    # about 69,000 wave vectors (138,000 modes) among 132,651 candidates;
+    # cutoff 0 keeps the boson dimension at 1, so the mode count is capped
+    # on its own
+    path = tmp_path / "radiation.ini"
+    path.write_text(RADIATION_TRIANGLE.replace("kappa = 1.0", f"kappa = {kappa}")
+                    .replace("cutoff = 2", f"cutoff = {cutoff}"))
+    start = time.perf_counter()
+    code, out, err = run_err(capsys, "ed", "--m", "1", "--model", str(path))
+    assert time.perf_counter() - start < 2.0
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("numerical failure: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("z", ["auto", "0,1"])
+def test_largeu_refuses_a_full_space_too_large_to_densify(capsys, tmp_path, z):
+    # complete-8 at U = 4: C(16, 7) = 11,440 Fock states, 2.1 GB per dense
+    # complex matrix; refused before the default z or the resolvents densify
+    path = tmp_path / "complete8.ini"
+    path.write_text("[lattice]\nsites = 8\ngenerator = complete\nextent = 8\nt = 1.0\n"
+                    "[coulomb]\nu = 4.0\n")
+    start = time.perf_counter()
+    code, out, err = run_err(capsys, "largeu", "--u-list", "10", "--z", z, "--model", str(path))
+    assert time.perf_counter() - start < 2.0
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert "needs dense 11440x11440 full-space matrices (limit 4096)" in err
+
+
 def test_ed_complete12_maximal_spin(capsys, tmp_path):
     path = tmp_path / "complete12.ini"
     path.write_text("[lattice]\nsites = 12\ngenerator = complete\nextent = 12\nt = 1.0\n"
@@ -733,6 +764,8 @@ _BAD_MODELS = {
     "radiation cutoff": ("[radiation]\nL = 4.0\nkappa = 1.0\nm0 = 1.0\ncutoff = -1\n",
                          "photon_cutoff must be >= 0"),
     "sites": ("[lattice]\nsites = 3.5\n", "expected an integer at [lattice] sites, got '3.5'"),
+    "sites huge": ("[lattice]\nsites = 10000000\n0 1 1.0\n",
+                   "size violated: 10000000 sites; models hold at most 63 sites"),
     "extent": ("[lattice]\nsites = 3\ngenerator = chain\nextent = a\n",
                "expected an integer at [lattice] extent, got 'a'"),
     "phonon cutoff": ("[phonon]\nomega = 1.0\ncutoff = 2.5\n0 0 0.5\n",
@@ -775,14 +808,16 @@ def test_reproduce_runs_a_repeated_criterion_once(capsys):
 _NON_FINITE = ("inf", "-inf", "nan", "-nan", "Infinity")
 _VALUES = ("1.0", "0.5", "0", "-0.75", "2.5", "7", "1e300", "-1e300", "1e-300")
 _INTEGERS = ("0", "1", "2", "2.5", "1e300", "99999999999999999999")
+_LARGE = ("40", "80", "1e4", "1e300")
 
 
 @st.composite
 def model_files(draw):
     """Text of a 2- or 3-site model file whose numeric tokens are drawn from
     finite, non-finite, non-integer and huge values, and whether any value
-    is non-finite.  Fields whose size sets the work (the radiation box and
-    mode-ball radius) draw either a fixed small value or a non-finite one."""
+    is non-finite.  The radiation box and mode-ball radius, whose product
+    sets the size of the mode set, draw a small value, a finite large one
+    or a non-finite one."""
     bad = []
 
     def token(pool, non_finite=_NON_FINITE):        # one token in eight non-finite
@@ -799,7 +834,8 @@ def model_files(draw):
         lines += ["[phonon]", f"omega = {token(_VALUES)}", f"cutoff = {token(_INTEGERS)}"]
         lines += [f"{x} {x} {token(_VALUES)}" for x in range(sites)]
     if draw(st.booleans()):
-        lines += ["[radiation]", f"L = {token(('4.0',))}", f"kappa = {token(('1.0',))}",
+        lines += ["[radiation]", f"L = {token(('4.0',) + _LARGE)}",
+                  f"kappa = {token(('1.0',) + _LARGE)}",
                   f"m0 = {token(_VALUES)}", f"cutoff = {token(_INTEGERS)}"]
     return "\n".join(lines) + "\n", any(bad)
 

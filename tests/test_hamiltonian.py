@@ -436,7 +436,7 @@ def test_kron_sum_equals_dense_kronecker_sum(monkeypatch, form):
     else:
         model = holstein_model(pair2(), gamma=0.5)
         spacing = np.sqrt(2.0) * 0.5 / 3
-        terms, dims = _captured_terms(monkeypatch, positivity,
+        terms, dims = _captured_terms(monkeypatch, hamiltonian,
                                       lambda: positivity.qgrid_holstein_certify(
                                           model, Fraction(1, 2), 32, spacing))
     eye = [np.eye(n) for n in dims]

@@ -241,10 +241,10 @@ def test_radiation_field_energy_equals_the_per_state_sum(monkeypatch):
 def test_qgrid_oscillator_sum_equals_the_dense_kronecker_sum(monkeypatch):
     model = holstein_model(triangle3(), gamma=0.5)
     spacing = np.sqrt(2.0) * 0.5 / 3
-    terms, dims = _captured_terms(monkeypatch, positivity,
+    terms, dims = _captured_terms(monkeypatch, hamiltonian,
                                   lambda: positivity.qgrid_holstein_certify(model, Fraction(0), 8,
                                                                             spacing))
-    osc = positivity._oscillator_matrix(8, spacing, 1.0)
+    osc = hamiltonian._oscillator_matrix(8, spacing, 1.0)
     eye = np.eye(8)
     want = 0
     for z in range(3):

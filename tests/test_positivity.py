@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from nagaoka import positivity
+from nagaoka import hamiltonian
 from nagaoka.acceptance import holstein_model
 from nagaoka.corpus import chain3, complete4, corpus_models, pair2, triangle3
 from nagaoka.errors import InconsistencyError, ModelValidationError
@@ -173,8 +173,8 @@ def test_qgrid_site_limit():
 def test_qgrid_broken_sign_is_an_inconsistency(monkeypatch):
     # an oscillator with positive off-diagonal entries breaks the cone the
     # grid certificate is built for: the certificate's sign check catches it
-    real = positivity._oscillator_matrix
-    monkeypatch.setattr(positivity, "_oscillator_matrix",
+    real = hamiltonian._oscillator_matrix
+    monkeypatch.setattr(hamiltonian, "_oscillator_matrix",
                         lambda *args: np.abs(real(*args)))
     with pytest.raises(InconsistencyError, match="lost the off-diagonal sign structure"):
         qgrid_holstein_certify(holstein_model(pair2(), gamma=0.0), Fraction(1, 2), 8, 0.2)
