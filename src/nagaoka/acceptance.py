@@ -38,9 +38,9 @@ from .positivity import (
 )
 from .sector import connectivity_check, sector_magnetizations
 from .spectral import (
-    _ground_cluster,
     default_resolvent_z,
     eig_lowest,
+    ground_cluster,
     ground_report,
     resolvent_gap,
 )
@@ -160,7 +160,7 @@ def criterion_4() -> str:
             if not connectivity_check(model, m).connected:
                 continue
             h = assemble_nagaoka_sector(model, m)
-            _, _, degeneracy, _, v0 = _ground_cluster(h.op.matrix)
+            _, _, degeneracy, _, v0 = ground_cluster(h.op.matrix)
             cert = pf_certificate(h, v0, degeneracy)
             assert cert.offdiag_sign_ok, f"{name} M={m}: off-diagonal sign broken"
             assert cert.irreducible, f"{name} M={m}: reducible"

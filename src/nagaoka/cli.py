@@ -6,6 +6,15 @@ the payload is a deterministic function of (model digest, command), so
 repeated runs produce byte-identical output.  Wall-clock timing goes to
 stderr only.  Exit codes: 0 success, 1 validation/usage error, 2 numerical
 failure.
+
+``assemble`` writes a JSON header, a ``rows cols nnz`` line and one
+``row col re im`` line per stored entry, 1-based and row-major.  Each float
+is Python's shortest round-trip ``repr``, formatted once per distinct bit
+pattern of its column (so -0.0 keeps its sign), and each index once.
+
+``--m`` takes a half-integer with |M| <= MAX_SITES/2 as a fraction, an
+integer or a decimal; any other text exits 1 with one line that names
+``--m``.
 """
 
 from __future__ import annotations
@@ -19,7 +28,10 @@ import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from decimal import Decimal
 from fractions import Fraction
+
+import numpy as np
 
 from . import __version__
 from .acceptance import CRITERIA, run_acceptance
@@ -41,8 +53,8 @@ from .model import load_model
 from .positivity import pf_certificate, qgrid_holstein_certify
 from .sector import as_half_integer, connectivity_check, enumerate_sector, sector_magnetizations
 from .spectral import (
-    _ground_cluster,
     default_resolvent_z,
+    ground_cluster,
     ground_report,
     resolvent_gap,
     spin_flipped_report,
@@ -54,11 +66,13 @@ EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL = 0, 1, 2
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems with exit code 1 and reads a
-    negative fraction such as -1/2 as a value, as it reads -1 or -0.5."""
+    negative fraction such as -1/2, or a negative number with an exponent
+    such as -1e308, as a value, as it reads -1 or -0.5."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+        self._negative_number_matcher = re.compile(
+            r"^-\d+/\d+$|^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -67,7 +81,27 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_m(text: str) -> Fraction:
-    return as_half_integer(Fraction(text))
+    """The sector ``--m`` names, such as 1/2, -1 or 1.5.  A refusal names
+    --m and echoes the text, shortened, never the number."""
+    shown = text if len(text) <= 24 else text[:21] + "..."
+    try:
+        if "/" in text:
+            m = Fraction(text)              # digits on both sides: no exponent
+        else:
+            value = Decimal(text)
+            if not value.is_finite():
+                raise ValueError
+            # A magnitude of 1000 or more, or a nonzero one below 0.01, holds
+            # no sector.  Such a value is replaced by one with the same
+            # verdict, as the exact value of 1e-999999999 takes long to build.
+            scale = value.adjusted() if value else 0
+            m = Fraction(1000) if scale > 2 else Fraction(1, 3) if scale < -2 else Fraction(value)
+    except (ValueError, ArithmeticError):
+        raise ModelValidationError("cli", f"--m {shown!r} is not a number") from None
+    try:
+        return as_half_integer(m)
+    except ValueError as exc:
+        raise ModelValidationError("cli", f"--m {shown!r}: {exc}") from None
 
 
 def _sectors(model, args) -> list[Fraction]:
@@ -254,6 +288,16 @@ def _cmd_connectivity(args) -> int:
     return EXIT_OK
 
 
+def _reprs(column: np.ndarray) -> list[str]:
+    """``repr`` of every float of ``column``, formatted once per distinct
+    bit pattern.  The keys are bits, not values: -0.0 == 0.0, but the two
+    print apart."""
+    bits = np.ascontiguousarray(column, dtype=np.float64).view(np.int64)
+    keys, inverse = np.unique(bits, return_inverse=True)
+    table = np.array([repr(x) for x in keys.view(np.float64).tolist()], dtype=object)
+    return table[inverse].tolist()
+
+
 def _cmd_assemble(args) -> int:
     _refuse_ignored_options(args, args.form)
     model = load_model(args.model)
@@ -276,9 +320,10 @@ def _cmd_assemble(args) -> int:
     header.update(_report(args, None))
     header.pop("results")
     coo = op.matrix.tocoo()      # canonical CSR: row-major, columns sorted
+    index = np.array([str(i) for i in range(1, op.dimension + 1)], dtype=object)
     lines = [json.dumps(header), f"{op.shape[0]} {op.shape[1]} {coo.nnz}"]
-    lines += [f"{r + 1} {c + 1} {re!r} {im!r}" for r, c, re, im in zip(
-        coo.row.tolist(), coo.col.tolist(), coo.data.real.tolist(), coo.data.imag.tolist())]
+    lines += map(" ".join, zip(index[coo.row].tolist(), index[coo.col].tolist(),
+                               _reprs(coo.data.real), _reprs(coo.data.imag)))
     _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -384,7 +429,7 @@ def _cmd_certify(args) -> int:
     else:
         for m in _sectors(model, args):
             h = assemble_nagaoka_sector(model, m)
-            _, _, degeneracy, _, v0 = _ground_cluster(h.op.matrix)
+            _, _, degeneracy, _, v0 = ground_cluster(h.op.matrix)
             rows.append(_certificate_row(m, pf_certificate(h, v0, degeneracy)))
     _emit(args, json.dumps(_report(args, rows), indent=2))
     return EXIT_OK

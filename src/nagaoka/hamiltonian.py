@@ -384,11 +384,17 @@ def assemble_lang_firsov_sector(model: LatticeModel, m, cutoff: int | None = Non
 def _oscillator_matrix(points: int, spacing: float, frequency: float) -> np.ndarray:
     """Second-difference-plus-quadratic oscillator on a Dirichlet grid,
     shifted by -omega/2 so its spectrum approximates omega {0, 1, 2, ...}.
-    Off-diagonal entries are negative, so -H is entrywise >= 0."""
+    Off-diagonal entries are negative, so -H is entrywise >= 0.  A spacing
+    so small or so large that an entry is not a finite float is refused."""
     q = (np.arange(points) - (points - 1) / 2.0) * spacing
-    off = np.full(points - 1, -0.5 / spacing**2)
-    return (np.diag(1.0 / spacing**2 + (0.5 * frequency**2 * q**2 - 0.5 * frequency))
-            + np.diag(off, 1) + np.diag(off, -1))
+    with np.errstate(over="ignore", divide="ignore"):
+        kinetic = 1.0 / np.square(np.float64(spacing))
+        potential = 0.5 * frequency**2 * q**2 - 0.5 * frequency
+    if not (np.isfinite(kinetic) and np.isfinite(potential).all()):
+        raise ModelValidationError(
+            "grid", f"spacing {spacing!r} with {points} points gives non-finite oscillator entries")
+    off = np.full(points - 1, -0.5 * kinetic)
+    return np.diag(kinetic + potential) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def assemble_qgrid_sector(model: LatticeModel, m, points: int, spacing: float) -> SectorHamiltonian:

@@ -28,7 +28,7 @@ from .errors import InconsistencyError
 from .hamiltonian import assemble_qgrid_sector
 from .manybody import sector_lowering_fock
 from .model import LatticeModel
-from .spectral import _ground_cluster, _sign_structure, as_matrix
+from .spectral import as_matrix, ground_cluster, sign_structure
 
 STRICT_POSITIVITY_TOL = 1e-12
 
@@ -65,7 +65,7 @@ def ergodicity_certificate(h) -> bool:
     """Connectivity of the off-diagonal support graph of -H: at most one
     block.  On a configuration-basis Hamiltonian this is, by construction,
     the same predicate as the hole-move connectivity of the sector."""
-    return len(_sign_structure(as_matrix(h))[0]) <= 1
+    return len(sign_structure(as_matrix(h))[0]) <= 1
 
 
 def pf_certificate(h, ground_vector: np.ndarray, degeneracy: int,
@@ -79,7 +79,7 @@ def pf_certificate(h, ground_vector: np.ndarray, degeneracy: int,
     or positivity fail, the certificate raises instead of reporting, because
     the implication is a theorem at finite dimension.
     """
-    blocks, re_max, im_max = _sign_structure(as_matrix(h))
+    blocks, re_max, im_max = sign_structure(as_matrix(h))
     tol = STRICT_POSITIVITY_TOL
     sign_ok = bool(np.all(re_max <= tol) and np.all(im_max <= tol))
     irreducible = len(blocks) <= 1
@@ -147,7 +147,7 @@ def qgrid_holstein_certify(model: LatticeModel, m, points: int, spacing: float) 
     ``ground_report``: a Lanczos-solved grid finds every copy of its ground
     level by deflation, and a reducible grid reports its lowest block's."""
     h = assemble_qgrid_sector(model, m, points, spacing)
-    _, e0, degeneracy, _, v0 = _ground_cluster(h.op.matrix)
+    _, e0, degeneracy, _, v0 = ground_cluster(h.op.matrix)
     cert = pf_certificate(h, v0, degeneracy, basis_tag="configuration x grid")
     if not cert.offdiag_sign_ok:
         raise InconsistencyError("grid assembly lost the off-diagonal sign structure")

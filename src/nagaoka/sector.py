@@ -39,10 +39,14 @@ class HoleSpinConfig:
 
 
 def as_half_integer(m) -> Fraction:
-    """Normalize a magnetization to an exact half-integer Fraction."""
-    frac = Fraction(m).limit_denominator(2)
-    if frac != Fraction(m):
-        raise ValueError(f"magnetization {m} is not a half-integer")
+    """Normalize a magnetization to an exact half-integer Fraction with
+    |M| <= MAX_SITES/2.  The messages do not format ``m``: an exact number
+    can have more digits than Python will print."""
+    frac = Fraction(m)
+    if frac.denominator > 2:
+        raise ValueError("magnetization is not a half-integer")
+    if abs(frac) > Fraction(MAX_SITES, 2):
+        raise ValueError(f"magnetization is out of range: |M| > {MAX_SITES}/2")
     return frac
 
 

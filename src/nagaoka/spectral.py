@@ -230,7 +230,7 @@ def _lowest_levels(mat: sp.csr_matrix, pf: bool, ref: float | None = None):
     return eig_lowest(mat, dim)
 
 
-def _sign_structure(mat: sp.csr_matrix):
+def sign_structure(mat: sp.csr_matrix):
     """The blocks of ``mat`` and the sign of their off-diagonal entries: the
     two facts a Perron-Frobenius argument reads off a matrix.
 
@@ -308,7 +308,7 @@ def _block_levels(mat: sp.csr_matrix):
     small ones are solved together by ``_stacked_levels`` and carry no
     block matrix.
     """
-    blocks, re_max, _ = _sign_structure(mat)
+    blocks, re_max, _ = sign_structure(mat)
     pf = (re_max < 0) & (not np.iscomplexobj(mat.data))
     if len(blocks) == 1:
         parts = [[blocks[0], mat, *_lowest_levels(mat, pf[0])]]
@@ -364,7 +364,7 @@ def _cluster_spin(v: np.ndarray, h: SectorHamiltonian):
     return float(np.mean(s2_levels)), content[0]
 
 
-def _ground_cluster(mat: sp.csr_matrix):
+def ground_cluster(mat: sp.csr_matrix):
     """The ground cluster of ``mat`` from its block levels (see
     ``_block_levels``): every cluster vector of every block embedded in the
     whole space as one column, the ground energy, the degeneracy and gap,
@@ -388,7 +388,7 @@ def _ground_cluster(mat: sp.csr_matrix):
 
 def ground_report(h: SectorHamiltonian) -> SpectralReport:
     """Ground-state cluster, gap and resolved total spin of one sector."""
-    cluster, e0, degeneracy, gap, _ = _ground_cluster(as_matrix(h))
+    cluster, e0, degeneracy, gap, _ = ground_cluster(as_matrix(h))
     s2_exp, resolved = _cluster_spin(cluster, h)
     return SpectralReport(
         m=h.m, ground_energy=float(e0), degeneracy=degeneracy, gap=gap,

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 
 from nagaoka.manybody import SparseHermitian, _lowering_matrix
 from nagaoka.sector import enumerate_sector
-from nagaoka.spectral import _ground_cluster, as_matrix
+from nagaoka.spectral import as_matrix, ground_cluster
 
 
 def sector_spin_squared(model, m) -> SparseHermitian:
@@ -35,7 +35,7 @@ def cluster_spin_levels(h) -> np.ndarray:
     """Eigenvalues of V*S^2V over the ground cluster V of the sector
     Hamiltonian ``h`` (the vectors of the production block solve), with
     S^2 the sector matrix, Kronecker-multiplied by the boson identity."""
-    v, *_ = _ground_cluster(as_matrix(h))
+    v, *_ = ground_cluster(as_matrix(h))
     s2 = sector_spin_squared(h.model, h.m).matrix
     if h.boson is not None:
         s2 = sp.kron(s2, sp.identity(h.boson.dimension, format="csr"), format="csr")

@@ -2,12 +2,14 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -190,6 +192,49 @@ def test_assemble_export_matches_per_entry_loop(capsys, tmp_path, radiation_file
     code, out = run(capsys, "assemble", "--model", radiation_file, "--form", "radiation", "--m", "0")
     assert code == 0
     assert out.splitlines()[2:] == _export_oracle(h.op.matrix)
+
+
+def test_assemble_export_tables_keep_every_bit_pattern(capsys, radiation_file, monkeypatch):
+    import nagaoka.cli as cli
+
+    # the export formats each distinct float once: the keys are bit patterns,
+    # so -0.0 and 0.0, and neighbours one ulp apart, must stay apart
+    one_up = np.nextafter(1.0, 2.0)
+    real = [0.0, -0.0, 1.0, one_up, 5e-324, 1e-300, 1e22, -0.0, 1.0, -1e22, 0.0, one_up]
+    imag = [-0.0, 0.0, -0.0, 1e22, 0.0, one_up, 1.0, 5e-324, -1e-300, 0.0, -0.0, 1.0]
+    rows = [0, 0, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9]
+    cols = [0, 11, 3, 7, 2, 10, 4, 1, 6, 0, 8, 11]
+    data = np.empty(len(real), dtype=complex)
+    data.real, data.imag = real, imag        # real + 1j * imag would lose the -0.0
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=12))])
+    mat = sp.csr_matrix((data, cols, indptr), shape=(12, 12))
+    assert np.signbit(mat.data.real).tolist().count(True) == 3
+    assert np.signbit(mat.data.imag).tolist().count(True) == 4
+    h = SimpleNamespace(m=Fraction(0), provenance="test", dropped_constant=0.0, cutoff=None,
+                        op=SimpleNamespace(matrix=mat, dimension=12, shape=mat.shape))
+    monkeypatch.setattr(cli, "_assemble", lambda *args: h)
+    code, out = run(capsys, "assemble", "--model", radiation_file, "--form", "radiation", "--m", "0")
+    assert code == 0
+    lines = out.splitlines()[2:]
+    assert lines == _export_oracle(mat)
+    assert [line.split()[2:] for line in lines[:2]] == [["0.0", "-0.0"], ["-0.0", "0.0"]]
+    assert {"5e-324", "1e-300", "1e+22", "1.0000000000000002"} <= set(" ".join(lines).split())
+
+
+def test_assemble_out_file_holds_the_stdout_bytes(capsys, tmp_path):
+    path = tmp_path / "holstein4.ini"
+    path.write_text(HOLSTEIN_COMPLETE4)
+    argv = ["assemble", "--model", str(path), "--form", "langfirsov", "--m", "1/2",
+            "--cutoff", "2"]
+    code, out = run(capsys, *argv)
+    assert code == 0 and out.count("\n") == 2 + 27204
+    target = tmp_path / "export.txt"
+    code, rerun = run(capsys, *argv, "--out", str(target))
+    assert code == 0 and rerun == ""
+    # the header echoes the command line, which now ends in --out PATH
+    command = " ".join(["nagaoka", *argv])
+    expected = out.replace(command, f"{command} --out {target}", 1)
+    assert target.read_bytes() == expected.encode()
 
 
 def test_assemble_hubbard_needs_finite_u(capsys, triangle_file):
@@ -633,6 +678,38 @@ def test_negative_integer_sector_parses_and_a_flag_is_not_a_sector(capsys, tmp_p
     assert "argument --m: expected one argument" in err
 
 
+def _longest_digit_run(text: str) -> int:
+    return max(map(len, re.findall(r"\d+", text)), default=0)
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (("--m=1e5000",), "'1e5000': magnetization is out of range: |M| > 63/2"),
+    (("--m", "1e400"), "'1e400': magnetization is out of range: |M| > 63/2"),
+    (("--m", "nan"), "'nan' is not a number"),
+    (("--m", "inf"), "'inf' is not a number"),
+    (("--m", "1/0"), "'1/0' is not a number"),
+    (("--m", "1/3"), "'1/3': magnetization is not a half-integer"),
+    (("--m", "32"), "'32': magnetization is out of range: |M| > 63/2"),
+    (("--m", "1e-999999999"), "'1e-999999999': magnetization is not a half-integer"),
+    (("--m", "9" * 5000 + "/2"), "'999999999999999999999...' is not a number"),
+])
+@pytest.mark.parametrize("command", ["ed", "assemble"])
+def test_malformed_sector_exits_1_naming_m(capsys, triangle_file, command, argv, reason):
+    extra = ("--form", "nagaoka") if command == "assemble" else ()
+    code, out, err = run_err(capsys, command, *argv, *extra, "--model", triangle_file)
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err == f"error: cli violated: --m {reason}\n"
+    assert _longest_digit_run(err) <= _longest_digit_run(argv[-1])
+
+
+@pytest.mark.parametrize("m, expected", [("5e-1", "1/2"), ("-1.0", "-1"), ("0e99999", "0"),
+                                         ("2/4", "1/2")])
+def test_sector_accepts_decimal_and_fraction_spellings(capsys, tmp_path, m, expected):
+    name = "complete4" if "/" in expected else "chain3"
+    code, out = run(capsys, "basis", f"--m={m}", "--model", _corpus_file(tmp_path, name))
+    assert code == 0 and json.loads(out)["results"][0]["m"] == expected
+
+
 def test_closed_stdout_pipe_exits_1_without_a_traceback(tmp_path):
     path = tmp_path / "ring10.ini"
     path.write_text("[lattice]\nsites = 10\ngenerator = ring\nextent = 10\nt = 1.0\n"
@@ -666,6 +743,21 @@ def test_certify_spacing_needs_qgrid(capsys, holstein_file):
                              "--model", holstein_file)
     assert code == 1 and out == ""
     assert "--spacing needs --qgrid" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("spacing", ["1e308", "1e-160", "1e-320"])
+def test_certify_refuses_a_spacing_with_non_finite_grid_entries(capsys, holstein_file, spacing):
+    code, out, err = run_err(capsys, "certify", "--all", "--qgrid", "3", "--spacing", spacing,
+                             "--model", holstein_file)
+    assert code == 1 and out == ""
+    assert err == (f"error: grid violated: spacing {float(spacing)!r} with 3 points gives "
+                   "non-finite oscillator entries\n")
+
+
+def test_negative_number_with_an_exponent_is_a_value(capsys, triangle_file):
+    code, out = run(capsys, "assemble", "--form", "hubbard", "--u", "-1e308",
+                    "--model", triangle_file)
+    assert code == 0 and json.loads(out.splitlines()[0])["u"] == -1e308
 
 
 @pytest.mark.parametrize("u_list", ["nan", "inf", "-inf", "abc", "100,nan", "1e3,x2"])
@@ -852,3 +944,75 @@ def test_model_file_fuzz_exits_cleanly(case):
     assert code in (0, 1, 2), text
     if non_finite:
         assert code == 1, text
+
+
+_CLI_OPTIONS = {
+    "--m": ("0", "1", "1/2", "-1/2", "=-1", "1/3", "nan", "1e400", "=1e5000", "32", "x",
+            "-1e-999999999"),
+    "--all": (None,),
+    "--list": (None,),
+    "--cutoff": ("0", "1", "3", "-1", "1.5", "99999999999999999999", "1e300"),
+    "--form": ("nagaoka", "holstein", "langfirsov", "radiation", "hubbard", "x"),
+    "--u": ("4", "-2", "nan", "inf", "1e308", "-1e308", "x"),
+    "--u-list": ("4", "1,1e3", "nan", "inf,2", "1e308", "1e308,-1e308", ",", "x"),
+    "--z": ("auto", "0.5,1", "1,0", "1,nan", "inf,1", "1", "x", "1e308,1e-308"),
+    "--qgrid": ("1", "3", "0", "-1", "x"),
+    "--spacing": (repr(2 ** -0.5), "0.5", "1e10", "1e308", "1e-320", "0", "-1", "nan", "x"),
+    "--jobs": ("1", "2"),
+}
+# per subcommand: option groups each drawn half the time, then options always drawn
+_CLI_COMMANDS = {
+    "basis": ((("--list",),), ()),
+    "connectivity": ((), ()),
+    "assemble": ((("--m",), ("--cutoff",), ("--u",)), ("--form",)),
+    "ed": ((("--form",), ("--cutoff",), ("--jobs",)), ()),
+    "spin": ((("--form",), ("--cutoff",), ("--jobs",)), ()),
+    "largeu": ((("--z",), ("--jobs",)), ("--u-list",)),
+    "certify": ((("--qgrid", "--spacing"),), ()),
+}
+_SECTOR_COMMANDS = ("basis", "connectivity", "ed", "certify")
+
+
+@st.composite
+def cli_arguments(draw):
+    """A subcommand and options for it, with values from valid, malformed,
+    non-finite and huge ones; ``--jobs`` only 1 or 2.  A sector command
+    takes one of --m and --all.  One time in four an option is dropped
+    (a required one, or one of a pair) or one of another subcommand is
+    added."""
+    command = draw(st.sampled_from(sorted(_CLI_COMMANDS)))
+    groups, always = _CLI_COMMANDS[command]
+    options = [o for group in groups if draw(st.booleans()) for o in group] + list(always)
+    if command in _SECTOR_COMMANDS:
+        options.append(draw(st.sampled_from(["--m", "--m", "--all"])))
+    if draw(st.integers(0, 3)) == 3:
+        odd = draw(st.sampled_from(sorted(_CLI_OPTIONS)))
+        options = [o for o in options if o != odd] if odd in options else [*options, odd]
+    argv = [command]
+    for option in options:
+        value = draw(st.sampled_from(_CLI_OPTIONS[option]))
+        if value is None:
+            argv.append(option)
+        elif value.startswith("="):
+            argv.append(option + value)
+        else:
+            argv += [option, value]
+    return argv, draw(st.sampled_from([TRIANGLE, HOLSTEIN_PAIR]))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(cli_arguments())
+def test_cli_argument_fuzz_exits_cleanly(case):
+    argv, text = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.ini"
+        path.write_text(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--model", str(path)])
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code:
+        failures = [line for line in err.getvalue().splitlines()
+                    if line.startswith(("error: ", "numerical failure: "))]
+        assert len(failures) == 1 and not out.getvalue(), argv

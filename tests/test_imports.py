@@ -38,3 +38,11 @@ def test_positivity_imports_no_private_assembly_name():
     private = sorted(name for module, name in _imports(tree).values()
                      if module in ("hamiltonian", "manybody") and name.startswith("_"))
     assert private == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_a_private_spectral_name(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    private = sorted(name for module, name in _imports(tree).values()
+                     if module == "spectral" and name.startswith("_"))
+    assert private == []

@@ -21,10 +21,10 @@ from nagaoka.positivity import (
 from nagaoka.sector import connectivity_check, sector_magnetizations
 from nagaoka.spectral import (
     _block_levels,
-    _ground_cluster,
-    _sign_structure,
     eig_lowest,
+    ground_cluster,
     ground_report,
+    sign_structure,
 )
 
 
@@ -95,12 +95,12 @@ def test_stored_zeros_link_no_blocks():
     rows, cols = [0, 1, 1, 2, 2, 3], [1, 0, 2, 1, 3, 2]
     mat = sp.csr_matrix(([-1.0, -1.0, 0.0, 0.0, -1.0, -1.0], (rows, cols)), shape=(4, 4))
     assert mat.nnz == 6
-    blocks, re_max, im_max = _sign_structure(mat)
+    blocks, re_max, im_max = sign_structure(mat)
     assert [idx.tolist() for idx in blocks] == [[0, 1], [2, 3]]
     assert re_max.tolist() == [0.0, 0.0] and im_max.tolist() == [0.0, 0.0]
     assert not ergodicity_certificate(mat)
     assert len(_block_levels(mat)[0]) == 2
-    _, e0, degeneracy, _, v0 = _ground_cluster(mat)
+    _, e0, degeneracy, _, v0 = ground_cluster(mat)
     assert e0 == pytest.approx(-1.0) and degeneracy == 2
     cert = pf_certificate(mat, v0, degeneracy)
     assert cert.offdiag_sign_ok and not cert.irreducible and not cert.ground_unique

@@ -203,7 +203,7 @@ def test_lanczos_on_reducible_sector_counts_every_orbit(monkeypatch):
     assert abs(rep.ground_energy - energy) <= 1e-10
     assert rep.degeneracy == degeneracy
     assert abs(rep.gap - gap) <= 1e-9
-    v0 = spectral._ground_cluster(h.op.matrix)[4]
+    v0 = spectral.ground_cluster(h.op.matrix)[4]
     assert np.linalg.norm(h.op.matrix @ v0 - rep.ground_energy * v0) <= 1e-9
 
 
@@ -220,7 +220,7 @@ def test_lanczos_orbit_blocks_carry_the_boson_space(monkeypatch):
     assert abs(rep.ground_energy - energy) <= 1e-10
     assert rep.degeneracy == degeneracy == 2
     assert abs(rep.gap - gap) <= 1e-9
-    v0 = spectral._ground_cluster(h.op.matrix)[4]
+    v0 = spectral.ground_cluster(h.op.matrix)[4]
     assert np.linalg.norm(h.op.matrix @ v0 - rep.ground_energy * v0) <= 1e-9
 
 
@@ -263,7 +263,7 @@ def test_decoupled_radiation_triangle_solves_one_block_per_photon_state(m):
     model = radiation_triangle(1.0, cutoff=20)
     h = assemble_radiation_sector(model, m)
     mat = h.op.matrix
-    blocks = spectral._sign_structure(mat)[0]
+    blocks = spectral.sign_structure(mat)[0]
     assert len(blocks) == 441
     levels = np.sort(np.concatenate([
         eig_lowest(mat[np.ix_(idx, idx)], idx.size)[0] for idx in blocks]))
@@ -289,7 +289,7 @@ def test_blocks_are_linked_by_imaginary_couplings():
                                   [-1.0, 0.0, 1j, 0.0],
                                   [0.0, -1j, 0.0, -1.0],
                                   [0.0, 0.0, -1.0, 0.0]]))
-    blocks = spectral._sign_structure(mat)[0]
+    blocks = spectral.sign_structure(mat)[0]
     assert len(blocks) == 1 and np.array_equal(blocks[0], np.arange(4))
     parts, e0 = spectral._block_levels(mat)
     assert abs(e0 - np.linalg.eigvalsh(mat.toarray())[0]) <= 1e-12
@@ -312,7 +312,7 @@ def test_sign_structure_reads_each_block_off_its_stored_entries(phased):
     sizes = [1, 2, 3, 4, 5, 6, 7, 8, 6, 3, 1]
     mat = _scattered_blocks(sizes, phased)
     mat.data[mat.data.real > 1.5] *= -1        # still Hermitian; some blocks turn all-negative
-    blocks, re_max, im_max = spectral._sign_structure(mat)
+    blocks, re_max, im_max = spectral.sign_structure(mat)
     assert sorted(idx.size for idx in blocks) == sorted(sizes)
     assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(mat.shape[0]))
     assert all(np.all(np.diff(idx) > 0) for idx in blocks)
@@ -322,7 +322,7 @@ def test_sign_structure_reads_each_block_off_its_stored_entries(phased):
         off = sub.toarray()[~np.eye(idx.size, dtype=bool)]
         expect = (off.real.max(initial=-np.inf), np.abs(off.imag).max(initial=0.0))
         assert (re_max[j], im_max[j]) == expect                           # the per-block pass
-        one = spectral._sign_structure(sub)
+        one = spectral.sign_structure(sub)
         assert len(one[0]) == 1 and (one[1][0], one[2][0]) == expect      # the one-block pass
     negative = (re_max < 0) & (np.array([idx.size for idx in blocks]) > 1)
     assert np.any(re_max > 0) and np.any(negative) and np.any(im_max > 0) == phased
@@ -332,7 +332,7 @@ def test_sign_structure_reads_each_block_off_its_stored_entries(phased):
 def test_stacked_small_blocks_equal_their_single_block_solves(phased):
     mat = _scattered_blocks([1, 2, 3, 4, 5, 6, 7, 8, 6, 3, 1], phased)
     parts, e0 = spectral._block_levels(mat)
-    _, re_max, _ = spectral._sign_structure(mat)
+    _, re_max, _ = spectral.sign_structure(mat)
     small = 0
     for (idx, block, vals, vecs), pf in zip(parts, (re_max < 0) & (not phased)):
         oracle = spectral._lowest_levels(mat[idx][:, idx], pf, ref=e0)
@@ -459,7 +459,7 @@ def test_deflation_guard_finds_the_copy_lanczos_misses(monkeypatch, phased):
     dense = np.linalg.eigvalsh(mat.toarray())
     tol = spectral.CLUSTER_TOL * (1.0 + abs(dense[0]))
     assert np.count_nonzero(dense - dense[0] <= tol) == 4
-    assert len(spectral._sign_structure(mat)[0]) == 1 and spectral._use_lanczos(mat)
+    assert len(spectral.sign_structure(mat)[0]) == 1 and spectral._use_lanczos(mat)
     calls = _spy_lanczos(monkeypatch)
     [(_, _, vals, vecs)], e0 = spectral._block_levels(mat)
     copies = int(np.count_nonzero(vals - e0 <= tol))

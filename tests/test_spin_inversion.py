@@ -28,7 +28,7 @@ from nagaoka.model import LatticeModel, PhononBlock
 from nagaoka.sector import HoleSpinConfig, sector_magnetizations
 from nagaoka.spectral import (
     RESIDUAL_TOL,
-    _ground_cluster,
+    ground_cluster,
     ground_report,
     spin_flipped_report,
     verified_spin_flip,
@@ -163,7 +163,7 @@ def test_flipped_ground_vector_solves_the_flipped_sector(case):
         rep = ground_report(h)
         flipped = spin_flipped_report(rep)
         assert flipped == replace(rep, m=-rep.m)
-        v0 = _ground_cluster(h.op.matrix)[4]
+        v0 = ground_cluster(h.op.matrix)[4]
         v, e = np.empty_like(v0), flipped.ground_energy
         v[perm] = v0                                 # M's ground vector carried by the inversion
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
