@@ -27,14 +27,12 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 
 from . import __version__
-from .acceptance import CRITERIA, run_acceptance
 from .errors import (
     AmbiguousSpinError,
     ConvergenceError,
@@ -203,6 +201,8 @@ def _u_list(text: str) -> list[float]:
 def _criteria(text: str) -> list[int]:
     """Comma-separated acceptance criteria, ascending, each once; empty
     tokens are skipped."""
+    from .acceptance import CRITERIA
+
     numbers = set()
     for tok in filter(None, text.split(",")):
         try:
@@ -222,6 +222,8 @@ def _map_jobs(fn, payloads, jobs: int) -> list:
     """``fn`` over ``payloads`` in order, on min(jobs, tasks, cpus) workers."""
     workers = min(jobs, len(payloads), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, payloads))
     return [fn(payload) for payload in payloads]
@@ -436,6 +438,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    from .acceptance import run_acceptance
+
     results, ok = run_acceptance(args.criteria, stream=sys.stdout)
     if args.out:
         rows = [{"criterion": r.number, "name": r.name, "passed": r.passed,

@@ -402,7 +402,9 @@ def assemble_qgrid_sector(model: LatticeModel, m, points: int, spacing: float) -
     points - 1), where each hopping phase is an exact index shift: every
     displacement sqrt(2) omega^{-3/2} (g_xz - g_yz) must be a multiple of
     the spacing, since interpolating would add negative weights and break
-    the cone that ``positivity`` certifies on this basis."""
+    the cone that ``positivity`` certifies on this basis.  A nonzero
+    displacement must be at least one step and fewer steps than the grid
+    has points: either bound missed would drop the hopping phase silently."""
     ph = _required(model.phonon, "position-grid assembly", "phonon")
     if model.sites > 3:
         raise ModelValidationError("budget", "position-grid assembly supports at most 3 sites")
@@ -412,13 +414,22 @@ def assemble_qgrid_sector(model: LatticeModel, m, points: int, spacing: float) -
             steps = {}
             for z, a in enumerate(_polaron_shift(model, x, y)):
                 ratio = a / spacing
-                if abs(ratio - round(ratio)) > 1e-9:
+                where = f"displacement {a} for bond ({x}, {y}) mode {z}"
+                if not abs(ratio) < points - 0.5:        # a shift of >= points steps
+                    raise ModelValidationError(
+                        "commensurability", f"{where} is {ratio:.6g} grid spacings of "
+                        f"{spacing}, a shift past the {points}-point grid")
+                step = round(ratio)
+                if abs(ratio - step) > 1e-9:
                     raise ModelValidationError(
                         "commensurability",
-                        f"displacement {a} for bond ({x}, {y}) mode {z} is not an "
-                        f"integer multiple of the grid spacing {spacing}")
-                if round(ratio):
-                    steps[z] = np.eye(points, k=int(round(ratio)))
+                        f"{where} is not an integer multiple of the grid spacing {spacing}")
+                if a and not step:
+                    raise ModelValidationError(
+                        "commensurability",
+                        f"{where} is nonzero but rounds to no step of the grid spacing {spacing}")
+                if step:
+                    steps[z] = np.eye(points, k=step)
             return _mode_product(steps, grid)
 
         osc = dict.fromkeys(range(model.sites), _oscillator_matrix(points, spacing, ph.frequency))

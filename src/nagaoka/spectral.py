@@ -12,7 +12,9 @@ a single Lanczos start vector cannot resolve exact degeneracies between
 decoupled blocks, and a matrix of many small blocks (decoupled boson
 modes, hole-move orbits) costs a sum of small solves instead of one large
 one.  Blocks small enough for the first dense request to solve whole are
-gathered by size and solved by one stacked ``eigh`` per size.
+gathered by size and solved by one stacked ``eigh`` per size; their levels
+stay stacked arrays, and the ground cluster is read off them and the larger
+blocks' levels by array operations, with no Python step per block.
 
 One policy picks the solver of each matrix from its dimension, its number
 of stored entries and its dtype: Lanczos above dimension 2048, and below
@@ -181,6 +183,21 @@ def resolve_total_spin(stot2_expectation: float) -> Fraction:
     return s
 
 
+def _deflated(mat: sp.csr_matrix, vecs: np.ndarray, sigma: float) -> spla.LinearOperator:
+    """(1 - P) H (1 - P) + sigma P with P the projector on the orthonormal
+    columns ``vecs``.  The (n, k) by (k,) products go through
+    ``ndarray.dot``, which calls BLAS where ``@`` loops for a thin ``vecs``."""
+    adjoint = vecs.conj().T
+
+    def matvec(x):
+        x = x.ravel()
+        inside = vecs.dot(adjoint.dot(x))
+        y = mat @ (x - inside)
+        return y - vecs.dot(adjoint.dot(y)) + sigma * inside
+
+    return spla.LinearOperator(mat.shape, matvec=matvec, dtype=mat.dtype)
+
+
 def _lowest_levels(mat: sp.csr_matrix, pf: bool, ref: float | None = None):
     """Lowest levels of the connected block ``mat``: every pair within the
     cluster tolerance of ``ref`` (default: the lowest value), then the first
@@ -212,13 +229,7 @@ def _lowest_levels(mat: sp.csr_matrix, pf: bool, ref: float | None = None):
         return vals, vecs
     sigma = float(abs(mat).sum(axis=1).max())
     while vals.size < dim - 1:
-        def deflated(x):
-            x = x.ravel()
-            inside = vecs @ (vecs.conj().T @ x)
-            y = mat @ (x - inside)
-            return y - vecs @ (vecs.conj().T @ y) + sigma * inside
-
-        op = spla.LinearOperator(mat.shape, matvec=deflated, dtype=mat.dtype)
+        op = _deflated(mat, vecs, sigma)
         seed = _GUARD_SEED + vals.size
         outside = _lanczos(op, 1, tol=_GUARD_TOL, seed=seed)[0][0]
         if outside - base > tol:
@@ -263,14 +274,15 @@ def sign_structure(mat: sp.csr_matrix):
     return blocks, largest(mat.data.real, -np.inf), im_max
 
 
-def _stacked_levels(mat: sp.csr_matrix, blocks: list[np.ndarray]) -> dict:
-    """Every eigenpair of each block of dimension at most ``_DENSE_START``,
-    keyed by its position in ``blocks``, the connected components of
-    ``mat``.  The first dense request solves such a block whole; here the
-    blocks of one size are scattered straight from the COO entries of
-    ``mat`` into one stack and solved by one batched ``eigh``, and every
-    residual is checked as ``eig_lowest`` checks it."""
-    sizes = np.array([idx.size for idx in blocks])
+def _stacked_levels(mat: sp.csr_matrix, blocks: list[np.ndarray], sizes: np.ndarray) -> list:
+    """Every eigenpair of each block of dimension at most ``_DENSE_START``
+    among ``blocks``, the connected components of ``mat`` (of dimensions
+    ``sizes``), as one group per block size s: the positions of its B blocks
+    in ``blocks``, their index sets as the rows of a (B, s) array, and their
+    values (B, s) and vectors (B, s, s).  The first dense request solves
+    such a block whole; here the blocks of one size are scattered straight
+    from the COO entries of ``mat`` into one stack and solved by one batched
+    ``eigh``, and every residual is checked as ``eig_lowest`` checks it."""
     order = np.concatenate(blocks)
     owner = np.empty(mat.shape[0], dtype=np.int64)
     owner[order] = np.repeat(np.arange(len(blocks)), sizes)
@@ -278,7 +290,7 @@ def _stacked_levels(mat: sp.csr_matrix, blocks: list[np.ndarray]) -> dict:
     local[order] = np.arange(order.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     coo = mat.tocoo()
     entry_size = sizes[owner[coo.row]]
-    levels = {}
+    groups = []
     for size in np.unique(sizes[sizes <= _DENSE_START]):
         members = np.nonzero(sizes == size)[0]
         slot = np.empty(len(blocks), dtype=np.int64)
@@ -294,43 +306,51 @@ def _stacked_levels(mat: sp.csr_matrix, blocks: list[np.ndarray]) -> dict:
             b, i = np.argwhere(residual > allowed)[0]
             raise ConvergenceError(
                 f"eigenpair {i} residual {residual[b, i]:.3e} exceeds {allowed[b, i]:.3e}")
-        levels.update(zip(members.tolist(), zip(vals, vecs)))
-    return levels
+        groups.append((members, order[sizes[owner[order]] == size].reshape(-1, size), vals, vecs))
+    return groups
 
 
 def _block_levels(mat: sp.csr_matrix):
     """Low spectrum of ``mat`` solved block by block.
 
-    Returns one ``[index, block, values, vectors]`` entry per block and the
-    global ground energy.  Every block contributes all of its levels up to
-    the first one above the global ground cluster, so degeneracy and gap
-    come out as from one exact solve.  When there are several blocks, the
-    small ones are solved together by ``_stacked_levels`` and carry no
-    block matrix.
+    Returns the levels as groups of blocks, each ``(positions, index rows,
+    values, vectors)`` shaped (B,), (B, s), (B, L) and (B, s, C), and the
+    global ground energy, the lowest value of the first block in block
+    order that holds it.  The blocks of ``_stacked_levels`` come in its
+    groups; a larger block, or the only one, is solved on its own by
+    ``_lowest_levels`` and makes a group of one, whose last value carries no
+    vector when Lanczos found it.  Every block contributes all of its
+    levels up to the first one above the global ground cluster, so
+    degeneracy and gap come out as from one exact solve.
     """
     blocks, re_max, _ = sign_structure(mat)
     pf = (re_max < 0) & (not np.iscomplexobj(mat.data))
     if len(blocks) == 1:
-        parts = [[blocks[0], mat, *_lowest_levels(mat, pf[0])]]
+        groups, parts = [], [(0, mat)]
     else:
-        stacked = _stacked_levels(mat, blocks)
-        if len(stacked) < len(blocks):
+        sizes = np.array([idx.size for idx in blocks])
+        groups = _stacked_levels(mat, blocks, sizes)
+        large = np.nonzero(sizes > _DENSE_START)[0]
+        if large.size:
             order = np.concatenate(blocks)
             permuted = mat[order][:, order]
-        parts = []
-        for j, (idx, end) in enumerate(zip(blocks, np.cumsum([idx.size for idx in blocks]))):
-            if j in stacked:
-                parts.append([idx, None, *stacked[j]])
-            else:
-                block = permuted[end - idx.size:end, end - idx.size:end]
-                parts.append([idx, block, *_lowest_levels(block, pf[j])])
-    e0 = min(vals[0] for _, _, vals, _ in parts)
+            ends = np.cumsum(sizes)
+        parts = [(j, permuted[ends[j] - sizes[j]:ends[j], ends[j] - sizes[j]:ends[j]])
+                 for j in large.tolist()]
+    solved = [_lowest_levels(block, pf[j]) for j, block in parts]
+    lows = np.empty(len(blocks))
+    for members, _, vals, _ in groups:
+        lows[members] = vals[:, 0]
+    for (j, _), (vals, _) in zip(parts, solved):
+        lows[j] = vals[0]
+    e0 = lows[np.argmin(lows)]
     tol = CLUSTER_TOL * (1.0 + abs(e0))
-    for part, flag in zip(parts, pf):
-        idx, block, vals, _ = part
-        if not np.any(vals - e0 > tol) and vals.size < idx.size:
-            part[2:] = _lowest_levels(block, flag, ref=e0)
-    return parts, e0
+    for i, ((j, block), (vals, _)) in enumerate(zip(parts, solved)):
+        if not np.any(vals - e0 > tol) and vals.size < block.shape[0]:
+            solved[i] = _lowest_levels(block, pf[j], ref=e0)
+    groups += [(np.array([j]), blocks[j][None], vals[None], vecs[None])
+               for (j, _), (vals, vecs) in zip(parts, solved)]
+    return groups, e0
 
 
 def _spin_ladder(h: SectorHamiltonian) -> sp.spmatrix | None:
@@ -367,22 +387,29 @@ def _cluster_spin(v: np.ndarray, h: SectorHamiltonian):
 def ground_cluster(mat: sp.csr_matrix):
     """The ground cluster of ``mat`` from its block levels (see
     ``_block_levels``): every cluster vector of every block embedded in the
-    whole space as one column, the ground energy, the degeneracy and gap,
-    and the ground vector of the lowest block."""
-    parts, e0 = _block_levels(mat)
+    whole space as one column, ordered by block position and then level,
+    the ground energy, the degeneracy and gap, and the ground vector of the
+    first block, in block order, whose lowest value is the least."""
+    groups, e0 = _block_levels(mat)
     tol = CLUSTER_TOL * (1.0 + abs(e0))
-    columns = []
-    for idx, _, vals, vecs in parts:
-        column = np.zeros((mat.shape[0], np.count_nonzero(vals - e0 <= tol)), vecs.dtype)
-        column[idx] = vecs[:, :column.shape[1]]
-        columns.append(column)
-    cluster = np.hstack(columns)
-    levels = np.sort(np.concatenate([part[2] for part in parts]))
+    count = np.empty(sum(group[0].size for group in groups), dtype=np.int64)
+    lows = np.empty(count.size)
+    for members, _, vals, _ in groups:
+        count[members] = np.count_nonzero(vals - e0 <= tol, axis=1)
+        lows[members] = vals[:, 0]
+    first = np.cumsum(count) - count
+    cluster = np.zeros((mat.shape[0], count.sum()), np.result_type(*[group[3] for group in groups]))
+    for members, rows, vals, vecs in groups:
+        b, level = np.nonzero(vals - e0 <= tol)
+        cluster[rows[b], (first[members[b]] + level)[:, None]] = vecs[b, :, level]
+    levels = np.sort(np.concatenate([vals.ravel() for _, _, vals, _ in groups]))
     above = levels[levels - e0 > tol]
     gap = float(above[0] - e0) if above.size else 0.0
-    idx, _, _, vecs = min(parts, key=lambda part: part[2][0])
+    j = np.argmin(lows)
+    members, rows, _, vecs = next(group for group in groups if j in group[0])
+    b = np.searchsorted(members, j)
     v0 = np.zeros(mat.shape[0], dtype=vecs.dtype)
-    v0[idx] = vecs[:, 0]
+    v0[rows[b]] = vecs[b, :, 0]
     return cluster, e0, cluster.shape[1], gap, v0
 
 

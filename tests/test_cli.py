@@ -489,7 +489,7 @@ class _RecordingExecutor:
     ("1", 8, []),            # serial: no executor at all
 ])
 def test_jobs_clamped_to_tasks_and_cpus(capsys, triangle_file, monkeypatch, jobs, cpus, expected):
-    monkeypatch.setattr("nagaoka.cli.ProcessPoolExecutor", _RecordingExecutor)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingExecutor)
     monkeypatch.setattr("nagaoka.cli.os.cpu_count", lambda: cpus)
     monkeypatch.setattr(_RecordingExecutor, "created", [])
     _, serial = run(capsys, "ed", "--model", triangle_file, "--all")
@@ -752,6 +752,21 @@ def test_certify_refuses_a_spacing_with_non_finite_grid_entries(capsys, holstein
     assert code == 1 and out == ""
     assert err == (f"error: grid violated: spacing {float(spacing)!r} with 3 points gives "
                    "non-finite oscillator entries\n")
+
+
+@pytest.mark.parametrize("spacing, reason", [
+    # every shift is ~7e19 steps: past the grid, which would leave no hopping
+    ("1e-20", "grid spacings of 1e-20, a shift past the 3-point grid"),
+    # every shift is ~7e-11 steps: rounding it to 0 would drop the phase
+    ("1e10", "is nonzero but rounds to no step of the grid spacing 10000000000.0"),
+])
+def test_certify_refuses_a_spacing_that_drops_the_hopping_phase(capsys, holstein_file,
+                                                                spacing, reason):
+    code, out, err = run_err(capsys, "certify", "--m", "1/2", "--qgrid", "3",
+                             "--spacing", spacing, "--model", holstein_file)
+    assert code == 1 and out == ""
+    assert err.startswith("error: commensurability violated: displacement ")
+    assert reason in err and err.count("\n") == 1
 
 
 def test_negative_number_with_an_exponent_is_a_value(capsys, triangle_file):

@@ -3,6 +3,9 @@ module uses what it imports, and the certificates reach the assembly only
 through its public names."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +49,14 @@ def test_no_module_imports_a_private_spectral_name(path):
     private = sorted(name for module, name in _imports(tree).values()
                      if module == "spectral" and name.startswith("_"))
     assert private == []
+
+
+def test_cli_import_loads_no_acceptance_and_no_process_pool():
+    # every command pays the start-up; only reproduce and --jobs > 1 need these
+    code = ("import sys, nagaoka.cli; "
+            "print(sorted(m for m in sys.modules if m == 'nagaoka.acceptance' "
+            "or m.split('.')[0] == 'multiprocessing'))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out == "[]\n"

@@ -99,7 +99,8 @@ def test_stored_zeros_link_no_blocks():
     assert [idx.tolist() for idx in blocks] == [[0, 1], [2, 3]]
     assert re_max.tolist() == [0.0, 0.0] and im_max.tolist() == [0.0, 0.0]
     assert not ergodicity_certificate(mat)
-    assert len(_block_levels(mat)[0]) == 2
+    [(members, rows, _, _)], _ = _block_levels(mat)           # one stacked group of size 2
+    assert members.tolist() == [0, 1] and rows.tolist() == [[0, 1], [2, 3]]
     _, e0, degeneracy, _, v0 = ground_cluster(mat)
     assert e0 == pytest.approx(-1.0) and degeneracy == 2
     cert = pf_certificate(mat, v0, degeneracy)

@@ -291,7 +291,8 @@ def test_blocks_are_linked_by_imaginary_couplings():
                                   [0.0, 0.0, -1.0, 0.0]]))
     blocks = spectral.sign_structure(mat)[0]
     assert len(blocks) == 1 and np.array_equal(blocks[0], np.arange(4))
-    parts, e0 = spectral._block_levels(mat)
+    [(members, rows, _, _)], e0 = spectral._block_levels(mat)
+    assert members.tolist() == [0] and rows.tolist() == [[0, 1, 2, 3]]
     assert abs(e0 - np.linalg.eigvalsh(mat.toarray())[0]) <= 1e-12
 
 
@@ -331,17 +332,26 @@ def test_sign_structure_reads_each_block_off_its_stored_entries(phased):
 @pytest.mark.parametrize("phased", [False, True], ids=["real", "complex"])
 def test_stacked_small_blocks_equal_their_single_block_solves(phased):
     mat = _scattered_blocks([1, 2, 3, 4, 5, 6, 7, 8, 6, 3, 1], phased)
-    parts, e0 = spectral._block_levels(mat)
-    _, re_max, _ = spectral.sign_structure(mat)
+    groups, e0 = spectral._block_levels(mat)
+    blocks, re_max, _ = spectral.sign_structure(mat)
+    pf = (re_max < 0) & (not phased)
     small = 0
-    for (idx, block, vals, vecs), pf in zip(parts, (re_max < 0) & (not phased)):
-        oracle = spectral._lowest_levels(mat[idx][:, idx], pf, ref=e0)
-        if idx.size <= spectral._DENSE_START:
-            small += 1
-            assert block is None
-            assert np.array_equal(vals, oracle[0]) and np.array_equal(vecs, oracle[1])
-        else:
-            assert np.max(np.abs(vals[:oracle[0].size] - oracle[0])) <= 1e-12
+    for members, rows, vals, vecs in groups:
+        assert rows.shape[0] == members.size
+        if rows.shape[1] <= spectral._DENSE_START:        # one stacked group per size
+            small += members.size
+            assert np.array_equal(members, [j for j, idx in enumerate(blocks)
+                                            if idx.size == rows.shape[1]])
+        else:                                             # a block solved on its own
+            assert members.size == 1
+        for j, idx, v, w in zip(members, rows, vals, vecs):
+            assert np.array_equal(idx, blocks[j])
+            oracle = spectral._lowest_levels(mat[idx][:, idx], pf[j], ref=e0)
+            if idx.size <= spectral._DENSE_START:
+                assert np.array_equal(v, oracle[0]) and np.array_equal(w, oracle[1])
+            else:
+                assert np.max(np.abs(v[:oracle[0].size] - oracle[0])) <= 1e-12
+    assert [rows.shape[1] for _, rows, _, _ in groups] == [1, 2, 3, 4, 5, 6, 7, 8]
     assert small == 9 and abs(e0 - np.linalg.eigvalsh(mat.toarray())[0]) <= 1e-12
 
 
@@ -461,7 +471,8 @@ def test_deflation_guard_finds_the_copy_lanczos_misses(monkeypatch, phased):
     assert np.count_nonzero(dense - dense[0] <= tol) == 4
     assert len(spectral.sign_structure(mat)[0]) == 1 and spectral._use_lanczos(mat)
     calls = _spy_lanczos(monkeypatch)
-    [(_, _, vals, vecs)], e0 = spectral._block_levels(mat)
+    [(members, _, [vals], [vecs])], e0 = spectral._block_levels(mat)
+    assert members.tolist() == [0]
     copies = int(np.count_nonzero(vals - e0 <= tol))
     assert copies == vecs.shape[1] == 4
     assert abs(vals[copies] - e0 - (dense[4] - dense[0])) <= 1e-9
