@@ -188,16 +188,11 @@ def build_gutzwiller(basis: FullFockBasis) -> SparseHermitian:
     return SparseHermitian(sp.diags(diag).tocsr())
 
 
-def build_spin_ops(basis: FullFockBasis) -> dict:
-    """Total-spin operators: S3 and the Casimir Stot2 = S(S+1) as
-    ``SparseHermitian``, S+ and S- as CSR matrices."""
-    s3 = sp.diags(0.5 * (2 * basis.occupations[:, UP].sum(axis=1) - basis.n_electrons)).tocsr()
-    sminus = _csr((_bilinear(basis, basis.mode(x, DOWN), basis.mode(x, UP))
-                   for x in range(basis.sites)), basis.dimension)
-    splus = sminus.conjugate().T.tocsr()
-    stot2 = (s3 @ s3 + 0.5 * (splus @ sminus + sminus @ splus)).tocsr()
-    return {"S3": SparseHermitian(s3), "Splus": splus, "Sminus": sminus,
-            "Stot2": SparseHermitian(stot2)}
+def fock_lowering(basis: FullFockBasis) -> sp.csr_matrix:
+    """The fermionic total-spin lowering operator S- = sum_x c*_(x, down)
+    c_(x, up) on a fixed-N basis, as a CSR matrix."""
+    return _csr((_bilinear(basis, basis.mode(x, DOWN), basis.mode(x, UP))
+                 for x in range(basis.sites)), basis.dimension)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +356,6 @@ def sector_lowering_fock(model: LatticeModel, m) -> tuple[sp.csr_matrix, SectorB
     basis_hi, fock, rows_hi, signs_hi = sector_embedding(model, m)
     m_lo = basis_hi.m - 1
     basis_lo, _, rows_lo, signs_lo = sector_embedding(model, m_lo)
-    sminus = build_spin_ops(fock)["Sminus"]
-    mat = projected_restriction(sminus, rows_lo, signs_lo, rows_hi, signs_hi)
+    mat = projected_restriction(fock_lowering(fock), rows_lo, signs_lo, rows_hi, signs_hi)
     return mat, basis_hi, basis_lo
 

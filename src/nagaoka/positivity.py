@@ -65,7 +65,7 @@ def ergodicity_certificate(h) -> bool:
     """Connectivity of the off-diagonal support graph of -H: at most one
     block.  On a configuration-basis Hamiltonian this is, by construction,
     the same predicate as the hole-move connectivity of the sector."""
-    return len(sign_structure(as_matrix(h))[0]) <= 1
+    return sign_structure(as_matrix(h))[1].size <= 1
 
 
 def pf_certificate(h, ground_vector: np.ndarray, degeneracy: int,
@@ -79,10 +79,10 @@ def pf_certificate(h, ground_vector: np.ndarray, degeneracy: int,
     or positivity fail, the certificate raises instead of reporting, because
     the implication is a theorem at finite dimension.
     """
-    blocks, re_max, im_max = sign_structure(as_matrix(h))
+    _, sizes, re_max, im_max = sign_structure(as_matrix(h))
     tol = STRICT_POSITIVITY_TOL
     sign_ok = bool(np.all(re_max <= tol) and np.all(im_max <= tol))
-    irreducible = len(blocks) <= 1
+    irreducible = sizes.size <= 1
 
     v = np.asarray(ground_vector).ravel()
     pivot = v[int(np.argmax(np.abs(v)))]

@@ -11,10 +11,13 @@ A sector matrix is split into the connected components of the graph of |H|
 a single Lanczos start vector cannot resolve exact degeneracies between
 decoupled blocks, and a matrix of many small blocks (decoupled boson
 modes, hole-move orbits) costs a sum of small solves instead of one large
-one.  Blocks small enough for the first dense request to solve whole are
-gathered by size and solved by one stacked ``eigh`` per size; their levels
-stay stacked arrays, and the ground cluster is read off them and the larger
-blocks' levels by array operations, with no Python step per block.
+one.  The blocks travel as one layout from ``sign_structure`` on: the
+stable argsort of the component labels and the block sizes.  Blocks small
+enough for the first dense request to solve whole, a lone one included,
+are gathered by size and solved by one stacked ``eigh`` per size; their
+levels stay stacked arrays, and the ground cluster is read off them and the
+larger blocks' levels by array operations, with no Python step per block.
+Every eigenpair, stacked, dense or Lanczos, passes one residual check.
 
 One policy picks the solver of each matrix from its dimension, its number
 of stored entries and its dtype: Lanczos above dimension 2048, and below
@@ -123,15 +126,17 @@ def _lanczos(op, count: int, tol: float = 0.0, seed: int = _EIG_SEED):
     return vals[order], vecs[:, order]
 
 
-def _check_residuals(mat, vals, vecs):
+def _check_residuals(hv, vals, vecs):
     """Raise ConvergenceError unless ||H v - e v|| <= RESIDUAL_TOL (1 + |e|)
-    for every pair."""
-    for i in range(vals.size):
-        residual = np.linalg.norm(mat @ vecs[:, i] - vals[i] * vecs[:, i])
-        allowed = RESIDUAL_TOL * (1.0 + abs(vals[i]))
-        if residual > allowed:
-            raise ConvergenceError(
-                f"eigenpair {i} residual {residual:.3e} exceeds {allowed:.3e}")
+    for every pair, given H V: the pairs run along the last axis of ``vals``
+    and ``vecs``, and a NaN residual fails."""
+    residual = np.linalg.norm(hv - vecs * vals[..., None, :], axis=-2)
+    allowed = RESIDUAL_TOL * (1.0 + np.abs(vals))
+    bad = np.argwhere(~(residual <= allowed))
+    if bad.size:
+        at = tuple(bad[0])
+        raise ConvergenceError(
+            f"eigenpair {at[-1]} residual {residual[at]:.3e} exceeds {allowed[at]:.3e}")
 
 
 def eig_lowest(h, count: int):
@@ -152,7 +157,7 @@ def eig_lowest(h, count: int):
         vals, vecs = sla.eigh(mat.toarray(), subset_by_index=[0, count - 1])
     else:
         vals, vecs = _lanczos(mat, count)
-    _check_residuals(mat, vals, vecs)
+    _check_residuals(mat @ vecs, vals, vecs)
     return vals, vecs
 
 
@@ -198,10 +203,10 @@ def _deflated(mat: sp.csr_matrix, vecs: np.ndarray, sigma: float) -> spla.Linear
     return spla.LinearOperator(mat.shape, matvec=matvec, dtype=mat.dtype)
 
 
-def _lowest_levels(mat: sp.csr_matrix, pf: bool, ref: float | None = None):
+def _lowest_levels(mat: sp.csr_matrix, pf: bool):
     """Lowest levels of the connected block ``mat``: every pair within the
-    cluster tolerance of ``ref`` (default: the lowest value), then the first
-    value above it, which carries no vector when Lanczos found it.
+    cluster tolerance of the lowest value, then the first value above it,
+    which carries no vector when Lanczos found it; or every level.
 
     A dense solve doubles its count until a value lies above the cluster.
     Lanczos solves the lowest pair (two when ``pf`` flags a block signed for
@@ -218,12 +223,11 @@ def _lowest_levels(mat: sp.csr_matrix, pf: bool, ref: float | None = None):
         k = min(dim, _DENSE_START)
         while True:
             vals, vecs = eig_lowest(mat, k)
-            base = vals[0] if ref is None else ref
-            if k == dim or np.any(vals - base > CLUSTER_TOL * (1.0 + abs(base))):
+            if k == dim or np.any(vals - vals[0] > CLUSTER_TOL * (1.0 + abs(vals[0]))):
                 return vals, vecs
             k = min(dim, 2 * k)
     vals, vecs = eig_lowest(mat, 2 if pf else 1)
-    base = vals[0] if ref is None else ref
+    base = vals[0]
     tol = CLUSTER_TOL * (1.0 + abs(base))
     if np.any(vals - base > tol):
         return vals, vecs
@@ -235,9 +239,9 @@ def _lowest_levels(mat: sp.csr_matrix, pf: bool, ref: float | None = None):
         if outside - base > tol:
             order = np.argsort(vals)
             return np.append(vals[order], outside), vecs[:, order]
-        copy = _lanczos(op, 1, seed=seed)
-        _check_residuals(mat, *copy)
-        vals, vecs = np.append(vals, copy[0]), np.hstack([vecs, copy[1]])
+        copy_vals, copy_vecs = _lanczos(op, 1, seed=seed)
+        _check_residuals(mat @ copy_vecs, copy_vals, copy_vecs)
+        vals, vecs = np.append(vals, copy_vals), np.hstack([vecs, copy_vecs])
     return eig_lowest(mat, dim)
 
 
@@ -245,22 +249,21 @@ def sign_structure(mat: sp.csr_matrix):
     """The blocks of ``mat`` and the sign of their off-diagonal entries: the
     two facts a Perron-Frobenius argument reads off a matrix.
 
-    Blocks are the ascending index sets of the connected components of the
-    graph of |H| without its stored zeros, ordered by their smallest index
-    (|H|, as the component search casts complex weights to real, which
-    would drop a purely imaginary coupling).  Per block come the largest
-    real part and the largest |imaginary part| of its stored off-diagonal
-    entries, -inf and 0 when it has none."""
+    Blocks are the connected components of the graph of |H| without its
+    stored zeros (|H|, as the component search casts complex weights to
+    real, which would drop a purely imaginary coupling), laid out as
+    ``order``, the stable argsort of the component labels, and ``sizes``:
+    block j is ``order[ends[j] - sizes[j]:ends[j]]``, ascending, with
+    ``ends`` the cumulative sizes, and the blocks are ordered by their
+    smallest index.  Per block come the largest real part and the largest
+    |imaginary part| of its stored off-diagonal entries, -inf and 0 when it
+    has none."""
     graph = abs(mat)
     if not graph.data.all():
         graph.eliminate_zeros()
     n_comp, labels = connected_components(graph, directed=False)
     rows = np.repeat(np.arange(mat.shape[0], dtype=mat.indices.dtype), np.diff(mat.indptr))
     off = rows != mat.indices
-    if n_comp <= 1:
-        blocks = [np.arange(mat.shape[0])]
-    else:
-        blocks = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
 
     def largest(data, empty):
         if n_comp <= 1:         # one pass over the whole matrix
@@ -269,23 +272,26 @@ def sign_structure(mat: sp.csr_matrix):
         np.maximum.at(out, labels[rows[off]], data[off])
         return out
 
+    re_max = largest(mat.data.real, -np.inf)
     im_max = (largest(np.abs(mat.data.imag), 0.0) if np.iscomplexobj(mat.data)
-              else np.zeros(len(blocks)))
-    return blocks, largest(mat.data.real, -np.inf), im_max
+              else np.zeros(re_max.size))
+    return np.argsort(labels, kind="stable"), np.bincount(labels), re_max, im_max
 
 
-def _stacked_levels(mat: sp.csr_matrix, blocks: list[np.ndarray], sizes: np.ndarray) -> list:
+def _stacked_levels(mat: sp.csr_matrix, order: np.ndarray, sizes: np.ndarray) -> list:
     """Every eigenpair of each block of dimension at most ``_DENSE_START``
-    among ``blocks``, the connected components of ``mat`` (of dimensions
-    ``sizes``), as one group per block size s: the positions of its B blocks
-    in ``blocks``, their index sets as the rows of a (B, s) array, and their
-    values (B, s) and vectors (B, s, s).  The first dense request solves
-    such a block whole; here the blocks of one size are scattered straight
-    from the COO entries of ``mat`` into one stack and solved by one batched
-    ``eigh``, and every residual is checked as ``eig_lowest`` checks it."""
-    order = np.concatenate(blocks)
+    among the connected components of ``mat``, laid out as ``order`` and
+    ``sizes`` (see ``sign_structure``), as one group per block size s: the
+    positions of its B blocks, their index sets as the rows of a (B, s)
+    array, and their values (B, s) and vectors (B, s, s).  The first dense
+    request solves such a block whole; here the blocks of one size are
+    scattered straight from the COO entries of ``mat`` into one stack and
+    solved by one batched ``eigh``, whose residuals are checked as
+    ``eig_lowest`` checks its own."""
+    if not np.any(sizes <= _DENSE_START):
+        return []
     owner = np.empty(mat.shape[0], dtype=np.int64)
-    owner[order] = np.repeat(np.arange(len(blocks)), sizes)
+    owner[order] = np.repeat(np.arange(sizes.size), sizes)
     local = np.empty(mat.shape[0], dtype=np.int64)
     local[order] = np.arange(order.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     coo = mat.tocoo()
@@ -293,64 +299,46 @@ def _stacked_levels(mat: sp.csr_matrix, blocks: list[np.ndarray], sizes: np.ndar
     groups = []
     for size in np.unique(sizes[sizes <= _DENSE_START]):
         members = np.nonzero(sizes == size)[0]
-        slot = np.empty(len(blocks), dtype=np.int64)
+        slot = np.empty(sizes.size, dtype=np.int64)
         slot[members] = np.arange(members.size)
         on = entry_size == size
         row, col = coo.row[on], coo.col[on]
         stack = np.zeros((members.size, size, size), dtype=mat.dtype)
         np.add.at(stack, (slot[owner[row]], local[row], local[col]), coo.data[on])
         vals, vecs = np.linalg.eigh(stack)
-        residual = np.linalg.norm(stack @ vecs - vecs * vals[:, None, :], axis=1)
-        allowed = RESIDUAL_TOL * (1.0 + np.abs(vals))
-        if np.any(residual > allowed):
-            b, i = np.argwhere(residual > allowed)[0]
-            raise ConvergenceError(
-                f"eigenpair {i} residual {residual[b, i]:.3e} exceeds {allowed[b, i]:.3e}")
+        _check_residuals(stack @ vecs, vals, vecs)
         groups.append((members, order[sizes[owner[order]] == size].reshape(-1, size), vals, vecs))
     return groups
 
 
-def _block_levels(mat: sp.csr_matrix):
-    """Low spectrum of ``mat`` solved block by block.
+def _block_levels(mat: sp.csr_matrix) -> list:
+    """Low spectrum of ``mat`` solved block by block, as groups of blocks,
+    each ``(positions, index rows, values, vectors)`` shaped (B,), (B, s),
+    (B, L) and (B, s, C).
 
-    Returns the levels as groups of blocks, each ``(positions, index rows,
-    values, vectors)`` shaped (B,), (B, s), (B, L) and (B, s, C), and the
-    global ground energy, the lowest value of the first block in block
-    order that holds it.  The blocks of ``_stacked_levels`` come in its
-    groups; a larger block, or the only one, is solved on its own by
-    ``_lowest_levels`` and makes a group of one, whose last value carries no
-    vector when Lanczos found it.  Every block contributes all of its
-    levels up to the first one above the global ground cluster, so
-    degeneracy and gap come out as from one exact solve.
+    The blocks of ``_stacked_levels`` come in its groups; a larger block is
+    solved on its own by ``_lowest_levels`` and makes a group of one, whose
+    last value carries no vector when Lanczos found it.  Every block holds
+    all of its levels up to the first one above the global ground cluster,
+    so degeneracy and gap come out as from one exact solve: a block returns
+    every level, or a value v with v - b > CLUSTER_TOL (1 + |b|), b the
+    lowest value of the solve that measured its cluster.  The global ground
+    energy E0 is at most b, and |E0| <= |b| + (b - E0), so
+    v - E0 > CLUSTER_TOL (1 + |E0|): v is above the global cluster too, and
+    no block needs solving again.
     """
-    blocks, re_max, _ = sign_structure(mat)
+    order, sizes, re_max, _ = sign_structure(mat)
     pf = (re_max < 0) & (not np.iscomplexobj(mat.data))
-    if len(blocks) == 1:
-        groups, parts = [], [(0, mat)]
-    else:
-        sizes = np.array([idx.size for idx in blocks])
-        groups = _stacked_levels(mat, blocks, sizes)
-        large = np.nonzero(sizes > _DENSE_START)[0]
-        if large.size:
-            order = np.concatenate(blocks)
-            permuted = mat[order][:, order]
-            ends = np.cumsum(sizes)
-        parts = [(j, permuted[ends[j] - sizes[j]:ends[j], ends[j] - sizes[j]:ends[j]])
-                 for j in large.tolist()]
-    solved = [_lowest_levels(block, pf[j]) for j, block in parts]
-    lows = np.empty(len(blocks))
-    for members, _, vals, _ in groups:
-        lows[members] = vals[:, 0]
-    for (j, _), (vals, _) in zip(parts, solved):
-        lows[j] = vals[0]
-    e0 = lows[np.argmin(lows)]
-    tol = CLUSTER_TOL * (1.0 + abs(e0))
-    for i, ((j, block), (vals, _)) in enumerate(zip(parts, solved)):
-        if not np.any(vals - e0 > tol) and vals.size < block.shape[0]:
-            solved[i] = _lowest_levels(block, pf[j], ref=e0)
-    groups += [(np.array([j]), blocks[j][None], vals[None], vecs[None])
-               for (j, _), (vals, vecs) in zip(parts, solved)]
-    return groups, e0
+    groups = _stacked_levels(mat, order, sizes)
+    large = np.nonzero(sizes > _DENSE_START)[0]
+    if large.size:
+        permuted = mat if sizes.size == 1 else mat[order][:, order]
+        ends = np.cumsum(sizes)
+        for j in large.tolist():
+            span = slice(ends[j] - sizes[j], ends[j])
+            vals, vecs = _lowest_levels(permuted[span, span], pf[j])
+            groups.append((np.array([j]), order[span][None], vals[None], vecs[None]))
+    return groups
 
 
 def _spin_ladder(h: SectorHamiltonian) -> sp.spmatrix | None:
@@ -390,13 +378,16 @@ def ground_cluster(mat: sp.csr_matrix):
     whole space as one column, ordered by block position and then level,
     the ground energy, the degeneracy and gap, and the ground vector of the
     first block, in block order, whose lowest value is the least."""
-    groups, e0 = _block_levels(mat)
+    groups = _block_levels(mat)
+    lows = np.empty(sum(members.size for members, _, _, _ in groups))
+    for members, _, vals, _ in groups:
+        lows[members] = vals[:, 0]
+    j = np.argmin(lows)
+    e0 = lows[j]
     tol = CLUSTER_TOL * (1.0 + abs(e0))
-    count = np.empty(sum(group[0].size for group in groups), dtype=np.int64)
-    lows = np.empty(count.size)
+    count = np.empty(lows.size, dtype=np.int64)
     for members, _, vals, _ in groups:
         count[members] = np.count_nonzero(vals - e0 <= tol, axis=1)
-        lows[members] = vals[:, 0]
     first = np.cumsum(count) - count
     cluster = np.zeros((mat.shape[0], count.sum()), np.result_type(*[group[3] for group in groups]))
     for members, rows, vals, vecs in groups:
@@ -405,7 +396,6 @@ def ground_cluster(mat: sp.csr_matrix):
     levels = np.sort(np.concatenate([vals.ravel() for _, _, vals, _ in groups]))
     above = levels[levels - e0 > tol]
     gap = float(above[0] - e0) if above.size else 0.0
-    j = np.argmin(lows)
     members, rows, _, vecs = next(group for group in groups if j in group[0])
     b = np.searchsorted(members, j)
     v0 = np.zeros(mat.shape[0], dtype=vecs.dtype)

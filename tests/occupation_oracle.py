@@ -114,7 +114,9 @@ def gutzwiller(sites: int, n_electrons: int) -> sp.csr_matrix:
 
 
 def spin_ops(sites: int, n_electrons: int) -> dict[str, sp.csr_matrix]:
-    """S3, S+, S- and S(S+1), with S- summed one site at a time."""
+    """S3, S+, S- and S(S+1), with S- summed one site at a time.  The
+    program builds only S- (``manybody.fock_lowering``); the other three
+    exist for the spin-algebra tests."""
     states = fock_states(sites, n_electrons)
     s3 = sp.diags([0.5 * (2 * (w & ((1 << sites) - 1)).bit_count() - n_electrons)
                    for w in states]).tocsr()

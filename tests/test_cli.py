@@ -449,9 +449,16 @@ def test_ring64_exits_1_naming_the_site_limit(capsys, tmp_path, argv):
 def test_certify_solves_once_per_row(capsys, triangle_file, monkeypatch):
     import nagaoka.spectral as spectral
 
+    # every solve goes through one of the three solver primitives: the
+    # triangle's 3-dim sectors take the stacked eigh, one call each
     counts = []
-    real = spectral.eig_lowest
-    monkeypatch.setattr(spectral, "eig_lowest", lambda h, k: counts.append(k) or real(h, k))
+
+    def spy(real):
+        return lambda *args, **kwargs: counts.append(real) or real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral.np.linalg, "eigh", spy(np.linalg.eigh))
+    monkeypatch.setattr(spectral.sla, "eigh", spy(spectral.sla.eigh))
+    monkeypatch.setattr(spectral, "_lanczos", spy(spectral._lanczos))
     code, out = run(capsys, "certify", "--model", triangle_file, "--all")
     assert code == 0
     assert len(counts) == len(json.loads(out)["results"]) == 3

@@ -55,7 +55,7 @@ def test_stacked_route_equals_the_per_block_oracle(phased, lanczos_lowest):
     dense = np.linalg.eigvalsh(mat.toarray())
     assert abs(e0 - dense[0]) <= 1e-9 and abs(gap - (dense[1] - dense[0])) <= 1e-9
     assert degeneracy == 1 and np.linalg.norm(mat @ v0 - e0 * v0) <= 1e-8
-    groups, _ = spectral._block_levels(mat)
+    groups = spectral._block_levels(mat)
     assert sum(members.size for members, _, _, _ in groups) == len(blocks)
 
 
@@ -80,14 +80,14 @@ def test_a_ground_level_shared_by_blocks_of_different_sizes():
     assert np.max(np.abs(cluster.T @ cluster - np.eye(6))) <= 1e-12
     # the blocks holding the cluster, by their dimension, in block order
     parts, _ = block_levels(mat)
-    holders = [idx.size for idx, _, vals, _ in parts if vals[0] - e0 <= 1e-8]
+    holders = [idx.size for idx, vals, _ in parts if vals[0] - e0 <= 1e-8]
     assert sorted(holders) == [1, 2, 2, 3, 4, 7]
 
 
 def test_tied_block_minima_take_v0_from_the_first_block():
     mat = _scatter(_shared_ground_blocks(), seed=8)
     parts, e0 = block_levels(mat)
-    tied = [j for j, (_, _, vals, _) in enumerate(parts) if vals[0] == e0]
+    tied = [j for j, (_, vals, _) in enumerate(parts) if vals[0] == e0]
     sizes = [parts[j][0].size for j in tied]
     # exact ties across sizes: the first tied block is not of the first group's size
     assert len(set(sizes)) >= 2 and sizes[0] != min(sizes)
@@ -109,7 +109,7 @@ def test_small_blocks_take_one_eigh_per_size_and_no_single_block_solve(monkeypat
     else:
         model = radiation_triangle(kappa=1.0, cutoff=20)
         mat = spectral.as_matrix(assemble_radiation_sector(model, Fraction(case[-1])))
-    sizes = {idx.size for idx in spectral.sign_structure(mat)[0]}
+    sizes = set(spectral.sign_structure(mat)[1].tolist())
     assert max(sizes) <= spectral._DENSE_START
     calls = []
     real_eigh = np.linalg.eigh
@@ -145,3 +145,42 @@ def test_deflated_operator_equals_the_dense_projection(phased, k):
     dense = rest @ mat.toarray() @ rest + sigma * proj
     applied = np.column_stack([op.matvec(e) for e in np.eye(n, dtype=mat.dtype)])
     assert op.dtype == mat.dtype and np.max(np.abs(applied - dense)) <= 1e-13
+
+
+def _block_with_levels(rng, levels, phased: bool) -> np.ndarray:
+    """A dense Hermitian block with the given levels in a random eigenbasis."""
+    n = len(levels)
+    q = np.linalg.qr(rng.standard_normal((n, n))
+                     + (1j * rng.standard_normal((n, n)) if phased else 0))[0]
+    a = (q * np.asarray(levels)) @ q.conj().T
+    return (a + a.conj().T) / 2
+
+
+@pytest.mark.parametrize("e0", [-3.0, 2.0])
+@pytest.mark.parametrize("ring_offset", [0.0, 0.999, 1.001])
+def test_block_minima_at_the_cluster_edge_equal_the_oracle(e0, ring_offset):
+    # blocks whose lowest levels sit 0, 0.999 and 1.001 cluster tolerances
+    # above E0, where a block's own cluster and the global one differ: one
+    # solve per block still ends above the global cluster (block_oracle
+    # asserts it), so degeneracy and gap are those of a dense solve
+    tol = spectral.CLUSTER_TOL * (1.0 + abs(e0))
+    rng = np.random.default_rng(int(10 * ring_offset) + (e0 > 0))
+    edges = [(3, [0.999, 1.001]), (5, [1.001, 1.001]), (8, [0.0, 0.999, 1.001]),
+             (9, [1.001]), (14, [0.999] * 7 + [1.001]), (4, [0.0])]
+    blocks = [np.array([[e0]])]
+    for n, offsets in edges:
+        rest = rng.uniform(0.5, 3.0, n - len(offsets))
+        blocks.append(_block_with_levels(rng, e0 + np.concatenate([tol * np.array(offsets), rest]),
+                                         phased=n % 2 == 1))
+    # a ring of dimension 520, routed to Lanczos, lowest level -2 + shift
+    ring = _ring(520, -1.0) + (e0 + ring_offset * tol + 2.0) * np.eye(520)
+    assert spectral._use_lanczos(sp.csr_matrix(ring))
+    blocks.insert(3, ring)
+    mat = _scatter(blocks, seed=5)
+    cluster, found_e0, degeneracy, gap, v0 = _same_cluster(mat)
+    dense = np.linalg.eigvalsh(mat.toarray())
+    expect = np.count_nonzero(dense - dense[0] <= spectral.CLUSTER_TOL * (1.0 + abs(dense[0])))
+    inside = 1 + 1 + 2 + 7 + 1 + (ring_offset < 1)          # [e0], 3, 8, 14, 4 and the ring
+    assert degeneracy == expect == inside
+    assert abs(found_e0 - e0) <= 1e-12 and abs(gap - (dense[expect] - dense[0])) <= 1e-12
+    assert abs(gap - 1.001 * tol) <= 1e-12

@@ -29,13 +29,12 @@ from nagaoka.manybody import (
     _csr,
     boson_basis,
     build_gutzwiller,
-    build_spin_ops,
     full_fock_basis,
     sector_embedding,
 )
 from nagaoka.model import LatticeModel, PhononBlock, generate_lattice
 from nagaoka.sector import enumerate_sector, hole_moves, sector_magnetizations
-from occupation_oracle import momentum_quadrature
+from occupation_oracle import momentum_quadrature, spin_ops
 
 
 def with_phonons(base, coupling, omega=1.0, cutoff=2):
@@ -134,7 +133,7 @@ def test_reassembled_projected_space_commutes_with_total_spin():
     from nagaoka.hamiltonian import hubbard_electron_matrix
     fock = full_fock_basis(4, 3)
     hfull = hubbard_electron_matrix(model, 0.0).toarray()
-    s2full = build_spin_ops(fock)["Stot2"].matrix.toarray()
+    s2full = spin_ops(fock.sites, fock.n_electrons)["Stot2"].toarray()
     rows, signs = [], []
     for m in sector_magnetizations(4):
         _, _, r, s = sector_embedding(model, m)

@@ -18,7 +18,7 @@ from nagaoka.manybody import (
     _number,
     boson_basis,
     build_gutzwiller,
-    build_spin_ops,
+    fock_lowering,
     full_fock_basis,
     sector_embedding,
     sector_lowering,
@@ -26,8 +26,7 @@ from nagaoka.manybody import (
 )
 from nagaoka.model import LatticeModel, generate_lattice
 from nagaoka.sector import enumerate_sector, sector_magnetizations
-from nagaoka.spectral import as_matrix
-from occupation_oracle import build_fermion_op
+from occupation_oracle import build_fermion_op, spin_ops
 from spin_oracle import sector_spin_squared
 
 
@@ -64,18 +63,19 @@ def test_gutzwiller_projection():
 
 
 def test_spin_algebra():
-    basis = full_fock_basis(3, 2)
-    ops = build_spin_ops(basis)
-    s3, sp_, sm, s2 = (as_matrix(ops[k]).toarray() for k in ("S3", "Splus", "Sminus", "Stot2"))
-    assert isinstance(ops["S3"], SparseHermitian) and isinstance(ops["Stot2"], SparseHermitian)
-    assert np.allclose(sp_ @ sm - sm @ sp_, 2.0 * s3, atol=1e-12)
+    # the production S- with the oracle's S3 and S^2
+    ops = spin_ops(3, 2)
+    sm = fock_lowering(full_fock_basis(3, 2)).toarray()
+    s3, s2 = ops["S3"].toarray(), ops["Stot2"].toarray()
+    assert np.allclose(sm.T @ sm - sm @ sm.T, 2.0 * s3, atol=1e-12)
     assert np.allclose(s2 @ s3 - s3 @ s2, 0.0, atol=1e-12)
+    assert np.allclose(s2 @ sm - sm @ s2, 0.0, atol=1e-12)
 
 
 def test_polarized_state_has_maximal_spin():
     sites = 3
     basis = full_fock_basis(sites, sites - 1)
-    s2 = build_spin_ops(basis)["Stot2"].matrix
+    s2 = spin_ops(sites, sites - 1)["Stot2"]
     word = 0b110        # both electrons up, hole at site 0
     vec = np.zeros(basis.dimension)
     vec[basis.rank(word)] = 1.0
@@ -86,8 +86,9 @@ def test_polarized_state_has_maximal_spin():
 def test_projection_commutes_with_spin_ops():
     basis = full_fock_basis(3, 2)
     p = build_gutzwiller(basis).matrix
-    for name, op in build_spin_ops(basis).items():
-        comm = (p @ as_matrix(op) - as_matrix(op) @ p).toarray()
+    ops = dict(spin_ops(3, 2), Sminus=fock_lowering(basis))
+    for name, op in ops.items():
+        comm = (p @ op - op @ p).toarray()
         assert np.max(np.abs(comm)) <= 1e-12, name
 
 
@@ -193,7 +194,7 @@ def test_sector_embedding_is_injective_signed_basis():
 def test_sector_spin_squared_matches_full_space_oracle():
     model = triangle3()
     fock = full_fock_basis(3, 2)
-    s2_full = build_spin_ops(fock)["Stot2"].matrix
+    s2_full = spin_ops(fock.sites, fock.n_electrons)["Stot2"]
     for m in sector_magnetizations(3):
         basis, _, rows, signs = sector_embedding(model, m)
         restricted = (sp.diags(signs) @ s2_full.tocsr()[np.ix_(rows, rows)] @ sp.diags(signs)).toarray()
@@ -263,7 +264,7 @@ def test_spin_resolution_never_builds_the_fock_space(monkeypatch):
         raise AssertionError("production spin path touched the Fock space")
 
     monkeypatch.setattr("nagaoka.manybody.full_fock_basis", forbidden)
-    monkeypatch.setattr("nagaoka.manybody.build_spin_ops", forbidden)
+    monkeypatch.setattr("nagaoka.manybody.fock_lowering", forbidden)
     from nagaoka.acceptance import holstein_model
     from nagaoka.hamiltonian import assemble_holstein_sector, assemble_nagaoka_sector
     from nagaoka.spectral import ground_report

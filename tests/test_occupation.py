@@ -30,13 +30,12 @@ from nagaoka.manybody import (
     _number,
     boson_basis,
     build_gutzwiller,
-    build_spin_ops,
+    fock_lowering,
     full_fock_basis,
     sector_embedding,
 )
 from nagaoka.model import LatticeModel, PhononBlock, generate_lattice
 from nagaoka.sector import sector_magnetizations
-from nagaoka.spectral import as_matrix
 
 
 def assert_same_csr(got, want, what=""):
@@ -66,9 +65,7 @@ def test_fock_words_and_rank_match_the_word_walk(sites, n):
 @pytest.mark.parametrize("sites, n", FOCK_SIZES)
 def test_spin_ops_and_gutzwiller_equal_the_oracle(sites, n):
     fock = full_fock_basis(sites, n)
-    ops, ref = build_spin_ops(fock), oracle.spin_ops(sites, n)
-    for name in ("S3", "Splus", "Sminus", "Stot2"):
-        assert_same_csr(as_matrix(ops[name]), ref[name], name)
+    assert_same_csr(fock_lowering(fock), oracle.spin_ops(sites, n)["Sminus"], "S-")
     assert_same_csr(build_gutzwiller(fock).matrix, oracle.gutzwiller(sites, n), "P")
 
 

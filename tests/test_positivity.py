@@ -95,11 +95,11 @@ def test_stored_zeros_link_no_blocks():
     rows, cols = [0, 1, 1, 2, 2, 3], [1, 0, 2, 1, 3, 2]
     mat = sp.csr_matrix(([-1.0, -1.0, 0.0, 0.0, -1.0, -1.0], (rows, cols)), shape=(4, 4))
     assert mat.nnz == 6
-    blocks, re_max, im_max = sign_structure(mat)
-    assert [idx.tolist() for idx in blocks] == [[0, 1], [2, 3]]
+    order, sizes, re_max, im_max = sign_structure(mat)
+    assert order.tolist() == [0, 1, 2, 3] and sizes.tolist() == [2, 2]
     assert re_max.tolist() == [0.0, 0.0] and im_max.tolist() == [0.0, 0.0]
     assert not ergodicity_certificate(mat)
-    [(members, rows, _, _)], _ = _block_levels(mat)           # one stacked group of size 2
+    [(members, rows, _, _)] = _block_levels(mat)              # one stacked group of size 2
     assert members.tolist() == [0, 1] and rows.tolist() == [[0, 1], [2, 3]]
     _, e0, degeneracy, _, v0 = ground_cluster(mat)
     assert e0 == pytest.approx(-1.0) and degeneracy == 2
@@ -143,7 +143,7 @@ def test_spin_lowering_positivity_goes_through_the_fermionic_operator(monkeypatc
     import nagaoka.manybody as manybody
 
     built = []
-    real_build = manybody.build_spin_ops
+    real_build = manybody.fock_lowering
 
     def recording_build(basis):
         built.append(basis.dimension)
@@ -152,7 +152,7 @@ def test_spin_lowering_positivity_goes_through_the_fermionic_operator(monkeypatc
     def forbidden(*args):
         raise AssertionError("criterion 9 must not use the direct lowering rule")
 
-    monkeypatch.setattr(manybody, "build_spin_ops", recording_build)
+    monkeypatch.setattr(manybody, "fock_lowering", recording_build)
     monkeypatch.setattr(manybody, "_lowering_matrix", forbidden)
     assert spin_lowering_positivity(complete4(), Fraction(1, 2))
     assert built == [56]                         # C(8, 3) Fock words of 3 electrons

@@ -263,7 +263,7 @@ def test_decoupled_radiation_triangle_solves_one_block_per_photon_state(m):
     model = radiation_triangle(1.0, cutoff=20)
     h = assemble_radiation_sector(model, m)
     mat = h.op.matrix
-    blocks = spectral.sign_structure(mat)[0]
+    blocks = _blocks(mat)
     assert len(blocks) == 441
     levels = np.sort(np.concatenate([
         eig_lowest(mat[np.ix_(idx, idx)], idx.size)[0] for idx in blocks]))
@@ -289,11 +289,18 @@ def test_blocks_are_linked_by_imaginary_couplings():
                                   [-1.0, 0.0, 1j, 0.0],
                                   [0.0, -1j, 0.0, -1.0],
                                   [0.0, 0.0, -1.0, 0.0]]))
-    blocks = spectral.sign_structure(mat)[0]
-    assert len(blocks) == 1 and np.array_equal(blocks[0], np.arange(4))
-    [(members, rows, _, _)], e0 = spectral._block_levels(mat)
+    order, sizes, _, _ = spectral.sign_structure(mat)
+    assert sizes.tolist() == [4] and np.array_equal(order, np.arange(4))
+    [(members, rows, vals, _)] = spectral._block_levels(mat)
     assert members.tolist() == [0] and rows.tolist() == [[0, 1, 2, 3]]
-    assert abs(e0 - np.linalg.eigvalsh(mat.toarray())[0]) <= 1e-12
+    assert abs(vals[0, 0] - np.linalg.eigvalsh(mat.toarray())[0]) <= 1e-12
+
+
+def _blocks(mat) -> list[np.ndarray]:
+    """The index set of each block of ``mat``, cut from the layout of
+    ``sign_structure``."""
+    order, sizes, _, _ = spectral.sign_structure(mat)
+    return np.split(order, np.cumsum(sizes)[:-1])
 
 
 def _scattered_blocks(sizes, phased: bool, seed: int = 3) -> sp.csr_matrix:
@@ -313,8 +320,9 @@ def test_sign_structure_reads_each_block_off_its_stored_entries(phased):
     sizes = [1, 2, 3, 4, 5, 6, 7, 8, 6, 3, 1]
     mat = _scattered_blocks(sizes, phased)
     mat.data[mat.data.real > 1.5] *= -1        # still Hermitian; some blocks turn all-negative
-    blocks, re_max, im_max = spectral.sign_structure(mat)
-    assert sorted(idx.size for idx in blocks) == sorted(sizes)
+    _, block_sizes, re_max, im_max = spectral.sign_structure(mat)
+    blocks = _blocks(mat)
+    assert sorted(block_sizes.tolist()) == sorted(sizes)
     assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(mat.shape[0]))
     assert all(np.all(np.diff(idx) > 0) for idx in blocks)
     assert [idx[0] for idx in blocks] == sorted(idx[0] for idx in blocks)
@@ -324,7 +332,7 @@ def test_sign_structure_reads_each_block_off_its_stored_entries(phased):
         expect = (off.real.max(initial=-np.inf), np.abs(off.imag).max(initial=0.0))
         assert (re_max[j], im_max[j]) == expect                           # the per-block pass
         one = spectral.sign_structure(sub)
-        assert len(one[0]) == 1 and (one[1][0], one[2][0]) == expect      # the one-block pass
+        assert one[1].size == 1 and (one[2][0], one[3][0]) == expect      # the one-block pass
     negative = (re_max < 0) & (np.array([idx.size for idx in blocks]) > 1)
     assert np.any(re_max > 0) and np.any(negative) and np.any(im_max > 0) == phased
 
@@ -332,8 +340,8 @@ def test_sign_structure_reads_each_block_off_its_stored_entries(phased):
 @pytest.mark.parametrize("phased", [False, True], ids=["real", "complex"])
 def test_stacked_small_blocks_equal_their_single_block_solves(phased):
     mat = _scattered_blocks([1, 2, 3, 4, 5, 6, 7, 8, 6, 3, 1], phased)
-    groups, e0 = spectral._block_levels(mat)
-    blocks, re_max, _ = spectral.sign_structure(mat)
+    groups = spectral._block_levels(mat)
+    blocks, re_max = _blocks(mat), spectral.sign_structure(mat)[2]
     pf = (re_max < 0) & (not phased)
     small = 0
     for members, rows, vals, vecs in groups:
@@ -346,12 +354,13 @@ def test_stacked_small_blocks_equal_their_single_block_solves(phased):
             assert members.size == 1
         for j, idx, v, w in zip(members, rows, vals, vecs):
             assert np.array_equal(idx, blocks[j])
-            oracle = spectral._lowest_levels(mat[idx][:, idx], pf[j], ref=e0)
+            oracle = spectral._lowest_levels(mat[idx][:, idx], pf[j])
             if idx.size <= spectral._DENSE_START:
                 assert np.array_equal(v, oracle[0]) and np.array_equal(w, oracle[1])
             else:
-                assert np.max(np.abs(v[:oracle[0].size] - oracle[0])) <= 1e-12
+                assert v.size == oracle[0].size and np.max(np.abs(v - oracle[0])) <= 1e-12
     assert [rows.shape[1] for _, rows, _, _ in groups] == [1, 2, 3, 4, 5, 6, 7, 8]
+    e0 = spectral.ground_cluster(mat)[1]
     assert small == 9 and abs(e0 - np.linalg.eigvalsh(mat.toarray())[0]) <= 1e-12
 
 
@@ -367,6 +376,54 @@ def test_stacked_small_blocks_check_every_residual(monkeypatch):
     monkeypatch.setattr(spectral.np.linalg, "eigh", skewed)
     with pytest.raises(ConvergenceError, match="eigenpair 2 residual"):
         spectral._block_levels(mat)
+
+
+def _nan_last_value(monkeypatch):
+    """Make ``np.linalg.eigh`` return NaN as the last value of every matrix."""
+    real_eigh = np.linalg.eigh
+
+    def nan_eigh(a):
+        vals, vecs = real_eigh(a)
+        vals[..., -1] = np.nan
+        return vals, vecs
+
+    monkeypatch.setattr(spectral.np.linalg, "eigh", nan_eigh)
+
+
+def test_a_nan_value_fails_the_stacked_residual_check(monkeypatch):
+    pair = np.array([[0.0, -1.0], [-1.0, 0.0]])
+    mat = sp.csr_matrix(sp.block_diag([pair, 2 * pair]))
+    _nan_last_value(monkeypatch)
+    with pytest.raises(ConvergenceError, match="eigenpair 1 residual nan"):
+        spectral.ground_cluster(mat)
+
+
+def test_a_nan_value_fails_the_dense_residual_check(monkeypatch):
+    path = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
+    _nan_last_value(monkeypatch)
+    with pytest.raises(ConvergenceError, match="eigenpair 2 residual nan"):
+        eig_lowest(path, 3)
+
+
+def test_a_nan_lanczos_copy_fails_the_residual_check(monkeypatch):
+    # a phased ring of dimension 600 takes Lanczos and, not being signed for
+    # Perron-Frobenius, the deflated solve; a NaN there is no value above
+    # the cluster, so it is solved as a copy, whose residual must fail
+    t = np.exp(0.3j)
+    ring = sp.diags([np.full(599, t), np.full(599, np.conj(t)), [np.conj(t)], [t]],
+                    [1, -1, 599, -599]).tocsr()
+    assert spectral._use_lanczos(ring)
+    real_lanczos = spectral._lanczos
+
+    def nan_deflated(op, count, tol=0.0, seed=spectral._EIG_SEED):
+        vals, vecs = real_lanczos(op, count, tol=tol, seed=seed)
+        if not sp.issparse(op):
+            vals[:] = np.nan
+        return vals, vecs
+
+    monkeypatch.setattr(spectral, "_lanczos", nan_deflated)
+    with pytest.raises(ConvergenceError, match="eigenpair 0 residual nan"):
+        spectral.ground_cluster(ring)
 
 
 def _spy_eigh(monkeypatch):
@@ -469,10 +526,11 @@ def test_deflation_guard_finds_the_copy_lanczos_misses(monkeypatch, phased):
     dense = np.linalg.eigvalsh(mat.toarray())
     tol = spectral.CLUSTER_TOL * (1.0 + abs(dense[0]))
     assert np.count_nonzero(dense - dense[0] <= tol) == 4
-    assert len(spectral.sign_structure(mat)[0]) == 1 and spectral._use_lanczos(mat)
+    assert spectral.sign_structure(mat)[1].size == 1 and spectral._use_lanczos(mat)
     calls = _spy_lanczos(monkeypatch)
-    [(members, _, [vals], [vecs])], e0 = spectral._block_levels(mat)
+    [(members, _, [vals], [vecs])] = spectral._block_levels(mat)
     assert members.tolist() == [0]
+    e0 = vals[0]
     copies = int(np.count_nonzero(vals - e0 <= tol))
     assert copies == vecs.shape[1] == 4
     assert abs(vals[copies] - e0 - (dense[4] - dense[0])) <= 1e-9
