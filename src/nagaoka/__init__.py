@@ -47,6 +47,7 @@ from .spectral import (
     energy_split_bound,
     ground_report,
     resolvent_gap,
+    resolvent_gaps,
 )
 
 __version__ = "0.1.0"

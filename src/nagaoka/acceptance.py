@@ -37,13 +37,7 @@ from .positivity import (
     spin_lowering_positivity,
 )
 from .sector import connectivity_check, sector_magnetizations
-from .spectral import (
-    default_resolvent_z,
-    eig_lowest,
-    ground_cluster,
-    ground_report,
-    resolvent_gap,
-)
+from .spectral import eig_lowest, ground_cluster, ground_report, resolvent_gaps
 
 _SEED = 20240915
 
@@ -175,9 +169,8 @@ def criterion_4() -> str:
 def _ratio_law(model: LatticeModel, label: str, lines: list[str],
                ratio_us=(1e3, 1e4, 1e5, 1e6), check_tail=True) -> None:
     """Shared sweep: decreasing gap, halving ratios, and the 1e-4 tail."""
-    z = default_resolvent_z(model)
     us = sorted({1.0, 1e2, *ratio_us, *(2 * u for u in ratio_us)})
-    delta = {u: resolvent_gap(model, u, z) for u in us}
+    delta = dict(zip(us, resolvent_gaps(model, us)[1]))
     if max(delta.values()) <= 1e-12:
         # U multiplies the zero operator (no double occupancy at this filling):
         # the limit holds exactly at every U and the ratio law is vacuous.

@@ -51,10 +51,9 @@ from .model import load_model
 from .positivity import pf_certificate, qgrid_holstein_certify
 from .sector import as_half_integer, connectivity_check, enumerate_sector, sector_magnetizations
 from .spectral import (
-    default_resolvent_z,
     ground_cluster,
     ground_report,
-    resolvent_gap,
+    resolvent_gaps,
     spin_flipped_report,
     verified_spin_flip,
 )
@@ -218,9 +217,13 @@ def _criteria(text: str) -> list[int]:
     return sorted(numbers)
 
 
+def _workers(jobs: int, tasks: int) -> int:
+    return min(jobs, tasks, os.cpu_count() or 1)
+
+
 def _map_jobs(fn, payloads, jobs: int) -> list:
     """``fn`` over ``payloads`` in order, on min(jobs, tasks, cpus) workers."""
-    workers = min(jobs, len(payloads), os.cpu_count() or 1)
+    workers = _workers(jobs, len(payloads))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -345,21 +348,22 @@ def _sector_jobs(model, form: str, ms, cutoff) -> list[tuple]:
     return jobs
 
 
-def _sector_reports(payload) -> list:
-    """Ground reports of one job of ``_sector_jobs``.  A paired job solves
-    M only; -M is assembled, verified to be the exact spin flip of M, and
-    reported from M's solve."""
+def _solve_job(payload, solve) -> list[tuple]:
+    """(M, solve(H)) for the sector M of one job of ``_sector_jobs``.  A
+    paired job solves M only: -M is assembled, verified to be the exact
+    spin flip of M before M is solved, and gets (-M, the same result)."""
     model, form, m, cutoff, paired = payload
     h = _assemble(model, form, m, cutoff)
     if not paired:
-        return [ground_report(h)]
+        return [(h.m, solve(h))]
     verified_spin_flip(h, _assemble(model, form, -m, cutoff))
-    rep = ground_report(h)
-    return [rep, spin_flipped_report(rep)]
+    result = solve(h)
+    return [(h.m, result), (-h.m, result)]
 
 
 def _ed_job(payload):
-    return [(rep.m, _spectral_row(rep)) for rep in _sector_reports(payload)]
+    return [(m, _spectral_row(rep if m == rep.m else spin_flipped_report(rep)))
+            for m, rep in _solve_job(payload, ground_report)]
 
 
 def _ed_rows(args) -> list[dict]:
@@ -388,16 +392,20 @@ def _cmd_spin(args) -> int:
 
 
 def _largeu_job(payload):
-    model, u, z = payload
-    delta = resolvent_gap(model, u, z)
-    return u, delta
+    return resolvent_gaps(*payload)
 
 
 def _cmd_largeu(args) -> int:
-    model = load_model(args.model)
-    z = default_resolvent_z(model) if args.z is None else args.z
-    pairs = _map_jobs(_largeu_job, [(model, u, z) for u in args.u_list], args.jobs)
-    pairs.sort(key=lambda kv: kv[0])
+    """One ``resolvent_gaps`` sweep per worker over a contiguous chunk of
+    the U list, so the U-independent pieces are built once per worker."""
+    model, us = load_model(args.model), args.u_list
+    workers = _workers(args.jobs, len(us))
+    bounds = [len(us) * k // workers for k in range(workers + 1)]
+    sweeps = _map_jobs(_largeu_job, [(model, us[lo:hi], args.z)
+                                     for lo, hi in zip(bounds, bounds[1:])], args.jobs)
+    z = sweeps[0][0]
+    pairs = sorted(zip(us, (delta for _, deltas in sweeps for delta in deltas)),
+                   key=lambda kv: kv[0])
     print(f"# command={' '.join(args.echo)} digest={_model_digest(args.model)} "
           f"z={z.real!r},{z.imag!r}", file=sys.stderr)
     lines = ["u,delta,delta_times_u"]
@@ -416,23 +424,37 @@ def _certificate_row(m, cert, **extra) -> dict:
             "min_entry": cert.min_entry, **extra}
 
 
+def _configuration_certificate(h):
+    _, _, degeneracy, _, v0 = ground_cluster(h.op.matrix)
+    return pf_certificate(h, v0, degeneracy)
+
+
 def _cmd_certify(args) -> int:
+    """Certificates per sector, ascending in M.  Without ``--qgrid`` the
+    sectors go through ``_sector_jobs`` as in ``ed``: -M is certified by
+    M's certificate once ``verified_spin_flip`` holds, as H(-M) is H(M)
+    permuted and its ground vector M's permuted."""
     if (args.qgrid is None) != (args.spacing is None):
         raise ModelValidationError(
             "cli", "--spacing needs --qgrid" if args.qgrid is None else "--qgrid needs --spacing")
     model = load_model(args.model)
-    rows = []
+    ms = _sectors(model, args)
     if args.qgrid is not None:
-        for m in _sectors(model, args):
+        rows = []
+        for m in ms:
             res = qgrid_holstein_certify(model, m, args.qgrid, args.spacing)
             rows.append(_certificate_row(m, res.certificate, ground_energy=res.ground_energy,
                                          dropped_constant=res.dropped_constant,
                                          points=res.points, spacing=res.spacing))
     else:
-        for m in _sectors(model, args):
-            h = assemble_nagaoka_sector(model, m)
-            _, _, degeneracy, _, v0 = ground_cluster(h.op.matrix)
-            rows.append(_certificate_row(m, pf_certificate(h, v0, degeneracy)))
+        for block in ("radiation", "phonon"):
+            if getattr(model, block) is not None:
+                raise ModelValidationError(
+                    "cli", f"certify without --qgrid/--spacing certifies the bare electron "
+                           f"sector and would ignore the model's [{block}] block")
+        certs = [kv for job in _sector_jobs(model, "nagaoka", ms, None)
+                 for kv in _solve_job(job, _configuration_certificate)]
+        rows = [_certificate_row(m, cert) for m, cert in sorted(certs, key=lambda kv: kv[0])]
     _emit(args, json.dumps(_report(args, rows), indent=2))
     return EXIT_OK
 

@@ -196,16 +196,10 @@ def assemble_nagaoka_sector(model: LatticeModel, m) -> SectorHamiltonian:
                              op=SparseHermitian(mat), provenance="direct_formula")
 
 
-def hubbard_electron_matrix(model: LatticeModel, u: float) -> sp.csr_matrix:
-    """Finite-U Hubbard matrix sum_xy,spin t_xy c*_x c_y + U sum_x n_x,up
-    n_x,down + sum_xy U_xy n_x n_y on the fixed-N Fock basis (no bosons),
-    from one COO build.  Each off-diagonal entry comes from one hop; t_xx
-    is a site potential and joins the diagonal, summed in (x, spin) order."""
-    if not math.isfinite(u):
-        raise ValueError("finite-U assembly needs a finite U; use the sector forms for U = INFINITE")
-    fock = full_fock_basis(model.sites, model.n_electrons)
-    t = model.hopping
-    occ = fock.occupations
+def _hubbard_hops(fock, t: np.ndarray) -> list:
+    """The hopping triplets of the Hubbard matrix on the Fock basis
+    ``fock``: t_xy c*_(x, spin) c_(y, spin) for every off-diagonal t_xy and
+    spin.  Each off-diagonal entry comes from one hop."""
     parts = []
     for x, y in zip(*np.nonzero(t)):
         if x == y:
@@ -213,16 +207,67 @@ def hubbard_electron_matrix(model: LatticeModel, u: float) -> sp.csr_matrix:
         for spin in (UP, DOWN):
             r, c, signs = _bilinear(fock, fock.mode(x, spin), fock.mode(y, spin))
             parts.append((r, c, t[x, y] * signs))
+    return parts
 
+
+def hubbard_electron_matrices(model: LatticeModel, us):
+    """``hubbard_electron_matrix`` at each U of ``us`` in turn, as a lazy
+    iterator.  Only the U n_up n_down diagonal depends on U: the hopping
+    triplets and the rest of the diagonal are built once, when called, after
+    every U and the model are checked."""
+    if not all(math.isfinite(u) for u in us):
+        raise ValueError("finite-U assembly needs a finite U; use the sector forms for U = INFINITE")
+    if model.radiation is not None:
+        raise ValueError("finite-U full-space assembly has no radiation field; "
+                         "the model's [radiation] block would be dropped")
+    fock = full_fock_basis(model.sites, model.n_electrons)
+    t = model.hopping
+    occ = fock.occupations
+    parts = _hubbard_hops(fock, t)
     potential = 0.0
     for x in np.nonzero(np.diag(t))[0]:
         for spin in (UP, DOWN):
             potential = potential + t[x, x] * occ[:, spin, x]
     n_site = occ.sum(axis=1).astype(float)
-    diag = potential + (u * (occ[:, UP] & occ[:, DOWN]).sum(axis=1)
-                        + np.einsum("ix,xy,iy->i", n_site, model.offsite_u, n_site))
-    on = np.nonzero(diag)[0]
-    return _csr(parts + [(on, on, diag[on])], fock.dimension)
+    docc = (occ[:, UP] & occ[:, DOWN]).sum(axis=1)
+    offsite = np.einsum("ix,xy,iy->i", n_site, model.offsite_u, n_site)
+
+    def matrix(u):
+        diag = potential + (u * docc + offsite)
+        on = np.nonzero(diag)[0]
+        return _csr(parts + [(on, on, diag[on])], fock.dimension)
+
+    return map(matrix, us)
+
+
+def hubbard_electron_matrix(model: LatticeModel, u: float) -> sp.csr_matrix:
+    """Finite-U Hubbard matrix sum_xy,spin t_xy c*_x c_y + U sum_x n_x,up
+    n_x,down + sum_xy U_xy n_x n_y on the fixed-N Fock basis (no bosons),
+    from one COO build.  Each off-diagonal entry comes from one hop; t_xx
+    is a site potential and joins the diagonal, summed in (x, spin) order.
+    A model with a radiation field is refused: this form has none."""
+    return next(hubbard_electron_matrices(model, [u]))
+
+
+def hubbard_full_matrices(model: LatticeModel, us):
+    """``assemble_hubbard_full`` at each U of ``us`` in turn, as a lazy
+    iterator; the U-independent pieces, phonon terms included, are built
+    once, when called."""
+    electron = hubbard_electron_matrices(model, us)
+    if model.phonon is None:
+        return map(SparseHermitian, electron)
+    fock = full_fock_basis(model.sites, model.n_electrons)
+    bosons = boson_basis(model.sites, model.phonon.per_site_cutoff)
+    guard_dimension(fock.dimension * bosons.dimension, "full-space phonon assembly")
+    n_site = fock.occupations.sum(axis=1).astype(float)
+    phonon_terms = _holstein_terms([], n_site, model.phonon, bosons)
+
+    def matrix(hel):
+        coo = hel.tocoo()
+        terms = [((coo.row, coo.col, coo.data), None), *phonon_terms]
+        return SparseHermitian(_kron_sum(terms, (fock.dimension, bosons.dimension)))
+
+    return map(matrix, electron)
 
 
 def assemble_hubbard_full(model: LatticeModel, u: float) -> SparseHermitian:
@@ -231,17 +276,7 @@ def assemble_hubbard_full(model: LatticeModel, u: float) -> SparseHermitian:
     With phonons the space is (electrons) x (truncated local oscillators)
     and H gains sum_xy g_xy n_x (b*_y + b_y) + omega N_b.
     """
-    hel = hubbard_electron_matrix(model, u)
-    if model.phonon is None:
-        return SparseHermitian(hel)
-
-    fock = full_fock_basis(model.sites, model.n_electrons)
-    bosons = boson_basis(model.sites, model.phonon.per_site_cutoff)
-    guard_dimension(fock.dimension * bosons.dimension, "full-space phonon assembly")
-    n_site = fock.occupations.sum(axis=1).astype(float)
-    coo = hel.tocoo()
-    terms = _holstein_terms([(coo.row, coo.col, coo.data)], n_site, model.phonon, bosons)
-    return SparseHermitian(_kron_sum(terms, (fock.dimension, bosons.dimension)))
+    return next(hubbard_full_matrices(model, [u]))
 
 
 def _holstein_terms(electron: list, occ: np.ndarray, phonon, bosons: BosonBasis) -> list:

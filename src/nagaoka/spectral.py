@@ -45,6 +45,12 @@ Every form is spin-blind, so global spin inversion maps sector M onto
 sector -M and a report of M is a report of -M.  It is used only after the
 assembled -M matrix has been checked to be exactly the inverted M one, an
 O(nnz) comparison of CSR arrays instead of a second solve.
+
+The large-U resolvent comparison is a sweep over U: H(U = 0), the
+projector, the default z, the limit resolvent and the hopping part of H_U
+do not depend on U and are built once per ``resolvent_gaps`` call; each U
+then costs its U n_up n_down diagonal, one dense inverse and one exact
+2-norm.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from .errors import AmbiguousSpinError, ConvergenceError, DimensionBudgetError, InconsistencyError
-from .hamiltonian import DENSE_PHASE_LIMIT, SectorHamiltonian, assemble_hubbard_full
+from .hamiltonian import DENSE_PHASE_LIMIT, SectorHamiltonian, hubbard_full_matrices
 from .manybody import (
     SparseHermitian,
     boson_basis,
@@ -452,16 +458,14 @@ def spin_flipped_report(report: SpectralReport) -> SpectralReport:
     return replace(report, m=-report.m)
 
 
-def _full_space_pieces(model: LatticeModel):
-    """H(U = 0) and the no-double-occupancy projector diagonal on the full
-    space (both carrying the phonon factor when present)."""
-    h0 = assemble_hubbard_full(model, 0.0).matrix
-    fock = full_fock_basis(model.sites, model.n_electrons)
-    p_diag = build_gutzwiller(fock).matrix.diagonal()
+def _projector_diagonal(model: LatticeModel) -> np.ndarray:
+    """The no-double-occupancy projector diagonal on the full space,
+    carrying the phonon factor when present."""
+    p_diag = build_gutzwiller(full_fock_basis(model.sites, model.n_electrons)).matrix.diagonal()
     if model.phonon is not None:
         nb = boson_basis(model.sites, model.phonon.per_site_cutoff).dimension
         p_diag = np.repeat(p_diag, nb)
-    return h0, p_diag
+    return p_diag
 
 
 def _guard_dense_full_space(model: LatticeModel, what: str):
@@ -475,51 +479,54 @@ def _guard_dense_full_space(model: LatticeModel, what: str):
                                    f"(limit {DENSE_PHASE_LIMIT})")
 
 
-def projected_limit_norm(model: LatticeModel) -> float:
-    """Operator norm of the projected U = 0 Hamiltonian on its range: the
-    largest |eigenvalue| of that Hermitian restriction, solved densely as
-    the resolvent comparison solves it."""
-    _guard_dense_full_space(model, "projected-limit norm")
-    h0, p_diag = _full_space_pieces(model)
-    idx = np.nonzero(p_diag > 0.5)[0]
-    return float(np.max(np.abs(np.linalg.eigvalsh(h0.tocsr()[np.ix_(idx, idx)].toarray())),
-                        initial=0.0))
-
-
-def default_resolvent_z(model: LatticeModel) -> complex:
-    """z = 2i (1 + ||projected Hamiltonian||); far enough off axis for the
-    resolvent comparison to be well conditioned."""
-    return 2j * (1.0 + projected_limit_norm(model))
-
-
-def _resolvent_difference(model: LatticeModel, u: float, z: complex) -> np.ndarray:
-    """(H_U - z)^{-1} - (H_limit - z)^{-1} P as a dense full-space matrix."""
-    _guard_dense_full_space(model, "resolvent comparison")
-    h_u = assemble_hubbard_full(model, u).matrix
-    dim = h_u.shape[0]
-    h0, p_diag = _full_space_pieces(model)
-    idx = np.nonzero(p_diag > 0.5)[0]
-
-    r_u = np.linalg.inv(h_u.toarray().astype(complex) - z * np.eye(dim))
-    hp = h0.tocsr()[np.ix_(idx, idx)].toarray().astype(complex)
-    rp = np.linalg.inv(hp - z * np.eye(len(idx)))
-    r_limit = np.zeros((dim, dim), dtype=complex)
+def _limit_resolvent(model: LatticeModel, us, z: complex | None):
+    """The pieces of a resolvent sweep that do not depend on U, from one
+    U = 0 assembly: z, the lazy full-space matrices H_U at each U of ``us``,
+    and the limit resolvent (H_limit - z)^{-1} P as a dense full-space
+    matrix.  A z of None becomes 2i (1 + ||projected Hamiltonian||), far
+    enough off axis for the comparison to be well conditioned; the norm is
+    the largest |eigenvalue| of the Hermitian restriction."""
+    _guard_dense_full_space(model, "projected-limit norm" if z is None else "resolvent comparison")
+    matrices = hubbard_full_matrices(model, [0.0, *us])
+    h0 = next(matrices).matrix
+    idx = np.nonzero(_projector_diagonal(model) > 0.5)[0]
+    hp = h0.tocsr()[np.ix_(idx, idx)].toarray()
+    if z is None:
+        z = 2j * (1.0 + float(np.max(np.abs(np.linalg.eigvalsh(hp)), initial=0.0)))
+    rp = np.linalg.inv(hp.astype(complex) - z * np.eye(len(idx)))
+    r_limit = np.zeros(h0.shape, dtype=complex)
     r_limit[np.ix_(idx, idx)] = rp
-    return r_u - r_limit
+    return z, matrices, r_limit
+
+
+def _resolvent_difference(h_u: sp.spmatrix, r_limit: np.ndarray, z: complex) -> np.ndarray:
+    """(H_U - z)^{-1} - (H_limit - z)^{-1} P as a dense full-space matrix."""
+    dim = h_u.shape[0]
+    return np.linalg.inv(h_u.toarray().astype(complex) - z * np.eye(dim)) - r_limit
+
+
+def resolvent_gaps(model: LatticeModel, us, z: complex | None = None):
+    """z and the distance ||(H_U - z)^{-1} - (H_limit - z)^{-1} P|| on the
+    full space at each U of the sequence ``us``, in order.
+
+    The limit Hamiltonian is the projected U = 0 operator, extended by zero
+    on the complement of the projector's range; z defaults to 2i (1 +
+    ||projected Hamiltonian||).  H(U = 0), the projector, the default z, the
+    limit resolvent and the hopping part of H_U are built once per call;
+    each U costs its own H_U, one inverse and one norm.  The difference is
+    a dense matrix already, so its norm is the exact largest singular value.
+    """
+    if z is not None and z.imag == 0:
+        raise ValueError("z must be off the real axis")
+    z, matrices, r_limit = _limit_resolvent(model, us, z)
+    return z, [float(np.linalg.norm(_resolvent_difference(h_u.matrix, r_limit, z), 2))
+               for h_u in matrices]
 
 
 def resolvent_gap(model: LatticeModel, u: float, z: complex | None = None) -> float:
-    """Distance ||(H_U - z)^{-1} - (H_limit - z)^{-1} P|| on the full space.
-
-    The limit Hamiltonian is the projected U = 0 operator, extended by zero
-    on the complement of the projector's range.  The difference is a dense
-    matrix already, so its norm is the exact largest singular value.
-    """
-    if z is None:
-        z = default_resolvent_z(model)
-    if z.imag == 0:
-        raise ValueError("z must be off the real axis")
-    return float(np.linalg.norm(_resolvent_difference(model, u, z), 2))
+    """``resolvent_gaps`` at one U: the distance of the resolvent at U from
+    the limit resolvent."""
+    return resolvent_gaps(model, [u], z)[1][0]
 
 
 @dataclass(frozen=True)
@@ -537,9 +544,8 @@ def energy_split_bound(model: LatticeModel, u: float) -> EnergySplit:
     A model whose electron count admits no double occupancy has an empty
     block; its minimum is +inf and the bound holds vacuously.
     """
-    h_u = assemble_hubbard_full(model, u).matrix
-    h0, p_diag = _full_space_pieces(model)
-    idx = np.nonzero(p_diag < 0.5)[0]
+    h0, h_u = (h.matrix for h in hubbard_full_matrices(model, [0.0, u]))
+    idx = np.nonzero(_projector_diagonal(model) < 0.5)[0]
     if idx.size == 0:
         return EnergySplit(u=u, e_h1=np.inf, c_const=np.inf, bound_ok=True)
     block_u = h_u.tocsr()[np.ix_(idx, idx)]

@@ -258,11 +258,34 @@ def test_ed_radiation_model_file(capsys, radiation_file):
     assert json.loads(out.splitlines()[0])["provenance"] == "radiation"
 
 
-def test_largeu_jobs_parallel_matches_serial(capsys, triangle_file):
-    _, serial = run(capsys, "largeu", "--model", triangle_file, "--u-list", "100,1000")
-    _, parallel = run(capsys, "largeu", "--model", triangle_file,
-                      "--u-list", "100,1000", "--jobs", "2")
-    assert serial == parallel
+def test_largeu_jobs_parallel_matches_serial(capsys, triangle_file, monkeypatch):
+    # two workers take the chunks [1000] and [100, 7], each its own sweep
+    monkeypatch.setattr("nagaoka.cli.os.cpu_count", lambda: 2)
+    argv = ["largeu", "--model", triangle_file, "--u-list", "1000,100,7"]
+    serial = run_err(capsys, *argv)
+    parallel = run_err(capsys, *argv, "--jobs", "2")
+    assert serial[0] == 0 and serial[1].count("\n") == 4
+    assert parallel == (0, serial[1], serial[2].replace("1000,100,7", "1000,100,7 --jobs 2"))
+
+
+def test_largeu_builds_the_hopping_triplets_once_per_sweep(capsys, triangle_file, monkeypatch):
+    import nagaoka.hamiltonian as hamiltonian
+
+    builds = []
+    real = hamiltonian._hubbard_hops
+    monkeypatch.setattr(hamiltonian, "_hubbard_hops",
+                        lambda *args: builds.append(args) or real(*args))
+    code, out = run(capsys, "largeu", "--model", triangle_file, "--u-list", "1e2,1e3,2e3,4e3")
+    assert code == 0 and out.count("\n") == 5
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("argv", [("largeu", "--u-list", "100"),
+                                  ("assemble", "--form", "hubbard", "--u", "4")])
+def test_full_space_forms_refuse_a_radiation_field(capsys, radiation_file, argv):
+    code, out, err = run_err(capsys, *argv, "--model", radiation_file)
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: ") and "[radiation] block" in err
 
 
 def test_largeu_csv(capsys, triangle_file):
@@ -446,11 +469,12 @@ def test_ring64_exits_1_naming_the_site_limit(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
-def test_certify_solves_once_per_row(capsys, triangle_file, monkeypatch):
+def test_certify_solves_once_per_magnitude_of_m(capsys, triangle_file, monkeypatch):
     import nagaoka.spectral as spectral
 
     # every solve goes through one of the three solver primitives: the
-    # triangle's 3-dim sectors take the stacked eigh, one call each
+    # triangle's 3-dim sectors take the stacked eigh, one call each, and
+    # M = -1 is certified by the solve of M = 1
     counts = []
 
     def spy(real):
@@ -461,7 +485,7 @@ def test_certify_solves_once_per_row(capsys, triangle_file, monkeypatch):
     monkeypatch.setattr(spectral, "_lanczos", spy(spectral._lanczos))
     code, out = run(capsys, "certify", "--model", triangle_file, "--all")
     assert code == 0
-    assert len(counts) == len(json.loads(out)["results"]) == 3
+    assert len(json.loads(out)["results"]) == 3 and len(counts) == 2
 
 
 def test_jobs_below_one_exits_1(capsys, triangle_file):
@@ -535,8 +559,13 @@ CORPUS_FILES = {"pair2": ("complete", "2"), "chain3": ("chain", "3"),
                 "complete4": ("complete", "4"), "square_diag4": ("triangular_patch", "2x2")}
 
 
+LATTICE_FILES = {**CORPUS_FILES, "ring8": ("ring", "8"),
+                 "triangular2x3": ("triangular_patch", "2x3"),
+                 "triangular2x4": ("triangular_patch", "2x4")}
+
+
 def _corpus_file(tmp_path, name):
-    generator, extent = CORPUS_FILES[name]
+    generator, extent = LATTICE_FILES[name]
     sites = int(np.prod([int(n) for n in extent.split("x")]))
     path = tmp_path / f"{name}.ini"
     path.write_text(f"[lattice]\nsites = {sites}\ngenerator = {generator}\nextent = {extent}\n"
@@ -581,6 +610,25 @@ def test_negative_sectors_of_ed_all_match_direct_solves_on_the_corpus(capsys, tm
         assert code == 0
 
 
+@pytest.mark.parametrize("name", sorted(LATTICE_FILES))
+def test_negative_certificates_of_certify_all_match_direct_runs(capsys, tmp_path, name):
+    # a -M row is the M row with m flipped; against a direct run of -M only
+    # min_entry moves, by the rounding of a second solve
+    path = _corpus_file(tmp_path, name)
+    code, out = run(capsys, "certify", "--all", "--model", path)
+    assert code == 0
+    rows = {Fraction(row["m"]): row for row in json.loads(out)["results"]}
+    assert list(rows) == sorted(rows)
+    for m, row in rows.items():
+        if m < 0:
+            assert row == {**rows[-m], "m": str(m)}
+        code, direct = run(capsys, "certify", f"--m={m}", "--model", path)
+        assert code == 0
+        (solved,) = json.loads(direct)["results"]
+        assert abs(row["min_entry"] - solved["min_entry"]) <= 2e-14 * abs(solved["min_entry"])
+        assert {**row, "min_entry": None} == {**solved, "min_entry": None}
+
+
 @pytest.mark.parametrize("form", ["holstein", "langfirsov", "radiation"])
 def test_negative_sectors_of_ed_all_match_direct_solves_with_bosons(capsys, tmp_path,
                                                                     radiation_file, form):
@@ -614,7 +662,9 @@ def test_spin_table_reports_negative_sectors_from_positive_ones(capsys, holstein
     assert low.split()[1:] == high.split()[1:]
 
 
-def test_ed_all_exits_2_when_a_sector_is_not_the_spin_flip(capsys, tmp_path, monkeypatch):
+def _zeeman_at_negative_m(monkeypatch):
+    """Make every sector form add a field on site 0's spin at M < 0 only,
+    so H(-M) is no longer the spin flip of H(M)."""
     import nagaoka.cli as cli
     from nagaoka.hamiltonian import SectorHamiltonian
     from nagaoka.manybody import SparseHermitian
@@ -625,15 +675,38 @@ def test_ed_all_exits_2_when_a_sector_is_not_the_spin_flip(capsys, tmp_path, mon
         h = real(model, form, m, cutoff)
         if m >= 0:
             return h
-        field = sp.diags(0.1 * (h.basis.masks & 1))              # a field on site 0's spin
+        field = sp.diags(0.1 * (h.basis.masks & 1))
         return SectorHamiltonian(model=h.model, m=h.m, basis=h.basis, provenance=h.provenance,
                                  op=SparseHermitian(h.op.matrix + field))
 
     monkeypatch.setattr(cli, "_assemble", zeeman_at_negative_m)
+
+
+def test_ed_all_exits_2_when_a_sector_is_not_the_spin_flip(capsys, tmp_path, monkeypatch):
+    _zeeman_at_negative_m(monkeypatch)
     path = _corpus_file(tmp_path, "complete4")
     code, out, err = run_err(capsys, "ed", "--all", "--model", path)
     assert code == 2 and out == ""
     assert "numerical failure: H of sector M = -1/2 is not the spin flip of H of M = 1/2" in err
+
+
+def test_certify_all_exits_2_when_a_sector_is_not_the_spin_flip(capsys, tmp_path, monkeypatch):
+    _zeeman_at_negative_m(monkeypatch)
+    path = _corpus_file(tmp_path, "complete4")
+    code, out, err = run_err(capsys, "certify", "--all", "--model", path)
+    assert code == 2 and out == ""
+    assert "numerical failure: H of sector M = -1/2 is not the spin flip of H of M = 1/2" in err
+
+
+@pytest.mark.parametrize("text, block", [(HOLSTEIN_PAIR, "phonon"),
+                                         (RADIATION_TRIANGLE, "radiation")])
+def test_certify_without_qgrid_refuses_a_boson_model(capsys, tmp_path, text, block):
+    path = tmp_path / "bosons.ini"
+    path.write_text(text)
+    code, out, err = run_err(capsys, "certify", "--m", "1/2" if block == "phonon" else "1",
+                             "--model", str(path))
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert f"[{block}] block" in err and "--qgrid/--spacing" in err
 
 
 def test_paired_jobs_rerun_and_spread_identically(capsys, tmp_path):

@@ -20,7 +20,9 @@ from nagaoka.hamiltonian import (
     assemble_hubbard_full,
     assemble_nagaoka_sector,
     assemble_radiation_sector,
+    hubbard_electron_matrices,
     hubbard_electron_matrix,
+    hubbard_full_matrices,
     photon_modes,
 )
 from nagaoka.manybody import (
@@ -106,6 +108,10 @@ def test_hubbard_matrix_equals_the_oracle_on_the_corpus(name):
     for u in (0.0, 4.0):
         assert_same_csr(hubbard_electron_matrix(model, u), oracle.hubbard_matrix(model, u),
                         f"{name} U={u}")
+    # one sweep builds the hopping once; every U still matches the oracle
+    us = (4.0, 0.0, -1.5, 1e6)
+    for u, swept in zip(us, hubbard_electron_matrices(model, us), strict=True):
+        assert_same_csr(swept, oracle.hubbard_matrix(model, u), f"{name} U={u} swept")
 
 
 @st.composite
@@ -212,10 +218,12 @@ def test_holstein_forms_equal_the_oracle_assembly(name):
     ph = model.phonon
     cutoff = ph.per_site_cutoff
     if model.sites <= 3:
-        u = 2.0
         occ = oracle.occupations(model.sites, model.n_electrons).sum(axis=1).astype(float)
-        want = _oracle_holstein(oracle.hubbard_matrix(model, u), occ, ph, cutoff)
-        assert_same_csr(assemble_hubbard_full(model, u).matrix, want, "full space")
+        us = (2.0, 0.0)
+        for u, swept in zip(us, hubbard_full_matrices(model, us), strict=True):
+            want = _oracle_holstein(oracle.hubbard_matrix(model, u), occ, ph, cutoff)
+            assert_same_csr(swept.matrix, want, f"full space U={u} swept")
+            assert_same_csr(assemble_hubbard_full(model, u).matrix, want, f"full space U={u}")
     for m in sector_magnetizations(model.sites):
         h = assemble_holstein_sector(model, m)
         electron = assemble_nagaoka_sector(model, m)

@@ -11,6 +11,7 @@ from nagaoka.corpus import chain3, complete4, pair2, square_diag4, triangle3
 from nagaoka.errors import AmbiguousSpinError, ConvergenceError
 from nagaoka.hamiltonian import (
     assemble_holstein_sector,
+    assemble_hubbard_full,
     assemble_lang_firsov_sector,
     assemble_nagaoka_sector,
     assemble_radiation_sector,
@@ -19,13 +20,12 @@ from nagaoka.manybody import SparseHermitian
 from nagaoka.model import LatticeModel, generate_lattice
 from nagaoka.sector import connectivity_check, sector_magnetizations
 from nagaoka.spectral import (
-    default_resolvent_z,
     eig_lowest,
     energy_split_bound,
     ground_report,
-    projected_limit_norm,
     resolve_total_spin,
     resolvent_gap,
+    resolvent_gaps,
 )
 from norm_oracle import operator_norm
 
@@ -129,9 +129,10 @@ def test_resolve_total_spin_rejects_ambiguity():
 
 def test_resolvent_gap_decreases_and_scales():
     model = complete4()
-    z = default_resolvent_z(model)
     us = [1e2, 1e3, 1e4, 1e5]
-    deltas = [resolvent_gap(model, u, z) for u in us]
+    z, deltas = resolvent_gaps(model, us)
+    assert deltas == [resolvent_gap(model, u, z) for u in us]    # the sweep is the one-U case
+    assert resolvent_gap(model, us[0]) == deltas[0]                # with the same default z
     assert all(b < a for a, b in zip(deltas, deltas[1:]))
     products = [d * u for d, u in zip(deltas, us)]
     assert max(products) / min(products) <= 1.01       # the 1/U law
@@ -478,20 +479,22 @@ def test_full_eigh_when_nearly_every_pair_is_asked_for(monkeypatch):
 
 def test_exact_resolvent_norm_matches_power_iteration():
     model = complete4()
-    z = default_resolvent_z(model)
-    for u in (1e2, 1e4):
-        diff = spectral._resolvent_difference(model, u, z)
-        exact = resolvent_gap(model, u, z)
-        assert exact == float(np.linalg.norm(diff, 2))
-        assert abs(operator_norm(diff) - exact) <= 1e-8 * exact
+    us = (1e2, 1e4)
+    z, matrices, r_limit = spectral._limit_resolvent(model, us, None)
+    _, exact = resolvent_gaps(model, us, z)
+    for h_u, gap in zip(matrices, exact, strict=True):
+        diff = spectral._resolvent_difference(h_u.matrix, r_limit, z)
+        assert gap == float(np.linalg.norm(diff, 2))
+        assert abs(operator_norm(diff) - gap) <= 1e-8 * gap
 
 
-def test_projected_limit_norm_matches_power_iteration():
+def test_default_z_holds_the_projected_norm_of_power_iteration():
     for model in (complete4(), square_diag4()):
-        h0, p_diag = spectral._full_space_pieces(model)
-        idx = np.nonzero(p_diag > 0.5)[0]
+        h0 = assemble_hubbard_full(model, 0.0).matrix
+        idx = np.nonzero(spectral._projector_diagonal(model) > 0.5)[0]
         oracle = operator_norm(h0.tocsr()[np.ix_(idx, idx)])
-        assert abs(projected_limit_norm(model) - oracle) <= 1e-8 * oracle
+        z = resolvent_gaps(model, [])[0]
+        assert z.real == 0 and abs(z.imag / 2 - 1 - oracle) <= 1e-8 * oracle
 
 
 def _torus(n: int) -> sp.csr_matrix:
