@@ -4,8 +4,8 @@ Subcommands: basis, connectivity, assemble, ed, spin, largeu, certify,
 reproduce.  Structured results are JSON (CSV for the large-U sweep table);
 the payload is a deterministic function of (model digest, command), so
 repeated runs produce byte-identical output.  Wall-clock timing goes to
-stderr only.  Exit codes: 0 success, 1 validation/usage error, 2 numerical
-failure.
+stderr only.  Exit codes: 0 success, 1 validation/usage error or a path
+that cannot be opened, 2 numerical failure.
 
 ``assemble`` writes a JSON header, a ``rows cols nnz`` line and one
 ``row col re im`` line per stored entry, 1-based and row-major.  Each float
@@ -20,6 +20,7 @@ integer or a decimal; any other text exits 1 with one line that names
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -545,18 +546,25 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The tree ``main`` parses with.  ``set_defaults`` binds each ``_cmd_*``
+    function when the tree is built, so a replaced one is seen only after
+    ``_parser.cache_clear()``."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     args.echo = ["nagaoka", *argv]
     start = time.perf_counter()
     try:
         code = args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except ValueError as exc:
         # covers ModelParseError/ModelValidationError and sector-range errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -569,6 +577,11 @@ def main(argv=None) -> int:
         # so the interpreter's final flush does not fail a second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: stdout was closed before the whole payload was written", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as exc:
+        # BrokenPipeError is one, so this clause follows its own; the message
+        # names the path, such as an --out that is a directory
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     print(f"# wall time {time.perf_counter() - start:.3f}s", file=sys.stderr)
     return code

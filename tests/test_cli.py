@@ -808,6 +808,78 @@ def test_closed_stdout_pipe_exits_1_without_a_traceback(tmp_path):
     assert "stdout was closed" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("basis", "--m", "1", "--model", "{dir}"),
+    ("ed", "--all", "--model", "{model}", "--out", "{dir}"),
+    ("reproduce", "--criteria", "2", "--out", "{dir}"),      # after the criterion has run
+], ids=["model", "ed-out", "reproduce-out"])
+def test_a_directory_where_a_file_is_needed_exits_1_naming_it(capsys, tmp_path, triangle_file,
+                                                              argv):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    code, _, err = run_err(capsys, *(a.format(dir=folder, model=triangle_file) for a in argv))
+    assert code == 1
+    assert err == f"error: [Errno 21] Is a directory: {str(folder)!r}\n"
+
+
+def test_the_parser_is_built_on_the_first_call_only(capsys, triangle_file, monkeypatch):
+    import nagaoka.cli as cli
+
+    built = []
+    init = cli._Parser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", spy)
+    cli._parser.cache_clear()
+    argv = ("basis", "--m", "1", "--model", triangle_file)
+    assert run(capsys, *argv)[0] == 0
+    assert len(built) == 9                  # the command and its eight subcommands
+    assert run(capsys, *argv)[0] == 0
+    assert len(built) == 9
+
+
+_SEQUENCES = {
+    "out-then-stdout": [("ed", "--all", "--model", "{model}", "--out", "{out}"),
+                        ("ed", "--all", "--model", "{model}")],
+    "usage-error-then-ed": [("ed", "--bogus", "--model", "{model}"),
+                            ("ed", "--m", "1", "--model", "{model}")],
+    "spin-then-ed": [("spin", "--model", "{model}"),
+                     ("ed", "--m", "1", "--model", "{model}")],
+}
+
+
+def _call(capsys, argv, out):
+    """(exit code, stdout, stderr without the wall time, --out file text)."""
+    out.unlink(missing_ok=True)
+    result = run_err(capsys, *argv)
+    return (*result, out.read_text() if out.exists() else None)
+
+
+@pytest.mark.parametrize("name", _SEQUENCES)
+def test_calls_in_one_process_leave_nothing_to_the_next(capsys, tmp_path, triangle_file, name):
+    import nagaoka.cli as cli
+
+    out = tmp_path / "payload.json"
+    argvs = [[a.format(model=triangle_file, out=out) for a in argv] for argv in _SEQUENCES[name]]
+    shared = [_call(capsys, argv, out) for argv in argvs]
+    first, second = shared
+    if name == "out-then-stdout":
+        assert first[:2] == (0, "") and second[0] == 0 and second[3] is None
+        assert json.loads(second[1])["results"] == json.loads(first[3])["results"]
+    elif name == "usage-error-then-ed":
+        assert first[0] == 1 and "unrecognized arguments: --bogus" in first[2]
+    else:
+        assert first[0] == 0 and first[1].startswith("     M")
+    if name != "out-then-stdout":
+        assert second[0] == 0 and [row["m"] for row in json.loads(second[1])["results"]] == ["1"]
+    for argv, result in zip(argvs, shared):
+        cli._parser.cache_clear()
+        assert _call(capsys, argv, out) == result
+
+
 def test_certify_does_not_resolve_spin(capsys, tmp_path):
     # chain3 M = 0: two orbits whose ground states carry S = 0 and S = 1;
     # the certificate reports the reducible sector instead of a spin failure
