@@ -20,7 +20,6 @@ integer or a decimal; any other text exits 1 with one line that names
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import math
@@ -474,90 +473,112 @@ def _cmd_reproduce(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+_PROG = "nagaoka"
+
+#: Each subcommand and its help line, in the order ``nagaoka -h`` lists them.
+_COMMANDS = {
+    "basis": "sector dimensions and configurations",
+    "connectivity": "orbit decomposition per sector",
+    "assemble": "emit a Hamiltonian as sparse triplets",
+    "ed": "ground-state reports per sector",
+    "spin": "per-sector total-spin table",
+    "largeu": "resolvent distance sweep over U",
+    "certify": "positivity certificates per sector",
+    "reproduce": "run the acceptance pipeline",
+}
+
+
+def _common(p, model=True, sector=True, cutoff=False, form=False, jobs=False):
+    if model:
+        p.add_argument("--model", required=True, help="model file path")
+    if sector:
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--m", help="half-integer sector, e.g. 1/2 or -1")
+        group.add_argument("--all", action="store_true", help="every sector")
+    if cutoff:
+        p.add_argument("--cutoff", type=_int_at_least(0), default=None,
+                       help="per-mode boson cutoff override")
+    if form:
+        p.add_argument("--form", choices=list(_SECTOR_FORMS), default=None,
+                       help="Hamiltonian form (default: by model content)")
+    p.add_argument("--out", default=None, help="write the payload to a file")
+    if jobs:
+        p.add_argument("--jobs", type=_int_at_least(1), default=1,
+                       help="parallel workers (>= 1; capped at the task and CPU counts)")
+
+
+def _add_options(p: _Parser, command: str) -> None:
+    """The options of subcommand ``command``, and its ``func``."""
+    if command == "basis":
+        _common(p)
+        p.add_argument("--list", action="store_true", help="include the configuration list")
+        p.set_defaults(func=_cmd_basis)
+    elif command == "connectivity":
+        _common(p)
+        p.set_defaults(func=_cmd_connectivity)
+    elif command == "assemble":
+        _common(p, sector=False, cutoff=True)
+        p.add_argument("--m", default=None, help="sector (default: fully polarized)")
+        p.add_argument("--form", required=True, choices=["hubbard", *_SECTOR_FORMS])
+        p.add_argument("--u", type=float, default=None, help="finite U for --form hubbard")
+        p.set_defaults(func=_cmd_assemble)
+    elif command == "ed":
+        _common(p, cutoff=True, form=True, jobs=True)
+        p.set_defaults(func=_cmd_ed)
+    elif command == "spin":
+        _common(p, sector=False, cutoff=True, form=True, jobs=True)
+        p.set_defaults(func=_cmd_spin, all=True)      # every sector
+    elif command == "largeu":
+        _common(p, sector=False, jobs=True)
+        p.add_argument("--u-list", type=_u_list, required=True,
+                       help="comma-separated finite U values")
+        p.add_argument("--z", type=_resolvent_z, default="auto",
+                       help="auto or RE,IM (finite, IM nonzero)")
+        p.set_defaults(func=_cmd_largeu)
+    elif command == "certify":
+        _common(p)
+        p.add_argument("--qgrid", type=_int_at_least(1), default=None,
+                       help="grid points per mode (>= 1)")
+        p.add_argument("--spacing", type=_positive_float, default=None,
+                       help="grid spacing (finite, > 0)")
+        p.set_defaults(func=_cmd_certify)
+    else:                                          # reproduce
+        p.add_argument("--criteria", type=_criteria, default=None,
+                       help="comma-separated subset, e.g. 1,3,9")
+        p.add_argument("--out", default=None, help="write a JSON summary")
+        p.set_defaults(func=_cmd_reproduce)
+
+
 def build_parser() -> _Parser:
-    parser = _Parser(prog="nagaoka",
+    parser = _Parser(prog=_PROG,
                      description="exact-diagonalization laboratory for one-hole "
                                  "ferromagnetism in Hubbard-type models")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p, model=True, sector=True, cutoff=False, form=False, jobs=False):
-        if model:
-            p.add_argument("--model", required=True, help="model file path")
-        if sector:
-            group = p.add_mutually_exclusive_group()
-            group.add_argument("--m", help="half-integer sector, e.g. 1/2 or -1")
-            group.add_argument("--all", action="store_true", help="every sector")
-        if cutoff:
-            p.add_argument("--cutoff", type=_int_at_least(0), default=None,
-                           help="per-mode boson cutoff override")
-        if form:
-            p.add_argument("--form", choices=list(_SECTOR_FORMS), default=None,
-                           help="Hamiltonian form (default: by model content)")
-        p.add_argument("--out", default=None, help="write the payload to a file")
-        if jobs:
-            p.add_argument("--jobs", type=_int_at_least(1), default=1,
-                           help="parallel workers (>= 1; capped at the task and CPU counts)")
-
-    p = sub.add_parser("basis", help="sector dimensions and configurations")
-    common(p)
-    p.add_argument("--list", action="store_true", help="include the configuration list")
-    p.set_defaults(func=_cmd_basis)
-
-    p = sub.add_parser("connectivity", help="orbit decomposition per sector")
-    common(p)
-    p.set_defaults(func=_cmd_connectivity)
-
-    p = sub.add_parser("assemble", help="emit a Hamiltonian as sparse triplets")
-    common(p, sector=False, cutoff=True)
-    p.add_argument("--m", default=None, help="sector (default: fully polarized)")
-    p.add_argument("--form", required=True, choices=["hubbard", *_SECTOR_FORMS])
-    p.add_argument("--u", type=float, default=None, help="finite U for --form hubbard")
-    p.set_defaults(func=_cmd_assemble)
-
-    p = sub.add_parser("ed", help="ground-state reports per sector")
-    common(p, cutoff=True, form=True, jobs=True)
-    p.set_defaults(func=_cmd_ed)
-
-    p = sub.add_parser("spin", help="per-sector total-spin table")
-    common(p, sector=False, cutoff=True, form=True, jobs=True)
-    p.set_defaults(func=_cmd_spin, all=True)      # every sector
-
-    p = sub.add_parser("largeu", help="resolvent distance sweep over U")
-    common(p, sector=False, jobs=True)
-    p.add_argument("--u-list", type=_u_list, required=True,
-                   help="comma-separated finite U values")
-    p.add_argument("--z", type=_resolvent_z, default="auto",
-                   help="auto or RE,IM (finite, IM nonzero)")
-    p.set_defaults(func=_cmd_largeu)
-
-    p = sub.add_parser("certify", help="positivity certificates per sector")
-    common(p)
-    p.add_argument("--qgrid", type=_int_at_least(1), default=None,
-                   help="grid points per mode (>= 1)")
-    p.add_argument("--spacing", type=_positive_float, default=None,
-                   help="grid spacing (finite, > 0)")
-    p.set_defaults(func=_cmd_certify)
-
-    p = sub.add_parser("reproduce", help="run the acceptance pipeline")
-    p.add_argument("--criteria", type=_criteria, default=None,
-                   help="comma-separated subset, e.g. 1,3,9")
-    p.add_argument("--out", default=None, help="write a JSON summary")
-    p.set_defaults(func=_cmd_reproduce)
+    for command, help_line in _COMMANDS.items():
+        _add_options(sub.add_parser(command, help=help_line), command)
     return parser
 
 
-@functools.cache
-def _parser() -> _Parser:
-    """The tree ``main`` parses with.  ``set_defaults`` binds each ``_cmd_*``
-    function when the tree is built, so a replaced one is seen only after
-    ``_parser.cache_clear()``."""
-    return build_parser()
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed as ``build_parser()`` parses it.  The tree hands all
+    that follows a subcommand to that subcommand's parser, so a call that
+    names one builds that parser alone, not eight; the tree is built for
+    anything else (``-h``, no or an unknown subcommand) and when arguments
+    are left over, so that every message is the tree's own."""
+    if argv and argv[0] in _COMMANDS:
+        parser = _Parser(prog=f"{_PROG} {argv[0]}")
+        _add_options(parser, argv[0])
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            args.subcommand = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     args.echo = ["nagaoka", *argv]
@@ -579,8 +600,11 @@ def main(argv=None) -> int:
         print("error: stdout was closed before the whole payload was written", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
-        # BrokenPipeError is one, so this clause follows its own; the message
-        # names the path, such as an --out that is a directory
+        # BrokenPipeError is one, so this clause follows its own.  Only an
+        # error on a path, such as an --out that is a directory, is the
+        # caller's to mend; any other (a process pool that cannot start) is not
+        if exc.filename is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     print(f"# wall time {time.perf_counter() - start:.3f}s", file=sys.stderr)

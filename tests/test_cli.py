@@ -822,23 +822,86 @@ def test_a_directory_where_a_file_is_needed_exits_1_naming_it(capsys, tmp_path, 
     assert err == f"error: [Errno 21] Is a directory: {str(folder)!r}\n"
 
 
-def test_the_parser_is_built_on_the_first_call_only(capsys, triangle_file, monkeypatch):
+def test_an_os_error_without_a_path_is_not_a_usage_error(capsys, triangle_file, monkeypatch):
+    import errno
+
     import nagaoka.cli as cli
 
-    built = []
+    def fail(path):
+        raise OSError(errno.ENOSYS, "Function not implemented")
+
+    monkeypatch.setattr(cli, "load_model", fail)
+    with pytest.raises(OSError, match="Function not implemented"):
+        main(["basis", "--m", "1", "--model", triangle_file])
+
+
+@pytest.mark.parametrize("argv, built, code", [
+    (("basis", "--m", "1", "--model", "{model}"), 1, 0),
+    (("ed", "--bogus", "--model", "{model}"), 1 + 9, 1),       # left over: the tree reports it
+    (("frobnicate",), 9, 1),
+    (("--help",), 9, 0),
+], ids=["subcommand", "left-over", "unknown", "help"])
+def test_a_call_naming_a_subcommand_builds_that_parser_alone(capsys, triangle_file, monkeypatch,
+                                                             argv, built, code):
+    import nagaoka.cli as cli
+
+    spied = []
     init = cli._Parser.__init__
 
     def spy(self, *args, **kwargs):
-        built.append(self)
+        spied.append(kwargs["prog"])
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(cli._Parser, "__init__", spy)
-    cli._parser.cache_clear()
-    argv = ("basis", "--m", "1", "--model", triangle_file)
-    assert run(capsys, *argv)[0] == 0
-    assert len(built) == 9                  # the command and its eight subcommands
-    assert run(capsys, *argv)[0] == 0
-    assert len(built) == 9
+    assert main([a.format(model=triangle_file) for a in argv]) == code
+    assert len(spied) == built              # the tree: the command and its eight subcommands
+    if argv[0] == "basis":
+        assert spied == ["nagaoka basis"]
+
+
+_TREE_CASES = [
+    *((command, "-h") for command in ("basis", "connectivity", "assemble", "ed", "spin",
+                                      "largeu", "certify", "reproduce")),
+    ("basis", "--model", "{model}", "--all", "--list"),
+    ("connectivity", "--model", "{model}", "--m", "-1/2"),
+    ("assemble", "--model", "{model}", "--form", "hubbard", "--u", "3", "--out", "x"),
+    ("ed", "--model", "{model}", "--m", "1", "--cutoff", "2", "--form", "holstein", "--jobs", "2"),
+    ("ed", "--model", "{model}", "--", "--m"),
+    ("spin", "--model", "{model}", "--jobs", "3"),
+    ("largeu", "--model", "{model}", "--u-list", "1,2", "--z", "0.5,3"),
+    ("certify", "--model", "{model}", "--all", "--qgrid", "3", "--spacing", "0.5"),
+    ("reproduce", "--criteria", "3,1"),
+    ("reproduce",),
+    ("ed", "--all"),                                           # --model missing
+    ("ed", "--model", "{model}", "--m", "1", "--all"),         # not allowed together
+    ("ed", "--model", "{model}", "--jobs", "0"),
+    ("largeu", "--model", "{model}", "--u-list", "inf"),
+    ("reproduce", "--criteria", "99"),
+    ("spin", "--model", "{model}", "--all"),                   # an option spin lacks
+    ("certify", "--model", "{model}", "extra"),
+    ("ed", "--mod", "{model}", "--all"),                       # an abbreviation
+    (),
+]
+
+
+def _parsed(capsys, parse, argv):
+    try:
+        result = sorted(vars(parse(argv)).items())
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", _TREE_CASES, ids=lambda argv: " ".join(argv) or "empty")
+def test_a_subcommand_parser_parses_as_the_tree_does(capsys, triangle_file, argv):
+    import nagaoka.cli as cli
+
+    argv = [a.format(model=triangle_file) for a in argv]
+    alone = _parsed(capsys, cli._parse, argv)
+    assert alone == _parsed(capsys, lambda argv: cli.build_parser().parse_args(argv), argv)
+    if argv[1:] == ["-h"]:
+        assert alone[0] == 0 and alone[1].startswith(f"usage: nagaoka {argv[0]} [-h]")
 
 
 _SEQUENCES = {
@@ -860,12 +923,9 @@ def _call(capsys, argv, out):
 
 @pytest.mark.parametrize("name", _SEQUENCES)
 def test_calls_in_one_process_leave_nothing_to_the_next(capsys, tmp_path, triangle_file, name):
-    import nagaoka.cli as cli
-
     out = tmp_path / "payload.json"
     argvs = [[a.format(model=triangle_file, out=out) for a in argv] for argv in _SEQUENCES[name]]
-    shared = [_call(capsys, argv, out) for argv in argvs]
-    first, second = shared
+    first, second = [_call(capsys, argv, out) for argv in argvs]
     if name == "out-then-stdout":
         assert first[:2] == (0, "") and second[0] == 0 and second[3] is None
         assert json.loads(second[1])["results"] == json.loads(first[3])["results"]
@@ -875,9 +935,8 @@ def test_calls_in_one_process_leave_nothing_to_the_next(capsys, tmp_path, triang
         assert first[0] == 0 and first[1].startswith("     M")
     if name != "out-then-stdout":
         assert second[0] == 0 and [row["m"] for row in json.loads(second[1])["results"]] == ["1"]
-    for argv, result in zip(argvs, shared):
-        cli._parser.cache_clear()
-        assert _call(capsys, argv, out) == result
+    # the other order gives each call the same result
+    assert [_call(capsys, argv, out) for argv in argvs[::-1]] == [second, first]
 
 
 def test_certify_does_not_resolve_spin(capsys, tmp_path):
