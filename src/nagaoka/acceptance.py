@@ -285,7 +285,7 @@ def criterion_10() -> str:
     k = 0 pairs and the assembled spectrum must equal the bare spectrum plus
     the mass ladder exactly; the hopping-phase unitaries and the Riemann-sum
     kernel convergence are checked on a transverse mode subset (the full
-    ball at the first shell has 14 modes, beyond the dense-phase budget)."""
+    ball at the first shell has 14 modes, solved at cutoff 1 beyond the corpus)."""
     decoupled = radiation_triangle(kappa=1.0)
     modes = photon_modes(decoupled)
     assert len(modes) == 2, f"decoupled mode set has {len(modes)} pairs, want 2"

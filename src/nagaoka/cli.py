@@ -20,6 +20,7 @@ integer or a decimal; any other text exits 1 with one line that names
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import math
@@ -121,6 +122,21 @@ def _report(args, results) -> dict:
         "version": __version__,
         "results": results,
     }
+
+
+def _check_writable(path: str):
+    """Raise now the OSError that opening ``path`` for writing would raise
+    once the work is done, without creating or truncating the file."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(folder):
+        code = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
 
 
 def _emit(args, text: str):
@@ -584,6 +600,8 @@ def main(argv=None) -> int:
     args.echo = ["nagaoka", *argv]
     start = time.perf_counter()
     try:
+        if getattr(args, "out", None):
+            _check_writable(args.out)
         code = args.func(args)
     except ValueError as exc:
         # covers ModelParseError/ModelValidationError and sector-range errors

@@ -1,4 +1,4 @@
-"""Shared exception types, and the dimension budget behind one of them."""
+"""Shared exception types, and the two budgets behind one of them."""
 
 import os
 
@@ -20,11 +20,8 @@ class ModelValidationError(ValueError):
 
 
 class DimensionBudgetError(RuntimeError):
-    """A requested matrix would exceed the dimension budget.
-
-    The budget defaults to 200000 and can be overridden with the
-    NAGAOKA_DIM_BUDGET environment variable.
-    """
+    """A requested matrix would exceed the dimension budget (default 200000,
+    env NAGAOKA_DIM_BUDGET) or the fixed stored-entry budget, ENTRY_BUDGET."""
 
 
 class ConvergenceError(RuntimeError):
@@ -49,15 +46,28 @@ def dim_budget() -> int:
     return int(float(os.environ.get("NAGAOKA_DIM_BUDGET", DEFAULT_DIM_BUDGET)))
 
 
-def guard_dimension(dim: int, what: str):
-    """Raise DimensionBudgetError when ``dim`` exceeds the budget; callers
-    check the count before they enumerate or assemble anything.  A count
+def _refuse_over(count: int, budget: int, what: str, amount: str, remedy: str):
+    """Raise DimensionBudgetError when ``count`` exceeds ``budget``.  A count
     past 63 bits is reported by its power-of-two lower bound, so no message
     formats an integer of unbounded length."""
-    budget = dim_budget()
-    if dim > budget:
-        bits = int(dim).bit_length()
-        size = dim if bits <= 63 else f"at least 2^{bits - 1}"
-        raise DimensionBudgetError(
-            f"{what} needs dimension {size} > budget {budget} "
-            f"(raise NAGAOKA_DIM_BUDGET to override)")
+    if count > budget:
+        bits = int(count).bit_length()
+        size = count if bits <= 63 else f"at least 2^{bits - 1}"
+        raise DimensionBudgetError(f"{what} needs {amount.format(size)} > budget {budget} ({remedy})")
+
+
+def guard_dimension(dim: int, what: str):
+    """Raise DimensionBudgetError when ``dim`` exceeds the budget; callers
+    check the count before they enumerate or assemble anything."""
+    _refuse_over(dim, dim_budget(), what, "dimension {}", "raise NAGAOKA_DIM_BUDGET to override")
+
+
+#: Stored entries one operator may hold: a dense 4096 x 4096 matrix, or a
+#: sparse build near 1.3 GB at its peak of about 77 bytes per entry.
+ENTRY_BUDGET = 4096**2
+
+
+def guard_entries(count: int, what: str):
+    """Raise DimensionBudgetError when ``what`` would store more than
+    ENTRY_BUDGET entries; callers count in Python ints, before building."""
+    _refuse_over(count, ENTRY_BUDGET, what, "{} stored entries", "fixed; reduce the cutoff or model")

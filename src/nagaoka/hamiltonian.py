@@ -19,7 +19,8 @@ radiation, and the polaron frame on position grids) all have
 the shape sum_k A_k (x) B_k: hole-move blocks per bond (x) a boson factor,
 an electron diagonal (x) I, and I (x) the field energy.  Each factor is
 held as (rows, cols, vals) index arrays, and ``_kron_sum`` builds the sum
-with one COO->CSR, through ``_dressed_sector`` for the four sector forms.
+with one COO->CSR, through ``_dressed_sector`` for the four sector forms;
+both count the entries they will store against the entry budget first.
 A bond's hop block is its slice of ``hole_moves``; a boson factor comes
 from dense single-mode factors through ``manybody``,
 a per-bond phase as a ``_mode_product``, a field energy or a coupling
@@ -45,7 +46,7 @@ from itertools import product
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionBudgetError, ModelValidationError, guard_dimension
+from .errors import DimensionBudgetError, ModelValidationError, guard_dimension, guard_entries
 from .manybody import (
     DOWN,
     MAX_MODES,
@@ -132,8 +133,11 @@ def _diagonal(values: np.ndarray) -> tuple:
 def _kron_sum(terms, dims: tuple[int, int]) -> sp.csr_matrix:
     """sum_k A_k (x) B_k from one COO build, each A_k and B_k a (rows, cols,
     vals) triplet over the dims[0] and dims[1] states of its factor, or None
-    for its identity; entries that several terms place at one position add."""
+    for its identity; entries that several terms place at one position add,
+    after sum_k len(A_k) len(B_k), the count stored, passes the entry budget."""
     n_a, n_b = dims
+    guard_entries(sum((n_a if a is None else len(a[0])) * (n_b if b is None else len(b[0]))
+                      for a, b in terms), f"a Kronecker sum over {n_a} x {n_b} states")
     parts = []
     for a, b in terms:
         a = _diagonal(np.ones(n_a)) if a is None else a
@@ -336,19 +340,6 @@ def assemble_holstein_sector(model: LatticeModel, m, cutoff: int | None = None) 
                                            _config_occupations(basis), ph, bosons))
 
 
-#: Dense matrices (hopping phases in the boson space, the full-space
-#: resolvents of ``spectral``) are capped at this dimension, separately from
-#: the total-dimension budget: their memory grows quadratically.
-DENSE_PHASE_LIMIT = 4096
-
-
-def _guard_dense_phase(dim: int, what: str):
-    if dim > DENSE_PHASE_LIMIT:
-        raise DimensionBudgetError(
-            f"{what} needs dense {dim}x{dim} phase matrices "
-            f"(limit {DENSE_PHASE_LIMIT}); reduce the cutoff or the mode set")
-
-
 def unitary_exp(hermitian: np.ndarray) -> np.ndarray:
     """exp(i H) for Hermitian H via eigendecomposition; exactly unitary."""
     w, v = np.linalg.eigh(hermitian)
@@ -384,7 +375,6 @@ def _polaron_phase(model: LatticeModel, x: int, y: int, bosons: BosonBasis) -> t
     """theta_xy as a product of single-mode exponentials, in triplets;
     p_z = i sqrt(omega/2) (b*_z - b_z), so shift_z p_z has amplitude
     -i sqrt(omega/2) shift_z on b_z."""
-    _guard_dense_phase(bosons.dimension, "polaron-frame hopping phase")
     amplitudes = -1j * math.sqrt(model.phonon.frequency / 2.0) * _polaron_shift(model, x, y)
     return _mode_product(_mode_exponentials(amplitudes, bosons.cutoff), bosons)
 
@@ -582,7 +572,6 @@ def peierls_unitary(model: LatticeModel, modes, x: int, y: int, basis: BosonBasi
     as (rows, cols, vals); modes the bond does not couple are identity
     factors.
     """
-    _guard_dense_phase(basis.dimension, "hopping-phase unitary")
     return _mode_product(_mode_exponentials(_mode_coefficients(model, modes, x, y), basis.cutoff),
                          basis)
 

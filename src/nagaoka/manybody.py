@@ -32,12 +32,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from math import comb
+from math import comb, prod
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionBudgetError, guard_dimension
+from .errors import DimensionBudgetError, guard_dimension, guard_entries
 from .model import LatticeModel
 from .sector import SectorBasis, _combination_masks, enumerate_sector
 
@@ -244,8 +244,11 @@ def _mode_product(factors: dict, bosons: BosonBasis) -> tuple:
     on every mode ``factors`` does not name, mode 0 most significant, as
     (rows, cols, vals) over the stored entries of the factors.  A value is
     the product of the named factors' entries taken in mode order; an
-    identity mode only repeats indices."""
+    identity mode only repeats indices.  The entry count is budgeted first."""
     levels, modes = bosons.cutoff + 1, bosons.modes
+    guard_entries(prod(int(np.count_nonzero(factors[z]) if z in factors else levels)
+                       for z in range(modes)),
+                  f"a boson operator on {modes} modes at cutoff {bosons.cutoff}")
     rows = cols = np.zeros((), dtype=np.int64)
     for z in range(modes):
         r, c = np.nonzero(factors.get(z, np.eye(levels)))

@@ -64,8 +64,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .errors import AmbiguousSpinError, ConvergenceError, DimensionBudgetError, InconsistencyError
-from .hamiltonian import DENSE_PHASE_LIMIT, SectorHamiltonian, hubbard_full_matrices
+from .errors import AmbiguousSpinError, ConvergenceError, InconsistencyError, guard_entries
+from .hamiltonian import SectorHamiltonian, hubbard_full_matrices
 from .manybody import (
     SparseHermitian,
     boson_basis,
@@ -469,14 +469,12 @@ def _projector_diagonal(model: LatticeModel) -> np.ndarray:
 
 
 def _guard_dense_full_space(model: LatticeModel, what: str):
-    """Cap the full space, bosons included, at the dense-matrix limit before
-    ``what`` densifies any of it."""
+    """Hold the dim^2 entries of the dense full space, bosons included, to
+    the entry budget before ``what`` densifies any of it."""
     dim = full_fock_basis(model.sites, model.n_electrons).dimension
     if model.phonon is not None:
         dim *= boson_basis(model.sites, model.phonon.per_site_cutoff).dimension
-    if dim > DENSE_PHASE_LIMIT:
-        raise DimensionBudgetError(f"{what} needs dense {dim}x{dim} full-space matrices "
-                                   f"(limit {DENSE_PHASE_LIMIT})")
+    guard_entries(dim * dim, f"{what} on the dense {dim}x{dim} full space")
 
 
 def _limit_resolvent(model: LatticeModel, us, z: complex | None):

@@ -10,7 +10,7 @@ import pytest
 
 import assembly_oracle as oracle
 from nagaoka.acceptance import holstein_model, radiation_triangle, transverse_mode_subset
-from nagaoka.corpus import complete4, pair2, triangle3
+from nagaoka.corpus import complete4, corpus_models, pair2, triangle3
 from nagaoka.hamiltonian import (
     _mode_coefficients,
     assemble_holstein_sector,
@@ -130,3 +130,48 @@ def test_qgrid_equals_the_scipy_route(name):
     for m in sector_magnetizations(model.sites):
         got = assemble_qgrid_sector(model, m, points, spacing).op.matrix
         assert_same_csr(got, oracle.qgrid_sector(model, m, points, spacing), f"M={m}")
+
+
+def _dressed_assemblies(form: str):
+    """Every sector of ``form`` on the corpus models: Holstein and
+    Lang-Firsov at gamma = 0.5 and cutoff 2 on each corpus graph and the
+    off-diagonal triangle, the radiation cases at cutoff 2 and the grids."""
+    if form == "radiation":
+        for model, modes in radiation_cases().values():
+            for m in sector_magnetizations(3):
+                yield assemble_radiation_sector(model, m, cutoff=2, modes=modes)
+    elif form == "qgrid":
+        for base, points, cells in QGRID_CASES.values():
+            model = holstein_model(base, gamma=0.5)
+            for m in sector_magnetizations(model.sites):
+                yield assemble_qgrid_sector(model, m, points, math.sqrt(2.0) * 0.5 / cells)
+    else:
+        assemble = assemble_holstein_sector if form == "holstein" else assemble_lang_firsov_sector
+        models = [holstein_model(base, 0.5, cutoff=2) for base in corpus_models().values()]
+        for model in models + [phonon_models(2)["triangle3-offdiagonal"]]:
+            for m in sector_magnetizations(model.sites):
+                yield assemble(model, m)
+
+
+@pytest.mark.parametrize("form", ["holstein", "lang_firsov", "radiation", "qgrid"])
+def test_kron_sum_budget_counts_the_entries_it_builds(monkeypatch, form):
+    """The count ``_kron_sum`` holds to the entry budget is the length of
+    the triplet arrays it then hands to the COO build."""
+    import nagaoka.hamiltonian as hamiltonian
+
+    counts, built = [], []
+    guard, csr = hamiltonian.guard_entries, hamiltonian._csr
+
+    def counting_guard(count, what):
+        counts.append(count)
+        guard(count, what)
+
+    def counting_csr(parts, dim):
+        built.append(sum(len(rows) for rows, _, _ in parts))
+        return csr(parts, dim)
+
+    monkeypatch.setattr(hamiltonian, "guard_entries", counting_guard)
+    monkeypatch.setattr(hamiltonian, "_csr", counting_csr)
+    sectors = list(_dressed_assemblies(form))
+    assert len(counts) == len(sectors) and all(counts)
+    assert counts == built

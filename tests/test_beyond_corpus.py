@@ -1,12 +1,24 @@
-"""Five- and six-site integration checks beyond the built-in corpus: the
-maximal-spin statement where connectivity holds, and the designed failure
-modes where it does not."""
+"""Integration checks beyond the built-in corpus: the maximal-spin
+statement on five- and six-site graphs where connectivity holds, and the
+designed failure modes where it does not; the full first shell of the
+radiation field, and the stored-entry budget at the edge of what runs."""
+
+import json
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from nagaoka.errors import AmbiguousSpinError
-from nagaoka.hamiltonian import assemble_nagaoka_projected, assemble_nagaoka_sector
+from nagaoka.acceptance import holstein_model
+from nagaoka.cli import main
+from nagaoka.corpus import complete4
+from nagaoka.errors import AmbiguousSpinError, DimensionBudgetError
+from nagaoka.hamiltonian import (
+    assemble_lang_firsov_sector,
+    assemble_nagaoka_projected,
+    assemble_nagaoka_sector,
+)
 from nagaoka.model import LatticeModel, generate_lattice
 from nagaoka.sector import connectivity_check, sector_magnetizations
 from nagaoka.spectral import ground_report
@@ -22,12 +34,50 @@ def test_complete_five_site_multiplet():
     assert max(energies) - min(energies) <= 1e-10
 
 
+def test_full_first_shell_line_triangle_every_sector(capsys, tmp_path):
+    """kappa = 1.8 admits all 14 modes of the first shell; at cutoff 1 each
+    bond phase stores 2^16 entries, far inside the entry budget.  Every
+    sector holds the S = 1 triplet alone, at one energy."""
+    path = tmp_path / "shell.ini"
+    path.write_text("[lattice]\nsites = 3\ngenerator = complete\nextent = 3\nt = 1.0\n"
+                    "[coulomb]\nu = inf\n"
+                    "[radiation]\nL = 4.0\nkappa = 1.8\nm0 = 1.0\ncutoff = 1\n")
+    assert main(["ed", "--all", "--cutoff", "1", "--model", str(path)]) == 0
+    rows = json.loads(capsys.readouterr().out)["results"]
+    assert [row["m"] for row in rows] == ["-1", "0", "1"]
+    for row, gap in zip(rows, (1.0, 0.99318335, 1.0)):
+        assert row["boson_dimension"] == 2**14
+        assert row["resolved_s"] == "1" and row["degeneracy"] == 1
+        assert row["gap"] == pytest.approx(gap, abs=1e-6)
+        assert row["ground_energy"] == pytest.approx(-1.9931749151960734, abs=1e-10)
+
+
+def test_lang_firsov_pair_at_cutoff_300_is_refused_by_its_entries(capsys, tmp_path):
+    # dimension 2 x 301^2 = 181,202 is within the dimension budget, but each
+    # hopping phase would store about 8.2e9 entries
+    path = tmp_path / "pair.ini"
+    path.write_text("[lattice]\nsites = 2\n0 1 1.0\n[coulomb]\nu = inf\n"
+                    "[phonon]\nomega = 1.0\ncutoff = 2\n0 0 0.5\n1 1 0.5\n")
+    start = time.perf_counter()
+    code = main(["ed", "--all", "--cutoff", "300", "--form", "langfirsov", "--model", str(path)])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("numerical failure: ") and "stored entries" in captured.err
+
+
+def test_lang_firsov_complete4_at_cutoff_8_is_held_at_its_larger_sector():
+    # M = 3/2 stores about 6.4 M entries; M = 1/2 would store 19,289,328
+    model = holstein_model(complete4(), 0.5, cutoff=8)
+    assert assemble_lang_firsov_sector(model, Fraction(3, 2)).dimension == 4 * 9**4
+    with pytest.raises(DimensionBudgetError, match="19289328 stored entries"):
+        assemble_lang_firsov_sector(model, Fraction(1, 2))
+
+
 def test_even_ring_middle_sectors_split_into_necklace_orbits():
     """Hole hops on a bare ring only generate cyclic shifts of the spin
     word, so mixed-spin sectors fall apart into necklace classes."""
     model = LatticeModel(6, generate_lattice("ring", 6, 1.0))
-    from fractions import Fraction
-
     rep = connectivity_check(model, Fraction(1, 2))
     assert not rep.connected
     assert sorted(rep.orbit_sizes) == [30, 30]

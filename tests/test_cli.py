@@ -415,7 +415,7 @@ def test_largeu_refuses_a_full_space_too_large_to_densify(capsys, tmp_path, z):
     code, out, err = run_err(capsys, "largeu", "--u-list", "10", "--z", z, "--model", str(path))
     assert time.perf_counter() - start < 2.0
     assert code == 2 and out == "" and err.count("\n") == 1
-    assert "needs dense 11440x11440 full-space matrices (limit 4096)" in err
+    assert "on the dense 11440x11440 full space needs 130873600 stored entries" in err
 
 
 def test_ed_complete12_maximal_spin(capsys, tmp_path):
@@ -811,7 +811,7 @@ def test_closed_stdout_pipe_exits_1_without_a_traceback(tmp_path):
 @pytest.mark.parametrize("argv", [
     ("basis", "--m", "1", "--model", "{dir}"),
     ("ed", "--all", "--model", "{model}", "--out", "{dir}"),
-    ("reproduce", "--criteria", "2", "--out", "{dir}"),      # after the criterion has run
+    ("reproduce", "--criteria", "2", "--out", "{dir}"),
 ], ids=["model", "ed-out", "reproduce-out"])
 def test_a_directory_where_a_file_is_needed_exits_1_naming_it(capsys, tmp_path, triangle_file,
                                                               argv):
@@ -820,6 +820,45 @@ def test_a_directory_where_a_file_is_needed_exits_1_naming_it(capsys, tmp_path, 
     code, _, err = run_err(capsys, *(a.format(dir=folder, model=triangle_file) for a in argv))
     assert code == 1
     assert err == f"error: [Errno 21] Is a directory: {str(folder)!r}\n"
+
+
+def test_reproduce_refuses_an_unwritable_out_before_any_criterion_runs(capsys, tmp_path):
+    code, out, err = run_err(capsys, "reproduce", "--criteria", "2", "--out", str(tmp_path))
+    assert code == 1 and err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+    assert "PASS" not in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("name", ["folder", "missing/out.json"])
+def test_ed_refuses_an_unwritable_out_before_any_solve(capsys, tmp_path, triangle_file,
+                                                       monkeypatch, name):
+    import nagaoka.cli as cli
+
+    solves = []
+    monkeypatch.setattr(cli, "ground_report", lambda *a, **k: solves.append(a))
+    (tmp_path / "folder").mkdir()
+    out = tmp_path / name
+    code, _, err = run_err(capsys, "ed", "--all", "--model", triangle_file, "--out", str(out))
+    assert code == 1 and err.startswith("error: [Errno ") and repr(str(out)) in err
+    assert solves == []
+
+
+def test_an_existing_out_file_is_neither_truncated_nor_created_before_the_work(
+        capsys, tmp_path, triangle_file, monkeypatch):
+    import nagaoka.cli as cli
+
+    folder, seen = tmp_path / "out", []
+
+    def fail(*args, **kwargs):
+        seen.append((sorted(p.name for p in folder.iterdir()), (folder / "kept.json").read_text()))
+        raise ValueError("stop")
+
+    monkeypatch.setattr(cli, "ground_report", fail)
+    folder.mkdir()
+    (folder / "kept.json").write_text("old")
+    for name in ("kept.json", "new.json"):
+        assert run_err(capsys, "ed", "--m", "1", "--model", triangle_file,
+                       "--out", str(folder / name))[0] == 1
+    assert seen == [(["kept.json"], "old")] * 2
 
 
 def test_an_os_error_without_a_path_is_not_a_usage_error(capsys, triangle_file, monkeypatch):

@@ -10,6 +10,7 @@ from nagaoka.errors import DimensionBudgetError
 from nagaoka.manybody import (
     DOWN,
     UP,
+    BosonBasis,
     SparseHermitian,
     _csr,
     _lowering,
@@ -124,6 +125,41 @@ def test_mode_product_mixed_product_identity():
 
     assert np.allclose(product({0: a, 1: b}) @ product({0: c, 2: f}), np.kron(np.kron(a @ c, b), f))
     assert np.array_equal(product({1: d}), np.kron(np.kron(np.eye(3), d), np.eye(3)))
+
+
+def test_mode_product_budget_counts_the_entries_it_builds(monkeypatch):
+    """The count held to the entry budget is the length of the arrays that
+    follow: random factors on random mode subsets, with exact zeros and
+    identity modes."""
+    import nagaoka.manybody as manybody
+
+    counts, real = [], manybody.guard_entries
+
+    def guard(count, what):
+        counts.append(count)
+        real(count, what)
+
+    monkeypatch.setattr(manybody, "guard_entries", guard)
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        modes, cutoff = int(rng.integers(0, 5)), int(rng.integers(0, 4))
+        factors = {}
+        for z in rng.permutation(modes)[:rng.integers(0, modes + 1)]:
+            f = rng.standard_normal((cutoff + 1, cutoff + 1))
+            f[rng.random(f.shape) < 0.4] = 0.0
+            factors[int(z)] = f
+        rows, cols, vals = _mode_product(factors, BosonBasis(modes, cutoff))
+        assert counts[-1] == len(rows) == len(cols) == len(vals)
+
+
+def test_mode_product_refuses_63_modes_at_cutoff_300_in_one_short_line():
+    # 301^63 entries: counted exactly as a Python int, reported by its bound
+    with pytest.raises(DimensionBudgetError) as info:
+        _mode_product({}, BosonBasis(63, 300))
+    message = str(info.value)
+    assert "\n" not in message and len(message) < 200
+    assert f"at least 2^{(301**63).bit_length() - 1} stored entries" in message
+    assert "NAGAOKA_DIM_BUDGET" not in message
 
 
 def test_boson_basis_budget_guard(monkeypatch):

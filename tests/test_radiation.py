@@ -165,12 +165,3 @@ def test_radiation_requires_block():
     with pytest.raises(ValueError):
         assemble_radiation_sector(triangle3(), 0)
 
-
-def test_full_first_shell_mode_set_exceeds_dense_phase_budget():
-    """The smallest coupled ball has 14 modes; the dense phase factor would
-    be gigabytes, so the assembly must refuse instead of thrashing."""
-    from nagaoka.errors import DimensionBudgetError
-
-    model = radiation_triangle(kappa=1.8, cutoff=1)
-    with pytest.raises(DimensionBudgetError):
-        assemble_radiation_sector(model, 0)
