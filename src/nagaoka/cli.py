@@ -49,10 +49,9 @@ from .hamiltonian import (
     assemble_radiation_sector,
 )
 from .model import load_model
-from .positivity import pf_certificate, qgrid_holstein_certify
+from .positivity import SectorCertifier, qgrid_holstein_certify
 from .sector import as_half_integer, connectivity_check, enumerate_sector, sector_magnetizations
 from .spectral import (
-    ground_cluster,
     ground_report,
     resolvent_gaps,
     spin_flipped_report,
@@ -440,16 +439,13 @@ def _certificate_row(m, cert, **extra) -> dict:
             "min_entry": cert.min_entry, **extra}
 
 
-def _configuration_certificate(h):
-    _, _, degeneracy, _, v0 = ground_cluster(h.op.matrix)
-    return pf_certificate(h, v0, degeneracy)
-
-
 def _cmd_certify(args) -> int:
     """Certificates per sector, ascending in M.  Without ``--qgrid`` the
-    sectors go through ``_sector_jobs`` as in ``ed``: -M is certified by
-    M's certificate once ``verified_spin_flip`` holds, as H(-M) is H(M)
-    permuted and its ground vector M's permuted."""
+    sectors go through ``_sector_jobs`` as in ``ed``, in descending |M|, and
+    one ``SectorCertifier`` certifies each solved sector, by Nagaoka's
+    theorem where its hypotheses hold: -M is certified by M's certificate
+    once ``verified_spin_flip`` holds, as H(-M) is H(M) permuted and its
+    ground vector M's permuted."""
     if (args.qgrid is None) != (args.spacing is None):
         raise ModelValidationError(
             "cli", "--spacing needs --qgrid" if args.qgrid is None else "--qgrid needs --spacing")
@@ -468,8 +464,9 @@ def _cmd_certify(args) -> int:
                 raise ModelValidationError(
                     "cli", f"certify without --qgrid/--spacing certifies the bare electron "
                            f"sector and would ignore the model's [{block}] block")
+        certify = SectorCertifier(model)
         certs = [kv for job in _sector_jobs(model, "nagaoka", ms, None)
-                 for kv in _solve_job(job, _configuration_certificate)]
+                 for kv in _solve_job(job, certify)]
         rows = [_certificate_row(m, cert) for m, cert in sorted(certs, key=lambda kv: kv[0])]
     _emit(args, json.dumps(_report(args, rows), indent=2))
     return EXIT_OK

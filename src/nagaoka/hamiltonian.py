@@ -134,18 +134,26 @@ def _kron_sum(terms, dims: tuple[int, int]) -> sp.csr_matrix:
     """sum_k A_k (x) B_k from one COO build, each A_k and B_k a (rows, cols,
     vals) triplet over the dims[0] and dims[1] states of its factor, or None
     for its identity; entries that several terms place at one position add,
-    after sum_k len(A_k) len(B_k), the count stored, passes the entry budget."""
+    after sum_k len(A_k) len(B_k), the count stored, passes the entry budget.
+    The terms fill one preallocated triplet in turn, its indices in the
+    dtype the COO build would pick, so no entry is held twice before it."""
     n_a, n_b = dims
-    guard_entries(sum((n_a if a is None else len(a[0])) * (n_b if b is None else len(b[0]))
-                      for a, b in terms), f"a Kronecker sum over {n_a} x {n_b} states")
-    parts = []
-    for a, b in terms:
+    blocks = [(n_a if a is None else len(a[0]), n_b if b is None else len(b[0])) for a, b in terms]
+    total = sum(p * q for p, q in blocks)
+    guard_entries(total, f"a Kronecker sum over {n_a} x {n_b} states")
+    index = np.int32 if n_a * n_b <= np.iinfo(np.int32).max else np.int64
+    rows, cols = np.empty(total, dtype=index), np.empty(total, dtype=index)
+    vals = np.empty(total, dtype=np.result_type(
+        np.float64, *(factor[2] for term in terms for factor in term if factor is not None)))
+    end = 0
+    for (a, b), block in zip(terms, blocks):
         a = _diagonal(np.ones(n_a)) if a is None else a
         b = _diagonal(np.ones(n_b)) if b is None else b
-        parts.append(((a[0].astype(np.int64)[:, None] * n_b + b[0]).ravel(),
-                      (a[1].astype(np.int64)[:, None] * n_b + b[1]).ravel(),
-                      (a[2][:, None] * b[2]).ravel()))
-    return _csr(parts, n_a * n_b)
+        start, end = end, end + block[0] * block[1]
+        for out, i, j in ((rows, a[0], b[0]), (cols, a[1], b[1])):
+            np.add(i.astype(np.int64)[:, None] * n_b, j, out=out[start:end].reshape(block))
+        np.multiply(a[2][:, None], b[2], out=vals[start:end].reshape(block))
+    return _csr([(rows, cols, vals)], n_a * n_b)
 
 
 def _sector_electron(model: LatticeModel, basis: SectorBasis) -> list:

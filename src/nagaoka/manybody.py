@@ -104,8 +104,10 @@ class SparseHermitian:
 
 def _csr(parts, dim: int) -> sp.csr_matrix:
     """A dim x dim CSR matrix from one COO build of (rows, cols, vals)
-    triplets; entries that several triplets place at one position add."""
-    rows, cols, vals = (np.concatenate(arrays) for arrays in zip(*parts))
+    triplets; entries that several triplets place at one position add.  A
+    single triplet is used as it is, not copied."""
+    parts = list(parts)
+    rows, cols, vals = parts[0] if len(parts) == 1 else (np.concatenate(a) for a in zip(*parts))
     return sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
 
 
@@ -326,13 +328,8 @@ def _lowering_matrix(basis_hi: SectorBasis, basis_lo: SectorBasis) -> sp.csr_mat
     ``sector_lowering_fock``.
     """
     holes, masks = basis_hi.holes, basis_hi.masks
-    rows, cols = [], []
-    for z in range(basis_hi.sites):
-        src = np.nonzero((masks >> z) & 1)[0]
-        rows.append(basis_lo.rank(holes[src], masks[src] ^ (1 << z)))
-        cols.append(src)
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
+    flipped, cols = np.nonzero((masks >> np.arange(basis_hi.sites)[:, None]) & 1)
+    rows = basis_lo.rank(holes[cols], masks[cols] ^ (1 << flipped))
     mat = sp.csr_matrix((np.ones(rows.size), (rows, cols)),
                         shape=(basis_lo.dimension, basis_hi.dimension))
     mat.sort_indices()

@@ -14,21 +14,30 @@ position grid for the phonon-dressed case (the grid form is assembled in
 The certificates below check those statements numerically and treat any
 violation of the last implication as a hard inconsistency, since it can
 only come from a solver failure.
+
+Nagaoka's theorem (Phys. Rev. 147, 392 (1966); Tasaki, Prog. Theor. Phys.
+99, 489 (1998)) is the same statement carried across sectors: S- has
+entries in {0, 1} and commutes with H, so where a sector and the polarized
+sector both satisfy the hypotheses, the lowered polarized ground vector is
+the sector's unique ground vector.  ``SectorCertifier`` certifies such a
+sector from the polarized sector's solve alone, and any other one from its
+own ground vector, the route that stays the theorem route's oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .errors import InconsistencyError
-from .hamiltonian import assemble_qgrid_sector
-from .manybody import sector_lowering_fock
+from .errors import ConvergenceError, InconsistencyError
+from .hamiltonian import assemble_nagaoka_sector, assemble_qgrid_sector
+from .manybody import sector_lowering, sector_lowering_fock
 from .model import LatticeModel
-from .spectral import as_matrix, ground_cluster, sign_structure
+from .spectral import as_matrix, check_residuals, ground_cluster, sign_structure
 
 STRICT_POSITIVITY_TOL = 1e-12
 
@@ -68,8 +77,24 @@ def ergodicity_certificate(h) -> bool:
     return sign_structure(as_matrix(h))[1].size <= 1
 
 
+def _hypotheses(structure) -> tuple[bool, bool]:
+    """The sign test and the irreducibility of a ``sign_structure`` result:
+    every off-diagonal entry of -H >= 0 up to the positivity threshold, and
+    one block."""
+    _, sizes, re_max, im_max = structure
+    tol = STRICT_POSITIVITY_TOL
+    return bool(np.all(re_max <= tol) and np.all(im_max <= tol)), sizes.size <= 1
+
+
+def _phase_normalized(v: np.ndarray) -> np.ndarray:
+    """``v`` times the phase that makes its largest-magnitude entry positive."""
+    v = np.asarray(v).ravel()
+    pivot = v[int(np.argmax(np.abs(v)))]
+    return v * np.conj(pivot) / abs(pivot)
+
+
 def pf_certificate(h, ground_vector: np.ndarray, degeneracy: int,
-                   basis_tag: str = "configuration") -> PositivityCertificate:
+                   basis_tag: str = "configuration", structure=None) -> PositivityCertificate:
     """Certificate tying the sign structure of -H to ground-state uniqueness
     and strict positivity.
 
@@ -77,16 +102,13 @@ def pf_certificate(h, ground_vector: np.ndarray, degeneracy: int,
     entry is positive; strict positivity then means every entry exceeds the
     threshold.  If the sign structure and irreducibility hold but uniqueness
     or positivity fail, the certificate raises instead of reporting, because
-    the implication is a theorem at finite dimension.
+    the implication is a theorem at finite dimension.  ``structure`` is
+    ``sign_structure`` of H when the caller has it already.
     """
-    _, sizes, re_max, im_max = sign_structure(as_matrix(h))
     tol = STRICT_POSITIVITY_TOL
-    sign_ok = bool(np.all(re_max <= tol) and np.all(im_max <= tol))
-    irreducible = sizes.size <= 1
-
-    v = np.asarray(ground_vector).ravel()
-    pivot = v[int(np.argmax(np.abs(v)))]
-    v = v * np.conj(pivot) / abs(pivot)
+    sign_ok, irreducible = _hypotheses(
+        sign_structure(as_matrix(h)) if structure is None else structure)
+    v = _phase_normalized(ground_vector)
     real_ok = not np.iscomplexobj(v) or float(np.max(np.abs(v.imag))) <= tol
     min_entry = float(np.min(v.real))
     unique = degeneracy == 1
@@ -126,6 +148,91 @@ def spin_lowering_positivity(model: LatticeModel, m) -> bool:
         return False
     col_sums = dense.sum(axis=0)
     return bool(np.all(np.abs(col_sums - basis_hi.n_up) <= 1e-9))
+
+
+# ---------------------------------------------------------------------------
+# configuration-basis certificates by Nagaoka's theorem
+# ---------------------------------------------------------------------------
+
+def _solved_certificate(h, structure) -> tuple:
+    """E0, the ground vector and ``pf_certificate`` of H, from
+    ``ground_cluster``."""
+    _, e0, degeneracy, _, v0 = ground_cluster(as_matrix(h))
+    return float(e0), v0, pf_certificate(h, v0, degeneracy, structure=structure)
+
+
+def eigenvector_certificate(h, structure=None) -> PositivityCertificate:
+    """``pf_certificate`` of H on the ground vector and degeneracy of
+    ``ground_cluster``."""
+    return _solved_certificate(h, structure)[2]
+
+
+class SectorCertifier:
+    """Certificates of the infinite-U sectors of one model in the
+    configuration basis, each H_M as ``assemble_nagaoka_sector`` builds it.
+
+    Where H_M and the polarized H_P (P = S_max for M >= 0, -S_max for
+    M < 0) both pass the sign test and are one block each, Nagaoka's theorem
+    certifies M with no solve of H_M: the lowering maps have entries in
+    {0, 1} and commute with H, so the strictly positive ground vector of H_P,
+    walked to M by S- (by S+ from -S_max), is a nonnegative eigenvector of
+    H_M, hence its unique ground vector.  Only H_P is solved, and the walk is
+    kept between calls, so sectors taken in descending |M| share one walk.
+    The lowered vector must be an eigenvector of H_M at E_P within the
+    residual tolerance, and strictly positive, or InconsistencyError is
+    raised.  Any other sector takes ``eigenvector_certificate``, on the sign
+    structure read for the choice.
+    """
+
+    def __init__(self, model: LatticeModel):
+        self.model = model
+        self._tops = {}      # P -> (E_P, ground vector, certificate), or False
+        self._walks = {}     # P -> (M, vector) of the last sector the walk reached
+
+    def __call__(self, h) -> PositivityCertificate:
+        structure = sign_structure(as_matrix(h))
+        return self.by_theorem(h, structure) or eigenvector_certificate(h, structure)
+
+    def by_theorem(self, h, structure=None) -> PositivityCertificate | None:
+        """The certificate of sector ``h`` by the theorem; None where a
+        hypothesis fails."""
+        structure = sign_structure(as_matrix(h)) if structure is None else structure
+        if not all(_hypotheses(structure)):
+            return None
+        top = Fraction(self.model.sites - 1, 2) * (1 if h.m >= 0 else -1)
+        if top not in self._tops:
+            h_top = h if h.m == top else assemble_nagaoka_sector(self.model, top)
+            top_structure = structure if h_top is h else sign_structure(as_matrix(h_top))
+            self._tops[top] = (all(_hypotheses(top_structure))
+                               and _solved_certificate(h_top, top_structure))
+        if not self._tops[top]:
+            return None
+        e_top, v0, cert = self._tops[top]      # pf_certificate raised unless v0 is positive
+        if h.m == top:
+            return cert
+        phi = _phase_normalized(v0).real
+        m, v = self._walks.get(top, (top, phi))
+        if abs(m) < abs(h.m):
+            m, v = top, phi
+        while m != h.m:
+            if top > 0:
+                v, m = sector_lowering(self.model, m)[0] @ v, m - 1
+            else:
+                v, m = sector_lowering(self.model, m + 1)[0].T @ v, m + 1
+        self._walks[top] = (m, v)
+        w = v / np.linalg.norm(v)
+        try:
+            check_residuals(as_matrix(h) @ w[:, None], np.array([e_top]), w[:, None])
+        except ConvergenceError as exc:
+            raise InconsistencyError(f"the lowered polarized ground vector is not an eigenvector "
+                                     f"of sector M = {h.m}: {exc}") from None
+        min_entry = float(np.min(w))
+        if not min_entry > STRICT_POSITIVITY_TOL:
+            raise InconsistencyError(f"the lowered polarized ground vector of sector M = {h.m} "
+                                     f"has min entry {min_entry:.3e}")
+        return PositivityCertificate(
+            offdiag_sign_ok=True, irreducible=True, ground_unique=True,
+            ground_strictly_positive=True, min_entry=min_entry, basis_tag="configuration")
 
 
 # ---------------------------------------------------------------------------

@@ -132,7 +132,7 @@ def _lanczos(op, count: int, tol: float = 0.0, seed: int = _EIG_SEED):
     return vals[order], vecs[:, order]
 
 
-def _check_residuals(hv, vals, vecs):
+def check_residuals(hv, vals, vecs):
     """Raise ConvergenceError unless ||H v - e v|| <= RESIDUAL_TOL (1 + |e|)
     for every pair, given H V: the pairs run along the last axis of ``vals``
     and ``vecs``, and a NaN residual fails."""
@@ -163,7 +163,7 @@ def eig_lowest(h, count: int):
         vals, vecs = sla.eigh(mat.toarray(), subset_by_index=[0, count - 1])
     else:
         vals, vecs = _lanczos(mat, count)
-    _check_residuals(mat @ vecs, vals, vecs)
+    check_residuals(mat @ vecs, vals, vecs)
     return vals, vecs
 
 
@@ -246,7 +246,7 @@ def _lowest_levels(mat: sp.csr_matrix, pf: bool):
             order = np.argsort(vals)
             return np.append(vals[order], outside), vecs[:, order]
         copy_vals, copy_vecs = _lanczos(op, 1, seed=seed)
-        _check_residuals(mat @ copy_vecs, copy_vals, copy_vecs)
+        check_residuals(mat @ copy_vecs, copy_vals, copy_vecs)
         vals, vecs = np.append(vals, copy_vals), np.hstack([vecs, copy_vecs])
     return eig_lowest(mat, dim)
 
@@ -312,7 +312,7 @@ def _stacked_levels(mat: sp.csr_matrix, order: np.ndarray, sizes: np.ndarray) ->
         stack = np.zeros((members.size, size, size), dtype=mat.dtype)
         np.add.at(stack, (slot[owner[row]], local[row], local[col]), coo.data[on])
         vals, vecs = np.linalg.eigh(stack)
-        _check_residuals(stack @ vecs, vals, vecs)
+        check_residuals(stack @ vecs, vals, vecs)
         groups.append((members, order[sizes[owner[order]] == size].reshape(-1, size), vals, vecs))
     return groups
 

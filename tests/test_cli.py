@@ -469,23 +469,80 @@ def test_ring64_exits_1_naming_the_site_limit(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
-def test_certify_solves_once_per_magnitude_of_m(capsys, triangle_file, monkeypatch):
+def _solved_rows(monkeypatch) -> list:
+    """The row count of every matrix that one of the three solver primitives
+    receives, every solve going through one of them: the stacked ``eigh``,
+    ``sla.eigh`` and ``_lanczos``."""
     import nagaoka.spectral as spectral
 
-    # every solve goes through one of the three solver primitives: the
-    # triangle's 3-dim sectors take the stacked eigh, one call each, and
-    # M = -1 is certified by the solve of M = 1
-    counts = []
+    rows = []
 
     def spy(real):
-        return lambda *args, **kwargs: counts.append(real) or real(*args, **kwargs)
+        return lambda a, *args, **kwargs: rows.append(a.shape[-1]) or real(a, *args, **kwargs)
 
     monkeypatch.setattr(spectral.np.linalg, "eigh", spy(np.linalg.eigh))
     monkeypatch.setattr(spectral.sla, "eigh", spy(spectral.sla.eigh))
     monkeypatch.setattr(spectral, "_lanczos", spy(spectral._lanczos))
-    code, out = run(capsys, "certify", "--model", triangle_file, "--all")
+    return rows
+
+
+@pytest.mark.parametrize("name, argv", [("triangle3", ("--all",)),
+                                        ("triangular2x4", ("--all",)),
+                                        ("triangular2x4", ("--m", "-1/2"))],
+                         ids=["triangle3-all", "triangular2x4-all", "triangular2x4-lone-negative"])
+def test_certify_solves_the_polarized_sector_alone(capsys, tmp_path, monkeypatch, name, argv):
+    # Nagaoka's theorem certifies every sector of a connected lattice from
+    # the ground vector of the polarized sector, whose dimension is the
+    # site count: one solve per command
+    path = _corpus_file(tmp_path, name)
+    rows = _solved_rows(monkeypatch)
+    code, out = run(capsys, "certify", "--model", path, *argv)
     assert code == 0
-    assert len(json.loads(out)["results"]) == 3 and len(counts) == 2
+    results = json.loads(out)["results"]
+    assert all(row["ground_unique"] and row["ground_strictly_positive"] for row in results)
+    sites = 3 if name == "triangle3" else 8
+    assert len(results) == (sites if argv[0] == "--all" else 1) and rows == [sites]
+
+
+def test_certify_chain3_takes_each_route_and_keeps_its_payload(capsys, tmp_path, monkeypatch):
+    # M = 1 by the theorem (M = -1 as its spin flip), the reducible M = 0 by
+    # the eigenvector route; every row is as the eigenvector route gave it
+    import nagaoka.positivity as positivity
+
+    routes = []
+    real_theorem, real_eigen = positivity.SectorCertifier.by_theorem, positivity.eigenvector_certificate
+    monkeypatch.setattr(positivity.SectorCertifier, "by_theorem", lambda self, h, structure=None:
+                        routes.append((h.m, "theorem")) or real_theorem(self, h, structure))
+    monkeypatch.setattr(positivity, "eigenvector_certificate", lambda h, structure=None:
+                        routes.append((h.m, "eigenvector")) or real_eigen(h, structure))
+    code, out = run(capsys, "certify", "--all", "--model", _corpus_file(tmp_path, "chain3"))
+    assert code == 0
+    assert routes == [(1, "theorem"), (0, "theorem"), (0, "eigenvector")]
+    polarized = {"basis": "configuration", "offdiag_sign_ok": True, "irreducible": True,
+                 "ground_unique": True, "ground_strictly_positive": True,
+                 "min_entry": 0.49999999999999967}
+    rows = [{"m": "-1", **polarized},
+            {"m": "0", "basis": "configuration", "offdiag_sign_ok": True, "irreducible": False,
+             "ground_unique": False, "ground_strictly_positive": False, "min_entry": -0.0},
+            {"m": "1", **polarized}]
+    assert json.dumps(json.loads(out)["results"]) == json.dumps(rows)       # -0.0 kept
+
+
+def test_certify_a_lone_negative_sector_equals_its_row_of_all(capsys, tmp_path, monkeypatch):
+    # the lone -1/2 walks up from -S_max by S+; --all reports -1/2 as the
+    # spin flip of 1/2, walked down from S_max by S-
+    import nagaoka.positivity as positivity
+
+    path = _corpus_file(tmp_path, "triangular2x4")
+    _, every = run(capsys, "certify", "--all", "--model", path)
+    tops = []
+    real = positivity.assemble_nagaoka_sector
+    monkeypatch.setattr(positivity, "assemble_nagaoka_sector",
+                        lambda model, m: tops.append(m) or real(model, m))
+    code, alone = run(capsys, "certify", "--m", "-1/2", "--model", path)
+    assert code == 0 and tops == [Fraction(-7, 2)]
+    rows = {row["m"]: row for row in json.loads(every)["results"]}
+    assert json.loads(alone)["results"] == [rows["-1/2"]]
 
 
 def test_jobs_below_one_exits_1(capsys, triangle_file):

@@ -3,14 +3,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nagaoka import hamiltonian
 from nagaoka.acceptance import holstein_model
 from nagaoka.corpus import chain3, complete4, corpus_models, pair2, triangle3
 from nagaoka.errors import InconsistencyError, ModelValidationError
+from nagaoka.model import LatticeModel, generate_lattice
 from nagaoka.hamiltonian import assemble_holstein_sector, assemble_nagaoka_sector
 from nagaoka.positivity import (
+    SectorCertifier,
     diagonal_perturbation_equivalence,
+    eigenvector_certificate,
     ergodicity_certificate,
     improves_positivity_exp,
     pf_certificate,
@@ -203,3 +208,99 @@ def test_qgrid_commensurate_positive_and_convergent():
     err32 = abs(res32.ground_energy + res32.dropped_constant - reference)
     err64 = abs(res64.ground_energy + res64.dropped_constant - reference)
     assert err64 < err32
+
+
+# ---------------------------------------------------------------------------
+# the theorem route against the eigenvector route
+# ---------------------------------------------------------------------------
+
+#: Relative bound on |min_entry| between the two routes on fixed lattices.
+ROUTE_MIN_ENTRY_TOL = 2e-14
+
+TWO_ROUTE_MODELS = {
+    **corpus_models(),
+    "ring8": LatticeModel(8, generate_lattice("ring", 8, 1.0)),
+    "complete6": LatticeModel(6, generate_lattice("complete", 6, 1.0)),
+    "complete9": LatticeModel(9, generate_lattice("complete", 9, 1.0)),
+    "triangular2x3": LatticeModel(6, generate_lattice("triangular_patch", (2, 3), 1.0)),
+    "triangular2x4": LatticeModel(8, generate_lattice("triangular_patch", (2, 4), 1.0)),
+}
+
+
+def _two_routes(model, ms):
+    """(H_M, theorem certificate or None, eigenvector certificate) for each
+    M of ``ms`` in turn, from one certifier."""
+    certifier = SectorCertifier(model)
+    for m in ms:
+        h = assemble_nagaoka_sector(model, m)
+        yield h, certifier.by_theorem(h), eigenvector_certificate(h)
+
+
+def _assert_routes_agree(theorem, eigen, tol, where):
+    assert theorem.basis_tag == eigen.basis_tag == "configuration", where
+    assert ({**vars(theorem), "min_entry": None} == {**vars(eigen), "min_entry": None}), where
+    assert abs(theorem.min_entry - eigen.min_entry) <= tol * eigen.min_entry, where
+
+
+@pytest.mark.parametrize("name", sorted(TWO_ROUTE_MODELS))
+def test_theorem_route_matches_the_eigenvector_route(name):
+    model = TWO_ROUTE_MODELS[name]
+    ms = [Fraction(0)] if name == "complete9" else sector_magnetizations(model.sites)
+    # ascending M: the walk from -S_max by S+, then restarts from S_max by S-
+    for h, theorem, eigen in _two_routes(model, ms):
+        where = (name, h.m)
+        hypotheses = eigen.offdiag_sign_ok and eigen.irreducible
+        assert (theorem is not None) == hypotheses, where
+        if theorem is not None:
+            _assert_routes_agree(theorem, eigen, ROUTE_MIN_ENTRY_TOL, where)
+
+
+@st.composite
+def generated_models(draw):
+    """A graph of 2 to 7 sites with hoppings in [0.1, 2], at times site
+    potentials and off-site Coulomb terms, and one of its sectors."""
+    sites = draw(st.integers(2, 7))
+    pairs = [(x, y) for x in range(sites) for y in range(x + 1, sites)]
+    bonds = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    t = np.zeros((sites, sites))
+    for x, y in bonds:
+        t[x, y] = t[y, x] = draw(st.floats(0.1, 2.0))
+    if draw(st.booleans()):
+        t[np.diag_indices(sites)] = draw(st.lists(st.floats(0.0, 2.0),
+                                                  min_size=sites, max_size=sites))
+    offsite = None
+    if draw(st.booleans()):
+        offsite = np.zeros((sites, sites))
+        for x, y in pairs:
+            offsite[x, y] = offsite[y, x] = draw(st.floats(0.0, 1.0))
+    m = draw(st.sampled_from(sector_magnetizations(sites)))
+    return LatticeModel(sites, t, offsite_u=offsite), m
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(generated_models())
+def test_theorem_route_on_generated_graphs(case):
+    # the eigensolve's vector errs by about its residual over the gap, so
+    # the bound widens by 1 / gap where the gap is below 1
+    model, m = case
+    (h, theorem, eigen), = _two_routes(model, [m])
+    assert (theorem is not None) == (eigen.offdiag_sign_ok and eigen.irreducible)
+    if theorem is not None:
+        report = ground_report(h)
+        assert report.resolved_s == Fraction(model.sites - 1, 2) and report.degeneracy == 1
+        _assert_routes_agree(theorem, eigen, ROUTE_MIN_ENTRY_TOL / min(1.0, report.gap), m)
+
+
+@pytest.mark.parametrize("broken, message", [
+    (lambda low: -low, "has min entry"),                        # an eigenvector, but negative
+    (lambda low: low @ sp.diags(np.arange(1.0, low.shape[1] + 1)), "is not an eigenvector"),
+], ids=["negated-map", "rescaled-map"])
+def test_a_lowered_vector_failing_a_check_is_an_inconsistency(monkeypatch, broken, message):
+    import nagaoka.positivity as positivity
+
+    real = positivity.sector_lowering
+    monkeypatch.setattr(positivity, "sector_lowering",
+                        lambda model, m: (broken(real(model, m)[0]), *real(model, m)[1:]))
+    h = assemble_nagaoka_sector(complete4(), Fraction(1, 2))
+    with pytest.raises(InconsistencyError, match=message):
+        SectorCertifier(complete4()).by_theorem(h)
