@@ -51,12 +51,7 @@ from .hamiltonian import (
 from .model import load_model
 from .positivity import SectorCertifier, qgrid_holstein_certify
 from .sector import as_half_integer, connectivity_check, enumerate_sector, sector_magnetizations
-from .spectral import (
-    ground_report,
-    resolvent_gaps,
-    spin_flipped_report,
-    verified_spin_flip,
-)
+from .spectral import ground_report, resolvent_gaps, verified_spin_flip
 
 EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL = 0, 1, 2
 
@@ -146,9 +141,10 @@ def _emit(args, text: str):
         print(text, end="" if text.endswith("\n") else "\n")
 
 
-def _spectral_row(rep) -> dict:
+def _spectral_row(m, rep) -> dict:
+    """The row of sector ``m`` from its own report or from that of -M."""
     return {
-        "m": str(rep.m),
+        "m": str(m),
         "ground_energy": rep.ground_energy,
         "degeneracy": rep.degeneracy,
         "gap": rep.gap,
@@ -377,8 +373,7 @@ def _solve_job(payload, solve) -> list[tuple]:
 
 
 def _ed_job(payload):
-    return [(m, _spectral_row(rep if m == rep.m else spin_flipped_report(rep)))
-            for m, rep in _solve_job(payload, ground_report)]
+    return [(m, _spectral_row(m, rep)) for m, rep in _solve_job(payload, ground_report)]
 
 
 def _ed_rows(args) -> list[dict]:

@@ -42,8 +42,16 @@ DEFAULT_DIM_BUDGET = 200_000
 
 
 def dim_budget() -> int:
-    """Dimension ceiling for assembled matrices (env NAGAOKA_DIM_BUDGET)."""
-    return int(float(os.environ.get("NAGAOKA_DIM_BUDGET", DEFAULT_DIM_BUDGET)))
+    """Dimension ceiling for assembled matrices (env NAGAOKA_DIM_BUDGET, a
+    finite, non-negative integral value such as 5000 or 1e6)."""
+    text = os.environ.get("NAGAOKA_DIM_BUDGET", str(DEFAULT_DIM_BUDGET))
+    try:
+        value = float(text)
+        if value >= 0 and value.is_integer():       # false for nan and inf
+            return int(value)
+    except ValueError:
+        pass
+    raise ValueError(f"NAGAOKA_DIM_BUDGET must be a finite, non-negative integer, got {text!r}")
 
 
 def _refuse_over(count: int, budget: int, what: str, amount: str, remedy: str):

@@ -21,11 +21,11 @@ annihilates the top level instead of erroring, so truncation artifacts
 surface as cutoff convergence failures rather than crashes.
 
 Spin resolution on the magnetization sectors never builds the Fock space:
-the lowering map between adjacent sectors comes from the direct rule (flip
-one up spin, coefficient +1), and the spectral layer reads total spin off
-that one map.  The Fock space is the finite-U space and the oracle of the
-sector forms; ``sector_lowering_fock`` is the fermionic S- restricted to
-the signed sector vectors.
+the ladder map between two adjacent sector bases, ``sector_ladder``, comes
+from the direct rule (flip one up spin, coefficient +1), and the spectral
+layer reads total spin off that one map.  The Fock space is the finite-U
+space and the oracle of the sector forms; ``sector_lowering_fock`` is the
+fermionic S- restricted to the signed sector vectors.
 """
 
 from __future__ import annotations
@@ -319,38 +319,33 @@ def projected_restriction(full_matrix, rows_a, signs_a, rows_b=None, signs_b=Non
     return (sp.diags(signs_a) @ sub @ sp.diags(signs_b)).tocsr()
 
 
-def _lowering_matrix(basis_hi: SectorBasis, basis_lo: SectorBasis) -> sp.csr_matrix:
-    """S- from sector M to M-1 by the direct rule: every up spin of a
-    configuration flips to down with coefficient +1.
+def sector_ladder(source: SectorBasis, target: SectorBasis) -> sp.spmatrix:
+    """The spin ladder map from sector ``source`` to the adjacent sector
+    ``target`` of the same sites, by the direct rule: S- one step down,
+    where every up spin of a configuration flips to down with coefficient
+    +1, and its transpose, S+, one step up.
 
-    The result is canonical CSR (sorted indices, no explicit zeros), so
-    products built from it have the same CSR arrays as those built from
-    ``sector_lowering_fock``.
+    S- is canonical CSR (sorted indices, no explicit zeros), so products
+    built from it have the same CSR arrays as those built from
+    ``sector_lowering_fock``; S+ is its CSC transpose.
     """
-    holes, masks = basis_hi.holes, basis_hi.masks
-    flipped, cols = np.nonzero((masks >> np.arange(basis_hi.sites)[:, None]) & 1)
-    rows = basis_lo.rank(holes[cols], masks[cols] ^ (1 << flipped))
+    if target.sites != source.sites or abs(target.m - source.m) != 1:
+        raise ValueError(f"no ladder map from M = {source.m} ({source.sites} sites) "
+                         f"to M = {target.m} ({target.sites} sites)")
+    if target.m > source.m:
+        return sector_ladder(target, source).T
+    holes, masks = source.holes, source.masks
+    flipped, cols = np.nonzero((masks >> np.arange(source.sites)[:, None]) & 1)
+    rows = target.rank(holes[cols], masks[cols] ^ (1 << flipped))
     mat = sp.csr_matrix((np.ones(rows.size), (rows, cols)),
-                        shape=(basis_lo.dimension, basis_hi.dimension))
+                        shape=(target.dimension, source.dimension))
     mat.sort_indices()
     return mat
 
 
-def sector_lowering(model: LatticeModel, m) -> tuple[sp.csr_matrix, SectorBasis, SectorBasis]:
-    """Spin-lowering map from sector M to sector M-1 in the canonical bases.
-
-    Built by the direct rule, which never leaves the sector bases; the
-    fermionic S- route is ``sector_lowering_fock``.  Returns
-    (matrix, basis_M, basis_{M-1}).
-    """
-    basis_hi = enumerate_sector(model, m)
-    basis_lo = enumerate_sector(model, basis_hi.m - 1)
-    return _lowering_matrix(basis_hi, basis_lo), basis_hi, basis_lo
-
-
 def sector_lowering_fock(model: LatticeModel, m) -> tuple[sp.csr_matrix, SectorBasis, SectorBasis]:
-    """The lowering map of ``sector_lowering`` by the second route: the
-    fermionic S- on the full fixed-N Fock basis, restricted to the signed
+    """(S-, basis_M, basis_{M-1}) by the second route of ``sector_ladder``:
+    the fermionic S- on the full fixed-N Fock basis, restricted to the signed
     sector vectors, so its sign structure reflects the sector convention
     end to end."""
     basis_hi, fock, rows_hi, signs_hi = sector_embedding(model, m)

@@ -344,9 +344,10 @@ def load_model(path) -> LatticeModel:
         if rows["radiation"]:
             positions = np.zeros((sites, 3))
             seen = set()
-            for x, vec, where in rows["radiation"]:
-                if not isinstance(vec, tuple):
+            for *row, where in rows["radiation"]:
+                if len(row) != 2:
                     raise ModelParseError(f"positions need 'site px py pz' rows ({where})")
+                x, vec = row
                 if not 0 <= x < sites:
                     raise ModelParseError(f"site {x} out of range at {where}")
                 if x in seen:

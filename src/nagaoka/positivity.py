@@ -35,8 +35,9 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import ConvergenceError, InconsistencyError
 from .hamiltonian import assemble_nagaoka_sector, assemble_qgrid_sector
-from .manybody import sector_lowering, sector_lowering_fock
+from .manybody import sector_ladder, sector_lowering_fock
 from .model import LatticeModel
+from .sector import enumerate_sector
 from .spectral import as_matrix, check_residuals, ground_cluster, sign_structure
 
 STRICT_POSITIVITY_TOL = 1e-12
@@ -52,19 +53,19 @@ class PositivityCertificate:
     basis_tag: str
 
 
-def preserves_positivity(a, tol: float = 0.0) -> bool:
-    """Entrywise nonnegativity in the distinguished basis."""
+def preserves_positivity(a) -> bool:
+    """Entrywise nonnegativity in the distinguished basis: every entry real and >= 0."""
     data = as_matrix(a).data
-    return bool(np.all(data.real >= -tol) and np.all(np.abs(data.imag) <= tol))
+    return bool(np.all(data.real >= 0.0) and np.all(data.imag == 0.0))
 
 
-def improves_positivity_exp(a, tol: float = 0.0) -> bool:
+def improves_positivity_exp(a) -> bool:
     """Whether exp(A) is entrywise strictly positive for an entrywise
     nonnegative A: every pair must be linked by some power of A, which is
     strong connectivity of the support digraph (the zeroth power covers the
     diagonal)."""
     mat = as_matrix(a)
-    if not preserves_positivity(mat, tol):
+    if not preserves_positivity(mat):
         raise ValueError("defined only for positivity-preserving matrices")
     n_comp, _ = connected_components(abs(mat), directed=True, connection="strong")
     return n_comp <= 1
@@ -138,8 +139,8 @@ def spin_lowering_positivity(model: LatticeModel, m) -> bool:
     """The sector-to-sector spin-lowering matrix, built from the fermionic
     operator, must be entrywise in {0, +1} with one entry per flippable up
     spin, i.e. column sums equal to n_up of the source sector.  This is the
-    statement that the direct rule of ``sector_lowering`` is the fermionic
-    S- in the canonical basis."""
+    statement that the direct rule of ``manybody.sector_ladder`` is the
+    fermionic S- in the canonical basis."""
     low, basis_hi, _ = sector_lowering_fock(model, m)
     dense = low.toarray()
     near_zero = np.abs(dense) <= 1e-12
@@ -176,8 +177,10 @@ class SectorCertifier:
     certifies M with no solve of H_M: the lowering maps have entries in
     {0, 1} and commute with H, so the strictly positive ground vector of H_P,
     walked to M by S- (by S+ from -S_max), is a nonnegative eigenvector of
-    H_M, hence its unique ground vector.  Only H_P is solved, and the walk is
-    kept between calls, so sectors taken in descending |M| share one walk.
+    H_M, hence its unique ground vector.  Only H_P is solved.  The walk runs
+    from the basis of H_P to ``h.basis`` and enumerates only the sectors
+    between them; it is kept between calls, so sectors taken in descending
+    |M| share one walk.
     The lowered vector must be an eigenvector of H_M at E_P within the
     residual tolerance, and strictly positive, or InconsistencyError is
     raised.  Any other sector takes ``eigenvector_certificate``, on the sign
@@ -186,8 +189,8 @@ class SectorCertifier:
 
     def __init__(self, model: LatticeModel):
         self.model = model
-        self._tops = {}      # P -> (E_P, ground vector, certificate), or False
-        self._walks = {}     # P -> (M, vector) of the last sector the walk reached
+        self._tops = {}      # P -> (basis, E_P, ground vector, certificate), or False
+        self._walks = {}     # P -> (basis, vector) of the last sector the walk reached
 
     def __call__(self, h) -> PositivityCertificate:
         structure = sign_structure(as_matrix(h))
@@ -204,22 +207,22 @@ class SectorCertifier:
             h_top = h if h.m == top else assemble_nagaoka_sector(self.model, top)
             top_structure = structure if h_top is h else sign_structure(as_matrix(h_top))
             self._tops[top] = (all(_hypotheses(top_structure))
-                               and _solved_certificate(h_top, top_structure))
+                               and (h_top.basis, *_solved_certificate(h_top, top_structure)))
         if not self._tops[top]:
             return None
-        e_top, v0, cert = self._tops[top]      # pf_certificate raised unless v0 is positive
+        basis_top, e_top, v0, cert = self._tops[top]   # pf_certificate raised unless v0 > 0
         if h.m == top:
             return cert
         phi = _phase_normalized(v0).real
-        m, v = self._walks.get(top, (top, phi))
-        if abs(m) < abs(h.m):
-            m, v = top, phi
-        while m != h.m:
-            if top > 0:
-                v, m = sector_lowering(self.model, m)[0] @ v, m - 1
-            else:
-                v, m = sector_lowering(self.model, m + 1)[0].T @ v, m + 1
-        self._walks[top] = (m, v)
+        basis, v = self._walks.get(top, (basis_top, phi))
+        if abs(basis.m) < abs(h.m):
+            basis, v = basis_top, phi
+        step = -1 if top > 0 else 1
+        while basis.m != h.m:
+            m = basis.m + step
+            target = h.basis if m == h.m else enumerate_sector(self.model, m)
+            v, basis = sector_ladder(basis, target) @ v, target
+        self._walks[top] = (basis, v)
         w = v / np.linalg.norm(v)
         try:
             check_residuals(as_matrix(h) @ w[:, None], np.array([e_top]), w[:, None])

@@ -14,8 +14,8 @@ graph whose connectivity is the combinatorial heart of the one-hole
 ferromagnetism results.  ``hole_moves`` applies the move rule to a whole
 basis at once; the scalar ``apply_move`` is the same rule for one
 configuration, and the tests hold the vectorized rule to it.  Global spin
-inversion, ``spin_flip``, maps sector M onto sector -M configuration by
-configuration; hole moves commute with it.
+inversion, ``spin_flip``, maps sector M onto a given -M basis configuration
+by configuration; hole moves commute with it.
 """
 
 from __future__ import annotations
@@ -146,15 +146,14 @@ def _sector_basis(sites: int, m) -> SectorBasis:
     return SectorBasis(sites=sites, m=frac, holes=holes, masks=masks.ravel())
 
 
-def spin_flip(basis: SectorBasis) -> tuple[SectorBasis, np.ndarray]:
-    """Global spin inversion from sector M to sector -M: the -M basis and,
+def spin_flip(basis: SectorBasis, flipped: SectorBasis) -> np.ndarray:
+    """Global spin inversion from sector M onto the -M basis ``flipped``:
     for each configuration of ``basis``, the row of its image there.  The
     hole stays put and every spin flips, so the up mask becomes its
-    complement on the occupied sites."""
-    sites = basis.sites
-    flipped = _sector_basis(sites, -basis.m)
-    masks = ~basis.masks & ((1 << sites) - 1) & ~(1 << basis.holes)
-    return flipped, flipped.rank(basis.holes, masks)
+    complement on the occupied sites; ``rank`` refuses an image outside
+    ``flipped``."""
+    masks = ~basis.masks & ((1 << basis.sites) - 1) & ~(1 << basis.holes)
+    return flipped.rank(basis.holes, masks)
 
 
 def apply_move(config: HoleSpinConfig, frm: int, to: int) -> HoleSpinConfig | None:

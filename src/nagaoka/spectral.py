@@ -55,7 +55,7 @@ then costs its U n_up n_down diagonal, one dense inverse and one exact
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -66,15 +66,9 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import AmbiguousSpinError, ConvergenceError, InconsistencyError, guard_entries
 from .hamiltonian import SectorHamiltonian, hubbard_full_matrices
-from .manybody import (
-    SparseHermitian,
-    boson_basis,
-    build_gutzwiller,
-    full_fock_basis,
-    sector_lowering,
-)
+from .manybody import SparseHermitian, boson_basis, build_gutzwiller, full_fock_basis, sector_ladder
 from .model import LatticeModel
-from .sector import spin_flip
+from .sector import enumerate_sector, spin_flip
 
 RESIDUAL_TOL = 1e-10
 CLUSTER_TOL = 1e-8
@@ -348,14 +342,11 @@ def _block_levels(mat: sp.csr_matrix) -> list:
 
 
 def _spin_ladder(h: SectorHamiltonian) -> sp.spmatrix | None:
-    """The ladder map out of the sector of ``h`` away from M = 0 by the
-    direct rule: S+ into M + 1 (the transposed lowering map from M + 1)
+    """The ladder map out of ``h.basis`` away from M = 0: S+ into M + 1
     when M >= 0, S- into M - 1 when M < 0; None at an end sector."""
     if 2 * abs(h.m) == h.model.sites - 1:
         return None
-    if h.m >= 0:
-        return sector_lowering(h.model, h.m + 1)[0].T
-    return sector_lowering(h.model, h.m)[0]
+    return sector_ladder(h.basis, enumerate_sector(h.model, h.m + (1 if h.m >= 0 else -1)))
 
 
 def _cluster_spin(v: np.ndarray, h: SectorHamiltonian):
@@ -443,19 +434,13 @@ def verified_spin_flip(h: SectorHamiltonian, h_flip: SectorHamiltonian) -> np.nd
     if h_flip.m != -h.m or h_flip.dimension != h.dimension:
         raise InconsistencyError(f"sector M = {h_flip.m} ({h_flip.dimension} states) is not "
                                  f"the spin flip of M = {h.m} ({h.dimension} states)")
-    _, rows = spin_flip(h.basis)
+    rows = spin_flip(h.basis, h_flip.basis)
     nb = 1 if h.boson is None else h.boson.dimension
     perm = (rows[:, None] * nb + np.arange(nb)).ravel()
     if not _same_csr(_permuted(as_matrix(h_flip), perm), as_matrix(h)):
         raise InconsistencyError(f"H of sector M = {h_flip.m} is not the spin flip of "
                                  f"H of M = {h.m}; the form is not spin-blind")
     return perm
-
-
-def spin_flipped_report(report: SpectralReport) -> SpectralReport:
-    """The report of sector -M read off the ``report`` of M, once ``verified_spin_flip``
-    holds: the same levels, spin and dimensions."""
-    return replace(report, m=-report.m)
 
 
 def _projector_diagonal(model: LatticeModel) -> np.ndarray:

@@ -8,7 +8,7 @@ and evaluated on the ground cluster as V*S^2V; production never forms it.
 import numpy as np
 import scipy.sparse as sp
 
-from nagaoka.manybody import SparseHermitian, _lowering_matrix
+from nagaoka.manybody import SparseHermitian, sector_ladder
 from nagaoka.sector import enumerate_sector
 from nagaoka.spectral import as_matrix, ground_cluster
 
@@ -23,10 +23,10 @@ def sector_spin_squared(model, m) -> SparseHermitian:
     max_m = (model.sites - 1) / 2
     s2 = float(m_frac) ** 2 * sp.identity(n, format="csr")
     if float(m_frac) > -max_m:
-        low = _lowering_matrix(basis, enumerate_sector(model, m_frac - 1))
+        low = sector_ladder(basis, enumerate_sector(model, m_frac - 1))
         s2 = s2 + 0.5 * (low.conjugate().T @ low)
     if float(m_frac) < max_m:
-        low_above = _lowering_matrix(enumerate_sector(model, m_frac + 1), basis)
+        low_above = sector_ladder(enumerate_sector(model, m_frac + 1), basis)
         s2 = s2 + 0.5 * (low_above @ low_above.conjugate().T)
     return SparseHermitian(s2.tocsr())
 

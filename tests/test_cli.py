@@ -376,6 +376,24 @@ def test_budget_exhaustion_exits_2(capsys, holstein_file, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["inf", "1e400", "abc", "", "nan", "-5", "2.5"])
+def test_a_malformed_dimension_budget_exits_1_naming_the_variable(capsys, triangle_file,
+                                                                  monkeypatch, value):
+    monkeypatch.setenv("NAGAOKA_DIM_BUDGET", value)
+    code, out, err = run_err(capsys, "ed", "--m", "1", "--model", triangle_file)
+    assert code == 1 and out == ""
+    assert err == (f"error: NAGAOKA_DIM_BUDGET must be a finite, non-negative integer, "
+                   f"got {value!r}\n")
+
+
+@pytest.mark.parametrize("value", ["3", "3.0", "1e6", " 200000 "])
+def test_an_integral_dimension_budget_is_accepted(capsys, triangle_file, monkeypatch, value):
+    code, default = run(capsys, "ed", "--m", "1", "--model", triangle_file)
+    monkeypatch.setenv("NAGAOKA_DIM_BUDGET", value)
+    assert run(capsys, "ed", "--m", "1", "--model", triangle_file) == (code, default)
+    assert code == 0
+
+
 def test_hubbard_budget_refused_before_enumeration(capsys, tmp_path):
     # 14 sites, 13 electrons: C(28, 13) ~ 3.7e7 Fock words, far over budget
     path = tmp_path / "chain14.ini"
@@ -1163,6 +1181,8 @@ def test_assemble_triplets_come_out_in_row_major_order(capsys, holstein_file, ra
     assert all(a < b for a, b in zip(pairs, pairs[1:]))       # rows, then columns, ascending
 
 
+_POSITIONS = "[radiation]\nL = 4.0\nkappa = 1.0\nm0 = 1.0\n"
+
 _BAD_MODELS = {
     "hopping inf": ("[lattice]\nsites = 3\n0 1 1.0\n1 2 inf\n", "hopping entry (1, 2) = inf"),
     "hopping nan": ("[lattice]\nsites = 3\n0 1 nan\n", "hopping entry (0, 1) = nan"),
@@ -1185,6 +1205,25 @@ _BAD_MODELS = {
     "phonon cutoff": ("[phonon]\nomega = 1.0\ncutoff = 2.5\n0 0 0.5\n",
                       "expected an integer at [phonon] cutoff, got '2.5'"),
     "row index": ("[lattice]\nsites = 3\n0 x 1.0\n", "expected an integer at line 3, got 'x'"),
+    "no sites": ("[lattice]\n0 1 1.0\n", "[lattice] must declare sites"),
+    "no omega": ("[phonon]\ncutoff = 2\n0 0 0.5\n", "[phonon] must declare omega"),
+    "no kappa": ("[radiation]\nL = 4.0\nm0 = 1.0\n", "[radiation] must declare kappa"),
+    "some positions": (_POSITIONS + "0 -1 0 0\n1 0 0 0\n",
+                       "positions given for some sites but not all"),
+    "duplicate position": (_POSITIONS + "0 -1 0 0\n0 0 0 0\n2 1 0 0\n",
+                           "duplicate position for site 0 at line 10"),
+    "position site": (_POSITIONS + "0 -1 0 0\n3 0 0 0\n", "site 3 out of range at line 10"),
+    "radiation triplet": (_POSITIONS + "0 1 0.5\n",
+                          "positions need 'site px py pz' rows (line 9)"),
+    "triplet index": ("[lattice]\nsites = 3\n0 3 1.0\n",
+                      "hopping index (0, 3) out of range at line 3"),
+    "not a number": ("[lattice]\nsites = 3\n0 1 one\n", "expected a number at line 3, got 'one'"),
+    "four tokens": ("[lattice]\nsites = 3\n0 1 1.0 2.0\n",
+                    "hopping rows must be 'x y value' triplets"),
+    "asymmetric offsite_u": ("[coulomb]\n0 1 1.0\n1 0 2.0\n",
+                             "offsite_u entry (1, 0) given twice with different values at line 7"),
+    "negative phonon cutoff": ("[phonon]\nomega = 1.0\ncutoff = -1\n0 0 0.5\n",
+                               "phonon violated: per_site_cutoff must be >= 0"),
 }
 
 

@@ -22,7 +22,7 @@ from nagaoka.manybody import (
     fock_lowering,
     full_fock_basis,
     sector_embedding,
-    sector_lowering,
+    sector_ladder,
     sector_lowering_fock,
 )
 from nagaoka.model import LatticeModel, generate_lattice
@@ -240,15 +240,25 @@ def test_sector_spin_squared_matches_full_space_oracle():
 def test_sector_lowering_column_counts():
     model = complete4()
     for m in sector_magnetizations(4)[1:]:
-        low, basis_hi, basis_lo = sector_lowering(model, m)
-        dense = low.toarray()
+        basis_hi, basis_lo = enumerate_sector(model, m), enumerate_sector(model, m - 1)
+        dense = sector_ladder(basis_hi, basis_lo).toarray()
         assert dense.shape == (basis_lo.dimension, basis_hi.dimension)
         assert np.allclose(dense.sum(axis=0), basis_hi.n_up)
 
 
 def test_pair_lowering_matrix_exact():
-    low, _, _ = sector_lowering(pair2(), Fraction(1, 2))
+    half = Fraction(1, 2)
+    low = sector_ladder(enumerate_sector(pair2(), half), enumerate_sector(pair2(), -half))
     assert np.array_equal(low.toarray(), np.eye(2))
+
+
+def test_sector_ladder_refuses_sectors_that_are_not_adjacent():
+    model = complete4()
+    top, low = enumerate_sector(model, Fraction(3, 2)), enumerate_sector(model, Fraction(-1, 2))
+    for source, target in [(top, low), (low, top), (top, top),
+                           (enumerate_sector(pair2(), Fraction(1, 2)), low)]:
+        with pytest.raises(ValueError, match="no ladder map"):
+            sector_ladder(source, target)
 
 
 def _fock_spin_squared(model, m):
@@ -286,13 +296,14 @@ def test_direct_spin_squared_is_array_identical_to_fock_route(name):
 
 
 def test_direct_lowering_equals_fock_lowering_on_corpus():
+    # the direct map on the Fock route's own bases; S+ is the same map transposed
     for name, model in corpus_models().items():
         for m in sector_magnetizations(model.sites)[1:]:
-            direct, hi, lo = sector_lowering(model, m)
-            fock, hi_f, lo_f = sector_lowering_fock(model, m)
-            assert (hi.configs, lo.configs) == (hi_f.configs, lo_f.configs)
+            fock, hi, lo = sector_lowering_fock(model, m)
+            direct = sector_ladder(hi, lo)
             assert direct.has_canonical_format
             assert np.array_equal(direct.toarray(), fock.toarray()), f"{name} M={m}"
+            assert np.array_equal(sector_ladder(lo, hi).toarray(), fock.T.toarray())
 
 
 def test_spin_resolution_never_builds_the_fock_space(monkeypatch):

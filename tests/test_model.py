@@ -214,8 +214,13 @@ _INF_AT_02 = np.array([[0.0, 1.0, np.inf], [1.0, 0.0, 1.0], [np.inf, 1.0, 0.0]])
     (dict(site_positions=np.array([[-1.0, 0, 0], [0, np.nan, 0], [1, 0, 0]])), "radiation",
      "site_positions must be finite"),
     (dict(photon_cutoff=-1), "radiation", "photon_cutoff must be >= 0"),
+    # a model file mirrors its triplets and gives one position row per site
+    (dict(offsite_u=np.triu(np.ones((3, 3)), 1)), "A.1", "offsite_u asymmetric at (0, 1)"),
+    (dict(site_positions=np.zeros((2, 3))), "radiation",
+     "site_positions must be (3, 3), got (2, 3)"),
 ], ids=["hopping-inf", "hopping-nan", "offsite-inf", "coupling-nan", "omega-inf", "L-inf",
-        "kappa-inf", "m0-nan", "position-nan", "photon-cutoff"])
+        "kappa-inf", "m0-nan", "position-nan", "photon-cutoff", "offsite-asymmetric",
+        "positions-shape"])
 def test_non_finite_model_values_name_their_condition(changes, condition, message):
     assert _with().sites == 3                 # the base model is valid
     with pytest.raises(ModelValidationError, match=re.escape(message)) as err:

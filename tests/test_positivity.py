@@ -146,6 +146,7 @@ def test_spin_lowering_positivity_corpus():
 
 def test_spin_lowering_positivity_goes_through_the_fermionic_operator(monkeypatch):
     import nagaoka.manybody as manybody
+    import nagaoka.positivity as positivity
 
     built = []
     real_build = manybody.fock_lowering
@@ -158,7 +159,8 @@ def test_spin_lowering_positivity_goes_through_the_fermionic_operator(monkeypatc
         raise AssertionError("criterion 9 must not use the direct lowering rule")
 
     monkeypatch.setattr(manybody, "fock_lowering", recording_build)
-    monkeypatch.setattr(manybody, "_lowering_matrix", forbidden)
+    monkeypatch.setattr(manybody, "sector_ladder", forbidden)
+    monkeypatch.setattr(positivity, "sector_ladder", forbidden)
     assert spin_lowering_positivity(complete4(), Fraction(1, 2))
     assert built == [56]                         # C(8, 3) Fock words of 3 electrons
 
@@ -255,6 +257,24 @@ def test_theorem_route_matches_the_eigenvector_route(name):
             _assert_routes_agree(theorem, eigen, ROUTE_MIN_ENTRY_TOL, where)
 
 
+def test_the_walk_enumerates_only_the_sectors_between_the_top_and_h(monkeypatch):
+    import nagaoka.positivity as positivity
+
+    enumerated = []
+    real = positivity.enumerate_sector
+    monkeypatch.setattr(positivity, "enumerate_sector",
+                        lambda model, m: enumerated.append(m) or real(model, m))
+    model = TWO_ROUTE_MODELS["complete6"]
+    certifier = SectorCertifier(model)
+    for m in [Fraction(1, 2), Fraction(3, 2), Fraction(-1, 2)]:
+        h = assemble_nagaoka_sector(model, m)
+        assert certifier.by_theorem(h) is not None
+        top = Fraction(5, 2) if m > 0 else Fraction(-5, 2)
+        assert certifier._walks[top][0] is h.basis          # the walk lands on h.basis
+    # 1/2 passes through 3/2; 3/2 restarts from the top's basis; -1/2 passes through -3/2
+    assert enumerated == [Fraction(3, 2), Fraction(-3, 2)]
+
+
 @st.composite
 def generated_models(draw):
     """A graph of 2 to 7 sites with hoppings in [0.1, 2], at times site
@@ -298,9 +318,9 @@ def test_theorem_route_on_generated_graphs(case):
 def test_a_lowered_vector_failing_a_check_is_an_inconsistency(monkeypatch, broken, message):
     import nagaoka.positivity as positivity
 
-    real = positivity.sector_lowering
-    monkeypatch.setattr(positivity, "sector_lowering",
-                        lambda model, m: (broken(real(model, m)[0]), *real(model, m)[1:]))
+    real = positivity.sector_ladder
+    monkeypatch.setattr(positivity, "sector_ladder",
+                        lambda source, target: broken(real(source, target)))
     h = assemble_nagaoka_sector(complete4(), Fraction(1, 2))
     with pytest.raises(InconsistencyError, match=message):
         SectorCertifier(complete4()).by_theorem(h)

@@ -210,21 +210,18 @@ def test_spin_flip_is_an_involution_that_keeps_holes():
     for name, model in oracle_models().items():
         full = (1 << model.sites) - 1
         for m in sector_magnetizations(model.sites):
-            basis = enumerate_sector(model, m)
-            flipped, rows = spin_flip(basis)
-            target = enumerate_sector(model, -m)
-            assert flipped.m == -basis.m and flipped.sites == basis.sites, (name, m)
-            assert np.array_equal(flipped.holes, target.holes)
-            assert np.array_equal(flipped.masks, target.masks)
-            assert np.array_equal(np.sort(rows), np.arange(basis.dimension))
+            basis, flipped = enumerate_sector(model, m), enumerate_sector(model, -m)
+            rows = spin_flip(basis, flipped)
+            assert np.array_equal(np.sort(rows), np.arange(basis.dimension)), (name, m)
             assert np.array_equal(flipped.holes[rows], basis.holes)
             images = flipped.masks[rows]
             assert np.all(images & basis.masks == 0)
             assert np.all(images | basis.masks | (1 << basis.holes) == full)
             assert np.all(np.bitwise_count(images) == model.sites - 1 - basis.n_up)
-            back, rows_back = spin_flip(flipped)
-            assert back.m == basis.m
-            assert np.array_equal(rows_back[rows], np.arange(basis.dimension))
+            assert np.array_equal(spin_flip(flipped, basis)[rows], np.arange(basis.dimension))
+            if m != 0:                  # the images lie in -M, not in M
+                with pytest.raises(ValueError, match="outside the sector"):
+                    spin_flip(basis, basis)
 
 
 def test_identity_connector():

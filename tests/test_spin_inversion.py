@@ -4,7 +4,6 @@ The permutation here is the scalar oracle: each configuration flipped on
 its own and looked up in a dict over the -M basis.  Production checks H
 only; the S^2 identity is checked here on the oracle's sector S^2."""
 
-from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 
@@ -30,7 +29,6 @@ from nagaoka.spectral import (
     RESIDUAL_TOL,
     ground_cluster,
     ground_report,
-    spin_flipped_report,
     verified_spin_flip,
 )
 from spin_oracle import sector_spin_squared
@@ -160,15 +158,24 @@ def test_flipped_ground_vector_solves_the_flipped_sector(case):
     for m in positive_sectors(model.sites):
         h, h_flip = build(model, m), build(model, -m)
         perm = verified_spin_flip(h, h_flip)
-        rep = ground_report(h)
-        flipped = spin_flipped_report(rep)
-        assert flipped == replace(rep, m=-rep.m)
+        e = ground_report(h).ground_energy
         v0 = ground_cluster(h.op.matrix)[4]
-        v, e = np.empty_like(v0), flipped.ground_energy
+        v = np.empty_like(v0)
         v[perm] = v0                                 # M's ground vector carried by the inversion
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
         residual = np.linalg.norm(h_flip.op.matrix @ v - e * v)
         assert residual <= RESIDUAL_TOL * (1.0 + abs(e))
+
+
+def test_verified_spin_flip_enumerates_no_sector(monkeypatch):
+    model = complete4()
+    h, h_flip = (assemble_nagaoka_sector(model, m) for m in (Fraction(3, 2), Fraction(-3, 2)))
+
+    def forbidden(*args):
+        raise AssertionError("the -M basis is the one h_flip holds")
+
+    monkeypatch.setattr("nagaoka.sector._sector_basis", forbidden)
+    assert np.array_equal(verified_spin_flip(h, h_flip), flip_rows(h.basis, h_flip.basis))
 
 
 def test_verified_spin_flip_rejects_a_spin_dependent_form():

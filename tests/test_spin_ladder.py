@@ -105,10 +105,16 @@ def test_each_sector_maps_away_from_zero_and_end_sectors_need_no_map(monkeypatch
     shapes = _recorded_ladders(monkeypatch)
     model = complete4()
     dims = {m: enumerate_sector(model, m).dimension for m in sector_magnetizations(4)}
-    reports = [ground_report(assemble_nagaoka_sector(model, m)) for m in sector_magnetizations(4)]
+    sectors = [assemble_nagaoka_sector(model, m) for m in sector_magnetizations(4)]
+    enumerated = []
+    real = spectral.enumerate_sector
+    monkeypatch.setattr(spectral, "enumerate_sector",
+                        lambda model, m: enumerated.append(m) or real(model, m))
+    reports = [ground_report(h) for h in sectors]
     half, top = Fraction(1, 2), Fraction(3, 2)
     # S- from -1/2 into -3/2, S+ from 1/2 into 3/2: both into a smaller sector
     assert shapes == [None, (dims[-top], dims[-half]), (dims[top], dims[half]), None]
+    assert enumerated == [-top, top]         # the target only; the source is h.basis
     assert [rep.resolved_s for rep in reports] == [top] * 4
     assert reports[0].stot2_expectation == reports[-1].stot2_expectation == 3.75
 
