@@ -30,6 +30,7 @@ import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -41,13 +42,7 @@ from .errors import (
     InconsistencyError,
     ModelValidationError,
 )
-from .hamiltonian import (
-    assemble_holstein_sector,
-    assemble_hubbard_full,
-    assemble_lang_firsov_sector,
-    assemble_nagaoka_sector,
-    assemble_radiation_sector,
-)
+from .hamiltonian import SECTOR_FORMS, assemble_hubbard_full, assemble_sector
 from .model import load_model
 from .positivity import SectorCertifier, qgrid_holstein_certify
 from .sector import as_half_integer, connectivity_check, enumerate_sector, sector_magnetizations
@@ -260,18 +255,8 @@ def _refuse_ignored_options(args, form: str):
             raise ModelValidationError("cli", f"--{option} does not apply to the {form} form")
 
 
-#: The sector forms by ``--form`` name, each called as (model, m, cutoff).
-#: The assemblers are looked up when called, so a wrapped one is the one used.
-_SECTOR_FORMS = {
-    "nagaoka": lambda model, m, cutoff: assemble_nagaoka_sector(model, m),
-    "holstein": lambda model, m, cutoff: assemble_holstein_sector(model, m, cutoff),
-    "langfirsov": lambda model, m, cutoff: assemble_lang_firsov_sector(model, m, cutoff),
-    "radiation": lambda model, m, cutoff: assemble_radiation_sector(model, m, cutoff),
-}
-
-
 def _assemble(model, form: str, m, cutoff):
-    return _SECTOR_FORMS[form](model, m, cutoff)
+    return assemble_sector(model, form, m, cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -372,17 +357,26 @@ def _solve_job(payload, solve) -> list[tuple]:
     return [(h.m, result), (-h.m, result)]
 
 
-def _ed_job(payload):
-    return [(m, _spectral_row(m, rep)) for m, rep in _solve_job(payload, ground_report)]
+def _ed_job(certifier, payload):
+    """The rows of one job, each sector solved by ``ground_report`` unless
+    Nagaoka's theorem saves the solve (``SectorCertifier.report``)."""
+    def solve(h):
+        return certifier.report(h) or ground_report(h)
+
+    return [(m, _spectral_row(m, rep)) for m, rep in _solve_job(payload, solve)]
 
 
 def _ed_rows(args) -> list[dict]:
-    """Spectral rows of the requested sectors, ascending in M."""
+    """Spectral rows of the requested sectors, ascending in M.  The jobs
+    share one ``SectorCertifier``, so in one process the polarized sector is
+    assembled and solved once; a worker process starts from an empty copy,
+    and solves it in the same way."""
     model = load_model(args.model)
     form = args.form or _pick_form(model)
     _refuse_ignored_options(args, form)
     jobs = _sector_jobs(model, form, _sectors(model, args), args.cutoff)
-    rows = sorted((kv for batch in _map_jobs(_ed_job, jobs, args.jobs) for kv in batch),
+    solve = partial(_ed_job, SectorCertifier(model, form, args.cutoff))
+    rows = sorted((kv for batch in _map_jobs(solve, jobs, args.jobs) for kv in batch),
                   key=lambda kv: kv[0])
     return [row for _, row in rows]
 
@@ -436,14 +430,21 @@ def _certificate_row(m, cert, **extra) -> dict:
 
 def _cmd_certify(args) -> int:
     """Certificates per sector, ascending in M.  Without ``--qgrid`` the
-    sectors go through ``_sector_jobs`` as in ``ed``, in descending |M|, and
-    one ``SectorCertifier`` certifies each solved sector, by Nagaoka's
-    theorem where its hypotheses hold: -M is certified by M's certificate
-    once ``verified_spin_flip`` holds, as H(-M) is H(M) permuted and its
-    ground vector M's permuted."""
+    sectors of ``--form`` (by default by model content, as in ``ed``) go
+    through ``_sector_jobs`` as in ``ed``, in descending |M|, and one
+    ``SectorCertifier`` certifies each solved sector, by Nagaoka's theorem
+    in the form's gauge where its hypotheses hold: -M is certified by M's
+    certificate once ``verified_spin_flip`` holds, as H(-M) is H(M)
+    permuted and its ground vector M's permuted.  ``--qgrid`` certifies
+    the polaron frame on its own grid, so it takes no ``--form`` or
+    ``--cutoff``."""
     if (args.qgrid is None) != (args.spacing is None):
         raise ModelValidationError(
             "cli", "--spacing needs --qgrid" if args.qgrid is None else "--qgrid needs --spacing")
+    if args.qgrid is not None:
+        for option in ("form", "cutoff"):
+            if getattr(args, option) is not None:
+                raise ModelValidationError("cli", f"--{option} does not apply to --qgrid")
     model = load_model(args.model)
     ms = _sectors(model, args)
     if args.qgrid is not None:
@@ -454,13 +455,10 @@ def _cmd_certify(args) -> int:
                                          dropped_constant=res.dropped_constant,
                                          points=res.points, spacing=res.spacing))
     else:
-        for block in ("radiation", "phonon"):
-            if getattr(model, block) is not None:
-                raise ModelValidationError(
-                    "cli", f"certify without --qgrid/--spacing certifies the bare electron "
-                           f"sector and would ignore the model's [{block}] block")
-        certify = SectorCertifier(model)
-        certs = [kv for job in _sector_jobs(model, "nagaoka", ms, None)
+        form = args.form or _pick_form(model)
+        _refuse_ignored_options(args, form)
+        certify = SectorCertifier(model, form, args.cutoff)
+        certs = [kv for job in _sector_jobs(model, form, ms, args.cutoff)
                  for kv in _solve_job(job, certify)]
         rows = [_certificate_row(m, cert) for m, cert in sorted(certs, key=lambda kv: kv[0])]
     _emit(args, json.dumps(_report(args, rows), indent=2))
@@ -507,7 +505,7 @@ def _common(p, model=True, sector=True, cutoff=False, form=False, jobs=False):
         p.add_argument("--cutoff", type=_int_at_least(0), default=None,
                        help="per-mode boson cutoff override")
     if form:
-        p.add_argument("--form", choices=list(_SECTOR_FORMS), default=None,
+        p.add_argument("--form", choices=list(SECTOR_FORMS), default=None,
                        help="Hamiltonian form (default: by model content)")
     p.add_argument("--out", default=None, help="write the payload to a file")
     if jobs:
@@ -527,7 +525,7 @@ def _add_options(p: _Parser, command: str) -> None:
     elif command == "assemble":
         _common(p, sector=False, cutoff=True)
         p.add_argument("--m", default=None, help="sector (default: fully polarized)")
-        p.add_argument("--form", required=True, choices=["hubbard", *_SECTOR_FORMS])
+        p.add_argument("--form", required=True, choices=["hubbard", *SECTOR_FORMS])
         p.add_argument("--u", type=float, default=None, help="finite U for --form hubbard")
         p.set_defaults(func=_cmd_assemble)
     elif command == "ed":
@@ -544,7 +542,7 @@ def _add_options(p: _Parser, command: str) -> None:
                        help="auto or RE,IM (finite, IM nonzero)")
         p.set_defaults(func=_cmd_largeu)
     elif command == "certify":
-        _common(p)
+        _common(p, cutoff=True, form=True)
         p.add_argument("--qgrid", type=_int_at_least(1), default=None,
                        help="grid points per mode (>= 1)")
         p.add_argument("--spacing", type=_positive_float, default=None,

@@ -34,6 +34,11 @@ frame is real and a radiation form is complex only where a coupled mode
 has a coefficient with a real part.  No position receives more than two
 entries (boson diagonals are summed before they meet the electron
 diagonal), so the CSR arrays do not depend on the order of the terms.
+
+Each sector form states the +-1 gauge its off-diagonal signs call for
+(``SectorHamiltonian.gauge``): (-1)^{n_y} on every positively coupled mode
+y for the Holstein form (``boson_parity_gauge``), the identity for the
+others.  ``SECTOR_FORMS`` names the four sector forms.
 """
 
 from __future__ import annotations
@@ -70,7 +75,11 @@ from .sector import SectorBasis, enumerate_sector, hole_moves
 
 @dataclass(frozen=True, eq=False)
 class SectorHamiltonian:
-    """A Hamiltonian on one magnetization sector, with provenance tag."""
+    """A Hamiltonian on one magnetization sector, with provenance tag.
+
+    ``gauge`` is the +-1 gauge its off-diagonal signs call for, s_i on
+    state i, under which every off-diagonal s_i s_j H_ij is to be <= 0;
+    None is the identity.  The form states it; ``positivity`` tests it."""
 
     model: LatticeModel
     m: Fraction
@@ -80,6 +89,7 @@ class SectorHamiltonian:
     boson: BosonBasis | None = None
     dropped_constant: float = 0.0
     cutoff: int | None = None
+    gauge: np.ndarray | None = None
 
     @property
     def dimension(self) -> int:
@@ -181,17 +191,19 @@ def _dressed_hops(model: LatticeModel, basis: SectorBasis, phase) -> list:
 
 
 def _dressed_sector(model: LatticeModel, m, modes: int, cutoff: int, provenance: str, terms,
-                    **fields) -> SectorHamiltonian:
+                    gauge=None, **fields) -> SectorHamiltonian:
     """Sector M (x) ``modes`` boson modes truncated at ``cutoff``, summed
     from the Kronecker terms ``terms(basis, bosons)`` once U and the budgets
-    hold; ``fields`` complete the record."""
+    hold, with the gauge ``gauge(basis, bosons)`` when given; ``fields``
+    complete the record."""
     _require_infinite_u(model, "sector assembly")
     basis = enumerate_sector(model, m)
     bosons = boson_basis(modes, cutoff)
     guard_dimension(basis.dimension * bosons.dimension, f"{provenance} sector assembly")
     total = _kron_sum(terms(basis, bosons), (basis.dimension, bosons.dimension))
     return SectorHamiltonian(model=model, m=basis.m, basis=basis, op=SparseHermitian(total),
-                             provenance=provenance, boson=bosons, cutoff=cutoff, **fields)
+                             provenance=provenance, boson=bosons, cutoff=cutoff,
+                             gauge=None if gauge is None else gauge(basis, bosons), **fields)
 
 
 def assemble_nagaoka_sector(model: LatticeModel, m) -> SectorHamiltonian:
@@ -339,13 +351,35 @@ def lang_firsov_constant(model: LatticeModel) -> float:
     return -float(np.mean(gsq_diag)) * model.n_electrons / model.phonon.frequency
 
 
+def boson_parity_gauge(phonon, basis: SectorBasis, bosons: BosonBasis) -> np.ndarray | None:
+    """The +-1 gauge of the Holstein form on sector ``basis`` (x) ``bosons``:
+    (-1)^{n_y} on every mode y with a positive coupling g_xy, as int8 in the
+    order of ``_kron_sum``; None (the identity) when no state changes sign.
+
+    g_xy n_x (b*_y + b_y) links n_y to n_y +- 1, so it flips the sign of
+    those entries, and hopping, diagonal in the bosons, keeps its own.  The
+    gauge acts on the boson index alone, so it commutes with the spin
+    ladder maps (x) I that ``positivity`` lowers by."""
+    flipped = [y for y in range(bosons.modes) if np.any(phonon.coupling[:, y] > 0)]
+    if not flipped or bosons.cutoff == 0:
+        return None
+    parity = 1 - 2 * (np.arange(bosons.cutoff + 1, dtype=np.int8) % 2)
+    signs = np.ones((), dtype=np.int8)
+    for y in flipped:
+        signs = signs * parity.reshape((-1,) + (1,) * (bosons.modes - y - 1))
+    signs = np.broadcast_to(signs, (bosons.cutoff + 1,) * bosons.modes).ravel()
+    return np.tile(signs, basis.dimension)
+
+
 def assemble_holstein_sector(model: LatticeModel, m, cutoff: int | None = None) -> SectorHamiltonian:
-    """Infinite-U electron block tensored with truncated local phonons."""
+    """Infinite-U electron block tensored with truncated local phonons, in
+    the gauge of ``boson_parity_gauge``."""
     ph = _required(model.phonon, "Holstein assembly", "phonon")
     cut = ph.per_site_cutoff if cutoff is None else int(cutoff)
     return _dressed_sector(model, m, model.sites, cut, "holstein_direct", lambda basis, bosons:
                            _holstein_terms(_sector_electron(model, basis),
-                                           _config_occupations(basis), ph, bosons))
+                                           _config_occupations(basis), ph, bosons),
+                           gauge=lambda basis, bosons: boson_parity_gauge(ph, basis, bosons))
 
 
 def unitary_exp(hermitian: np.ndarray) -> np.ndarray:
@@ -604,3 +638,20 @@ def assemble_radiation_sector(model: LatticeModel, m, cutoff: int | None = None,
         return hops + [(_diagonal(_sector_diagonal(model, basis)), None), (None, field)]
 
     return _dressed_sector(model, m, len(modes), cut, "radiation", terms)
+
+
+#: The sector forms by name, each called as (model, m, cutoff); the Nagaoka
+#: form has no bosons and no cutoff.  The assemblers are looked up when
+#: called, so a wrapped one is the one used.
+SECTOR_FORMS = {
+    "nagaoka": lambda model, m, cutoff: assemble_nagaoka_sector(model, m),
+    "holstein": lambda model, m, cutoff: assemble_holstein_sector(model, m, cutoff),
+    "langfirsov": lambda model, m, cutoff: assemble_lang_firsov_sector(model, m, cutoff),
+    "radiation": lambda model, m, cutoff: assemble_radiation_sector(model, m, cutoff),
+}
+
+
+def assemble_sector(model: LatticeModel, form: str, m,
+                    cutoff: int | None = None) -> SectorHamiltonian:
+    """Sector M of the form named ``form`` (a key of ``SECTOR_FORMS``)."""
+    return SECTOR_FORMS[form](model, m, cutoff)

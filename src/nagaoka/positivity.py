@@ -15,30 +15,50 @@ The certificates below check those statements numerically and treat any
 violation of the last implication as a hard inconsistency, since it can
 only come from a solver failure.
 
+A sector form states the +-1 gauge s its off-diagonal signs call for
+(``SectorHamiltonian.gauge``; (-1)^{n_y} on the positively coupled modes of
+the Holstein form), and the cone is then the one over the gauged basis
+vectors s_i e_i: the sign test reads s_i s_j H_ij, in the same pass as the
+blocks, so a wrong gauge fails it and never certifies.  The tests hold a
+gauge search (a BFS two-colouring of the signed graph, Harary, Michigan
+Math. J. 2, 143 (1953)) as the oracle of the stated gauges.
+
 Nagaoka's theorem (Phys. Rev. 147, 392 (1966); Tasaki, Prog. Theor. Phys.
-99, 489 (1998)) is the same statement carried across sectors: S- has
-entries in {0, 1} and commutes with H, so where a sector and the polarized
-sector both satisfy the hypotheses, the lowered polarized ground vector is
-the sector's unique ground vector.  ``SectorCertifier`` certifies such a
-sector from the polarized sector's solve alone, and any other one from its
-own ground vector, the route that stays the theorem route's oracle.
+99, 489 (1998)) is the same statement carried across sectors: S- (x) I has
+entries in {0, 1} and commutes with H and with a gauge on the bosons, so
+where a sector and the polarized sector both satisfy the hypotheses, the
+lowered polarized ground vector is the sector's unique ground vector.
+``SectorCertifier`` certifies such a sector from the polarized sector's
+solve alone, and any other one from its own ground vector, the route that
+stays the theorem route's oracle; it also hands ``ed`` the lowered ground
+pair in place of a solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import ConvergenceError, InconsistencyError
-from .hamiltonian import assemble_nagaoka_sector, assemble_qgrid_sector
+from .hamiltonian import SectorHamiltonian, assemble_qgrid_sector, assemble_sector
 from .manybody import sector_ladder, sector_lowering_fock
 from .model import LatticeModel
 from .sector import enumerate_sector
-from .spectral import as_matrix, check_residuals, ground_cluster, sign_structure
+from .spectral import (
+    SpectralReport,
+    as_matrix,
+    check_residuals,
+    cluster_report,
+    ground_cluster,
+    lowered_report,
+    sign_structure,
+    uses_lanczos,
+)
 
 STRICT_POSITIVITY_TOL = 1e-12
 
@@ -78,6 +98,31 @@ def ergodicity_certificate(h) -> bool:
     return sign_structure(as_matrix(h))[1].size <= 1
 
 
+def _gauge(h) -> np.ndarray | None:
+    """The gauge a sector form states for ``h``; None (the identity) for a
+    bare matrix."""
+    return h.gauge if isinstance(h, SectorHamiltonian) else None
+
+
+def _in_gauge(h, v: np.ndarray) -> np.ndarray:
+    """The vector ``v`` of ``h``'s space in the gauge of ``h``, s_i v_i."""
+    gauge = _gauge(h)
+    return v if gauge is None else gauge * v
+
+
+def _structure(h):
+    """``sign_structure`` of H read in its gauge."""
+    return sign_structure(as_matrix(h), _gauge(h))
+
+
+def _basis_tag(h) -> str:
+    """The cone basis of ``h``: configurations, times boson occupations
+    when the form has bosons, in the gauge when it states one."""
+    if not isinstance(h, SectorHamiltonian) or h.boson is None:
+        return "configuration"
+    return "configuration x boson" + (" (gauged)" if h.gauge is not None else "")
+
+
 def _hypotheses(structure) -> tuple[bool, bool]:
     """The sign test and the irreducibility of a ``sign_structure`` result:
     every off-diagonal entry of -H >= 0 up to the positivity threshold, and
@@ -95,21 +140,21 @@ def _phase_normalized(v: np.ndarray) -> np.ndarray:
 
 
 def pf_certificate(h, ground_vector: np.ndarray, degeneracy: int,
-                   basis_tag: str = "configuration", structure=None) -> PositivityCertificate:
+                   basis_tag: str | None = None, structure=None) -> PositivityCertificate:
     """Certificate tying the sign structure of -H to ground-state uniqueness
-    and strict positivity.
+    and strict positivity, both read in the gauge ``h`` states.
 
     The ground vector's global phase is normalized so its largest-magnitude
     entry is positive; strict positivity then means every entry exceeds the
     threshold.  If the sign structure and irreducibility hold but uniqueness
     or positivity fail, the certificate raises instead of reporting, because
     the implication is a theorem at finite dimension.  ``structure`` is
-    ``sign_structure`` of H when the caller has it already.
+    ``sign_structure`` of H in its gauge when the caller has it already;
+    ``basis_tag`` defaults to the cone basis of ``h``.
     """
     tol = STRICT_POSITIVITY_TOL
-    sign_ok, irreducible = _hypotheses(
-        sign_structure(as_matrix(h)) if structure is None else structure)
-    v = _phase_normalized(ground_vector)
+    sign_ok, irreducible = _hypotheses(_structure(h) if structure is None else structure)
+    v = _phase_normalized(_in_gauge(h, ground_vector))
     real_ok = not np.iscomplexobj(v) or float(np.max(np.abs(v.imag))) <= tol
     min_entry = float(np.min(v.real))
     unique = degeneracy == 1
@@ -122,7 +167,7 @@ def pf_certificate(h, ground_vector: np.ndarray, degeneracy: int,
     return PositivityCertificate(
         offdiag_sign_ok=sign_ok, irreducible=irreducible, ground_unique=unique,
         ground_strictly_positive=strictly_positive, min_entry=min_entry,
-        basis_tag=basis_tag)
+        basis_tag=_basis_tag(h) if basis_tag is None else basis_tag)
 
 
 def diagonal_perturbation_equivalence(h, diagonal) -> bool:
@@ -152,90 +197,181 @@ def spin_lowering_positivity(model: LatticeModel, m) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# configuration-basis certificates by Nagaoka's theorem
+# certificates and ground pairs by Nagaoka's theorem
 # ---------------------------------------------------------------------------
-
-def _solved_certificate(h, structure) -> tuple:
-    """E0, the ground vector and ``pf_certificate`` of H, from
-    ``ground_cluster``."""
-    _, e0, degeneracy, _, v0 = ground_cluster(as_matrix(h))
-    return float(e0), v0, pf_certificate(h, v0, degeneracy, structure=structure)
-
 
 def eigenvector_certificate(h, structure=None) -> PositivityCertificate:
     """``pf_certificate`` of H on the ground vector and degeneracy of
     ``ground_cluster``."""
-    return _solved_certificate(h, structure)[2]
+    _, _, degeneracy, _, v0 = ground_cluster(as_matrix(h))
+    return pf_certificate(h, v0, degeneracy, structure=structure)
+
+
+class _Polarized:
+    """The polarized sector H_P of a ``SectorCertifier``: each fact about it
+    is read at most once, when first asked for."""
+
+    def __init__(self, h, structure=None):
+        self.h = h
+        if structure is not None:
+            self.structure = structure
+
+    @cached_property
+    def structure(self):
+        return _structure(self.h)
+
+    @cached_property
+    def solved(self) -> tuple:
+        """``ground_cluster`` of H_P: its one solve."""
+        return ground_cluster(as_matrix(self.h))
+
+    @cached_property
+    def holds(self) -> bool:
+        """Whether H_P passes the sign test in its gauge and is one block."""
+        return all(_hypotheses(self.structure))
+
+    @cached_property
+    def certificate(self) -> PositivityCertificate:
+        _, _, degeneracy, _, v0 = self.solved
+        return pf_certificate(self.h, v0, degeneracy, structure=self.structure)
+
+    @cached_property
+    def report(self) -> SpectralReport:
+        return cluster_report(self.h, *self.solved[:4])
+
+    @cached_property
+    def start(self) -> tuple:
+        """E_P and the ground vector of H_P, phased positive in the gauge;
+        InconsistencyError unless the ground level is simple, as the
+        theorem makes it."""
+        _, e0, degeneracy, _, v0 = self.solved
+        if degeneracy != 1:
+            raise InconsistencyError(f"the polarized sector M = {self.h.m} passes the sign test "
+                                     f"and is one block, but its ground level has degeneracy "
+                                     f"{degeneracy}")
+        return float(e0), _in_gauge(self.h, _phase_normalized(_in_gauge(self.h, v0)).real)
 
 
 class SectorCertifier:
-    """Certificates of the infinite-U sectors of one model in the
-    configuration basis, each H_M as ``assemble_nagaoka_sector`` builds it.
+    """Nagaoka's theorem on the infinite-U sectors of one model, each H_M
+    in the form ``form`` of ``hamiltonian.SECTOR_FORMS`` at ``cutoff``,
+    read in the gauge the form states.
 
     Where H_M and the polarized H_P (P = S_max for M >= 0, -S_max for
-    M < 0) both pass the sign test and are one block each, Nagaoka's theorem
-    certifies M with no solve of H_M: the lowering maps have entries in
-    {0, 1} and commute with H, so the strictly positive ground vector of H_P,
-    walked to M by S- (by S+ from -S_max), is a nonnegative eigenvector of
-    H_M, hence its unique ground vector.  Only H_P is solved.  The walk runs
-    from the basis of H_P to ``h.basis`` and enumerates only the sectors
-    between them; it is kept between calls, so sectors taken in descending
-    |M| share one walk.
-    The lowered vector must be an eigenvector of H_M at E_P within the
-    residual tolerance, and strictly positive, or InconsistencyError is
-    raised.  Any other sector takes ``eigenvector_certificate``, on the sign
-    structure read for the choice.
+    M < 0) both pass the sign test and are one block each, the theorem
+    gives the ground vector of H_M with no solve of H_M: the ladder maps
+    (x) I have entries in {0, 1} and commute with H and with the gauge, so
+    the ground vector of H_P, positive in the gauge and walked to M by S-
+    (by S+ from -S_max), is an eigenvector of H_M that is nonnegative in the
+    gauge, hence its unique ground vector.  H_P is assembled at most once
+    (the first sector given that is P is taken as H_P) and solved once.
+    The walk runs from the basis of H_P to ``h.basis`` and enumerates only
+    the sectors between them; it is kept between calls, so sectors taken in
+    descending |M| share one walk.  The lowered unit vector must be an
+    eigenvector of H_M at E_P within the residual tolerance, or
+    InconsistencyError is raised.
+
+    Calling the certifier certifies a sector: by the theorem, where the
+    lowered vector must also be strictly positive in the gauge, and
+    otherwise by ``eigenvector_certificate`` on the sign structure read for
+    the choice.  ``report`` gives ``ed``'s report where the theorem saves a
+    solve.
     """
 
-    def __init__(self, model: LatticeModel):
-        self.model = model
-        self._tops = {}      # P -> (basis, E_P, ground vector, certificate), or False
-        self._walks = {}     # P -> (basis, vector) of the last sector the walk reached
+    def __init__(self, model: LatticeModel, form: str = "nagaoka", cutoff: int | None = None):
+        self.model, self.form, self.cutoff = model, form, cutoff
+        self._tops = {}      # P -> _Polarized
+        self._walks = {}     # P -> (basis, vector, previous basis) of the walk's last sector
 
     def __call__(self, h) -> PositivityCertificate:
-        structure = sign_structure(as_matrix(h))
+        structure = _structure(h)
         return self.by_theorem(h, structure) or eigenvector_certificate(h, structure)
 
-    def by_theorem(self, h, structure=None) -> PositivityCertificate | None:
-        """The certificate of sector ``h`` by the theorem; None where a
-        hypothesis fails."""
-        structure = sign_structure(as_matrix(h)) if structure is None else structure
-        if not all(_hypotheses(structure)):
-            return None
+    def _polarized(self, h, structure=None) -> _Polarized:
+        """The polarized sector on the side of ``h``: ``h`` itself, with its
+        ``structure`` when given, when it is the first one asked for, else
+        assembled."""
         top = Fraction(self.model.sites - 1, 2) * (1 if h.m >= 0 else -1)
         if top not in self._tops:
-            h_top = h if h.m == top else assemble_nagaoka_sector(self.model, top)
-            top_structure = structure if h_top is h else sign_structure(as_matrix(h_top))
-            self._tops[top] = (all(_hypotheses(top_structure))
-                               and (h_top.basis, *_solved_certificate(h_top, top_structure)))
-        if not self._tops[top]:
-            return None
-        basis_top, e_top, v0, cert = self._tops[top]   # pf_certificate raised unless v0 > 0
-        if h.m == top:
-            return cert
-        phi = _phase_normalized(v0).real
-        basis, v = self._walks.get(top, (basis_top, phi))
+            self._tops[top] = (_Polarized(h, structure) if h.m == top else _Polarized(
+                assemble_sector(self.model, self.form, top, self.cutoff)))
+        return self._tops[top]
+
+    def _lowered(self, h, top: _Polarized) -> tuple:
+        """The ground pair of P walked to sector ``h`` (not P), as (E_P, unit
+        vector, the basis the walk left for ``h.basis``), where ``h`` and P
+        pass the hypotheses."""
+        e_top, phi = top.start
+        key = top.h.m
+        basis, v, previous = self._walks.get(key, (top.h.basis, phi, None))
         if abs(basis.m) < abs(h.m):
-            basis, v = basis_top, phi
-        step = -1 if top > 0 else 1
+            basis, v, previous = top.h.basis, phi, None
+        step = -1 if key > 0 else 1
         while basis.m != h.m:
             m = basis.m + step
             target = h.basis if m == h.m else enumerate_sector(self.model, m)
-            v, basis = sector_ladder(basis, target) @ v, target
-        self._walks[top] = (basis, v)
+            v = (sector_ladder(basis, target) @ v.reshape(basis.dimension, -1)).ravel()
+            basis, previous = target, basis
+        self._walks[key] = (basis, v, previous)
         w = v / np.linalg.norm(v)
         try:
             check_residuals(as_matrix(h) @ w[:, None], np.array([e_top]), w[:, None])
         except ConvergenceError as exc:
             raise InconsistencyError(f"the lowered polarized ground vector is not an eigenvector "
                                      f"of sector M = {h.m}: {exc}") from None
-        min_entry = float(np.min(w))
+        return e_top, w, previous
+
+    def by_theorem(self, h, structure=None) -> PositivityCertificate | None:
+        """The certificate of sector ``h`` by the theorem; None where a
+        hypothesis fails."""
+        structure = _structure(h) if structure is None else structure
+        if not all(_hypotheses(structure)):
+            return None
+        top = self._polarized(h, structure)
+        if not top.holds:
+            return None
+        cert = top.certificate          # pf_certificate raised unless H_P's vector is > 0
+        if h.m == top.h.m:
+            return cert
+        min_entry = float(np.min(_in_gauge(h, self._lowered(h, top)[1])))
         if not min_entry > STRICT_POSITIVITY_TOL:
             raise InconsistencyError(f"the lowered polarized ground vector of sector M = {h.m} "
                                      f"has min entry {min_entry:.3e}")
         return PositivityCertificate(
             offdiag_sign_ok=True, irreducible=True, ground_unique=True,
-            ground_strictly_positive=True, min_entry=min_entry, basis_tag="configuration")
+            ground_strictly_positive=True, min_entry=min_entry, basis_tag=_basis_tag(h))
+
+    def report(self, h) -> SpectralReport | None:
+        """``ed``'s report of sector ``h`` where the theorem saves a solve;
+        None where the sector takes ``ground_report``.
+
+        Only a form that states a gauge takes this route, and only where
+        the theorem replaces the first solve of the Lanczos route that the
+        sign structure does not flag (see ``spectral._lowest_levels``):
+        polarized sector P's report comes from its one solve, the one the
+        theorem lowers, and a sector whose matrix goes to Lanczos gets the
+        lowered pair as the start of ``spectral.lowered_report``.  The
+        lowered vector must have no entry below -STRICT_POSITIVITY_TOL in
+        the gauge; strict positivity is not asked of it, as at high
+        cutoffs the entries with many bosons lie below float resolution
+        (``lowered_report``'s deflated solve rules out a lower or second
+        ground level instead).
+        """
+        if h.gauge is None:
+            return None
+        if 2 * abs(h.m) == self.model.sites - 1:
+            return self._polarized(h).report
+        if not (uses_lanczos(as_matrix(h)) and all(_hypotheses(_structure(h)))):
+            return None
+        top = self._polarized(h)
+        if not top.holds:
+            return None
+        e_top, w, previous = self._lowered(h, top)
+        min_entry = float(np.min(_in_gauge(h, w)))
+        if not min_entry >= -STRICT_POSITIVITY_TOL:
+            raise InconsistencyError(f"the lowered polarized ground vector of sector M = {h.m} "
+                                     f"has min entry {min_entry:.3e} in its gauge")
+        return lowered_report(h, e_top, w, previous)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,10 @@ the first Krylov run missed: it joins the cluster and the complement is
 solved again.  A real block whose stored off-diagonal entries are all
 negative, read off in the same pass as the blocks, has a simple ground
 level (Perron-Frobenius); Lanczos solves its lowest two pairs at once
-instead.
+instead.  Where Nagaoka's theorem gives a one-block sector's simple ground
+pair (``positivity.SectorCertifier``), ``lowered_report`` starts the
+deflation from it: one deflated solve gives the gap, and a value inside
+the cluster is an inconsistency, not a copy.
 
 Total spin is resolved on the whole degenerate ground cluster V, so a
 cluster that mixes spins is reported by its content instead of by one
@@ -103,7 +106,7 @@ def as_matrix(h) -> sp.csr_matrix:
     return sp.csr_matrix(h)
 
 
-def _use_lanczos(mat: sp.csr_matrix) -> bool:
+def uses_lanczos(mat: sp.csr_matrix) -> bool:
     """The solver policy: Lanczos rather than a dense solve for ``mat``,
     decided from its dimension, stored entries and dtype."""
     dim = mat.shape[0]
@@ -153,7 +156,7 @@ def eig_lowest(h, count: int):
     if count >= dim - 1:
         vals, vecs = np.linalg.eigh(mat.toarray())
         vals, vecs = vals[:count], vecs[:, :count]
-    elif not _use_lanczos(mat):
+    elif not uses_lanczos(mat):
         vals, vecs = sla.eigh(mat.toarray(), subset_by_index=[0, count - 1])
     else:
         vals, vecs = _lanczos(mat, count)
@@ -203,7 +206,7 @@ def _deflated(mat: sp.csr_matrix, vecs: np.ndarray, sigma: float) -> spla.Linear
     return spla.LinearOperator(mat.shape, matvec=matvec, dtype=mat.dtype)
 
 
-def _lowest_levels(mat: sp.csr_matrix, pf: bool):
+def _lowest_levels(mat: sp.csr_matrix, pf: bool, start=None):
     """Lowest levels of the connected block ``mat``: every pair within the
     cluster tolerance of the lowest value, then the first value above it,
     which carries no vector when Lanczos found it; or every level.
@@ -217,16 +220,21 @@ def _lowest_levels(mat: sp.csr_matrix, pf: bool):
     the previous start's component along a missed copy is the copy already
     found.  A value inside the cluster is such a copy; it is solved again to
     full accuracy and joins the cluster.
+
+    ``start``, the values (1,) and vectors (dim, 1) of a ground pair known
+    to be simple, replaces the first solve: one deflated solve then gives
+    the next level, and a value inside the cluster raises
+    InconsistencyError, as the pair cannot be simple then.
     """
     dim = mat.shape[0]
-    if not _use_lanczos(mat):
+    if start is None and not uses_lanczos(mat):
         k = min(dim, _DENSE_START)
         while True:
             vals, vecs = eig_lowest(mat, k)
             if k == dim or np.any(vals - vals[0] > CLUSTER_TOL * (1.0 + abs(vals[0]))):
                 return vals, vecs
             k = min(dim, 2 * k)
-    vals, vecs = eig_lowest(mat, 2 if pf else 1)
+    vals, vecs = eig_lowest(mat, 2 if pf else 1) if start is None else start
     base = vals[0]
     tol = CLUSTER_TOL * (1.0 + abs(base))
     if np.any(vals - base > tol):
@@ -239,13 +247,17 @@ def _lowest_levels(mat: sp.csr_matrix, pf: bool):
         if outside - base > tol:
             order = np.argsort(vals)
             return np.append(vals[order], outside), vecs[:, order]
+        if start is not None:
+            raise InconsistencyError(
+                f"a level at {outside!r} lies within the cluster tolerance of the ground level "
+                f"{base!r} that Nagaoka's theorem makes simple")
         copy_vals, copy_vecs = _lanczos(op, 1, seed=seed)
         check_residuals(mat @ copy_vecs, copy_vals, copy_vecs)
         vals, vecs = np.append(vals, copy_vals), np.hstack([vecs, copy_vecs])
     return eig_lowest(mat, dim)
 
 
-def sign_structure(mat: sp.csr_matrix):
+def sign_structure(mat: sp.csr_matrix, gauge: np.ndarray | None = None):
     """The blocks of ``mat`` and the sign of their off-diagonal entries: the
     two facts a Perron-Frobenius argument reads off a matrix.
 
@@ -257,13 +269,15 @@ def sign_structure(mat: sp.csr_matrix):
     ``ends`` the cumulative sizes, and the blocks are ordered by their
     smallest index.  Per block come the largest real part and the largest
     |imaginary part| of its stored off-diagonal entries, -inf and 0 when it
-    has none."""
+    has none; read in the +-1 ``gauge`` s when given, as s_i s_j H_ij, in
+    the same pass."""
     graph = abs(mat)
     if not graph.data.all():
         graph.eliminate_zeros()
     n_comp, labels = connected_components(graph, directed=False)
     rows = np.repeat(np.arange(mat.shape[0], dtype=mat.indices.dtype), np.diff(mat.indptr))
     off = rows != mat.indices
+    data = mat.data if gauge is None else mat.data * (gauge[rows] * gauge[mat.indices])
 
     def largest(data, empty):
         if n_comp <= 1:         # one pass over the whole matrix
@@ -272,8 +286,8 @@ def sign_structure(mat: sp.csr_matrix):
         np.maximum.at(out, labels[rows[off]], data[off])
         return out
 
-    re_max = largest(mat.data.real, -np.inf)
-    im_max = (largest(np.abs(mat.data.imag), 0.0) if np.iscomplexobj(mat.data)
+    re_max = largest(data.real, -np.inf)
+    im_max = (largest(np.abs(data.imag), 0.0) if np.iscomplexobj(data)
               else np.zeros(re_max.size))
     return np.argsort(labels, kind="stable"), np.bincount(labels), re_max, im_max
 
@@ -349,14 +363,15 @@ def _spin_ladder(h: SectorHamiltonian) -> sp.spmatrix | None:
     return sector_ladder(h.basis, enumerate_sector(h.model, h.m + (1 if h.m >= 0 else -1)))
 
 
-def _cluster_spin(v: np.ndarray, h: SectorHamiltonian):
+def _cluster_spin(v: np.ndarray, h: SectorHamiltonian, neighbour=None):
     """<S^2> and S of the ground cluster ``v`` of ``h``, from the
     eigenvalues of V*S^2V; raises when the cluster holds more than one total
     spin.  The ladder map acts on the electron index of V, reshaped to
-    (sector dimension, boson dimension * cluster size)."""
+    (sector dimension, boson dimension * cluster size); ``neighbour`` is
+    the basis it maps into (see ``_spin_ladder``) when the caller holds it."""
     n, m = v.shape[1], abs(float(h.m))
     s2 = m * (m + 1) * np.eye(n)
-    ladder = _spin_ladder(h)
+    ladder = _spin_ladder(h) if neighbour is None else sector_ladder(h.basis, neighbour)
     if ladder is not None:
         av = (ladder @ v.reshape(h.basis.dimension, -1)).reshape(-1, n)
         s2 = s2 + av.conj().T @ av
@@ -400,16 +415,35 @@ def ground_cluster(mat: sp.csr_matrix):
     return cluster, e0, cluster.shape[1], gap, v0
 
 
-def ground_report(h: SectorHamiltonian) -> SpectralReport:
-    """Ground-state cluster, gap and resolved total spin of one sector."""
-    cluster, e0, degeneracy, gap, _ = ground_cluster(as_matrix(h))
-    s2_exp, resolved = _cluster_spin(cluster, h)
+def cluster_report(h: SectorHamiltonian, cluster, e0, degeneracy: int, gap: float,
+                   neighbour=None) -> SpectralReport:
+    """The report of sector ``h`` from its ground cluster, energy,
+    degeneracy and gap, with the total spin resolved on the cluster (see
+    ``_cluster_spin`` for ``neighbour``)."""
+    s2_exp, resolved = _cluster_spin(cluster, h, neighbour)
     return SpectralReport(
         m=h.m, ground_energy=float(e0), degeneracy=degeneracy, gap=gap,
         stot2_expectation=s2_exp, resolved_s=resolved, dimension=h.dimension,
         sector_dimension=h.basis.dimension,
         boson_dimension=None if h.boson is None else h.boson.dimension,
         cutoff=h.cutoff)
+
+
+def ground_report(h: SectorHamiltonian) -> SpectralReport:
+    """Ground-state cluster, gap and resolved total spin of one sector."""
+    return cluster_report(h, *ground_cluster(as_matrix(h))[:4])
+
+
+def lowered_report(h: SectorHamiltonian, e0: float, w: np.ndarray, neighbour) -> SpectralReport:
+    """The report of the one-block sector ``h``, of dimension 3 or more,
+    whose simple ground pair (e0, w) Nagaoka's theorem gives (see
+    ``positivity.SectorCertifier.report``): ``_lowest_levels`` takes the pair as
+    its start, so one deflated solve gives the gap, and a level inside the
+    cluster raises InconsistencyError.  ``neighbour`` is the basis the spin
+    ladder maps into (see ``_cluster_spin``)."""
+    w = w[:, None]
+    vals, _ = _lowest_levels(as_matrix(h), False, start=(np.array([e0]), w))
+    return cluster_report(h, w, e0, 1, float(vals[1] - e0), neighbour)
 
 
 def _permuted(mat: sp.csr_matrix, perm: np.ndarray) -> sp.csr_matrix:

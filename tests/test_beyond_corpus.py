@@ -129,3 +129,34 @@ def test_triangular_patch_2x8_certified_at_m_one_half_from_the_polarized_sector(
                                             "ground_strictly_positive"))
     assert row["min_entry"] > 1e-12
     assert rows == [16]
+
+
+def test_holstein_complete4_at_cutoff_10_concludes_from_the_polarized_sector(
+        capsys, tmp_path, monkeypatch):
+    """M = 1/2 of the Holstein complete-4 at cutoff 10 holds 175,692 states.
+    Nagaoka's theorem gives its ground pair from the 58,564-dimensional
+    polarized sector: the M = 1/2 block takes one deflated solve, for its
+    gap, and no first solve."""
+    import nagaoka.spectral as spectral
+
+    solves = []
+    real = spectral._lanczos
+
+    def spy(op, count, tol=0.0, seed=spectral._EIG_SEED):
+        vals, vecs = real(op, count, tol, seed)
+        solves.append((op.shape[0], tol, float(vals[0])))
+        return vals, vecs
+
+    monkeypatch.setattr(spectral, "_lanczos", spy)
+    path = tmp_path / "holstein4.ini"
+    path.write_text("[lattice]\nsites = 4\ngenerator = complete\nextent = 4\nt = 1.0\n"
+                    "[coulomb]\nu = inf\n[phonon]\nomega = 1.0\ncutoff = 10\n"
+                    + "".join(f"{x} {x} 0.5\n" for x in range(4)))
+    assert main(["ed", "--m", "1/2", "--form", "holstein", "--model", str(path)]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["results"]
+    assert row["dimension"] == 175692 and row["boson_dimension"] == 11**4
+    assert row["degeneracy"] == 1 and row["resolved_s"] == "3/2"
+    assert [(dim, tol) for dim, tol, _ in solves] == [
+        (58564, 0.0), (58564, spectral._GUARD_TOL), (175692, spectral._GUARD_TOL)]
+    assert row["ground_energy"] == solves[0][2]
+    assert row["gap"] == pytest.approx(0.9664821572873, abs=1e-9)

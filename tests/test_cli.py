@@ -343,7 +343,7 @@ def test_certify_qgrid_lanczos_route_matches_dense(capsys, holstein_file, monkey
 
     def rows(points, lanczos):
         with monkeypatch.context() as mp:
-            mp.setattr("nagaoka.spectral._use_lanczos", lambda mat: lanczos)
+            mp.setattr("nagaoka.spectral.uses_lanczos", lambda mat: lanczos)
             code, out = run(capsys, "certify", "--model", holstein_file, "--all",
                             "--qgrid", str(points), "--spacing", f"{spacing!r}")
         assert code == 0
@@ -554,9 +554,10 @@ def test_certify_a_lone_negative_sector_equals_its_row_of_all(capsys, tmp_path, 
     path = _corpus_file(tmp_path, "triangular2x4")
     _, every = run(capsys, "certify", "--all", "--model", path)
     tops = []
-    real = positivity.assemble_nagaoka_sector
-    monkeypatch.setattr(positivity, "assemble_nagaoka_sector",
-                        lambda model, m: tops.append(m) or real(model, m))
+    real = positivity.assemble_sector
+    monkeypatch.setattr(positivity, "assemble_sector",
+                        lambda model, form, m, cutoff: tops.append(m)
+                        or real(model, form, m, cutoff))
     code, alone = run(capsys, "certify", "--m", "-1/2", "--model", path)
     assert code == 0 and tops == [Fraction(-7, 2)]
     rows = {row["m"]: row for row in json.loads(every)["results"]}
@@ -773,21 +774,29 @@ def test_certify_all_exits_2_when_a_sector_is_not_the_spin_flip(capsys, tmp_path
     assert "numerical failure: H of sector M = -1/2 is not the spin flip of H of M = 1/2" in err
 
 
-@pytest.mark.parametrize("text, block", [(HOLSTEIN_PAIR, "phonon"),
-                                         (RADIATION_TRIANGLE, "radiation")])
-def test_certify_without_qgrid_refuses_a_boson_model(capsys, tmp_path, text, block):
+@pytest.mark.parametrize("text, m, basis, irreducible", [
+    (HOLSTEIN_PAIR, "1/2", "configuration x boson (gauged)", True),
+    (RADIATION_TRIANGLE, "1", "configuration x boson", False)], ids=["phonon", "radiation"])
+def test_certify_without_qgrid_certifies_the_form_of_the_model(capsys, tmp_path, text, m,
+                                                               basis, irreducible):
+    # the default form follows the model's blocks, as in ed: the Holstein
+    # pair is certified in its boson-parity gauge; the kappa = 1 triangle's
+    # decoupled modes split its sector into blocks
     path = tmp_path / "bosons.ini"
     path.write_text(text)
-    code, out, err = run_err(capsys, "certify", "--m", "1/2" if block == "phonon" else "1",
-                             "--model", str(path))
-    assert code == 1 and out == "" and err.count("\n") == 1
-    assert f"[{block}] block" in err and "--qgrid/--spacing" in err
+    code, out, err = run_err(capsys, "certify", "--m", m, "--model", str(path))
+    assert code == 0 and err == ""
+    (row,) = json.loads(out)["results"]
+    assert row["basis"] == basis and row["offdiag_sign_ok"]
+    assert row["irreducible"] == row["ground_strictly_positive"] == irreducible
 
 
-def test_paired_jobs_rerun_and_spread_identically(capsys, tmp_path):
+@pytest.mark.parametrize("cutoff", ["2", "3"])
+def test_paired_jobs_rerun_and_spread_identically(capsys, tmp_path, cutoff):
+    # at cutoff 3 a worker lowers from the polarized sector it solves itself
     path = tmp_path / "holstein4.ini"
     path.write_text(HOLSTEIN_COMPLETE4)
-    argv = ["ed", "--all", "--form", "holstein", "--cutoff", "2", "--model", str(path)]
+    argv = ["ed", "--all", "--form", "holstein", "--cutoff", cutoff, "--model", str(path)]
     _, first = run(capsys, *argv)
     _, again = run(capsys, *argv)
     _, spread = run(capsys, *argv, "--jobs", "2")

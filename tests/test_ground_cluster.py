@@ -50,7 +50,7 @@ def test_stacked_route_equals_the_per_block_oracle(phased, lanczos_lowest):
     ring += np.diag(rng.uniform(-1.0, 1.0, 520) - (8.0 if lanczos_lowest else 0.0))
     blocks.insert(5, ring)
     mat = _scatter(blocks, seed=4)
-    assert spectral._use_lanczos(sp.csr_matrix(ring))
+    assert spectral.uses_lanczos(sp.csr_matrix(ring))
     cluster, e0, degeneracy, gap, v0 = _same_cluster(mat)
     dense = np.linalg.eigvalsh(mat.toarray())
     assert abs(e0 - dense[0]) <= 1e-9 and abs(gap - (dense[1] - dense[0])) <= 1e-9
@@ -174,7 +174,7 @@ def test_block_minima_at_the_cluster_edge_equal_the_oracle(e0, ring_offset):
                                          phased=n % 2 == 1))
     # a ring of dimension 520, routed to Lanczos, lowest level -2 + shift
     ring = _ring(520, -1.0) + (e0 + ring_offset * tol + 2.0) * np.eye(520)
-    assert spectral._use_lanczos(sp.csr_matrix(ring))
+    assert spectral.uses_lanczos(sp.csr_matrix(ring))
     blocks.insert(3, ring)
     mat = _scatter(blocks, seed=5)
     cluster, found_e0, degeneracy, gap, v0 = _same_cluster(mat)

@@ -193,7 +193,7 @@ def test_lanczos_on_reducible_sector_counts_every_orbit(monkeypatch):
     assert connectivity_check(ring8, Fraction(1, 2)).orbit_sizes == (56,) * 5
     energy, degeneracy, gap = _dense_levels(h)
     assert degeneracy == 5
-    monkeypatch.setattr("nagaoka.spectral._use_lanczos", lambda mat: True)
+    monkeypatch.setattr("nagaoka.spectral.uses_lanczos", lambda mat: True)
     # the five ground states carry spins 1/2, 3/2 and 7/2, so the default
     # call must refuse; a vanishing ladder map (S^2 = 3/4 everywhere) keeps
     # the check on the levels
@@ -215,7 +215,7 @@ def test_lanczos_orbit_blocks_carry_the_boson_space(monkeypatch):
     # on the levels.
     h = assemble_holstein_sector(holstein_model(chain3(), 0.5, cutoff=1), 0)
     energy, degeneracy, gap = _dense_levels(h)
-    monkeypatch.setattr("nagaoka.spectral._use_lanczos", lambda mat: True)
+    monkeypatch.setattr("nagaoka.spectral.uses_lanczos", lambda mat: True)
     monkeypatch.setattr("nagaoka.spectral._spin_ladder", lambda h: None)
     rep = ground_report(h)
     assert abs(rep.ground_energy - energy) <= 1e-10
@@ -237,7 +237,7 @@ def test_ring8_counts_every_orbit_without_the_orbit_bfs(monkeypatch, lanczos):
     monkeypatch.setattr("nagaoka.sector.connectivity_check", no_bfs)
     monkeypatch.setattr("nagaoka.sector.configuration_graph", no_bfs)
     if lanczos:
-        monkeypatch.setattr("nagaoka.spectral._use_lanczos", lambda mat: True)
+        monkeypatch.setattr("nagaoka.spectral.uses_lanczos", lambda mat: True)
     # a vanishing ladder map makes S^2 = 3/4 everywhere at M = 1/2: one S
     # over the five-fold cluster
     monkeypatch.setattr("nagaoka.spectral._spin_ladder", lambda h: None)
@@ -413,7 +413,7 @@ def test_a_nan_lanczos_copy_fails_the_residual_check(monkeypatch):
     t = np.exp(0.3j)
     ring = sp.diags([np.full(599, t), np.full(599, np.conj(t)), [np.conj(t)], [t]],
                     [1, -1, 599, -599]).tocsr()
-    assert spectral._use_lanczos(ring)
+    assert spectral.uses_lanczos(ring)
     real_lanczos = spectral._lanczos
 
     def nan_deflated(op, count, tol=0.0, seed=spectral._EIG_SEED):
@@ -462,8 +462,8 @@ def test_subset_dense_path_matches_full_eigh_on_the_200_oracle(monkeypatch):
 def test_subset_dense_path_matches_full_eigh_on_holstein_972(monkeypatch):
     h = assemble_holstein_sector(holstein_model(complete4(), 0.5, cutoff=2), Fraction(1, 2))
     assert h.dimension == 972
-    assert spectral._use_lanczos(spectral.as_matrix(h))      # the policy's route
-    monkeypatch.setattr("nagaoka.spectral._use_lanczos", lambda mat: False)
+    assert spectral.uses_lanczos(spectral.as_matrix(h))      # the policy's route
+    monkeypatch.setattr("nagaoka.spectral.uses_lanczos", lambda mat: False)
     calls = _spy_eigh(monkeypatch)
     vals, vecs = eig_lowest(h, 6)
     assert calls == [[0, 5]]
@@ -529,7 +529,7 @@ def test_deflation_guard_finds_the_copy_lanczos_misses(monkeypatch, phased):
     dense = np.linalg.eigvalsh(mat.toarray())
     tol = spectral.CLUSTER_TOL * (1.0 + abs(dense[0]))
     assert np.count_nonzero(dense - dense[0] <= tol) == 4
-    assert spectral.sign_structure(mat)[1].size == 1 and spectral._use_lanczos(mat)
+    assert spectral.sign_structure(mat)[1].size == 1 and spectral.uses_lanczos(mat)
     calls = _spy_lanczos(monkeypatch)
     [(members, _, [vals], [vecs])] = spectral._block_levels(mat)
     assert members.tolist() == [0]
@@ -565,13 +565,13 @@ def test_lanczos_route_matches_dense_on_a_clustered_lang_firsov_sector(monkeypat
         t[x, y] = t[y, x] = value
     h = assemble_lang_firsov_sector(holstein_model(LatticeModel(4, t), 0.5), Fraction(1, 2))
     coo = spectral.as_matrix(h).tocoo()
-    assert h.dimension == 972 and spectral._use_lanczos(coo.tocsr())
+    assert h.dimension == 972 and spectral.uses_lanczos(coo.tocsr())
     assert np.any(coo.data[coo.row != coo.col] > 0)         # not Perron-Frobenius signed
     calls = _spy_lanczos(monkeypatch)
     policy = ground_report(h)
     # a simple ground level: one solve for it and one deflated solve for the gap
     assert policy.degeneracy == 1 and len(calls) == 2
-    monkeypatch.setattr("nagaoka.spectral._use_lanczos", lambda mat: False)
+    monkeypatch.setattr("nagaoka.spectral.uses_lanczos", lambda mat: False)
     _same_report(policy, ground_report(h))
 
 
@@ -591,7 +591,7 @@ def test_policy_route_matches_dense_on_the_criterion7_sectors(monkeypatch, form,
         # stands for the other couplings and the mirrored sector
         if h.dimension <= spectral.DENSE_CROSSOVER or (gamma == 0.5 and m > 0):
             sectors.append((h, ground_report(h)))
-    monkeypatch.setattr("nagaoka.spectral._use_lanczos", lambda mat: False)
+    monkeypatch.setattr("nagaoka.spectral.uses_lanczos", lambda mat: False)
     for h, policy in sectors:
         _same_report(policy, ground_report(h))
 
@@ -615,7 +615,7 @@ def test_policy_route_matches_dense_on_complete_graphs(monkeypatch, sites, m):
     policy = ground_report(h)
     # a Perron-Frobenius-signed block: one solve for its lowest two pairs
     assert [(tol, vals.size) for tol, _, vals in calls] == [(0.0, 2)]
-    monkeypatch.setattr("nagaoka.spectral._use_lanczos", lambda mat: False)
+    monkeypatch.setattr("nagaoka.spectral.uses_lanczos", lambda mat: False)
     _same_report(policy, ground_report(h))
 
 
@@ -634,4 +634,4 @@ def test_solver_policy_on_the_benchmark_matrices():
             (assemble_lang_firsov_sector(phonons, Fraction(1, 2)), True),
     }
     for name, (h, lanczos) in routes.items():
-        assert spectral._use_lanczos(spectral.as_matrix(h)) is lanczos, name
+        assert spectral.uses_lanczos(spectral.as_matrix(h)) is lanczos, name

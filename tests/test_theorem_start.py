@@ -1,0 +1,175 @@
+"""``ed`` by Nagaoka's theorem on the Holstein form, against the eigensolve.
+
+Where the theorem holds on a block that the solver policy sends to
+Lanczos, ``SectorCertifier.report`` replaces the first solve with the
+lowered polarized ground pair, and one deflated solve gives the gap.  The
+oracle is ``ground_report``, the route criterion 7 keeps.  The bounds are
+those stated in CHANGES.md: E0, gap and <S^2> within
+``ROUTE_TOL`` (1 + |x|) (observed 5.2e-15 on criterion 7's models), and
+certificate ``min_entry`` within ``MIN_ENTRY_TOL`` absolute (observed
+4.4e-17, on entries down to 8.6e-12)."""
+
+import json
+from fractions import Fraction
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from nagaoka.acceptance import holstein_model
+from nagaoka.cli import main
+from nagaoka.corpus import complete4
+from nagaoka.errors import InconsistencyError
+from nagaoka.hamiltonian import assemble_holstein_sector
+from nagaoka.positivity import SectorCertifier, eigenvector_certificate
+from nagaoka.spectral import ground_report
+
+ROUTE_TOL = 5e-14
+MIN_ENTRY_TOL = 1e-15
+CRITERION_7 = [(gamma, cutoff) for gamma in (0.25, 0.5, 1.0) for cutoff in (2, 3)]
+# descending |M|, the order ``_sector_jobs`` meets them in, then a lone M < 0
+SECTORS = [Fraction(3, 2), Fraction(1, 2), Fraction(-3, 2), Fraction(-1, 2)]
+
+
+def _holstein_file(tmp_path, gamma=0.5, cutoff=2):
+    path = tmp_path / "holstein4.ini"
+    path.write_text("[lattice]\nsites = 4\ngenerator = complete\nextent = 4\nt = 1.0\n"
+                    f"[coulomb]\nu = inf\n[phonon]\nomega = 1.0\ncutoff = {cutoff}\n"
+                    + "".join(f"{x} {x} {gamma}\n" for x in range(4)))
+    return str(path)
+
+
+def _run(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("gamma, cutoff", CRITERION_7)
+def test_theorem_start_matches_ground_report_on_criterion_7(gamma, cutoff, monkeypatch):
+    import nagaoka.positivity as positivity
+
+    starts = []
+    real = positivity.lowered_report
+    monkeypatch.setattr(positivity, "lowered_report",
+                        lambda h, *args: starts.append(h.m) or real(h, *args))
+    model = holstein_model(complete4(), gamma)
+    certifier = SectorCertifier(model, "holstein", cutoff)
+    for m in SECTORS:
+        h = assemble_holstein_sector(model, m, cutoff)
+        theorem, oracle = certifier.report(h), ground_report(h)
+        assert theorem is not None
+        assert theorem.degeneracy == oracle.degeneracy == 1
+        assert theorem.resolved_s == oracle.resolved_s == Fraction(3, 2)
+        for key in ("ground_energy", "gap", "stot2_expectation"):
+            x, y = getattr(theorem, key), getattr(oracle, key)
+            assert abs(x - y) <= ROUTE_TOL * (1 + abs(y)), (m, key)
+        if abs(m) == Fraction(3, 2):
+            assert theorem == oracle           # the polarized sector's own solve
+    # every M = +-1/2 block is Lanczos-routed at cutoffs 2 and 3
+    assert starts == [Fraction(1, 2), Fraction(-1, 2)]
+
+
+@pytest.mark.parametrize("gamma, cutoff", CRITERION_7)
+def test_holstein_certificates_match_the_eigenvector_route(gamma, cutoff):
+    model = holstein_model(complete4(), gamma)
+    certifier = SectorCertifier(model, "holstein", cutoff)
+    for m in SECTORS:
+        h = assemble_holstein_sector(model, m, cutoff)
+        theorem, eigen = certifier.by_theorem(h), eigenvector_certificate(h)
+        assert theorem is not None and theorem.basis_tag == "configuration x boson (gauged)"
+        assert {**vars(theorem), "min_entry": None} == {**vars(eigen), "min_entry": None}
+        assert eigen.ground_strictly_positive
+        assert abs(theorem.min_entry - eigen.min_entry) <= MIN_ENTRY_TOL, m
+
+
+@pytest.mark.parametrize("cutoff", [2, 3])
+def test_every_row_of_ed_all_carries_the_polarized_energy(capsys, tmp_path, cutoff):
+    path = _holstein_file(tmp_path, cutoff=cutoff)
+    code, out, _ = _run(capsys, "ed", "--all", "--form", "holstein", "--model", path)
+    assert code == 0
+    rows = json.loads(out)["results"]
+    assert len({row["ground_energy"].hex() for row in rows}) == 1
+    assert all(row["degeneracy"] == 1 and row["resolved_s"] == "3/2" for row in rows)
+
+
+@pytest.mark.parametrize("cutoff", [2, 3])
+def test_single_sectors_are_byte_identical_to_their_rows_of_ed_all(capsys, tmp_path, cutoff):
+    # ed --m 1/2 assembles and solves the polarized sector itself
+    path = _holstein_file(tmp_path, cutoff=cutoff)
+    code, every, _ = _run(capsys, "ed", "--all", "--form", "holstein", "--model", path)
+    assert code == 0
+    rows = {row["m"]: row for row in json.loads(every)["results"]}
+    for m in ("1/2", "3/2"):
+        code, alone, _ = _run(capsys, "ed", "--m", m, "--form", "holstein", "--model", path)
+        assert code == 0
+        assert json.dumps(json.loads(alone)["results"]) == json.dumps([rows[m]])
+
+
+def test_a_lowered_vector_failing_the_residual_check_exits_2(capsys, tmp_path, monkeypatch):
+    import nagaoka.positivity as positivity
+
+    real = positivity.sector_ladder
+    monkeypatch.setattr(positivity, "sector_ladder", lambda source, target:
+                        sp.diags(np.arange(1.0, target.dimension + 1)) @ real(source, target))
+    code, out, err = _run(capsys, "ed", "--m", "1/2", "--form", "holstein",
+                          "--model", _holstein_file(tmp_path))
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("numerical failure: the lowered polarized ground vector is not an "
+                          "eigenvector of sector M = 1/2")
+
+
+def test_a_deflated_value_inside_the_cluster_exits_2(capsys, tmp_path, monkeypatch):
+    # the deflated solve reports the ground level again, as if the theorem's
+    # simple level had a copy
+    import nagaoka.spectral as spectral
+
+    path = _holstein_file(tmp_path)
+    code, out, _ = _run(capsys, "ed", "--m", "3/2", "--form", "holstein", "--model", path)
+    e_top = json.loads(out)["results"][0]["ground_energy"]
+    real = spectral._lanczos
+
+    def copy_found(op, count, tol=0.0, seed=spectral._EIG_SEED):
+        vals, vecs = real(op, count, tol, seed)
+        return (np.full_like(vals, e_top + 1e-12), vecs) if tol else (vals, vecs)
+
+    monkeypatch.setattr(spectral, "_lanczos", copy_found)
+    code, out, err = _run(capsys, "ed", "--m", "1/2", "--form", "holstein", "--model", path)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert "lies within the cluster tolerance of the ground level" in err
+    with pytest.raises(InconsistencyError):
+        model = holstein_model(complete4(), 0.5)
+        SectorCertifier(model, "holstein", 2).report(
+            assemble_holstein_sector(model, Fraction(1, 2), 2))
+
+
+def test_certify_takes_the_form_and_cutoff_of_ed(capsys, tmp_path):
+    path = _holstein_file(tmp_path)
+    code, out, _ = _run(capsys, "certify", "--all", "--model", path)
+    assert code == 0
+    rows = json.loads(out)["results"]
+    assert [row["m"] for row in rows] == ["-3/2", "-1/2", "1/2", "3/2"]
+    assert all(row["basis"] == "configuration x boson (gauged)" and row["ground_unique"]
+               and row["ground_strictly_positive"] for row in rows)
+    code, out, _ = _run(capsys, "certify", "--all", "--form", "holstein", "--cutoff", "2",
+                        "--model", path)
+    assert code == 0 and json.loads(out)["results"] == rows
+    code, out, _ = _run(capsys, "certify", "--m", "1/2", "--form", "nagaoka", "--model", path)
+    assert code == 0 and json.loads(out)["results"][0]["basis"] == "configuration"
+    code, out, _ = _run(capsys, "certify", "--m", "1/2", "--form", "langfirsov", "--model", path)
+    (row,) = json.loads(out)["results"]
+    assert code == 0 and not row["offdiag_sign_ok"] and not row["ground_strictly_positive"]
+
+
+@pytest.mark.parametrize("extra, option", [(("--form", "holstein"), "--form"),
+                                           (("--cutoff", "2"), "--cutoff")])
+def test_certify_refuses_form_and_cutoff_with_qgrid(capsys, tmp_path, extra, option):
+    code, out, err = _run(capsys, "certify", "--m", "1/2", "--qgrid", "8", "--spacing", "0.5",
+                          *extra, "--model", _holstein_file(tmp_path))
+    assert code == 1 and out == "" and f"{option} does not apply to --qgrid" in err
+
+
+def test_certify_refuses_a_cutoff_on_the_nagaoka_form(capsys, tmp_path):
+    code, out, err = _run(capsys, "certify", "--m", "1/2", "--form", "nagaoka", "--cutoff", "2",
+                          "--model", _holstein_file(tmp_path))
+    assert code == 1 and out == "" and "--cutoff does not apply to the nagaoka form" in err
