@@ -255,10 +255,6 @@ def _refuse_ignored_options(args, form: str):
             raise ModelValidationError("cli", f"--{option} does not apply to the {form} form")
 
 
-def _assemble(model, form: str, m, cutoff):
-    return assemble_sector(model, form, m, cutoff)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -312,7 +308,7 @@ def _cmd_assemble(args) -> int:
                   "provenance": "full_space", "dropped_constant": 0.0}
     else:
         m = _parse_m(args.m) if args.m is not None else sector_magnetizations(model.sites)[-1]
-        sector_h = _assemble(model, args.form, m, args.cutoff)
+        sector_h = assemble_sector(model, args.form, m, args.cutoff)
         op = sector_h.op
         header = {"form": args.form, "m": str(sector_h.m),
                   "dimension": op.dimension, "provenance": sector_h.provenance,
@@ -349,10 +345,10 @@ def _solve_job(payload, solve) -> list[tuple]:
     paired job solves M only: -M is assembled, verified to be the exact
     spin flip of M before M is solved, and gets (-M, the same result)."""
     model, form, m, cutoff, paired = payload
-    h = _assemble(model, form, m, cutoff)
+    h = assemble_sector(model, form, m, cutoff)
     if not paired:
         return [(h.m, solve(h))]
-    verified_spin_flip(h, _assemble(model, form, -m, cutoff))
+    verified_spin_flip(h, assemble_sector(model, form, -m, cutoff))
     result = solve(h)
     return [(h.m, result), (-h.m, result)]
 

@@ -301,7 +301,9 @@ def load_model(path) -> LatticeModel:
     if "sites" not in lat:
         raise ModelParseError("[lattice] must declare sites")
     sites = _parse_int(lat["sites"], "[lattice] sites")
-    if sites > MAX_SITES:       # before any sites x sites matrix is allocated
+    if sites < 2:               # before any sites x sites matrix is allocated
+        raise ModelValidationError("size", f"{sites} sites; models need at least 2 sites")
+    if sites > MAX_SITES:
         raise ModelValidationError("size", f"{sites} sites; models hold at most {MAX_SITES} sites")
 
     if "generator" in lat:

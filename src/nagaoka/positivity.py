@@ -38,7 +38,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -207,51 +206,6 @@ def eigenvector_certificate(h, structure=None) -> PositivityCertificate:
     return pf_certificate(h, v0, degeneracy, structure=structure)
 
 
-class _Polarized:
-    """The polarized sector H_P of a ``SectorCertifier``: each fact about it
-    is read at most once, when first asked for."""
-
-    def __init__(self, h, structure=None):
-        self.h = h
-        if structure is not None:
-            self.structure = structure
-
-    @cached_property
-    def structure(self):
-        return _structure(self.h)
-
-    @cached_property
-    def solved(self) -> tuple:
-        """``ground_cluster`` of H_P: its one solve."""
-        return ground_cluster(as_matrix(self.h))
-
-    @cached_property
-    def holds(self) -> bool:
-        """Whether H_P passes the sign test in its gauge and is one block."""
-        return all(_hypotheses(self.structure))
-
-    @cached_property
-    def certificate(self) -> PositivityCertificate:
-        _, _, degeneracy, _, v0 = self.solved
-        return pf_certificate(self.h, v0, degeneracy, structure=self.structure)
-
-    @cached_property
-    def report(self) -> SpectralReport:
-        return cluster_report(self.h, *self.solved[:4])
-
-    @cached_property
-    def start(self) -> tuple:
-        """E_P and the ground vector of H_P, phased positive in the gauge;
-        InconsistencyError unless the ground level is simple, as the
-        theorem makes it."""
-        _, e0, degeneracy, _, v0 = self.solved
-        if degeneracy != 1:
-            raise InconsistencyError(f"the polarized sector M = {self.h.m} passes the sign test "
-                                     f"and is one block, but its ground level has degeneracy "
-                                     f"{degeneracy}")
-        return float(e0), _in_gauge(self.h, _phase_normalized(_in_gauge(self.h, v0)).real)
-
-
 class SectorCertifier:
     """Nagaoka's theorem on the infinite-U sectors of one model, each H_M
     in the form ``form`` of ``hamiltonian.SECTOR_FORMS`` at ``cutoff``,
@@ -263,49 +217,65 @@ class SectorCertifier:
     (x) I have entries in {0, 1} and commute with H and with the gauge, so
     the ground vector of H_P, positive in the gauge and walked to M by S-
     (by S+ from -S_max), is an eigenvector of H_M that is nonnegative in the
-    gauge, hence its unique ground vector.  H_P is assembled at most once
-    (the first sector given that is P is taken as H_P) and solved once.
-    The walk runs from the basis of H_P to ``h.basis`` and enumerates only
-    the sectors between them; it is kept between calls, so sectors taken in
-    descending |M| share one walk.  The lowered unit vector must be an
-    eigenvector of H_M at E_P within the residual tolerance, or
-    InconsistencyError is raised.
-
-    Calling the certifier certifies a sector: by the theorem, where the
-    lowered vector must also be strictly positive in the gauge, and
-    otherwise by ``eigenvector_certificate`` on the sign structure read for
-    the choice.  ``report`` gives ``ed``'s report where the theorem saves a
-    solve.
+    gauge, hence its unique ground vector.  ``_step`` takes that step, once
+    for both callers: calling the certifier certifies a sector, by the
+    theorem (``by_theorem``) or else by ``eigenvector_certificate`` on the
+    sign structure read for the choice, and ``report`` gives ``ed``'s
+    report where the theorem saves a solve.
     """
 
     def __init__(self, model: LatticeModel, form: str = "nagaoka", cutoff: int | None = None):
         self.model, self.form, self.cutoff = model, form, cutoff
-        self._tops = {}      # P -> _Polarized
+        self._tops = {}      # P -> [H_P, its sign structure, its ground_cluster once solved]
         self._walks = {}     # P -> (basis, vector, previous basis) of the walk's last sector
 
     def __call__(self, h) -> PositivityCertificate:
         structure = _structure(h)
         return self.by_theorem(h, structure) or eigenvector_certificate(h, structure)
 
-    def _polarized(self, h, structure=None) -> _Polarized:
-        """The polarized sector on the side of ``h``: ``h`` itself, with its
-        ``structure`` when given, when it is the first one asked for, else
-        assembled."""
-        top = Fraction(self.model.sites - 1, 2) * (1 if h.m >= 0 else -1)
-        if top not in self._tops:
-            self._tops[top] = (_Polarized(h, structure) if h.m == top else _Polarized(
-                assemble_sector(self.model, self.form, top, self.cutoff)))
-        return self._tops[top]
+    def _polarized_m(self, h) -> Fraction:
+        """The polarized sector P on the side of ``h``."""
+        return Fraction(self.model.sites - 1, 2) * (1 if h.m >= 0 else -1)
 
-    def _lowered(self, h, top: _Polarized) -> tuple:
-        """The ground pair of P walked to sector ``h`` (not P), as (E_P, unit
-        vector, the basis the walk left for ``h.basis``), where ``h`` and P
-        pass the hypotheses."""
-        e_top, phi = top.start
-        key = top.h.m
-        basis, v, previous = self._walks.get(key, (top.h.basis, phi, None))
+    def _step(self, h, structure=None):
+        """The theorem's step to sector ``h``: None where H_M or H_P fails a
+        hypothesis; else ``ground_cluster`` of H_P when ``h`` is P, and
+        otherwise (E_P, the lowered unit vector, the basis the walk left for
+        ``h.basis``).
+
+        H_P is ``h`` itself, with ``structure`` when given, if it is the
+        first sector asked for, and else assembled; it is solved once, when
+        its hypotheses first hold.  The walk runs from the basis of H_P to
+        ``h.basis`` and enumerates only the sectors between them; it is kept
+        between calls, so sectors taken in descending |M| share one walk.
+        InconsistencyError unless the ground level of H_P is simple, as the
+        theorem makes it, and the lowered vector is an eigenvector of H_M at
+        E_P within the residual tolerance.
+        """
+        structure = _structure(h) if structure is None else structure
+        if not all(_hypotheses(structure)):
+            return None
+        key = self._polarized_m(h)
+        if key not in self._tops:
+            h_top = h if h.m == key else assemble_sector(self.model, self.form, key, self.cutoff)
+            self._tops[key] = [h_top, structure if h_top is h else _structure(h_top), None]
+        record = self._tops[key]
+        h_top, top_structure, solved = record
+        if not all(_hypotheses(top_structure)):
+            return None
+        if solved is None:
+            solved = record[2] = ground_cluster(as_matrix(h_top))
+        if h.m == key:
+            return solved
+        _, e_top, degeneracy, _, v0 = solved
+        if degeneracy != 1:
+            raise InconsistencyError(f"the polarized sector M = {key} passes the sign test "
+                                     f"and is one block, but its ground level has degeneracy "
+                                     f"{degeneracy}")
+        phi = _in_gauge(h_top, _phase_normalized(_in_gauge(h_top, v0)).real)
+        basis, v, previous = self._walks.get(key, (h_top.basis, phi, None))
         if abs(basis.m) < abs(h.m):
-            basis, v, previous = top.h.basis, phi, None
+            basis, v, previous = h_top.basis, phi, None
         step = -1 if key > 0 else 1
         while basis.m != h.m:
             m = basis.m + step
@@ -319,21 +289,21 @@ class SectorCertifier:
         except ConvergenceError as exc:
             raise InconsistencyError(f"the lowered polarized ground vector is not an eigenvector "
                                      f"of sector M = {h.m}: {exc}") from None
-        return e_top, w, previous
+        return float(e_top), w, previous
 
     def by_theorem(self, h, structure=None) -> PositivityCertificate | None:
         """The certificate of sector ``h`` by the theorem; None where a
-        hypothesis fails."""
-        structure = _structure(h) if structure is None else structure
-        if not all(_hypotheses(structure)):
+        hypothesis fails.  H_P's own certificate must hold (``pf_certificate``
+        raises unless its ground vector is strictly positive in the gauge),
+        and so must the lowered vector's strict positivity."""
+        step = self._step(h, structure)
+        if step is None:
             return None
-        top = self._polarized(h, structure)
-        if not top.holds:
-            return None
-        cert = top.certificate          # pf_certificate raised unless H_P's vector is > 0
-        if h.m == top.h.m:
+        h_top, top_structure, (_, _, degeneracy, _, v0) = self._tops[self._polarized_m(h)]
+        cert = pf_certificate(h_top, v0, degeneracy, structure=top_structure)
+        if h.m == h_top.m:
             return cert
-        min_entry = float(np.min(_in_gauge(h, self._lowered(h, top)[1])))
+        min_entry = float(np.min(_in_gauge(h, step[1])))
         if not min_entry > STRICT_POSITIVITY_TOL:
             raise InconsistencyError(f"the lowered polarized ground vector of sector M = {h.m} "
                                      f"has min entry {min_entry:.3e}")
@@ -357,16 +327,15 @@ class SectorCertifier:
         (``lowered_report``'s deflated solve rules out a lower or second
         ground level instead).
         """
-        if h.gauge is None:
+        polarized = h.m == self._polarized_m(h)
+        if h.gauge is None or not (polarized or uses_lanczos(as_matrix(h))):
             return None
-        if 2 * abs(h.m) == self.model.sites - 1:
-            return self._polarized(h).report
-        if not (uses_lanczos(as_matrix(h)) and all(_hypotheses(_structure(h)))):
+        step = self._step(h)
+        if step is None:
             return None
-        top = self._polarized(h)
-        if not top.holds:
-            return None
-        e_top, w, previous = self._lowered(h, top)
+        if polarized:
+            return cluster_report(h, *step[:4])
+        e_top, w, previous = step
         min_entry = float(np.min(_in_gauge(h, w)))
         if not min_entry >= -STRICT_POSITIVITY_TOL:
             raise InconsistencyError(f"the lowered polarized ground vector of sector M = {h.m} "

@@ -188,7 +188,7 @@ def test_assemble_export_matches_per_entry_loop(capsys, tmp_path, radiation_file
     coupled = radiation_triangle(kappa=1.8)
     h = assemble_radiation_sector(coupled, 0, cutoff=2, modes=transverse_mode_subset(coupled))
     assert h.op.matrix.dtype == np.complex128
-    monkeypatch.setattr(cli, "_assemble", lambda *args: h)
+    monkeypatch.setattr(cli, "assemble_sector", lambda *args: h)
     code, out = run(capsys, "assemble", "--model", radiation_file, "--form", "radiation", "--m", "0")
     assert code == 0
     assert out.splitlines()[2:] == _export_oracle(h.op.matrix)
@@ -212,7 +212,7 @@ def test_assemble_export_tables_keep_every_bit_pattern(capsys, radiation_file, m
     assert np.signbit(mat.data.imag).tolist().count(True) == 4
     h = SimpleNamespace(m=Fraction(0), provenance="test", dropped_constant=0.0, cutoff=None,
                         op=SimpleNamespace(matrix=mat, dimension=12, shape=mat.shape))
-    monkeypatch.setattr(cli, "_assemble", lambda *args: h)
+    monkeypatch.setattr(cli, "assemble_sector", lambda *args: h)
     code, out = run(capsys, "assemble", "--model", radiation_file, "--form", "radiation", "--m", "0")
     assert code == 0
     lines = out.splitlines()[2:]
@@ -745,7 +745,7 @@ def _zeeman_at_negative_m(monkeypatch):
     from nagaoka.hamiltonian import SectorHamiltonian
     from nagaoka.manybody import SparseHermitian
 
-    real = cli._assemble
+    real = cli.assemble_sector
 
     def zeeman_at_negative_m(model, form, m, cutoff):
         h = real(model, form, m, cutoff)
@@ -755,7 +755,7 @@ def _zeeman_at_negative_m(monkeypatch):
         return SectorHamiltonian(model=h.model, m=h.m, basis=h.basis, provenance=h.provenance,
                                  op=SparseHermitian(h.op.matrix + field))
 
-    monkeypatch.setattr(cli, "_assemble", zeeman_at_negative_m)
+    monkeypatch.setattr(cli, "assemble_sector", zeeman_at_negative_m)
 
 
 def test_ed_all_exits_2_when_a_sector_is_not_the_spin_flip(capsys, tmp_path, monkeypatch):
@@ -1209,6 +1209,8 @@ _BAD_MODELS = {
     "sites": ("[lattice]\nsites = 3.5\n", "expected an integer at [lattice] sites, got '3.5'"),
     "sites huge": ("[lattice]\nsites = 10000000\n0 1 1.0\n",
                    "size violated: 10000000 sites; models hold at most 63 sites"),
+    "sites negative": ("[lattice]\nsites = -5\n0 1 1.0\n",
+                       "size violated: -5 sites; models need at least 2 sites"),
     "extent": ("[lattice]\nsites = 3\ngenerator = chain\nextent = a\n",
                "expected an integer at [lattice] extent, got 'a'"),
     "phonon cutoff": ("[phonon]\nomega = 1.0\ncutoff = 2.5\n0 0 0.5\n",

@@ -93,6 +93,31 @@ def test_every_row_of_ed_all_carries_the_polarized_energy(capsys, tmp_path, cuto
     assert all(row["degeneracy"] == 1 and row["resolved_s"] == "3/2" for row in rows)
 
 
+
+@pytest.mark.parametrize("argv, polarized_dimension", [
+    (("ed", "--all", "--form", "holstein", "--cutoff", "2"), 4 * 3 ** 4),
+    (("ed", "--all", "--form", "holstein", "--cutoff", "3"), 4 * 4 ** 4),
+    (("certify", "--all", "--form", "holstein", "--cutoff", "3"), 4 * 4 ** 4),
+], ids=["ed-cutoff-2", "ed-cutoff-3", "certify-cutoff-3"])
+def test_one_polarized_solve_per_command(capsys, tmp_path, monkeypatch, argv,
+                                         polarized_dimension):
+    # the polarized sector comes first in --all, so it is the certifier's
+    # H_P as given, never assembled again, and its one ground_cluster is
+    # the only one: every other sector is lowered from it
+    import nagaoka.positivity as positivity
+    import nagaoka.spectral as spectral
+
+    assembled, solved = [], []
+    real_assemble, real_cluster = positivity.assemble_sector, spectral.ground_cluster
+    monkeypatch.setattr(positivity, "assemble_sector",
+                        lambda *args: assembled.append(args) or real_assemble(*args))
+    for module in (positivity, spectral):
+        monkeypatch.setattr(module, "ground_cluster",
+                            lambda mat: solved.append(mat.shape[0]) or real_cluster(mat))
+    code, out, _ = _run(capsys, *argv, "--model", _holstein_file(tmp_path))
+    assert code == 0 and len(json.loads(out)["results"]) == 4
+    assert assembled == [] and solved == [polarized_dimension]
+
 @pytest.mark.parametrize("cutoff", [2, 3])
 def test_single_sectors_are_byte_identical_to_their_rows_of_ed_all(capsys, tmp_path, cutoff):
     # ed --m 1/2 assembles and solves the polarized sector itself
