@@ -29,7 +29,6 @@ from .positivity import (
     improves_positivity_exp,
     pf_certificate,
     preserves_positivity,
-    qgrid_holstein_certify,
     spin_lowering_positivity,
 )
 from .sector import (

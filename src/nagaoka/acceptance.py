@@ -17,11 +17,13 @@ import numpy as np
 
 from .corpus import complete4, corpus_models, pair2, triangle3
 from .hamiltonian import (
+    GRID_FORM,
     assemble_holstein_sector,
     assemble_lang_firsov_sector,
     assemble_nagaoka_projected,
     assemble_nagaoka_sector,
     assemble_radiation_sector,
+    assemble_sector,
     peierls_kernel,
     peierls_unitary,
     photon_modes,
@@ -30,14 +32,14 @@ from .hamiltonian import (
 from .manybody import _csr, boson_basis
 from .model import LatticeModel, PhononBlock, RadiationBlock
 from .positivity import (
+    SectorCertifier,
     diagonal_perturbation_equivalence,
+    eigenvector_certificate,
     ergodicity_certificate,
-    pf_certificate,
-    qgrid_holstein_certify,
     spin_lowering_positivity,
 )
 from .sector import connectivity_check, sector_magnetizations
-from .spectral import eig_lowest, ground_cluster, ground_report, resolvent_gaps
+from .spectral import eig_lowest, ground_report, resolvent_gaps
 
 _SEED = 20240915
 
@@ -154,8 +156,7 @@ def criterion_4() -> str:
             if not connectivity_check(model, m).connected:
                 continue
             h = assemble_nagaoka_sector(model, m)
-            _, _, degeneracy, _, v0 = ground_cluster(h.op.matrix)
-            cert = pf_certificate(h, v0, degeneracy)
+            cert = eigenvector_certificate(h)
             assert cert.offdiag_sign_ok, f"{name} M={m}: off-diagonal sign broken"
             assert cert.irreducible, f"{name} M={m}: reducible"
             assert cert.ground_unique and cert.ground_strictly_positive, \
@@ -356,21 +357,23 @@ def criterion_12() -> str:
     2-site phonon model with gamma = 0.5: the polaron displacement is
     sqrt(2)/2, taken as 6 (then 12) grid cells so refinement stays
     commensurate; the 64-point certificate must be strictly positive and the
-    refined energy must land within 1e-3 of the cutoff-16 boson-basis value."""
+    refined energy must land within 1e-3 of the cutoff-16 boson-basis value.
+    The grids are certified as by ``certify --qgrid``: one solve each."""
     model = holstein_model(pair2(), gamma=0.5)
     reference = float(eig_lowest(assemble_holstein_sector(model, 0.5, cutoff=16), 1)[0][0])
     displacement = np.sqrt(2.0) * 0.5
-    res64 = qgrid_holstein_certify(model, 0.5, 64, displacement / 6)
-    assert res64.certificate.ground_strictly_positive, \
-        f"64-point ground vector not strictly positive (min {res64.certificate.min_entry:.2e})"
-    assert res64.certificate.offdiag_sign_ok and res64.certificate.irreducible
-    err64 = abs(res64.ground_energy + res64.dropped_constant - reference)
-    res128 = qgrid_holstein_certify(model, 0.5, 128, displacement / 12)
-    assert res128.certificate.ground_strictly_positive
-    err128 = abs(res128.ground_energy + res128.dropped_constant - reference)
+    certs, errors = [], []
+    for grid in ((64, displacement / 6), (128, displacement / 12)):
+        h = assemble_sector(model, GRID_FORM, 0.5, grid)
+        certs.append(SectorCertifier(model, GRID_FORM, grid)(h))
+        errors.append(abs(certs[-1].ground_energy + h.dropped_constant - reference))
+        assert certs[-1].ground_strictly_positive, \
+            f"{grid[0]}-point ground vector not strictly positive (min {certs[-1].min_entry:.2e})"
+    assert certs[0].offdiag_sign_ok and certs[0].irreducible
+    err64, err128 = errors
     assert err128 <= 1e-3, f"refined grid energy off by {err128:.2e}"
     assert err128 < err64, f"refinement not converging: {err64:.2e} -> {err128:.2e}"
-    return (f"min entry {res64.certificate.min_entry:.2e} at 64 points; "
+    return (f"min entry {certs[0].min_entry:.2e} at 64 points; "
             f"energy error {err64:.2e} -> {err128:.2e} vs cutoff-16 reference")
 
 

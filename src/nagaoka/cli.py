@@ -42,9 +42,9 @@ from .errors import (
     InconsistencyError,
     ModelValidationError,
 )
-from .hamiltonian import SECTOR_FORMS, assemble_hubbard_full, assemble_sector
+from .hamiltonian import GRID_FORM, SECTOR_FORMS, assemble_hubbard_full, assemble_sector
 from .model import load_model
-from .positivity import SectorCertifier, qgrid_holstein_certify
+from .positivity import SectorCertifier
 from .sector import as_half_integer, connectivity_check, enumerate_sector, sector_magnetizations
 from .spectral import ground_report, resolvent_gaps, verified_spin_flip
 
@@ -239,6 +239,10 @@ def _map_jobs(fn, payloads, jobs: int) -> list:
 
 
 def _pick_form(model) -> str:
+    """The form a model's blocks call for; never one that drops a block."""
+    if model.radiation is not None and model.phonon is not None:
+        raise ModelValidationError("cli", "the model has both a [phonon] and a [radiation] "
+                                          "block, and every form drops one; pass --form")
     if model.radiation is not None:
         return "radiation"
     if model.phonon is not None:
@@ -415,48 +419,40 @@ def _cmd_largeu(args) -> int:
     return EXIT_OK
 
 
-def _certificate_row(m, cert, **extra) -> dict:
-    return {"m": str(m), "basis": cert.basis_tag,
-            "offdiag_sign_ok": cert.offdiag_sign_ok,
-            "irreducible": cert.irreducible,
-            "ground_unique": cert.ground_unique,
-            "ground_strictly_positive": cert.ground_strictly_positive,
-            "min_entry": cert.min_entry, **extra}
-
-
 def _cmd_certify(args) -> int:
-    """Certificates per sector, ascending in M.  Without ``--qgrid`` the
-    sectors of ``--form`` (by default by model content, as in ``ed``) go
-    through ``_sector_jobs`` as in ``ed``, in descending |M|, and one
-    ``SectorCertifier`` certifies each solved sector, by Nagaoka's theorem
-    in the form's gauge where its hypotheses hold: -M is certified by M's
-    certificate once ``verified_spin_flip`` holds, as H(-M) is H(M)
-    permuted and its ground vector M's permuted.  ``--qgrid`` certifies
-    the polaron frame on its own grid, so it takes no ``--form`` or
-    ``--cutoff``."""
+    """Certificates per sector, ascending in M.  The sectors of ``--form``
+    (by default by model content, as in ``ed``), or of the polaron frame on
+    the grid ``--qgrid`` by ``--spacing`` (then no ``--form`` or
+    ``--cutoff``), go through ``_sector_jobs`` as in ``ed``, in descending
+    |M|, and one ``SectorCertifier`` certifies each solved sector, by
+    Nagaoka's theorem in the form's gauge where its hypotheses hold: -M is
+    certified by M's certificate once ``verified_spin_flip`` holds.  A grid
+    row adds the ground energy, the dropped constant and the grid."""
     if (args.qgrid is None) != (args.spacing is None):
         raise ModelValidationError(
             "cli", "--spacing needs --qgrid" if args.qgrid is None else "--qgrid needs --spacing")
-    if args.qgrid is not None:
-        for option in ("form", "cutoff"):
-            if getattr(args, option) is not None:
-                raise ModelValidationError("cli", f"--{option} does not apply to --qgrid")
+    grid = args.qgrid is not None
+    for option in ("form", "cutoff") if grid else ():
+        if getattr(args, option) is not None:
+            raise ModelValidationError("cli", f"--{option} does not apply to --qgrid")
     model = load_model(args.model)
     ms = _sectors(model, args)
-    if args.qgrid is not None:
-        rows = []
-        for m in ms:
-            res = qgrid_holstein_certify(model, m, args.qgrid, args.spacing)
-            rows.append(_certificate_row(m, res.certificate, ground_energy=res.ground_energy,
-                                         dropped_constant=res.dropped_constant,
-                                         points=res.points, spacing=res.spacing))
-    else:
-        form = args.form or _pick_form(model)
-        _refuse_ignored_options(args, form)
-        certify = SectorCertifier(model, form, args.cutoff)
-        certs = [kv for job in _sector_jobs(model, form, ms, args.cutoff)
-                 for kv in _solve_job(job, certify)]
-        rows = [_certificate_row(m, cert) for m, cert in sorted(certs, key=lambda kv: kv[0])]
+    form, cutoff = ((GRID_FORM, (args.qgrid, args.spacing)) if grid
+                    else (args.form or _pick_form(model), args.cutoff))
+    _refuse_ignored_options(args, form)
+    certifier = SectorCertifier(model, form, cutoff)
+
+    def certify(h) -> dict:
+        cert = certifier(h)
+        grid_fields = {"ground_energy": cert.ground_energy, "dropped_constant": h.dropped_constant,
+                       "points": args.qgrid, "spacing": args.spacing}
+        return {"basis": cert.basis_tag, "offdiag_sign_ok": cert.offdiag_sign_ok,
+                "irreducible": cert.irreducible, "ground_unique": cert.ground_unique,
+                "ground_strictly_positive": cert.ground_strictly_positive,
+                "min_entry": cert.min_entry, **(grid_fields if grid else {})}
+
+    certs = [kv for job in _sector_jobs(model, form, ms, cutoff) for kv in _solve_job(job, certify)]
+    rows = [{"m": str(m), **row} for m, row in sorted(certs, key=lambda kv: kv[0])]
     _emit(args, json.dumps(_report(args, rows), indent=2))
     return EXIT_OK
 

@@ -504,7 +504,7 @@ def assemble_qgrid_sector(model: LatticeModel, m, points: int, spacing: float) -
                 + [(_diagonal(_sector_diagonal(model, basis, dressed=True)), None),
                    (None, _mode_sum(osc, grid))])
 
-    return _dressed_sector(model, m, model.sites, points - 1, "qgrid", terms,
+    return _dressed_sector(model, m, model.sites, points - 1, GRID_FORM, terms,
                            dropped_constant=lang_firsov_constant(model))
 
 
@@ -650,8 +650,14 @@ SECTOR_FORMS = {
     "radiation": lambda model, m, cutoff: assemble_radiation_sector(model, m, cutoff),
 }
 
+#: The polaron frame on position grids (``certify --qgrid``); cutoff (points, spacing).
+GRID_FORM = "qgrid"
+
 
 def assemble_sector(model: LatticeModel, form: str, m,
-                    cutoff: int | None = None) -> SectorHamiltonian:
-    """Sector M of the form named ``form`` (a key of ``SECTOR_FORMS``)."""
+                    cutoff: int | tuple[int, float] | None = None) -> SectorHamiltonian:
+    """Sector M of the form named ``form``: a key of ``SECTOR_FORMS`` at
+    ``cutoff``, or ``GRID_FORM`` on the grid ``cutoff`` = (points, spacing)."""
+    if form == GRID_FORM:
+        return assemble_qgrid_sector(model, m, *cutoff)
     return SECTOR_FORMS[form](model, m, cutoff)

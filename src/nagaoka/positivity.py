@@ -1,9 +1,9 @@
 """Executable positivity machinery on distinguished bases.
 
 The distinguished cone is always the nonnegative-coefficient cone over a
-concrete basis: the configuration basis of a sector, or its product with a
-position grid for the phonon-dressed case (the grid form is assembled in
-``hamiltonian``; this module only certifies it).  In that setting
+concrete basis: the configuration basis of a sector, or its product with
+boson occupations or with a position grid (``hamiltonian.GRID_FORM``, the
+polaron frame in the Schroedinger representation).  In that setting
 
 * an operator preserves positivity iff its matrix is entrywise >= 0,
 * the exponential of such an operator improves positivity iff the support
@@ -31,7 +31,8 @@ lowered polarized ground vector is the sector's unique ground vector.
 ``SectorCertifier`` certifies such a sector from the polarized sector's
 solve alone, and any other one from its own ground vector, the route that
 stays the theorem route's oracle; it also hands ``ed`` the lowered ground
-pair in place of a solve.
+pair in place of a solve, and certifies position grids as it does the
+Fock forms.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import ConvergenceError, InconsistencyError
-from .hamiltonian import SectorHamiltonian, assemble_qgrid_sector, assemble_sector
+from .hamiltonian import GRID_FORM, SectorHamiltonian, assemble_sector
 from .manybody import sector_ladder, sector_lowering_fock
 from .model import LatticeModel
 from .sector import enumerate_sector
@@ -70,6 +71,7 @@ class PositivityCertificate:
     ground_strictly_positive: bool
     min_entry: float
     basis_tag: str
+    ground_energy: float | None = None    # of the solve behind it, where the caller gives one
 
 
 def preserves_positivity(a) -> bool:
@@ -115,10 +117,12 @@ def _structure(h):
 
 
 def _basis_tag(h) -> str:
-    """The cone basis of ``h``: configurations, times boson occupations
-    when the form has bosons, in the gauge when it states one."""
+    """The cone basis of ``h``: configurations, times grid positions or
+    boson occupations, in the gauge when the form states one."""
     if not isinstance(h, SectorHamiltonian) or h.boson is None:
         return "configuration"
+    if h.provenance == GRID_FORM:
+        return "configuration x grid"
     return "configuration x boson" + (" (gauged)" if h.gauge is not None else "")
 
 
@@ -131,6 +135,12 @@ def _hypotheses(structure) -> tuple[bool, bool]:
     return bool(np.all(re_max <= tol) and np.all(im_max <= tol)), sizes.size <= 1
 
 
+def _min_entry(value: float) -> str:
+    """A min entry for a message, naming the threshold where it lies within it of 0."""
+    near = f", within STRICT_POSITIVITY_TOL = {STRICT_POSITIVITY_TOL} of 0 (below float resolution)"
+    return f"min entry {value:.3e}" + (near if abs(value) <= STRICT_POSITIVITY_TOL else "")
+
+
 def _phase_normalized(v: np.ndarray) -> np.ndarray:
     """``v`` times the phase that makes its largest-magnitude entry positive."""
     v = np.asarray(v).ravel()
@@ -138,8 +148,8 @@ def _phase_normalized(v: np.ndarray) -> np.ndarray:
     return v * np.conj(pivot) / abs(pivot)
 
 
-def pf_certificate(h, ground_vector: np.ndarray, degeneracy: int,
-                   basis_tag: str | None = None, structure=None) -> PositivityCertificate:
+def pf_certificate(h, ground_vector: np.ndarray, degeneracy: int, structure=None,
+                   ground_energy: float | None = None) -> PositivityCertificate:
     """Certificate tying the sign structure of -H to ground-state uniqueness
     and strict positivity, both read in the gauge ``h`` states.
 
@@ -147,9 +157,10 @@ def pf_certificate(h, ground_vector: np.ndarray, degeneracy: int,
     entry is positive; strict positivity then means every entry exceeds the
     threshold.  If the sign structure and irreducibility hold but uniqueness
     or positivity fail, the certificate raises instead of reporting, because
-    the implication is a theorem at finite dimension.  ``structure`` is
-    ``sign_structure`` of H in its gauge when the caller has it already;
-    ``basis_tag`` defaults to the cone basis of ``h``.
+    the implication is a theorem at finite dimension; where the level is
+    simple and real and only the min entry lies within the threshold of 0,
+    the message says so.  ``structure`` is ``sign_structure`` of H in its
+    gauge when the caller has it already; ``ground_energy`` is recorded.
     """
     tol = STRICT_POSITIVITY_TOL
     sign_ok, irreducible = _hypotheses(_structure(h) if structure is None else structure)
@@ -160,13 +171,17 @@ def pf_certificate(h, ground_vector: np.ndarray, degeneracy: int,
     strictly_positive = bool(real_ok and min_entry > tol)
 
     if sign_ok and irreducible and not (unique and strictly_positive):
+        if unique and real_ok and min_entry >= -tol:
+            raise InconsistencyError(f"sign structure and irreducibility hold and the ground level "
+                                     f"is simple, but strict positivity fails at its "
+                                     f"{_min_entry(min_entry)}")
         raise InconsistencyError(
             f"sign structure and irreducibility hold but degeneracy = {degeneracy}, "
             f"min entry = {min_entry:.3e}; the eigensolve cannot be trusted")
     return PositivityCertificate(
         offdiag_sign_ok=sign_ok, irreducible=irreducible, ground_unique=unique,
         ground_strictly_positive=strictly_positive, min_entry=min_entry,
-        basis_tag=_basis_tag(h) if basis_tag is None else basis_tag)
+        basis_tag=_basis_tag(h), ground_energy=ground_energy)
 
 
 def diagonal_perturbation_equivalence(h, diagonal) -> bool:
@@ -201,15 +216,16 @@ def spin_lowering_positivity(model: LatticeModel, m) -> bool:
 
 def eigenvector_certificate(h, structure=None) -> PositivityCertificate:
     """``pf_certificate`` of H on the ground vector and degeneracy of
-    ``ground_cluster``."""
-    _, _, degeneracy, _, v0 = ground_cluster(as_matrix(h))
-    return pf_certificate(h, v0, degeneracy, structure=structure)
+    ``ground_cluster``, with its ground energy."""
+    _, e0, degeneracy, _, v0 = ground_cluster(as_matrix(h))
+    return pf_certificate(h, v0, degeneracy, structure, float(e0))
 
 
 class SectorCertifier:
     """Nagaoka's theorem on the infinite-U sectors of one model, each H_M
-    in the form ``form`` of ``hamiltonian.SECTOR_FORMS`` at ``cutoff``,
-    read in the gauge the form states.
+    in the form ``form`` of ``hamiltonian.assemble_sector`` at ``cutoff``
+    ((points, spacing) for the grid form), read in the gauge the form
+    states.
 
     Where H_M and the polarized H_P (P = S_max for M >= 0, -S_max for
     M < 0) both pass the sign test and are one block each, the theorem
@@ -221,16 +237,21 @@ class SectorCertifier:
     for both callers: calling the certifier certifies a sector, by the
     theorem (``by_theorem``) or else by ``eigenvector_certificate`` on the
     sign structure read for the choice, and ``report`` gives ``ed``'s
-    report where the theorem saves a solve.
+    report where the theorem saves a solve.  A certificate carries its
+    route's ground energy (E_P where lowered).  A grid sector that fails the
+    sign test raises InconsistencyError: the grid form is built on the cone.
     """
 
-    def __init__(self, model: LatticeModel, form: str = "nagaoka", cutoff: int | None = None):
+    def __init__(self, model: LatticeModel, form: str = "nagaoka",
+                 cutoff: int | tuple[int, float] | None = None):
         self.model, self.form, self.cutoff = model, form, cutoff
         self._tops = {}      # P -> [H_P, its sign structure, its ground_cluster once solved]
         self._walks = {}     # P -> (basis, vector, previous basis) of the walk's last sector
 
     def __call__(self, h) -> PositivityCertificate:
         structure = _structure(h)
+        if self.form == GRID_FORM and not _hypotheses(structure)[0]:
+            raise InconsistencyError("grid assembly lost the off-diagonal sign structure")
         return self.by_theorem(h, structure) or eigenvector_certificate(h, structure)
 
     def _polarized_m(self, h) -> Fraction:
@@ -299,17 +320,18 @@ class SectorCertifier:
         step = self._step(h, structure)
         if step is None:
             return None
-        h_top, top_structure, (_, _, degeneracy, _, v0) = self._tops[self._polarized_m(h)]
-        cert = pf_certificate(h_top, v0, degeneracy, structure=top_structure)
+        h_top, top_structure, (_, e_top, degeneracy, _, v0) = self._tops[self._polarized_m(h)]
+        cert = pf_certificate(h_top, v0, degeneracy, top_structure, float(e_top))
         if h.m == h_top.m:
             return cert
         min_entry = float(np.min(_in_gauge(h, step[1])))
         if not min_entry > STRICT_POSITIVITY_TOL:
             raise InconsistencyError(f"the lowered polarized ground vector of sector M = {h.m} "
-                                     f"has min entry {min_entry:.3e}")
+                                     f"has {_min_entry(min_entry)}")
         return PositivityCertificate(
             offdiag_sign_ok=True, irreducible=True, ground_unique=True,
-            ground_strictly_positive=True, min_entry=min_entry, basis_tag=_basis_tag(h))
+            ground_strictly_positive=True, min_entry=min_entry, basis_tag=_basis_tag(h),
+            ground_energy=step[0])
 
     def report(self, h) -> SpectralReport | None:
         """``ed``'s report of sector ``h`` where the theorem saves a solve;
@@ -341,30 +363,3 @@ class SectorCertifier:
             raise InconsistencyError(f"the lowered polarized ground vector of sector M = {h.m} "
                                      f"has min entry {min_entry:.3e} in its gauge")
         return lowered_report(h, e_top, w, previous)
-
-
-# ---------------------------------------------------------------------------
-# position-grid certificate for the phonon-dressed sector
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GridCertificate:
-    certificate: PositivityCertificate
-    ground_energy: float
-    dropped_constant: float
-    points: int
-    spacing: float
-
-
-def qgrid_holstein_certify(model: LatticeModel, m, points: int, spacing: float) -> GridCertificate:
-    """``assemble_qgrid_sector`` certified in the product cone basis, with
-    the degeneracy and ground vector of the block-wise solve behind
-    ``ground_report``: a Lanczos-solved grid finds every copy of its ground
-    level by deflation, and a reducible grid reports its lowest block's."""
-    h = assemble_qgrid_sector(model, m, points, spacing)
-    _, e0, degeneracy, _, v0 = ground_cluster(h.op.matrix)
-    cert = pf_certificate(h, v0, degeneracy, basis_tag="configuration x grid")
-    if not cert.offdiag_sign_ok:
-        raise InconsistencyError("grid assembly lost the off-diagonal sign structure")
-    return GridCertificate(certificate=cert, ground_energy=float(e0),
-                           dropped_constant=h.dropped_constant, points=points, spacing=spacing)

@@ -288,6 +288,20 @@ def test_full_space_forms_refuse_a_radiation_field(capsys, radiation_file, argv)
     assert err.startswith("error: ") and "[radiation] block" in err
 
 
+@pytest.mark.parametrize("command", [("ed", "--all"), ("spin",), ("certify", "--all")])
+def test_the_default_form_refuses_a_model_with_both_boson_blocks(capsys, tmp_path, command):
+    # every form drops one of the two blocks, so the choice is the caller's
+    path = tmp_path / "both.ini"
+    path.write_text(RADIATION_TRIANGLE + "[phonon]\nomega = 1.0\ncutoff = 1\n0 0 0.5\n")
+    code, out, err = run_err(capsys, *command, "--model", str(path))
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: ") and all(
+        word in err for word in ("[phonon]", "[radiation]", "--form"))
+    for form in ("radiation", "holstein"):
+        code, out, _ = run_err(capsys, *command, "--form", form, "--model", str(path))
+        assert code == 0 and out
+
+
 def test_largeu_csv(capsys, triangle_file):
     code, out = run(capsys, "largeu", "--model", triangle_file,
                     "--u-list", "100,1000", "--z", "auto")

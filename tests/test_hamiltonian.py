@@ -5,7 +5,6 @@ import pytest
 import scipy.sparse as sp
 
 import nagaoka.hamiltonian as hamiltonian
-import nagaoka.positivity as positivity
 from nagaoka.acceptance import holstein_model, radiation_triangle, transverse_mode_subset
 from nagaoka.corpus import complete4, corpus_models, pair2, triangle3
 from nagaoka.hamiltonian import (
@@ -18,6 +17,7 @@ from nagaoka.hamiltonian import (
     assemble_lang_firsov_sector,
     assemble_nagaoka_projected,
     assemble_nagaoka_sector,
+    assemble_qgrid_sector,
     assemble_radiation_sector,
     effective_coulomb,
     hubbard_electron_matrix,
@@ -436,8 +436,8 @@ def test_kron_sum_equals_dense_kronecker_sum(monkeypatch, form):
         model = holstein_model(pair2(), gamma=0.5)
         spacing = np.sqrt(2.0) * 0.5 / 3
         terms, dims = _captured_terms(monkeypatch, hamiltonian,
-                                      lambda: positivity.qgrid_holstein_certify(
-                                          model, Fraction(1, 2), 32, spacing))
+                                      lambda: assemble_qgrid_sector(model, Fraction(1, 2), 32,
+                                                                    spacing))
     eye = [np.eye(n) for n in dims]
     want = sum(np.kron(eye[0] if a is None else dense(a, dims[0]),
                        eye[1] if b is None else dense(b, dims[1])) for a, b in terms)

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nagaoka.hamiltonian as hamiltonian
-import nagaoka.positivity as positivity
 import occupation_oracle as oracle
 from nagaoka.acceptance import holstein_model, radiation_triangle
 from nagaoka.corpus import complete4, corpus_models, pair2, triangle3
@@ -247,7 +246,7 @@ def test_qgrid_oscillator_sum_equals_the_dense_kronecker_sum(monkeypatch):
     model = holstein_model(triangle3(), gamma=0.5)
     spacing = np.sqrt(2.0) * 0.5 / 3
     terms, dims = _captured_terms(monkeypatch, hamiltonian,
-                                  lambda: positivity.qgrid_holstein_certify(model, Fraction(0), 8,
+                                  lambda: hamiltonian.assemble_qgrid_sector(model, Fraction(0), 8,
                                                                             spacing))
     osc = hamiltonian._oscillator_matrix(8, spacing, 1.0)
     eye = np.eye(8)

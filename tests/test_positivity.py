@@ -11,7 +11,12 @@ from nagaoka.acceptance import holstein_model
 from nagaoka.corpus import chain3, complete4, corpus_models, pair2, triangle3
 from nagaoka.errors import InconsistencyError, ModelValidationError
 from nagaoka.model import LatticeModel, generate_lattice
-from nagaoka.hamiltonian import assemble_holstein_sector, assemble_nagaoka_sector
+from nagaoka.hamiltonian import (
+    GRID_FORM,
+    assemble_holstein_sector,
+    assemble_nagaoka_sector,
+    assemble_sector,
+)
 from nagaoka.positivity import (
     SectorCertifier,
     diagonal_perturbation_equivalence,
@@ -20,7 +25,6 @@ from nagaoka.positivity import (
     improves_positivity_exp,
     pf_certificate,
     preserves_positivity,
-    qgrid_holstein_certify,
     spin_lowering_positivity,
 )
 from nagaoka.sector import connectivity_check, sector_magnetizations
@@ -165,51 +169,105 @@ def test_spin_lowering_positivity_goes_through_the_fermionic_operator(monkeypatc
     assert built == [56]                         # C(8, 3) Fock words of 3 electrons
 
 
+def _grid_certify(model, m, points, spacing):
+    """Sector M on a position grid and its certificate, by the route of
+    ``certify --qgrid``."""
+    h = assemble_sector(model, GRID_FORM, m, (points, spacing))
+    return h, SectorCertifier(model, GRID_FORM, (points, spacing))(h)
+
+
 def test_qgrid_incommensurate_rejected():
     model = holstein_model(pair2(), gamma=0.5)
     with pytest.raises(ModelValidationError) as err:
-        qgrid_holstein_certify(model, Fraction(1, 2), 32, 0.1)
+        _grid_certify(model, Fraction(1, 2), 32, 0.1)
     assert err.value.condition == "commensurability"
 
 
 def test_qgrid_site_limit():
     model = holstein_model(complete4(), gamma=0.5)
     with pytest.raises(ModelValidationError):
-        qgrid_holstein_certify(model, Fraction(1, 2), 8, 0.1)
+        _grid_certify(model, Fraction(1, 2), 8, 0.1)
 
 
 def test_qgrid_broken_sign_is_an_inconsistency(monkeypatch):
     # an oscillator with positive off-diagonal entries breaks the cone the
-    # grid certificate is built for: the certificate's sign check catches it
+    # grid form is built on: the certifier's sign check catches it
     real = hamiltonian._oscillator_matrix
     monkeypatch.setattr(hamiltonian, "_oscillator_matrix",
                         lambda *args: np.abs(real(*args)))
     with pytest.raises(InconsistencyError, match="lost the off-diagonal sign structure"):
-        qgrid_holstein_certify(holstein_model(pair2(), gamma=0.0), Fraction(1, 2), 8, 0.2)
+        _grid_certify(holstein_model(pair2(), gamma=0.0), Fraction(1, 2), 8, 0.2)
 
 
 def test_qgrid_zero_coupling_reduces_to_bare_certificate():
     model = holstein_model(pair2(), gamma=0.0)
-    res = qgrid_holstein_certify(model, Fraction(1, 2), 48, 0.2)
-    cert = res.certificate
+    h, cert = _grid_certify(model, Fraction(1, 2), 48, 0.2)
+    assert cert.basis_tag == "configuration x grid"
     assert cert.offdiag_sign_ok and cert.irreducible
     assert cert.ground_unique and cert.ground_strictly_positive
-    assert res.dropped_constant == 0.0
+    assert h.dropped_constant == 0.0
     # oscillators in their ground level: energy close to the bare electron value
-    assert abs(res.ground_energy - (-1.0)) <= 5e-3
+    assert abs(cert.ground_energy - (-1.0)) <= 5e-3
 
 
 def test_qgrid_commensurate_positive_and_convergent():
     model = holstein_model(pair2(), gamma=0.5)
     displacement = np.sqrt(2.0) * 0.5
     reference = eig_lowest(assemble_holstein_sector(model, Fraction(1, 2), cutoff=12), 1)[0][0]
-    res32 = qgrid_holstein_certify(model, Fraction(1, 2), 32, displacement / 3)
-    res64 = qgrid_holstein_certify(model, Fraction(1, 2), 64, displacement / 6)
-    for res in (res32, res64):
-        assert res.certificate.ground_strictly_positive
-    err32 = abs(res32.ground_energy + res32.dropped_constant - reference)
-    err64 = abs(res64.ground_energy + res64.dropped_constant - reference)
-    assert err64 < err32
+    errors = []
+    for points, cells in ((32, 3), (64, 6)):
+        h, cert = _grid_certify(model, Fraction(1, 2), points, displacement / cells)
+        assert cert.ground_strictly_positive
+        errors.append(abs(cert.ground_energy + h.dropped_constant - reference))
+    assert errors[1] < errors[0]
+
+
+#: Absolute bounds between the certifier and the eigenvector route on grid
+#: sectors (observed 6.2e-15 on E0 and 2.4e-18 on min_entry, triangle at 16
+#: points).
+GRID_ENERGY_TOL = 1e-13
+GRID_MIN_ENTRY_TOL = 1e-16
+
+
+@pytest.mark.parametrize("points", [8, 16])
+@pytest.mark.parametrize("base", [pair2, triangle3], ids=["pair", "triangle"])
+def test_grid_certifier_matches_the_eigenvector_route(base, points):
+    # descending |M|, as certify takes the sectors: the triangle's M = 0 is
+    # lowered from M = 1, every other sector is polarized and solved
+    model = holstein_model(base(), gamma=0.5)
+    grid = (points, np.sqrt(2.0) * 0.5 / (points // 8))
+    certifier = SectorCertifier(model, GRID_FORM, grid)
+    for m in sorted(sector_magnetizations(model.sites), key=lambda m: (-abs(m), -m)):
+        h = assemble_sector(model, GRID_FORM, m, grid)
+        theorem, eigen = certifier(h), eigenvector_certificate(h)
+        floats = {"min_entry": None, "ground_energy": None}
+        assert {**vars(theorem), **floats} == {**vars(eigen), **floats}, m
+        assert theorem.basis_tag == "configuration x grid" and theorem.ground_strictly_positive
+        assert abs(theorem.min_entry - eigen.min_entry) <= GRID_MIN_ENTRY_TOL, m
+        assert abs(theorem.ground_energy - eigen.ground_energy) <= GRID_ENERGY_TOL, m
+
+
+def test_pf_certificate_names_the_tolerance_only_for_a_simple_level_below_it():
+    h = np.array([[0.0, -1.0], [-1.0, 0.0]])
+    with pytest.raises(InconsistencyError, match="fails at its min entry 3.000e-14, "
+                                                 "within STRICT_POSITIVITY_TOL = 1e-12 of 0"):
+        pf_certificate(h, np.array([1.0, 3e-14]), 1)
+    for v, degeneracy in (([1.0, 3e-14], 2), ([1.0, -0.5], 1)):
+        with pytest.raises(InconsistencyError, match="the eigensolve cannot be trusted"):
+            pf_certificate(h, np.array(v), degeneracy)
+
+
+def test_a_lowered_vector_below_the_tolerance_names_it(monkeypatch):
+    # between the lowered min entry (1.10e-5) and the polarized one (1.91e-5)
+    import nagaoka.positivity as positivity
+
+    monkeypatch.setattr(positivity, "STRICT_POSITIVITY_TOL", 1.5e-5)
+    model = holstein_model(complete4(), gamma=0.5)
+    certifier = SectorCertifier(model, "holstein", 2)
+    assert certifier(assemble_holstein_sector(model, Fraction(3, 2), 2)).ground_strictly_positive
+    with pytest.raises(InconsistencyError, match=r"vector of sector M = 1/2 has min entry "
+                                                 r"1\.104e-05, within STRICT_POSITIVITY_TOL"):
+        certifier(assemble_holstein_sector(model, Fraction(1, 2), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +276,9 @@ def test_qgrid_commensurate_positive_and_convergent():
 
 #: Relative bound on |min_entry| between the two routes on fixed lattices.
 ROUTE_MIN_ENTRY_TOL = 2e-14
+#: Bound on |E0| between the two routes, relative to 1 + |E0|: E_P against
+#: the sector's own solve.
+ROUTE_ENERGY_TOL = 1e-13
 
 TWO_ROUTE_MODELS = {
     **corpus_models(),
@@ -240,8 +301,11 @@ def _two_routes(model, ms):
 
 def _assert_routes_agree(theorem, eigen, tol, where):
     assert theorem.basis_tag == eigen.basis_tag == "configuration", where
-    assert ({**vars(theorem), "min_entry": None} == {**vars(eigen), "min_entry": None}), where
+    floats = {"min_entry": None, "ground_energy": None}
+    assert {**vars(theorem), **floats} == {**vars(eigen), **floats}, where
     assert abs(theorem.min_entry - eigen.min_entry) <= tol * eigen.min_entry, where
+    energy = eigen.ground_energy
+    assert abs(theorem.ground_energy - energy) <= ROUTE_ENERGY_TOL * (1 + abs(energy)), where
 
 
 @pytest.mark.parametrize("name", sorted(TWO_ROUTE_MODELS))

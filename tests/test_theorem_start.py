@@ -78,9 +78,12 @@ def test_holstein_certificates_match_the_eigenvector_route(gamma, cutoff):
         h = assemble_holstein_sector(model, m, cutoff)
         theorem, eigen = certifier.by_theorem(h), eigenvector_certificate(h)
         assert theorem is not None and theorem.basis_tag == "configuration x boson (gauged)"
-        assert {**vars(theorem), "min_entry": None} == {**vars(eigen), "min_entry": None}
+        floats = {"min_entry": None, "ground_energy": None}
+        assert {**vars(theorem), **floats} == {**vars(eigen), **floats}
         assert eigen.ground_strictly_positive
         assert abs(theorem.min_entry - eigen.min_entry) <= MIN_ENTRY_TOL, m
+        energy = eigen.ground_energy
+        assert abs(theorem.ground_energy - energy) <= ROUTE_TOL * (1 + abs(energy)), m
 
 
 @pytest.mark.parametrize("cutoff", [2, 3])
@@ -184,6 +187,50 @@ def test_certify_takes_the_form_and_cutoff_of_ed(capsys, tmp_path):
     code, out, _ = _run(capsys, "certify", "--m", "1/2", "--form", "langfirsov", "--model", path)
     (row,) = json.loads(out)["results"]
     assert code == 0 and not row["offdiag_sign_ok"] and not row["ground_strictly_positive"]
+
+
+@pytest.mark.parametrize("cutoff, code", [(4, 0), (5, 2)])
+def test_strict_positivity_below_float_resolution_names_the_tolerance(capsys, tmp_path,
+                                                                      cutoff, code):
+    # the polarized ground level is simple and passes its residual check at
+    # both cutoffs; at cutoff 5 its min entry (3.5e-14) is below the tolerance
+    argv = ("certify", "--m", "3/2", "--form", "holstein", "--cutoff", str(cutoff))
+    got, out, err = _run(capsys, *argv, "--model", _holstein_file(tmp_path))
+    assert got == code
+    if code:
+        assert out == "" and "is simple, but strict positivity fails at its min entry 3.520e-14, " \
+                             "within STRICT_POSITIVITY_TOL = 1e-12 of 0" in err
+        assert "cannot be trusted" not in err
+
+
+def test_certify_all_qgrid_solves_the_polarized_grid_once(capsys, tmp_path, monkeypatch):
+    # the Holstein triangle's grid: M = 1 is solved, -1 is its verified spin
+    # flip, and M = 0 (twice the size) is lowered from M = 1, never solved
+    import nagaoka.cli as cli
+    import nagaoka.positivity as positivity
+    import nagaoka.spectral as spectral
+
+    solved, flips = [], []
+    real_cluster, real_flip = spectral.ground_cluster, cli.verified_spin_flip
+    for module in (positivity, spectral):
+        monkeypatch.setattr(module, "ground_cluster",
+                            lambda mat: solved.append(mat.shape[0]) or real_cluster(mat))
+    monkeypatch.setattr(cli, "verified_spin_flip",
+                        lambda h, flip: flips.append((h.m, flip.m)) or real_flip(h, flip))
+    path = tmp_path / "triangle.ini"
+    path.write_text("[lattice]\nsites = 3\ngenerator = complete\nextent = 3\nt = 1.0\n"
+                    "[coulomb]\nu = inf\n[phonon]\nomega = 1.0\ncutoff = 2\n"
+                    + "".join(f"{x} {x} 0.5\n" for x in range(3)))
+    spacing = float(np.sqrt(2.0) * 0.5 / 2)
+    code, out, _ = _run(capsys, "certify", "--all", "--qgrid", "16", "--spacing", repr(spacing),
+                        "--model", str(path))
+    assert code == 0
+    rows = json.loads(out)["results"]
+    assert [row["m"] for row in rows] == ["-1", "0", "1"]
+    assert all(row["basis"] == "configuration x grid" and row["ground_strictly_positive"]
+               and row["points"] == 16 and row["spacing"] == spacing for row in rows)
+    assert len({row["ground_energy"].hex() for row in rows}) == 1      # E_P in every row
+    assert solved == [3 * 16 ** 3] and flips == [(1, -1)]
 
 
 @pytest.mark.parametrize("extra, option", [(("--form", "holstein"), "--form"),
