@@ -13,6 +13,7 @@ from .hamiltonian import (
     SectorHamiltonian,
     assemble_holstein_sector,
     assemble_hubbard_full,
+    assemble_lang_firsov_hole_sector,
     assemble_lang_firsov_sector,
     assemble_nagaoka_projected,
     assemble_nagaoka_sector,

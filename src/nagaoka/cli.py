@@ -42,7 +42,13 @@ from .errors import (
     InconsistencyError,
     ModelValidationError,
 )
-from .hamiltonian import GRID_FORM, SECTOR_FORMS, assemble_hubbard_full, assemble_sector
+from .hamiltonian import (
+    GRID_FORM,
+    HOLE_FRAME_FORM,
+    SECTOR_FORMS,
+    assemble_hubbard_full,
+    assemble_sector,
+)
 from .model import load_model
 from .positivity import SectorCertifier
 from .sector import as_half_integer, connectivity_check, enumerate_sector, sector_magnetizations
@@ -370,10 +376,13 @@ def _ed_rows(args) -> list[dict]:
     """Spectral rows of the requested sectors, ascending in M.  The jobs
     share one ``SectorCertifier``, so in one process the polarized sector is
     assembled and solved once; a worker process starts from an empty copy,
-    and solves it in the same way."""
+    and solves it in the same way.  The Lang-Firsov form is solved in its
+    hole-displaced basis (``HOLE_FRAME_FORM``): the same spectrum and total
+    spin from several times fewer stored entries."""
     model = load_model(args.model)
     form = args.form or _pick_form(model)
     _refuse_ignored_options(args, form)
+    form = HOLE_FRAME_FORM if form == "langfirsov" else form
     jobs = _sector_jobs(model, form, _sectors(model, args), args.cutoff)
     solve = partial(_ed_job, SectorCertifier(model, form, args.cutoff))
     rows = sorted((kv for batch in _map_jobs(solve, jobs, args.jobs) for kv in batch),

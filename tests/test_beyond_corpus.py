@@ -53,8 +53,11 @@ def test_full_first_shell_line_triangle_every_sector(capsys, tmp_path):
 
 
 def test_lang_firsov_pair_at_cutoff_300_is_refused_by_its_entries(capsys, tmp_path):
-    # dimension 2 x 301^2 = 181,202 is within the dimension budget, but each
-    # hopping phase would store about 8.2e9 entries
+    # dimension 2 x 301^2 = 181,202 is within the dimension budget, but in
+    # the hole-displaced basis that ed solves, the field energy of each hole
+    # site, dense on the hole's mode, would store 301 x 300 x 301 = 27,180,300
+    # off-diagonal entries (each hopping phase of the polaron frame itself
+    # about 8.2e9)
     path = tmp_path / "pair.ini"
     path.write_text("[lattice]\nsites = 2\n0 1 1.0\n[coulomb]\nu = inf\n"
                     "[phonon]\nomega = 1.0\ncutoff = 2\n0 0 0.5\n1 1 0.5\n")
@@ -72,6 +75,21 @@ def test_lang_firsov_complete4_at_cutoff_8_is_held_at_its_larger_sector():
     assert assemble_lang_firsov_sector(model, Fraction(3, 2)).dimension == 4 * 9**4
     with pytest.raises(DimensionBudgetError, match="19289328 stored entries"):
         assemble_lang_firsov_sector(model, Fraction(1, 2))
+
+
+def test_lang_firsov_ed_at_cutoff_8_solves_the_larger_sector(capsys, tmp_path):
+    # ed solves the hole-displaced basis, whose M = 1/2 sector (78,732
+    # states) stores under a million entries where the polaron frame would
+    # store 19,289,328 and is refused
+    path = tmp_path / "holstein4.ini"
+    path.write_text("[lattice]\nsites = 4\ngenerator = complete\nextent = 4\nt = 1.0\n"
+                    "[coulomb]\nu = inf\n[phonon]\nomega = 1.0\ncutoff = 2\n"
+                    + "".join(f"{x} {x} 0.5\n" for x in range(4)))
+    argv = ["ed", "--m", "1/2", "--form", "langfirsov", "--cutoff", "8", "--model", str(path)]
+    assert main(argv) == 0
+    (row,) = json.loads(capsys.readouterr().out)["results"]
+    assert row["dimension"] == 12 * 9**4
+    assert row["resolved_s"] == "3/2" and row["degeneracy"] == 1
 
 
 def test_even_ring_middle_sectors_split_into_necklace_orbits():

@@ -805,12 +805,14 @@ def test_certify_without_qgrid_certifies_the_form_of_the_model(capsys, tmp_path,
     assert row["irreducible"] == row["ground_strictly_positive"] == irreducible
 
 
-@pytest.mark.parametrize("cutoff", ["2", "3"])
-def test_paired_jobs_rerun_and_spread_identically(capsys, tmp_path, cutoff):
-    # at cutoff 3 a worker lowers from the polarized sector it solves itself
+@pytest.mark.parametrize("cutoff, form", [(c, f) for f in ("holstein", "langfirsov") for c in "23"],
+                         ids=["2", "3", "langfirsov-2", "langfirsov-3"])
+def test_paired_jobs_rerun_and_spread_identically(capsys, tmp_path, cutoff, form):
+    # at cutoff 3 a Holstein worker lowers from the polarized sector it
+    # solves itself; the Lang-Firsov form is solved in its hole-displaced basis
     path = tmp_path / "holstein4.ini"
     path.write_text(HOLSTEIN_COMPLETE4)
-    argv = ["ed", "--all", "--form", "holstein", "--cutoff", cutoff, "--model", str(path)]
+    argv = ["ed", "--all", "--form", form, "--cutoff", cutoff, "--model", str(path)]
     _, first = run(capsys, *argv)
     _, again = run(capsys, *argv)
     _, spread = run(capsys, *argv, "--jobs", "2")

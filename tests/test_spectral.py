@@ -12,6 +12,7 @@ from nagaoka.errors import AmbiguousSpinError, ConvergenceError
 from nagaoka.hamiltonian import (
     assemble_holstein_sector,
     assemble_hubbard_full,
+    assemble_lang_firsov_hole_sector,
     assemble_lang_firsov_sector,
     assemble_nagaoka_sector,
     assemble_radiation_sector,
@@ -632,6 +633,13 @@ def test_solver_policy_on_the_benchmark_matrices():
             (assemble_lang_firsov_sector(phonons, Fraction(3, 2)), False),
         "Lang-Firsov M=1/2 (972, 28, real)":
             (assemble_lang_firsov_sector(phonons, Fraction(1, 2)), True),
+        # the hole-displaced basis, which ed solves for the Lang-Firsov form
+        "hole frame M=3/2 (324, 6, real)":
+            (assemble_lang_firsov_hole_sector(phonons, Fraction(3, 2)), False),
+        "hole frame M=1/2 (972, 6, real)":
+            (assemble_lang_firsov_hole_sector(phonons, Fraction(1, 2)), True),
+        "hole frame M=1/2 cutoff 3 (3072, 7, real)":
+            (assemble_lang_firsov_hole_sector(phonons, Fraction(1, 2), cutoff=3), True),
     }
     for name, (h, lanczos) in routes.items():
         assert spectral.uses_lanczos(spectral.as_matrix(h)) is lanczos, name
