@@ -134,12 +134,16 @@ def _check_writable(path: str):
     raise OSError(code, os.strerror(code), path)
 
 
-def _emit(args, text: str):
+def _emit(args, text):
+    """Write ``text``, a string or an iterable of strings, to ``--out`` as
+    it is, or to stdout with a newline after any string that lacks one."""
+    chunks = [text] if isinstance(text, str) else text
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        for chunk in chunks:
+            print(chunk, end="" if chunk.endswith("\n") else "\n")
 
 
 def _spectral_row(m, rep) -> dict:
@@ -295,6 +299,11 @@ def _cmd_connectivity(args) -> int:
     return EXIT_OK
 
 
+#: Triplet rows ``assemble`` formats and writes at a time, which bounds the
+#: export's own memory by a block, not by the stored entries.
+_EXPORT_BLOCK = 65_536
+
+
 def _reprs(column: np.ndarray) -> list[str]:
     """``repr`` of every float of ``column``, formatted once per distinct
     bit pattern.  The keys are bits, not values: -0.0 == 0.0, but the two
@@ -328,10 +337,16 @@ def _cmd_assemble(args) -> int:
     header.pop("results")
     coo = op.matrix.tocoo()      # canonical CSR: row-major, columns sorted
     index = np.array([str(i) for i in range(1, op.dimension + 1)], dtype=object)
-    lines = [json.dumps(header), f"{op.shape[0]} {op.shape[1]} {coo.nnz}"]
-    lines += map(" ".join, zip(index[coo.row].tolist(), index[coo.col].tolist(),
-                               _reprs(coo.data.real), _reprs(coo.data.imag)))
-    _emit(args, "\n".join(lines) + "\n")
+
+    def blocks():
+        yield f"{json.dumps(header)}\n{op.shape[0]} {op.shape[1]} {coo.nnz}\n"
+        for start in range(0, coo.nnz, _EXPORT_BLOCK):
+            part = slice(start, start + _EXPORT_BLOCK)
+            yield "\n".join(map(" ".join, zip(
+                index[coo.row[part]].tolist(), index[coo.col[part]].tolist(),
+                _reprs(coo.data.real[part]), _reprs(coo.data.imag[part])))) + "\n"
+
+    _emit(args, blocks())
     return EXIT_OK
 
 

@@ -10,15 +10,18 @@ order.  Annihilating or creating mode m therefore carries the sign
 The electron basis is a fixed-N slice of Fock space (N = sites - 1
 everywhere), held as the ascending array of its words; every operator on
 it is applied to all words at once, and the diagonal ones read the words
-through ``FullFockBasis.occupations``.
+through ``FullFockBasis.occupations``.  ``full_fock_basis`` checks its
+arguments and the dimension budget on every call and builds the words once
+per process, in a bounded cache, read-only as every caller shares them.
 
-Boson bases are truncated per mode and carry no state list: every boson
-operator is built from dense (cutoff+1)-dimensional single-mode factors by
-``_mode_product`` and ``_mode_sum``, which fix the mode order and return
-(rows, cols, vals) index arrays, not matrices; a mode without a factor is
-an identity and costs index arithmetic only.  The raising operator
-annihilates the top level instead of erroring, so truncation artifacts
-surface as cutoff convergence failures rather than crashes.
+Boson bases are truncated per mode and carry no state list, so nothing
+caches them: every boson operator is built from dense (cutoff+1)-dimensional
+single-mode factors by ``_mode_product`` and ``_mode_sum``, which fix the
+mode order and return (rows, cols, vals) index arrays, not matrices; a mode
+without a factor is an identity and costs index arithmetic only.  The
+raising operator annihilates the top level instead of erroring, so
+truncation artifacts surface as cutoff convergence failures rather than
+crashes.
 
 Spin resolution on the magnetization sectors never builds the Fock space:
 the ladder map between two adjacent sector bases, ``sector_ladder``, comes
@@ -161,14 +164,22 @@ class FullFockBasis:
         return bits.reshape(self.dimension, 2, self.sites)
 
 
-@lru_cache(maxsize=8)
 def full_fock_basis(sites: int, n_electrons: int) -> FullFockBasis:
     if not 0 <= n_electrons <= 2 * sites:
         raise ValueError(f"cannot place {n_electrons} electrons on {sites} sites")
     guard_dimension(comb(2 * sites, n_electrons),
                     f"Fock basis of {n_electrons} electrons on {sites} sites")
-    return FullFockBasis(sites=sites, n_electrons=n_electrons,
-                         words=_combination_masks(2 * sites, n_electrons))
+    return _built_fock_basis(sites, n_electrons)
+
+
+@lru_cache(maxsize=8)
+def _built_fock_basis(sites: int, n_electrons: int) -> FullFockBasis:
+    """The basis of a checked Fock space, built once per process while it
+    stays among the 8 most recent; its words are read-only, as every caller
+    shares them."""
+    words = _combination_masks(2 * sites, n_electrons)
+    words.setflags(write=False)
+    return FullFockBasis(sites=sites, n_electrons=n_electrons, words=words)
 
 
 def _bilinear(basis: FullFockBasis, create_mode: int, annihilate_mode: int):
@@ -219,7 +230,6 @@ class BosonBasis:
 MAX_MODES = 63
 
 
-@lru_cache(maxsize=8)
 def boson_basis(modes: int, cutoff: int) -> BosonBasis:
     if modes < 0 or cutoff < 0:
         raise ValueError("modes and cutoff must be >= 0")

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -48,6 +49,21 @@ def _as_square(a, n, what) -> np.ndarray:
         x, y = bad[0]
         raise ModelValidationError("finite", f"{what} entry ({x}, {y}) = {arr[x, y]} is not finite")
     return arr
+
+
+def _as_symmetric(a, n, what, condition) -> np.ndarray:
+    arr = _as_square(a, n, what)
+    bad = np.argwhere(np.abs(arr - arr.T) > _SYM_TOL)
+    if bad.size:
+        x, y = bad[0]
+        raise ModelValidationError(condition, f"{what} asymmetric at ({x}, {y})")
+    return arr
+
+
+def _set_frozen(obj, name, arr: np.ndarray):
+    """Freeze ``arr`` and set it as the field ``name`` of the frozen ``obj``."""
+    arr.setflags(write=False)
+    object.__setattr__(obj, name, arr)
 
 
 def _finite_positive(value: float, condition: str, what: str):
@@ -92,16 +108,12 @@ class LatticeModel:
     def __post_init__(self):
         if self.sites < 2:
             raise ModelValidationError("size", "need at least 2 sites")
-        t = _as_square(self.hopping, self.sites, "hopping")
-        bad = np.argwhere(np.abs(t - t.T) > _SYM_TOL)
-        if bad.size:
-            x, y = bad[0]
-            raise ModelValidationError("A.1", f"hopping asymmetric at ({x}, {y})")
+        t = _as_symmetric(self.hopping, self.sites, "hopping", "A.1")
         neg = np.argwhere(t < -_SYM_TOL)
         if neg.size:
             x, y = neg[0]
             raise ModelValidationError("A.2", f"t[{x}, {y}] = {t[x, y]} < 0")
-        object.__setattr__(self, "hopping", t)
+        _set_frozen(self, "hopping", t)
 
         if self.onsite_u != INFINITE:
             u = float(self.onsite_u)
@@ -112,31 +124,22 @@ class LatticeModel:
         uxy = self.offsite_u
         if uxy is None:
             uxy = np.zeros((self.sites, self.sites))
-        uxy = _as_square(uxy, self.sites, "offsite_u")
-        bad = np.argwhere(np.abs(uxy - uxy.T) > _SYM_TOL)
-        if bad.size:
-            x, y = bad[0]
-            raise ModelValidationError("A.1", f"offsite_u asymmetric at ({x}, {y})")
+        uxy = _as_symmetric(uxy, self.sites, "offsite_u", "A.1")
         np.fill_diagonal(uxy, 0.0)  # diagonal of U_xy is ignored by definition
-        object.__setattr__(self, "offsite_u", uxy)
+        _set_frozen(self, "offsite_u", uxy)
 
         if self.phonon is not None:
             ph = self.phonon
-            g = _as_square(ph.coupling, self.sites, "phonon coupling")
-            bad = np.argwhere(np.abs(g - g.T) > _SYM_TOL)
-            if bad.size:
-                x, y = bad[0]
-                raise ModelValidationError("A.4", f"phonon coupling asymmetric at ({x}, {y})")
+            g = _as_symmetric(ph.coupling, self.sites, "phonon coupling", "A.4")
             _finite_positive(ph.frequency, "phonon", "frequency")
             if ph.per_site_cutoff < 0:
                 raise ModelValidationError("phonon", "per_site_cutoff must be >= 0")
-            object.__setattr__(ph, "coupling", g)
+            _set_frozen(ph, "coupling", g)
 
         if self.radiation is not None:
             rad = self.radiation
-            _finite_positive(rad.box_length, "radiation", "box_length")
-            _finite_positive(rad.uv_cutoff, "radiation", "uv_cutoff")
-            _finite_positive(rad.mass, "radiation", "mass")
+            for what in ("box_length", "uv_cutoff", "mass"):
+                _finite_positive(getattr(rad, what), "radiation", what)
             if rad.photon_cutoff < 0:
                 raise ModelValidationError("radiation", "photon_cutoff must be >= 0")
             pos = rad.site_positions
@@ -153,14 +156,7 @@ class LatticeModel:
             half = rad.box_length / 2.0
             if np.any(np.abs(pos) > half + 1e-12):
                 raise ModelValidationError("radiation", "site_positions outside the box V")
-            object.__setattr__(rad, "site_positions", pos)
-
-        for arr in (self.hopping, self.offsite_u):
-            arr.setflags(write=False)
-        if self.phonon is not None:
-            self.phonon.coupling.setflags(write=False)
-        if self.radiation is not None:
-            self.radiation.site_positions.setflags(write=False)
+            _set_frozen(rad, "site_positions", pos)
 
     @property
     def n_electrons(self) -> int:
@@ -186,49 +182,27 @@ def generate_lattice(name: str, extent, t: float) -> np.ndarray:
     else:
         dims = tuple(int(d) for d in extent)
 
-    def one_dim():
+    if name in ("chain", "ring", "complete"):
         if len(dims) != 1 or dims[0] < 2:
             raise ModelParseError(f"{name} needs a single extent >= 2, got {dims}")
-        return dims[0]
-
-    def two_dim():
+        n = dims[0]
+        edges = (combinations(range(n), 2) if name == "complete"
+                 else ((i, (i + 1) % n) for i in range(n - (name == "chain"))))
+    elif name in ("square_patch", "triangular_patch"):
         if len(dims) != 2 or min(dims) < 1 or dims[0] * dims[1] < 2:
             raise ModelParseError(f"{name} needs an nx x ny extent, got {dims}")
-        return dims
-
-    if name == "chain":
-        n = one_dim()
-        h = np.zeros((n, n))
-        for i in range(n - 1):
-            h[i, i + 1] = h[i + 1, i] = t
-        return h
-    if name == "ring":
-        n = one_dim()
-        h = np.zeros((n, n))
-        for i in range(n):
-            j = (i + 1) % n
-            h[i, j] = h[j, i] = t
-        return h
-    if name == "complete":
-        n = one_dim()
-        h = np.full((n, n), t)
-        np.fill_diagonal(h, 0.0)
-        return h
-    if name in ("square_patch", "triangular_patch"):
-        nx, ny = two_dim()
+        nx, ny = dims
         n = nx * ny
-        idx = lambda i, j: i * ny + j
-        h = np.zeros((n, n))
-        for i in range(nx):
-            for j in range(ny):
-                if i + 1 < nx:
-                    h[idx(i, j), idx(i + 1, j)] = h[idx(i + 1, j), idx(i, j)] = t
-                if j + 1 < ny:
-                    h[idx(i, j), idx(i, j + 1)] = h[idx(i, j + 1), idx(i, j)] = t
-                if name == "triangular_patch" and i + 1 < nx and j + 1 < ny:
-                    h[idx(i, j), idx(i + 1, j + 1)] = h[idx(i + 1, j + 1), idx(i, j)] = t
-        return h
-    raise ModelParseError(f"unknown lattice family {name!r}")
+        steps = [(1, 0), (0, 1)] + [(1, 1)] * (name == "triangular_patch")
+        edges = ((i * ny + j, (i + di) * ny + j + dj)
+                 for i in range(nx) for j in range(ny) for di, dj in steps
+                 if i + di < nx and j + dj < ny)
+    else:
+        raise ModelParseError(f"unknown lattice family {name!r}")
+    h = np.zeros((n, n))       # before any edge is generated, so an absurd extent fails at once
+    for x, y in edges:
+        h[x, y] = h[y, x] = t
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -244,18 +218,14 @@ def generate_lattice(name: str, extent, t: float) -> np.ndarray:
 _SECTIONS = ("lattice", "coulomb", "phonon", "radiation")
 
 
-def _parse_number(text, where):
+def _parse(text, where, cast=float):
+    """``cast(text)``; a refusal names what was expected, a number or (for
+    ``int``) an integer, and where."""
     try:
-        return float(text)
+        return cast(text)
     except ValueError:
-        raise ModelParseError(f"expected a number at {where}, got {text!r}") from None
-
-
-def _parse_int(text, where):
-    try:
-        return int(text)
-    except ValueError:
-        raise ModelParseError(f"expected an integer at {where}, got {text!r}") from None
+        kind = "an integer" if cast is int else "a number"
+        raise ModelParseError(f"expected {kind} at {where}, got {text!r}") from None
 
 
 def load_model(path) -> LatticeModel:
@@ -289,18 +259,18 @@ def load_model(path) -> LatticeModel:
         toks = line.split()
         if len(toks) not in (3, 4):
             raise ModelParseError(f"expected 'x y value' row at {where}, got {line!r}")
-        x = _parse_int(toks[0], where)
+        x = _parse(toks[0], where, int)
         if len(toks) == 3:
-            y = _parse_int(toks[1], where)
-            rows[section].append((x, y, _parse_number(toks[2], where), where))
+            y = _parse(toks[1], where, int)
+            rows[section].append((x, y, _parse(toks[2], where), where))
         else:
-            vec = tuple(_parse_number(v, where) for v in toks[1:])
+            vec = tuple(_parse(v, where) for v in toks[1:])
             rows[section].append((x, vec, where))
 
     lat = scalars["lattice"]
     if "sites" not in lat:
         raise ModelParseError("[lattice] must declare sites")
-    sites = _parse_int(lat["sites"], "[lattice] sites")
+    sites = _parse(lat["sites"], "[lattice] sites", int)
     if sites < 2:               # before any sites x sites matrix is allocated
         raise ModelValidationError("size", f"{sites} sites; models need at least 2 sites")
     if sites > MAX_SITES:
@@ -309,10 +279,10 @@ def load_model(path) -> LatticeModel:
     if "generator" in lat:
         name = lat["generator"]
         extent_text = lat.get("extent", str(sites))
-        dims = tuple(_parse_int(v, "[lattice] extent")
+        dims = tuple(_parse(v, "[lattice] extent", int)
                      for v in re.split(r"[x,\s]+", extent_text.strip()) if v)
         extent = dims[0] if len(dims) == 1 else dims
-        t = _parse_number(lat.get("t", "1.0"), "[lattice] t")
+        t = _parse(lat.get("t", "1.0"), "[lattice] t")
         hopping = generate_lattice(name, extent, t)
         if hopping.shape[0] != sites:
             raise ModelParseError(
@@ -322,7 +292,7 @@ def load_model(path) -> LatticeModel:
         hopping = _triplets_to_matrix(rows["lattice"], sites, "hopping")
 
     u_text = scalars["coulomb"].get("u", "inf").lower()
-    onsite_u = INFINITE if u_text in ("inf", "infinite") else _parse_number(u_text, "[coulomb] u")
+    onsite_u = INFINITE if u_text in ("inf", "infinite") else _parse(u_text, "[coulomb] u")
     offsite = _triplets_to_matrix(rows["coulomb"], sites, "offsite_u") if rows["coulomb"] else None
 
     phonon = None
@@ -332,8 +302,8 @@ def load_model(path) -> LatticeModel:
             raise ModelParseError("[phonon] must declare omega")
         phonon = PhononBlock(
             coupling=_triplets_to_matrix(rows["phonon"], sites, "coupling"),
-            frequency=_parse_number(ph["omega"], "[phonon] omega"),
-            per_site_cutoff=_parse_int(ph.get("cutoff", "2"), "[phonon] cutoff"),
+            frequency=_parse(ph["omega"], "[phonon] omega"),
+            per_site_cutoff=_parse(ph.get("cutoff", "2"), "[phonon] cutoff", int),
         )
 
     radiation = None
@@ -359,10 +329,10 @@ def load_model(path) -> LatticeModel:
             if len(seen) != sites:
                 raise ModelParseError("positions given for some sites but not all")
         radiation = RadiationBlock(
-            box_length=_parse_number(rd["L"], "[radiation] L"),
-            uv_cutoff=_parse_number(rd["kappa"], "[radiation] kappa"),
-            mass=_parse_number(rd["m0"], "[radiation] m0"),
-            photon_cutoff=_parse_int(rd.get("cutoff", "1"), "[radiation] cutoff"),
+            box_length=_parse(rd["L"], "[radiation] L"),
+            uv_cutoff=_parse(rd["kappa"], "[radiation] kappa"),
+            mass=_parse(rd["m0"], "[radiation] m0"),
+            photon_cutoff=_parse(rd.get("cutoff", "1"), "[radiation] cutoff", int),
             site_positions=positions,
         )
 

@@ -246,7 +246,7 @@ class SectorCertifier:
                  cutoff: int | tuple[int, float] | None = None):
         self.model, self.form, self.cutoff = model, form, cutoff
         self._tops = {}      # P -> [H_P, its sign structure, its ground_cluster once solved]
-        self._walks = {}     # P -> (basis, vector, previous basis) of the walk's last sector
+        self._walks = {}     # P -> (basis, vector) of the walk's last sector
 
     def __call__(self, h) -> PositivityCertificate:
         structure = _structure(h)
@@ -261,13 +261,12 @@ class SectorCertifier:
     def _step(self, h, structure=None):
         """The theorem's step to sector ``h``: None where H_M or H_P fails a
         hypothesis; else ``ground_cluster`` of H_P when ``h`` is P, and
-        otherwise (E_P, the lowered unit vector, the basis the walk left for
-        ``h.basis``).
+        otherwise (E_P, the lowered unit vector).
 
         H_P is ``h`` itself, with ``structure`` when given, if it is the
         first sector asked for, and else assembled; it is solved once, when
         its hypotheses first hold.  The walk runs from the basis of H_P to
-        ``h.basis`` and enumerates only the sectors between them; it is kept
+        ``h.basis`` and asks only for the sectors between them; it is kept
         between calls, so sectors taken in descending |M| share one walk.
         InconsistencyError unless the ground level of H_P is simple, as the
         theorem makes it, and the lowered vector is an eigenvector of H_M at
@@ -294,23 +293,23 @@ class SectorCertifier:
                                      f"and is one block, but its ground level has degeneracy "
                                      f"{degeneracy}")
         phi = _in_gauge(h_top, _phase_normalized(_in_gauge(h_top, v0)).real)
-        basis, v, previous = self._walks.get(key, (h_top.basis, phi, None))
+        basis, v = self._walks.get(key, (h_top.basis, phi))
         if abs(basis.m) < abs(h.m):
-            basis, v, previous = h_top.basis, phi, None
+            basis, v = h_top.basis, phi
         step = -1 if key > 0 else 1
         while basis.m != h.m:
             m = basis.m + step
             target = h.basis if m == h.m else enumerate_sector(self.model, m)
             v = (sector_ladder(basis, target) @ v.reshape(basis.dimension, -1)).ravel()
-            basis, previous = target, basis
-        self._walks[key] = (basis, v, previous)
+            basis = target
+        self._walks[key] = (basis, v)
         w = v / np.linalg.norm(v)
         try:
             check_residuals(as_matrix(h) @ w[:, None], np.array([e_top]), w[:, None])
         except ConvergenceError as exc:
             raise InconsistencyError(f"the lowered polarized ground vector is not an eigenvector "
                                      f"of sector M = {h.m}: {exc}") from None
-        return float(e_top), w, previous
+        return float(e_top), w
 
     def by_theorem(self, h, structure=None) -> PositivityCertificate | None:
         """The certificate of sector ``h`` by the theorem; None where a
@@ -357,9 +356,9 @@ class SectorCertifier:
             return None
         if polarized:
             return cluster_report(h, *step[:4])
-        e_top, w, previous = step
+        e_top, w = step
         min_entry = float(np.min(_in_gauge(h, w)))
         if not min_entry >= -STRICT_POSITIVITY_TOL:
             raise InconsistencyError(f"the lowered polarized ground vector of sector M = {h.m} "
                                      f"has min entry {min_entry:.3e} in its gauge")
-        return lowered_report(h, e_top, w, previous)
+        return lowered_report(h, e_top, w)

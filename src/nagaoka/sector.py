@@ -9,6 +9,11 @@ each hole, the K = C(sites-1, n_up) ascending hole-free masks with the
 hole's zero bit inserted, so a configuration's row is hole * K plus the rank
 of its hole-free mask.
 
+``enumerate_sector`` checks the sector's range and the dimension budget on
+every call, and builds each basis once per process: a bounded cache holds
+the most recent ones, whose arrays are read-only because every caller
+shares them.
+
 Hole moves along nonzero hopping bonds turn each sector into an undirected
 graph whose connectivity is the combinatorial heart of the one-hole
 ferromagnetism results.  ``hole_moves`` applies the move rule to a whole
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -135,15 +141,24 @@ def _sector_basis(sites: int, m) -> SectorBasis:
             f"M = {frac} out of range for {sites} sites; valid sectors are "
             f"{', '.join(str(v) for v in sector_magnetizations(sites))}")
     n_up = n_up2 // 2
-    dim = sites * comb(sites - 1, n_up)
-    guard_dimension(dim, f"sector M = {frac} of {sites} sites")
+    guard_dimension(sites * comb(sites - 1, n_up), f"sector M = {frac} of {sites} sites")
+    return _built_basis(sites, frac, n_up)
 
+
+@lru_cache(maxsize=16)
+def _built_basis(sites: int, frac: Fraction, n_up: int) -> SectorBasis:
+    """The basis of a checked sector, built once per process while it stays
+    among the 16 most recent; its arrays are read-only, as every caller
+    shares them."""
     free = _combination_masks(sites - 1, n_up)
+    assert free.size == comb(sites - 1, n_up)
     hole = np.arange(sites, dtype=np.int64)[:, None]
-    masks = (free & ((1 << hole) - 1)) | ((free >> hole) << (hole + 1))   # insert the hole bit
+    # insert the hole bit
+    masks = ((free & ((1 << hole) - 1)) | ((free >> hole) << (hole + 1))).ravel()
     holes = np.repeat(hole.ravel(), free.size)
-    assert holes.size == dim
-    return SectorBasis(sites=sites, m=frac, holes=holes, masks=masks.ravel())
+    for arr in (holes, masks):
+        arr.setflags(write=False)
+    return SectorBasis(sites=sites, m=frac, holes=holes, masks=masks)
 
 
 def spin_flip(basis: SectorBasis, flipped: SectorBasis) -> np.ndarray:

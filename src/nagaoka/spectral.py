@@ -363,15 +363,14 @@ def _spin_ladder(h: SectorHamiltonian) -> sp.spmatrix | None:
     return sector_ladder(h.basis, enumerate_sector(h.model, h.m + (1 if h.m >= 0 else -1)))
 
 
-def _cluster_spin(v: np.ndarray, h: SectorHamiltonian, neighbour=None):
+def _cluster_spin(v: np.ndarray, h: SectorHamiltonian):
     """<S^2> and S of the ground cluster ``v`` of ``h``, from the
     eigenvalues of V*S^2V; raises when the cluster holds more than one total
-    spin.  The ladder map acts on the electron index of V, reshaped to
-    (sector dimension, boson dimension * cluster size); ``neighbour`` is
-    the basis it maps into (see ``_spin_ladder``) when the caller holds it."""
+    spin.  The ladder map (see ``_spin_ladder``) acts on the electron index
+    of V, reshaped to (sector dimension, boson dimension * cluster size)."""
     n, m = v.shape[1], abs(float(h.m))
     s2 = m * (m + 1) * np.eye(n)
-    ladder = _spin_ladder(h) if neighbour is None else sector_ladder(h.basis, neighbour)
+    ladder = _spin_ladder(h)
     if ladder is not None:
         av = (ladder @ v.reshape(h.basis.dimension, -1)).reshape(-1, n)
         s2 = s2 + av.conj().T @ av
@@ -415,12 +414,11 @@ def ground_cluster(mat: sp.csr_matrix):
     return cluster, e0, cluster.shape[1], gap, v0
 
 
-def cluster_report(h: SectorHamiltonian, cluster, e0, degeneracy: int, gap: float,
-                   neighbour=None) -> SpectralReport:
+def cluster_report(h: SectorHamiltonian, cluster, e0, degeneracy: int,
+                   gap: float) -> SpectralReport:
     """The report of sector ``h`` from its ground cluster, energy,
-    degeneracy and gap, with the total spin resolved on the cluster (see
-    ``_cluster_spin`` for ``neighbour``)."""
-    s2_exp, resolved = _cluster_spin(cluster, h, neighbour)
+    degeneracy and gap, with the total spin resolved on the cluster."""
+    s2_exp, resolved = _cluster_spin(cluster, h)
     return SpectralReport(
         m=h.m, ground_energy=float(e0), degeneracy=degeneracy, gap=gap,
         stot2_expectation=s2_exp, resolved_s=resolved, dimension=h.dimension,
@@ -434,16 +432,15 @@ def ground_report(h: SectorHamiltonian) -> SpectralReport:
     return cluster_report(h, *ground_cluster(as_matrix(h))[:4])
 
 
-def lowered_report(h: SectorHamiltonian, e0: float, w: np.ndarray, neighbour) -> SpectralReport:
+def lowered_report(h: SectorHamiltonian, e0: float, w: np.ndarray) -> SpectralReport:
     """The report of the one-block sector ``h``, of dimension 3 or more,
     whose simple ground pair (e0, w) Nagaoka's theorem gives (see
     ``positivity.SectorCertifier.report``): ``_lowest_levels`` takes the pair as
     its start, so one deflated solve gives the gap, and a level inside the
-    cluster raises InconsistencyError.  ``neighbour`` is the basis the spin
-    ladder maps into (see ``_cluster_spin``)."""
+    cluster raises InconsistencyError."""
     w = w[:, None]
     vals, _ = _lowest_levels(as_matrix(h), False, start=(np.array([e0]), w))
-    return cluster_report(h, w, e0, 1, float(vals[1] - e0), neighbour)
+    return cluster_report(h, w, e0, 1, float(vals[1] - e0))
 
 
 def _permuted(mat: sp.csr_matrix, perm: np.ndarray) -> sp.csr_matrix:

@@ -237,6 +237,25 @@ def test_assemble_out_file_holds_the_stdout_bytes(capsys, tmp_path):
     assert target.read_bytes() == expected.encode()
 
 
+def test_assemble_writes_the_same_bytes_in_blocks(capsys, tmp_path, monkeypatch):
+    import nagaoka.cli as cli
+
+    path = tmp_path / "holstein4.ini"
+    path.write_text(HOLSTEIN_COMPLETE4)
+    argv = ["assemble", "--model", str(path), "--form", "holstein", "--m", "3/2",
+            "--cutoff", "2"]                      # 2,588 entries: the last block is short
+    target = tmp_path / "export.txt"
+    code, one_block = run(capsys, *argv)
+    assert code == 0 and one_block.count("\n") == 2 + 2588 < 2 + cli._EXPORT_BLOCK
+    assert run(capsys, *argv, "--out", str(target)) == (0, "")
+    one_block_file = target.read_bytes()
+    monkeypatch.setattr(cli, "_EXPORT_BLOCK", 3)
+    assert run(capsys, *argv) == (0, one_block)
+    target.unlink()
+    assert run(capsys, *argv, "--out", str(target)) == (0, "")
+    assert target.read_bytes() == one_block_file
+
+
 def test_assemble_hubbard_needs_finite_u(capsys, triangle_file):
     code, _ = run(capsys, "assemble", "--model", triangle_file, "--form", "hubbard")
     assert code == 1
@@ -406,6 +425,24 @@ def test_an_integral_dimension_budget_is_accepted(capsys, triangle_file, monkeyp
     monkeypatch.setenv("NAGAOKA_DIM_BUDGET", value)
     assert run(capsys, "ed", "--m", "1", "--model", triangle_file) == (code, default)
     assert code == 0
+
+
+@pytest.mark.parametrize("command", [("largeu", "--u-list", "10"),
+                                     ("assemble", "--form", "hubbard", "--u", "4")])
+def test_a_warm_basis_cache_still_checks_the_dimension_budget(capsys, tmp_path, monkeypatch,
+                                                              command):
+    path = tmp_path / "complete4.ini"
+    path.write_text("[lattice]\nsites = 4\ngenerator = complete\nextent = 4\nt = 1.0\n"
+                    "[coulomb]\nu = 4.0\n")
+    argv = [*command, "--model", str(path)]
+    assert run(capsys, *argv)[0] == 0            # builds the 56-word Fock basis
+    monkeypatch.setenv("NAGAOKA_DIM_BUDGET", "abc")
+    assert run_err(capsys, *argv) == (1, "", "error: NAGAOKA_DIM_BUDGET must be a finite, "
+                                             "non-negative integer, got 'abc'\n")
+    monkeypatch.setenv("NAGAOKA_DIM_BUDGET", "5")
+    assert run_err(capsys, *argv) == (2, "", "numerical failure: Fock basis of 3 electrons on "
+                                             "4 sites needs dimension 56 > budget 5 (raise "
+                                             "NAGAOKA_DIM_BUDGET to override)\n")
 
 
 def test_hubbard_budget_refused_before_enumeration(capsys, tmp_path):

@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 from fractions import Fraction
 from math import comb
 
@@ -5,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import nagaoka
 from nagaoka.corpus import complete4, corpus_models, pair2, triangle3
 from nagaoka.errors import DimensionBudgetError
 from nagaoka.manybody import (
@@ -164,7 +167,6 @@ def test_mode_product_refuses_63_modes_at_cutoff_300_in_one_short_line():
 
 def test_boson_basis_budget_guard(monkeypatch):
     monkeypatch.setenv("NAGAOKA_DIM_BUDGET", "8")
-    boson_basis.cache_clear()
     assert boson_basis(3, 1).dimension == 8
     with pytest.raises(DimensionBudgetError):
         boson_basis(2, 3)
@@ -335,13 +337,50 @@ def test_sector_budget_checked_before_enumerating(monkeypatch):
         enumerate_sector(complete4(), Fraction(1, 2))       # dimension 12
 
 
-@pytest.mark.parametrize("cache, args", [
-    (full_fock_basis, [(s, n) for s in range(1, 6) for n in range(2 * s + 1)]),
-    (boson_basis, [(modes, cut) for modes in range(4) for cut in range(5)]),
-])
-def test_basis_caches_are_bounded(cache, args):
-    maxsize = cache.cache_info().maxsize
-    assert maxsize is not None and len(args) > maxsize
-    for a in args:
-        cache(*a)
-        assert cache.cache_info().currsize <= maxsize
+def _package_lru_caches() -> dict:
+    """Every functools.lru_cache of the nagaoka modules, at module level or
+    on a class, by qualified name.  ``__main__`` runs the command line when
+    imported and defines nothing."""
+    caches = {}
+    for info in pkgutil.iter_modules(nagaoka.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"nagaoka.{info.name}")
+        for owner in [module, *(c for c in vars(module).values() if isinstance(c, type))]:
+            for obj in vars(owner).values():
+                if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                    caches[f"{obj.__module__}.{obj.__qualname__}"] = obj
+    return caches
+
+
+def test_basis_caches_are_bounded(monkeypatch):
+    caches = _package_lru_caches()
+    assert {"nagaoka.sector._built_basis", "nagaoka.manybody._built_fock_basis"} <= set(caches)
+    for name, cache in caches.items():
+        assert cache.cache_info().maxsize is not None, name
+    for cache, build, args in [
+        (caches["nagaoka.manybody._built_fock_basis"], full_fock_basis,
+         [(s, n) for s in range(1, 6) for n in range(2 * s + 1)]),
+        (caches["nagaoka.sector._built_basis"], enumerate_sector,
+         [(LatticeModel(s, generate_lattice("chain", s, 1.0)), m)
+          for s in range(2, 9) for m in sector_magnetizations(s)]),
+    ]:
+        maxsize = cache.cache_info().maxsize
+        assert len(args) > maxsize
+        for a in args:
+            build(*a)
+            assert cache.cache_info().currsize <= maxsize
+    # callers share the cached arrays, so none may write to them
+    basis = enumerate_sector(complete4(), Fraction(1, 2))
+    assert basis is enumerate_sector(complete4(), Fraction(1, 2))
+    assert not (basis.holes.flags.writeable or basis.masks.flags.writeable
+                or full_fock_basis(3, 2).words.flags.writeable)
+    # a cached basis still passes the budget check on every call
+    builds = [lambda: enumerate_sector(complete4(), Fraction(1, 2)),
+              lambda: full_fock_basis(3, 2), lambda: boson_basis(2, 1)]
+    for build in builds:
+        build()
+    monkeypatch.setenv("NAGAOKA_DIM_BUDGET", "0")
+    for build in builds:
+        with pytest.raises(DimensionBudgetError):
+            build()

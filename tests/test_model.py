@@ -74,6 +74,30 @@ def test_square_patch_2x2_is_four_cycle():
     assert (h > 0).sum() == 8            # four undirected edges
 
 
+@pytest.mark.parametrize("name, extent, edges", [
+    ("chain", 4, {(0, 1), (1, 2), (2, 3)}),
+    ("ring", 2, {(0, 1)}),
+    ("ring", 5, {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}),
+    ("complete", 4, {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}),
+    ("square_patch", (1, 3), {(0, 1), (1, 2)}),
+    ("square_patch", (3, 1), {(0, 1), (1, 2)}),
+    ("square_patch", (2, 3), {(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)}),
+    ("triangular_patch", (1, 3), {(0, 1), (1, 2)}),
+    ("triangular_patch", (3, 1), {(0, 1), (1, 2)}),
+    # site i * ny + j; rows (0, 1, 2), (3, 4, 5), (6, 7, 8), diagonals (i, j)-(i+1, j+1)
+    ("triangular_patch", (3, 3), {(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8),
+                                  (0, 3), (3, 6), (1, 4), (4, 7), (2, 5), (5, 8),
+                                  (0, 4), (1, 5), (3, 7), (4, 8)}),
+])
+def test_generated_lattices_have_the_stated_edges(name, extent, edges):
+    h = generate_lattice(name, extent, 0.7)
+    n = max(max(edge) for edge in edges) + 1
+    expected = np.zeros((n, n))
+    for x, y in edges:
+        expected[x, y] = expected[y, x] = 0.7
+    assert h.dtype == np.float64 and np.array_equal(h, expected)
+
+
 def test_generated_matrices_validate_and_are_deterministic():
     for name, extent in (("chain", 5), ("ring", 4), ("complete", 3),
                          ("square_patch", (2, 3)), ("triangular_patch", (2, 2))):

@@ -322,21 +322,27 @@ def test_theorem_route_matches_the_eigenvector_route(name):
 
 
 def test_the_walk_enumerates_only_the_sectors_between_the_top_and_h(monkeypatch):
-    import nagaoka.positivity as positivity
+    from nagaoka import sector
 
-    enumerated = []
-    real = positivity.enumerate_sector
-    monkeypatch.setattr(positivity, "enumerate_sector",
-                        lambda model, m: enumerated.append(m) or real(model, m))
+    # a sector basis is built (a cache miss) once per process; count builds
+    sector._built_basis.cache_clear()
+    built = []
+    real = sector._combination_masks
+    monkeypatch.setattr(sector, "_combination_masks", lambda width, ones: built.append(
+        Fraction(2 * ones - width, 2)) or real(width, ones))
     model = TWO_ROUTE_MODELS["complete6"]
     certifier = SectorCertifier(model)
+    walked = []
     for m in [Fraction(1, 2), Fraction(3, 2), Fraction(-1, 2)]:
-        h = assemble_nagaoka_sector(model, m)
-        assert certifier.by_theorem(h) is not None
         top = Fraction(5, 2) if m > 0 else Fraction(-5, 2)
+        h = assemble_nagaoka_sector(model, m)
+        assemble_nagaoka_sector(model, top)             # P, built outside the walk
+        built.clear()
+        assert certifier.by_theorem(h) is not None
         assert certifier._walks[top][0] is h.basis          # the walk lands on h.basis
+        walked.append(list(built))
     # 1/2 passes through 3/2; 3/2 restarts from the top's basis; -1/2 passes through -3/2
-    assert enumerated == [Fraction(3, 2), Fraction(-3, 2)]
+    assert walked == [[Fraction(3, 2)], [], [Fraction(-3, 2)]]
 
 
 @st.composite
