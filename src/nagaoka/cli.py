@@ -20,6 +20,7 @@ integer or a decimal; any other text exits 1 with one line that names
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import errno
 import hashlib
 import json
@@ -144,22 +145,6 @@ def _emit(args, text):
     else:
         for chunk in chunks:
             print(chunk, end="" if chunk.endswith("\n") else "\n")
-
-
-def _spectral_row(m, rep) -> dict:
-    """The row of sector ``m`` from its own report or from that of -M."""
-    return {
-        "m": str(m),
-        "ground_energy": rep.ground_energy,
-        "degeneracy": rep.degeneracy,
-        "gap": rep.gap,
-        "stot2_expectation": rep.stot2_expectation,
-        "resolved_s": str(rep.resolved_s),
-        "dimension": rep.dimension,
-        "sector_dimension": rep.sector_dimension,
-        "boson_dimension": rep.boson_dimension,
-        "cutoff": rep.cutoff,
-    }
 
 
 def _int_at_least(low: int):
@@ -351,58 +336,59 @@ def _cmd_assemble(args) -> int:
 
 
 def _sector_jobs(model, form: str, ms, cutoff) -> list[tuple]:
-    """One job per requested sector M >= 0, which also reports -M when that
-    is requested, and one per M < 0 whose -M is not.  Jobs run in the order
-    of the lowest sector each reports, so the first failure is the one a
+    """One job per |M| requested: it solves sector |M| >= 0 and reports it
+    under each requested label, +|M| and -|M|.  Jobs run in the order of
+    the lowest label each reports, so the first failure is the one a
     sector-by-sector run in ascending M meets first."""
-    wanted = set(ms)
-    jobs = []
+    labels = {}
     for m in sorted(ms):
-        if m < 0 and -m in wanted:
-            jobs.append((model, form, -m, cutoff, True))
-        elif m <= 0 or -m not in wanted:
-            jobs.append((model, form, m, cutoff, False))
-    return jobs
+        labels.setdefault(abs(m), []).append(m)
+    return [(model, form, m, cutoff, tuple(reported)) for m, reported in labels.items()]
 
 
-def _solve_job(payload, solve) -> list[tuple]:
-    """(M, solve(H)) for the sector M of one job of ``_sector_jobs``.  A
-    paired job solves M only: -M is assembled, verified to be the exact
-    spin flip of M before M is solved, and gets (-M, the same result)."""
-    model, form, m, cutoff, paired = payload
+def _solve_job(fields, certifier, payload) -> list[tuple]:
+    """(label, row) for each label of one job of ``_sector_jobs``, the row
+    being ``fields(certifier, H)`` of sector |M| with ``m`` set to the
+    label.  A label -M is reported only once the assembled H(-M) is
+    verified to be the exact spin flip of H(M), before M is solved."""
+    model, form, m, cutoff, labels = payload
     h = assemble_sector(model, form, m, cutoff)
-    if not paired:
-        return [(h.m, solve(h))]
-    verified_spin_flip(h, assemble_sector(model, form, -m, cutoff))
-    result = solve(h)
-    return [(h.m, result), (-h.m, result)]
+    if labels[0] < 0:
+        verified_spin_flip(h, assemble_sector(model, form, -m, cutoff))
+    row = fields(certifier, h)
+    return [(label, {**row, "m": str(label)}) for label in labels]
 
 
-def _ed_job(certifier, payload):
-    """The rows of one job, each sector solved by ``ground_report`` unless
-    Nagaoka's theorem saves the solve (``SectorCertifier.report``)."""
-    def solve(h):
-        return certifier.report(h) or ground_report(h)
+def _sector_rows(model, form: str, ms, cutoff, fields, jobs: int = 1) -> list[dict]:
+    """The rows of the sectors ``ms``, ascending in M, from one job per
+    |M| of ``_sector_jobs`` on ``jobs`` workers.  The jobs
+    share one ``SectorCertifier``, so in one process the polarized sector
+    is assembled and solved once; a worker process starts from an empty
+    copy, and solves it in the same way."""
+    solve = partial(_solve_job, fields, SectorCertifier(model, form, cutoff))
+    batches = _map_jobs(solve, _sector_jobs(model, form, ms, cutoff), jobs)
+    rows = sorted((kv for batch in batches for kv in batch), key=lambda kv: kv[0])
+    return [row for _, row in rows]
 
-    return [(m, _spectral_row(m, rep)) for m, rep in _solve_job(payload, solve)]
+
+def _ed_fields(certifier, h) -> dict:
+    """The ``SpectralReport`` of sector ``h`` as a row, solved by
+    ``ground_report`` unless Nagaoka's theorem saves the solve
+    (``SectorCertifier.report``)."""
+    rep = certifier.report(h) or ground_report(h)
+    return {**dataclasses.asdict(rep), "resolved_s": str(rep.resolved_s)}
 
 
 def _ed_rows(args) -> list[dict]:
-    """Spectral rows of the requested sectors, ascending in M.  The jobs
-    share one ``SectorCertifier``, so in one process the polarized sector is
-    assembled and solved once; a worker process starts from an empty copy,
-    and solves it in the same way.  The Lang-Firsov form is solved in its
-    hole-displaced basis (``HOLE_FRAME_FORM``): the same spectrum and total
-    spin from several times fewer stored entries."""
+    """Spectral rows of the requested sectors, ascending in M.  The
+    Lang-Firsov form is solved in its hole-displaced basis
+    (``HOLE_FRAME_FORM``): the same spectrum and total spin from several
+    times fewer stored entries."""
     model = load_model(args.model)
     form = args.form or _pick_form(model)
     _refuse_ignored_options(args, form)
     form = HOLE_FRAME_FORM if form == "langfirsov" else form
-    jobs = _sector_jobs(model, form, _sectors(model, args), args.cutoff)
-    solve = partial(_ed_job, SectorCertifier(model, form, args.cutoff))
-    rows = sorted((kv for batch in _map_jobs(solve, jobs, args.jobs) for kv in batch),
-                  key=lambda kv: kv[0])
-    return [row for _, row in rows]
+    return _sector_rows(model, form, _sectors(model, args), args.cutoff, _ed_fields, args.jobs)
 
 
 def _cmd_ed(args) -> int:
@@ -443,15 +429,29 @@ def _cmd_largeu(args) -> int:
     return EXIT_OK
 
 
+def _certify_fields(certifier, h) -> dict:
+    """The certificate of sector ``h`` as a row; a grid row adds the ground
+    energy, the dropped constant and the grid."""
+    cert = certifier(h)
+    row = {"m": h.m, "basis": cert.basis_tag, "offdiag_sign_ok": cert.offdiag_sign_ok,
+           "irreducible": cert.irreducible, "ground_unique": cert.ground_unique,
+           "ground_strictly_positive": cert.ground_strictly_positive,
+           "min_entry": cert.min_entry}
+    if certifier.form == GRID_FORM:
+        points, spacing = certifier.cutoff
+        row.update(ground_energy=cert.ground_energy, dropped_constant=h.dropped_constant,
+                   points=points, spacing=spacing)
+    return row
+
+
 def _cmd_certify(args) -> int:
     """Certificates per sector, ascending in M.  The sectors of ``--form``
     (by default by model content, as in ``ed``), or of the polaron frame on
     the grid ``--qgrid`` by ``--spacing`` (then no ``--form`` or
-    ``--cutoff``), go through ``_sector_jobs`` as in ``ed``, in descending
-    |M|, and one ``SectorCertifier`` certifies each solved sector, by
-    Nagaoka's theorem in the form's gauge where its hypotheses hold: -M is
-    certified by M's certificate once ``verified_spin_flip`` holds.  A grid
-    row adds the ground energy, the dropped constant and the grid."""
+    ``--cutoff``), go through ``_sector_rows`` as in ``ed``, and one
+    ``SectorCertifier`` certifies each solved sector M >= 0, by Nagaoka's
+    theorem in the form's gauge where its hypotheses hold: -M is certified
+    by M's certificate once ``verified_spin_flip`` holds."""
     if (args.qgrid is None) != (args.spacing is None):
         raise ModelValidationError(
             "cli", "--spacing needs --qgrid" if args.qgrid is None else "--qgrid needs --spacing")
@@ -464,19 +464,7 @@ def _cmd_certify(args) -> int:
     form, cutoff = ((GRID_FORM, (args.qgrid, args.spacing)) if grid
                     else (args.form or _pick_form(model), args.cutoff))
     _refuse_ignored_options(args, form)
-    certifier = SectorCertifier(model, form, cutoff)
-
-    def certify(h) -> dict:
-        cert = certifier(h)
-        grid_fields = {"ground_energy": cert.ground_energy, "dropped_constant": h.dropped_constant,
-                       "points": args.qgrid, "spacing": args.spacing}
-        return {"basis": cert.basis_tag, "offdiag_sign_ok": cert.offdiag_sign_ok,
-                "irreducible": cert.irreducible, "ground_unique": cert.ground_unique,
-                "ground_strictly_positive": cert.ground_strictly_positive,
-                "min_entry": cert.min_entry, **(grid_fields if grid else {})}
-
-    certs = [kv for job in _sector_jobs(model, form, ms, cutoff) for kv in _solve_job(job, certify)]
-    rows = [{"m": str(m), **row} for m, row in sorted(certs, key=lambda kv: kv[0])]
+    rows = _sector_rows(model, form, ms, cutoff, _certify_fields)
     _emit(args, json.dumps(_report(args, rows), indent=2))
     return EXIT_OK
 

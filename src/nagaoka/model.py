@@ -199,7 +199,10 @@ def generate_lattice(name: str, extent, t: float) -> np.ndarray:
                  if i + di < nx and j + dj < ny)
     else:
         raise ModelParseError(f"unknown lattice family {name!r}")
-    h = np.zeros((n, n))       # before any edge is generated, so an absurd extent fails at once
+    if n > MAX_SITES:           # before the n x n matrix is allocated
+        raise ModelValidationError("size", f"{name} with extent {'x'.join(map(str, dims))} gives "
+                                           f"{n} sites; models hold at most {MAX_SITES} sites")
+    h = np.zeros((n, n))
     for x, y in edges:
         h[x, y] = h[y, x] = t
     return h

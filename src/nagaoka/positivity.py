@@ -227,36 +227,35 @@ class SectorCertifier:
     ((points, spacing) for the grid form), read in the gauge the form
     states.
 
-    Where H_M and the polarized H_P (P = S_max for M >= 0, -S_max for
-    M < 0) both pass the sign test and are one block each, the theorem
-    gives the ground vector of H_M with no solve of H_M: the ladder maps
-    (x) I have entries in {0, 1} and commute with H and with the gauge, so
-    the ground vector of H_P, positive in the gauge and walked to M by S-
-    (by S+ from -S_max), is an eigenvector of H_M that is nonnegative in the
-    gauge, hence its unique ground vector.  ``_step`` takes that step, once
-    for both callers: calling the certifier certifies a sector, by the
-    theorem (``by_theorem``) or else by ``eigenvector_certificate`` on the
-    sign structure read for the choice, and ``report`` gives ``ed``'s
-    report where the theorem saves a solve.  A certificate carries its
-    route's ground energy (E_P where lowered).  A grid sector that fails the
-    sign test raises InconsistencyError: the grid form is built on the cone.
+    Where H_M and the polarized H_P (P = S_max) both pass the sign test and
+    are one block each, the theorem gives the ground vector of H_M with no
+    solve of H_M: the ladder maps S- (x) I have entries in {0, 1} and
+    commute with H and with the gauge, so the ground vector of H_P,
+    positive in the gauge and walked down to M by S-, is an eigenvector of
+    H_M that is nonnegative in the gauge, hence its unique ground vector.
+    The CLI asks only for sectors M >= 0 (a -M is the verified spin flip of
+    +M); a sector M < 0 is walked on down past M = 0.  ``_step`` takes that
+    step, once for both callers: calling the certifier certifies a sector,
+    by the theorem (``by_theorem``) or else by ``eigenvector_certificate``
+    on the sign structure read for the choice, and ``report`` gives
+    ``ed``'s report where the theorem saves a solve.  A certificate carries
+    its route's ground energy (E_P where lowered).  A grid sector that
+    fails the sign test raises InconsistencyError: the grid form is built
+    on the cone.
     """
 
     def __init__(self, model: LatticeModel, form: str = "nagaoka",
                  cutoff: int | tuple[int, float] | None = None):
         self.model, self.form, self.cutoff = model, form, cutoff
-        self._tops = {}      # P -> [H_P, its sign structure, its ground_cluster once solved]
-        self._walks = {}     # P -> (basis, vector) of the walk's last sector
+        self.polarized_m = Fraction(model.sites - 1, 2)
+        self._top = None     # [H_P, its sign structure, its ground_cluster once solved]
+        self._walk = None    # (basis, vector) of the walk's last sector
 
     def __call__(self, h) -> PositivityCertificate:
         structure = _structure(h)
         if self.form == GRID_FORM and not _hypotheses(structure)[0]:
             raise InconsistencyError("grid assembly lost the off-diagonal sign structure")
         return self.by_theorem(h, structure) or eigenvector_certificate(h, structure)
-
-    def _polarized_m(self, h) -> Fraction:
-        """The polarized sector P on the side of ``h``."""
-        return Fraction(self.model.sites - 1, 2) * (1 if h.m >= 0 else -1)
 
     def _step(self, h, structure=None):
         """The theorem's step to sector ``h``: None where H_M or H_P fails a
@@ -265,9 +264,9 @@ class SectorCertifier:
 
         H_P is ``h`` itself, with ``structure`` when given, if it is the
         first sector asked for, and else assembled; it is solved once, when
-        its hypotheses first hold.  The walk runs from the basis of H_P to
-        ``h.basis`` and asks only for the sectors between them; it is kept
-        between calls, so sectors taken in descending |M| share one walk.
+        its hypotheses first hold.  The walk runs down from the basis of H_P
+        to ``h.basis`` and asks only for the sectors between them; it is
+        kept between calls, so sectors taken in descending M share one walk.
         InconsistencyError unless the ground level of H_P is simple, as the
         theorem makes it, and the lowered vector is an eigenvector of H_M at
         E_P within the residual tolerance.
@@ -275,34 +274,30 @@ class SectorCertifier:
         structure = _structure(h) if structure is None else structure
         if not all(_hypotheses(structure)):
             return None
-        key = self._polarized_m(h)
-        if key not in self._tops:
-            h_top = h if h.m == key else assemble_sector(self.model, self.form, key, self.cutoff)
-            self._tops[key] = [h_top, structure if h_top is h else _structure(h_top), None]
-        record = self._tops[key]
-        h_top, top_structure, solved = record
+        if self._top is None:
+            top = self.polarized_m
+            h_top = h if h.m == top else assemble_sector(self.model, self.form, top, self.cutoff)
+            self._top = [h_top, structure if h_top is h else _structure(h_top), None]
+        h_top, top_structure, solved = self._top
         if not all(_hypotheses(top_structure)):
             return None
         if solved is None:
-            solved = record[2] = ground_cluster(as_matrix(h_top))
-        if h.m == key:
+            solved = self._top[2] = ground_cluster(as_matrix(h_top))
+        if h.m == h_top.m:
             return solved
         _, e_top, degeneracy, _, v0 = solved
         if degeneracy != 1:
-            raise InconsistencyError(f"the polarized sector M = {key} passes the sign test "
+            raise InconsistencyError(f"the polarized sector M = {h_top.m} passes the sign test "
                                      f"and is one block, but its ground level has degeneracy "
                                      f"{degeneracy}")
-        phi = _in_gauge(h_top, _phase_normalized(_in_gauge(h_top, v0)).real)
-        basis, v = self._walks.get(key, (h_top.basis, phi))
-        if abs(basis.m) < abs(h.m):
-            basis, v = h_top.basis, phi
-        step = -1 if key > 0 else 1
+        if self._walk is None or self._walk[0].m < h.m:
+            self._walk = h_top.basis, _in_gauge(h_top, _phase_normalized(_in_gauge(h_top, v0)).real)
+        basis, v = self._walk
         while basis.m != h.m:
-            m = basis.m + step
-            target = h.basis if m == h.m else enumerate_sector(self.model, m)
+            target = h.basis if basis.m - 1 == h.m else enumerate_sector(self.model, basis.m - 1)
             v = (sector_ladder(basis, target) @ v.reshape(basis.dimension, -1)).ravel()
             basis = target
-        self._walks[key] = (basis, v)
+        self._walk = basis, v
         w = v / np.linalg.norm(v)
         try:
             check_residuals(as_matrix(h) @ w[:, None], np.array([e_top]), w[:, None])
@@ -319,7 +314,7 @@ class SectorCertifier:
         step = self._step(h, structure)
         if step is None:
             return None
-        h_top, top_structure, (_, e_top, degeneracy, _, v0) = self._tops[self._polarized_m(h)]
+        h_top, top_structure, (_, e_top, degeneracy, _, v0) = self._top
         cert = pf_certificate(h_top, v0, degeneracy, top_structure, float(e_top))
         if h.m == h_top.m:
             return cert
@@ -348,7 +343,7 @@ class SectorCertifier:
         (``lowered_report``'s deflated solve rules out a lower or second
         ground level instead).
         """
-        polarized = h.m == self._polarized_m(h)
+        polarized = h.m == self.polarized_m
         if h.gauge is None or not (polarized or uses_lanczos(as_matrix(h))):
             return None
         step = self._step(h)

@@ -45,9 +45,11 @@ from M = 0 (S+ for M >= 0, S- for M < 0, into a sector never larger than
 M's): V*S^2V = |M|(|M| + 1) I + (AV)*(AV), and an end sector needs no map.
 
 Every form is spin-blind, so global spin inversion maps sector M onto
-sector -M and a report of M is a report of -M.  It is used only after the
-assembled -M matrix has been checked to be exactly the inverted M one, an
-O(nnz) comparison of CSR arrays instead of a second solve.
+sector -M and a report of M is a report of -M.  The CLI solves sectors
+M >= 0 only and reports every requested -M, with or without its +M, from
++M, only after the assembled -M matrix has been checked to be exactly the
+inverted M one, an O(nnz) comparison of CSR arrays instead of a second
+solve.  ``ground_report`` itself still takes any sector, M < 0 included.
 
 The large-U resolvent comparison is a sweep over U: H(U = 0), the
 projector, the default z, the limit resolvent and the hopping part of H_U

@@ -598,8 +598,8 @@ def test_certify_chain3_takes_each_route_and_keeps_its_payload(capsys, tmp_path,
 
 
 def test_certify_a_lone_negative_sector_equals_its_row_of_all(capsys, tmp_path, monkeypatch):
-    # the lone -1/2 walks up from -S_max by S+; --all reports -1/2 as the
-    # spin flip of 1/2, walked down from S_max by S-
+    # the lone -1/2 is the verified spin flip of 1/2, whose certificate
+    # assembles the polarized +7/2 and walks down from it by S-, as --all does
     import nagaoka.positivity as positivity
 
     path = _corpus_file(tmp_path, "triangular2x4")
@@ -610,7 +610,7 @@ def test_certify_a_lone_negative_sector_equals_its_row_of_all(capsys, tmp_path, 
                         lambda model, form, m, cutoff: tops.append(m)
                         or real(model, form, m, cutoff))
     code, alone = run(capsys, "certify", "--m", "-1/2", "--model", path)
-    assert code == 0 and tops == [Fraction(-7, 2)]
+    assert code == 0 and tops == [Fraction(7, 2)]
     rows = {row["m"]: row for row in json.loads(every)["results"]}
     assert json.loads(alone)["results"] == [rows["-1/2"]]
 
@@ -706,21 +706,40 @@ def run_err(capsys, *argv):
     return code, captured.out, captured.err.split("# wall time")[0]
 
 
+def _assembled(path, m, *extra):
+    """Sector ``m`` of the model at ``path`` as ``ed`` or ``certify`` with
+    ``extra`` assembles it, but for M < 0 too: the oracle's own -M matrix."""
+    from nagaoka.cli import _pick_form
+    from nagaoka.hamiltonian import HOLE_FRAME_FORM, assemble_sector
+    from nagaoka.model import load_model
+
+    model, options = load_model(path), dict(zip(extra[::2], extra[1::2]))
+    form = options.get("--form") or _pick_form(model)
+    cutoff = int(options["--cutoff"]) if "--cutoff" in options else None
+    return assemble_sector(model, HOLE_FRAME_FORM if form == "langfirsov" else form, m, cutoff)
+
+
 def _negative_rows_match_direct_solves(capsys, path, *extra):
+    # each -M row, the spin flip of +M, against ground_report of the
+    # assembled -M sector itself
+    from nagaoka.spectral import SpectralReport, ground_report
+
     code, out, err = run_err(capsys, "ed", "--all", "--model", path, *extra)
     if code != 0:
         return code, err
     for row in json.loads(out)["results"]:
-        if Fraction(row["m"]) >= 0:
+        m = Fraction(row["m"])
+        if m >= 0:
             continue
-        code, direct, _ = run_err(capsys, "ed", f"--m={row['m']}", "--model", path, *extra)
-        assert code == 0
-        (solved,) = json.loads(direct)["results"]
+        solved = ground_report(_assembled(path, m, *extra))
+        assert list(row) == list(SpectralReport.__dataclass_fields__)
         for key, value in row.items():
+            expected = getattr(solved, key)
             if isinstance(value, float):
-                assert abs(value - solved[key]) <= 1e-12, (path, row["m"], key)
+                assert abs(value - expected) <= 1e-12, (path, row["m"], key)
             else:
-                assert value == solved[key], (path, row["m"], key)
+                assert value == (str(expected) if key in ("m", "resolved_s") else expected), \
+                    (path, row["m"], key)
     return code, err
 
 
@@ -739,21 +758,53 @@ def test_negative_sectors_of_ed_all_match_direct_solves_on_the_corpus(capsys, tm
 
 @pytest.mark.parametrize("name", sorted(LATTICE_FILES))
 def test_negative_certificates_of_certify_all_match_direct_runs(capsys, tmp_path, name):
-    # a -M row is the M row with m flipped; against a direct run of -M only
-    # min_entry moves, by the rounding of a second solve
+    # a -M row is the M row with m flipped; against eigenvector_certificate
+    # of the assembled -M sector only min_entry moves, by the rounding of a
+    # second solve
+    from nagaoka.positivity import eigenvector_certificate
+
     path = _corpus_file(tmp_path, name)
     code, out = run(capsys, "certify", "--all", "--model", path)
     assert code == 0
     rows = {Fraction(row["m"]): row for row in json.loads(out)["results"]}
     assert list(rows) == sorted(rows)
     for m, row in rows.items():
-        if m < 0:
-            assert row == {**rows[-m], "m": str(m)}
-        code, direct = run(capsys, "certify", f"--m={m}", "--model", path)
+        if m >= 0:
+            continue
+        assert row == {**rows[-m], "m": str(m)}
+        cert = eigenvector_certificate(_assembled(path, m))
+        assert abs(row["min_entry"] - cert.min_entry) <= 2e-14 * abs(cert.min_entry)
+        assert {**row, "min_entry": None} == {
+            "m": str(m), "basis": cert.basis_tag, "offdiag_sign_ok": cert.offdiag_sign_ok,
+            "irreducible": cert.irreducible, "ground_unique": cert.ground_unique,
+            "ground_strictly_positive": cert.ground_strictly_positive, "min_entry": None}
+
+
+_LONE_MODELS = [*sorted(CORPUS_FILES), "triangular2x4", "holstein4"]
+
+
+@pytest.mark.parametrize("name", _LONE_MODELS)
+def test_a_lone_negative_sector_equals_its_row_of_all(capsys, tmp_path, name):
+    # a lone -M, solved or certified as the spin flip of +M, is its --all
+    # row byte for byte (chain3's ed --all exits 2 at M = 0, so it checks
+    # certify alone)
+    extra = ()
+    if name == "holstein4":
+        path, extra = tmp_path / "holstein4.ini", ("--form", "holstein", "--cutoff", "2")
+        path.write_text(HOLSTEIN_COMPLETE4)
+        path = str(path)
+    else:
+        path = _corpus_file(tmp_path, name)
+    runs = [("certify",)] + [("ed",), ("ed", "--jobs", "2")] * (name != "chain3")
+    for command in runs:
+        code, every = run(capsys, command[0], "--all", "--model", path, *extra)
         assert code == 0
-        (solved,) = json.loads(direct)["results"]
-        assert abs(row["min_entry"] - solved["min_entry"]) <= 2e-14 * abs(solved["min_entry"])
-        assert {**row, "min_entry": None} == {**solved, "min_entry": None}
+        rows = {row["m"]: json.dumps(row) for row in json.loads(every)["results"]}
+        for m in (m for m in rows if Fraction(m) < 0):
+            code, alone = run(capsys, *command, f"--m={m}", "--model", path, *extra)
+            assert code == 0
+            (row,) = json.loads(alone)["results"]
+            assert json.dumps(row) == rows[m], (command, m)
 
 
 @pytest.mark.parametrize("form", ["holstein", "langfirsov", "radiation"])
@@ -815,6 +866,49 @@ def test_ed_all_exits_2_when_a_sector_is_not_the_spin_flip(capsys, tmp_path, mon
     code, out, err = run_err(capsys, "ed", "--all", "--model", path)
     assert code == 2 and out == ""
     assert "numerical failure: H of sector M = -1/2 is not the spin flip of H of M = 1/2" in err
+
+
+@pytest.mark.parametrize("command", ["ed", "certify"])
+def test_a_lone_negative_sector_exits_2_when_it_is_not_the_spin_flip(capsys, tmp_path,
+                                                                     monkeypatch, command):
+    _zeeman_at_negative_m(monkeypatch)
+    path = _corpus_file(tmp_path, "complete4")
+    code, out, err = run_err(capsys, command, "--m=-1/2", "--model", path)
+    assert code == 2 and out == ""
+    assert "numerical failure: H of sector M = -1/2 is not the spin flip of H of M = 1/2" in err
+
+
+def test_no_solve_or_certificate_of_the_cli_sees_a_negative_sector(capsys, tmp_path,
+                                                                    monkeypatch):
+    # every M < 0 the CLI reports is the verified spin flip of +M: nothing
+    # solves, certifies or assembles for the certifier a sector below 0
+    import nagaoka.cli as cli
+    import nagaoka.positivity as positivity
+
+    seen = []
+
+    def recording(real, position):
+        def wrapper(*args, **kwargs):
+            seen.append(args[position] if isinstance(args[position], Fraction)
+                        else args[position].m)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "ground_report", recording(cli.ground_report, 0))
+    monkeypatch.setattr(positivity, "assemble_sector", recording(positivity.assemble_sector, 2))
+    for name in ("__call__", "by_theorem", "report", "_step"):
+        real = getattr(positivity.SectorCertifier, name)
+        monkeypatch.setattr(positivity.SectorCertifier, name, recording(real, 1))
+    holstein = tmp_path / "holstein4.ini"
+    holstein.write_text(HOLSTEIN_COMPLETE4)
+    for path, extra in ((_corpus_file(tmp_path, "complete4"), ()),
+                        (str(holstein), ("--form", "holstein", "--cutoff", "2"))):
+        for argv in (("ed", "--all"), ("spin",), ("certify", "--all"),
+                     ("ed", "--m=-1/2"), ("ed", "--m=-3/2"), ("certify", "--m=-1/2")):
+            code, _ = run(capsys, *argv, "--model", path, *extra)
+            assert code == 0, argv
+    assert seen and min(seen) >= 0
+    assert {Fraction(1, 2), Fraction(3, 2)} <= set(seen)
 
 
 def test_certify_all_exits_2_when_a_sector_is_not_the_spin_flip(capsys, tmp_path, monkeypatch):

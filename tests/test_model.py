@@ -140,6 +140,40 @@ extent = 4
         load_model(path)
 
 
+@pytest.mark.parametrize("generator, extent, sites", [
+    ("chain", "1000000", 1000000), ("ring", "64", 64), ("complete", "100000", 100000),
+    ("triangular_patch", "1000x1000", 1000000), ("square_patch", "8x8", 64)])
+def test_a_generator_extent_past_the_site_limit_is_refused_before_allocation(
+        tmp_path, monkeypatch, capsys, generator, extent, sites):
+    # an allocation of more than MAX_SITES^2 entries fails the test, so the
+    # refusal must come before any n x n matrix exists
+    from nagaoka.cli import main
+    from nagaoka.model import MAX_SITES
+
+    real = np.zeros
+
+    def bounded_zeros(shape, *args, **kwargs):
+        assert np.prod(shape, dtype=object) <= MAX_SITES ** 2, f"np.zeros({shape}) allocated"
+        return real(shape, *args, **kwargs)
+
+    monkeypatch.setattr("nagaoka.model.np.zeros", bounded_zeros)
+    path = write(tmp_path, f"[lattice]\nsites = 4\ngenerator = {generator}\nextent = {extent}\n")
+    message = (f"size violated: {generator} with extent {extent} gives {sites} sites; "
+               f"models hold at most {MAX_SITES} sites")
+    with pytest.raises(ModelValidationError, match=re.escape(message)) as err:
+        load_model(path)
+    assert err.value.condition == "size"
+    assert main(["basis", "--m", "1/2", "--model", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_an_in_range_generator_mismatch_keeps_its_message(tmp_path):
+    path = write(tmp_path, "[lattice]\nsites = 4\ngenerator = ring\nextent = 63\n")
+    with pytest.raises(ModelParseError, match=re.escape(
+            "generator ring with extent 63 gives 63 sites, but sites = 4")):
+        load_model(path)
+
+
 def test_full_file_with_phonon_and_radiation(tmp_path):
     path = write(tmp_path, """
 [lattice]

@@ -312,7 +312,7 @@ def _assert_routes_agree(theorem, eigen, tol, where):
 def test_theorem_route_matches_the_eigenvector_route(name):
     model = TWO_ROUTE_MODELS[name]
     ms = [Fraction(0)] if name == "complete9" else sector_magnetizations(model.sites)
-    # ascending M: the walk from -S_max by S+, then restarts from S_max by S-
+    # ascending M: every sector restarts the walk down from S_max by S-
     for h, theorem, eigen in _two_routes(model, ms):
         where = (name, h.m)
         hypotheses = eigen.offdiag_sign_ok and eigen.irreducible
@@ -322,27 +322,33 @@ def test_theorem_route_matches_the_eigenvector_route(name):
 
 
 def test_the_walk_enumerates_only_the_sectors_between_the_top_and_h(monkeypatch):
+    import nagaoka.positivity as positivity
     from nagaoka import sector
 
     # a sector basis is built (a cache miss) once per process; count builds
     sector._built_basis.cache_clear()
-    built = []
-    real = sector._combination_masks
+    built, steps = [], []
+    real, real_ladder = sector._combination_masks, positivity.sector_ladder
     monkeypatch.setattr(sector, "_combination_masks", lambda width, ones: built.append(
         Fraction(2 * ones - width, 2)) or real(width, ones))
+    monkeypatch.setattr(positivity, "sector_ladder", lambda source, target: steps.append(
+        target.m) or real_ladder(source, target))
     model = TWO_ROUTE_MODELS["complete6"]
     certifier = SectorCertifier(model)
     walked = []
     for m in [Fraction(1, 2), Fraction(3, 2), Fraction(-1, 2)]:
-        top = Fraction(5, 2) if m > 0 else Fraction(-5, 2)
         h = assemble_nagaoka_sector(model, m)
-        assemble_nagaoka_sector(model, top)             # P, built outside the walk
+        assemble_nagaoka_sector(model, Fraction(5, 2))      # P, built outside the walk
         built.clear()
+        steps.clear()
         assert certifier.by_theorem(h) is not None
-        assert certifier._walks[top][0] is h.basis          # the walk lands on h.basis
-        walked.append(list(built))
-    # 1/2 passes through 3/2; 3/2 restarts from the top's basis; -1/2 passes through -3/2
-    assert walked == [[Fraction(3, 2)], [], [Fraction(-3, 2)]]
+        assert certifier._walk[0] is h.basis            # the walk lands on h.basis
+        walked.append((list(built), list(steps)))
+    # 1/2 passes through 3/2; 3/2 restarts from the top's basis; -1/2
+    # continues downward from 3/2, through the 1/2 built for the first call
+    assert walked == [([Fraction(3, 2)], [Fraction(3, 2), Fraction(1, 2)]),
+                      ([], [Fraction(3, 2)]),
+                      ([], [Fraction(1, 2), Fraction(-1, 2)])]
 
 
 @st.composite
