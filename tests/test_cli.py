@@ -780,55 +780,77 @@ def test_negative_certificates_of_certify_all_match_direct_runs(capsys, tmp_path
             "ground_strictly_positive": cert.ground_strictly_positive, "min_entry": None}
 
 
-_LONE_MODELS = [*sorted(CORPUS_FILES), "triangular2x4", "holstein4"]
+def _case(tmp_path, name):
+    """The model file and the options of one case: a lattice of
+    ``LATTICE_FILES``, the radiation triangle, or Holstein complete-4 at
+    cutoff 2 in the boson form ``name``."""
+    if name in LATTICE_FILES:
+        return _corpus_file(tmp_path, name), ()
+    path = tmp_path / f"{name}.ini"
+    if name == "radiation":
+        path.write_text(RADIATION_TRIANGLE)
+        return str(path), ()
+    path.write_text(HOLSTEIN_COMPLETE4)
+    return str(path), ("--form", name, "--cutoff", "2")
 
 
-@pytest.mark.parametrize("name", _LONE_MODELS)
-def test_a_lone_negative_sector_equals_its_row_of_all(capsys, tmp_path, name):
-    # a lone -M, solved or certified as the spin flip of +M, is its --all
-    # row byte for byte (chain3's ed --all exits 2 at M = 0, so it checks
-    # certify alone)
-    extra = ()
-    if name == "holstein4":
-        path, extra = tmp_path / "holstein4.ini", ("--form", "holstein", "--cutoff", "2")
-        path.write_text(HOLSTEIN_COMPLETE4)
-        path = str(path)
-    else:
-        path = _corpus_file(tmp_path, name)
-    runs = [("certify",)] + [("ed",), ("ed", "--jobs", "2")] * (name != "chain3")
+@pytest.mark.parametrize("name", [*sorted(LATTICE_FILES), "holstein", "langfirsov", "radiation"])
+def test_a_lone_sector_equals_its_row_of_all(capsys, tmp_path, name):
+    # every lone M, and so every lone -M solved or certified as the spin
+    # flip of +M, is its --all row byte for byte (the ed --all of chain3 and
+    # ring8 exits 2 on a ground cluster of mixed spin, so they check certify
+    # alone)
+    path, extra = _case(tmp_path, name)
+    runs = [("certify",)] + [("ed",), ("ed", "--jobs", "2")] * (name not in ("chain3", "ring8"))
     for command in runs:
         code, every = run(capsys, command[0], "--all", "--model", path, *extra)
         assert code == 0
         rows = {row["m"]: json.dumps(row) for row in json.loads(every)["results"]}
-        for m in (m for m in rows if Fraction(m) < 0):
+        for m, expected in rows.items():
             code, alone = run(capsys, *command, f"--m={m}", "--model", path, *extra)
             assert code == 0
             (row,) = json.loads(alone)["results"]
-            assert json.dumps(row) == rows[m], (command, m)
+            assert json.dumps(row) == expected, (command, m)
 
 
 @pytest.mark.parametrize("form", ["holstein", "langfirsov", "radiation"])
-def test_negative_sectors_of_ed_all_match_direct_solves_with_bosons(capsys, tmp_path,
-                                                                    radiation_file, form):
-    path, extra = radiation_file, ()
-    if form != "radiation":
-        path, extra = tmp_path / "holstein4.ini", ("--form", form, "--cutoff", "2")
-        path.write_text(HOLSTEIN_COMPLETE4)
-    assert _negative_rows_match_direct_solves(capsys, str(path), *extra)[0] == 0
+def test_negative_sectors_of_ed_all_match_direct_solves_with_bosons(capsys, tmp_path, form):
+    path, extra = _case(tmp_path, form)
+    assert _negative_rows_match_direct_solves(capsys, path, *extra)[0] == 0
 
 
-@pytest.mark.parametrize("command", ["ed", "spin"])
-def test_only_nonnegative_sectors_are_solved(capsys, tmp_path, monkeypatch, command):
+@pytest.mark.parametrize("name", ["complete4", "holstein"])
+@pytest.mark.parametrize("argv", [("ed", "--all"), ("spin",), ("certify", "--all"),
+                                  ("ed", "--m=-1/2"), ("ed", "--m=-3/2"), ("certify", "--m=-1/2")],
+                         ids=" ".join)
+def test_only_nonnegative_sectors_are_solved(capsys, tmp_path, monkeypatch, name, argv):
+    # every M < 0 the CLI reports is the verified spin flip of +M: no
+    # ground_report, certificate or certifier assembly sees a sector below 0
     import nagaoka.cli as cli
+    import nagaoka.positivity as positivity
 
-    solved = []
-    real = cli.ground_report
-    monkeypatch.setattr(cli, "ground_report", lambda h: solved.append(h.m) or real(h))
-    argv = [command, "--model", _corpus_file(tmp_path, "complete4")]
-    code, out = run(capsys, *argv, *(["--all"] if command == "ed" else []))
+    solved, seen = [], []
+
+    def recording(real, position, into):
+        def wrapper(*args, **kwargs):
+            into.append(args[position] if isinstance(args[position], Fraction)
+                        else args[position].m)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "ground_report", recording(cli.ground_report, 0, solved))
+    monkeypatch.setattr(positivity, "assemble_sector",
+                        recording(positivity.assemble_sector, 2, seen))
+    for method in ("__call__", "by_theorem", "report", "_step"):
+        real = getattr(positivity.SectorCertifier, method)
+        monkeypatch.setattr(positivity.SectorCertifier, method, recording(real, 1, seen))
+    path, extra = _case(tmp_path, name)
+    code, out = run(capsys, *argv, "--model", path, *extra)
     assert code == 0
-    assert sorted(solved) == [Fraction(1, 2), Fraction(3, 2)]
-    if command == "ed":
+    assert solved + seen and min(solved + seen) >= 0
+    if name == "complete4" and argv in (("ed", "--all"), ("spin",)):
+        assert sorted(solved) == [Fraction(1, 2), Fraction(3, 2)]
+    if argv == ("ed", "--all"):
         assert [row["m"] for row in json.loads(out)["results"]] == ["-3/2", "-1/2", "1/2", "3/2"]
 
 
@@ -876,39 +898,6 @@ def test_a_lone_negative_sector_exits_2_when_it_is_not_the_spin_flip(capsys, tmp
     code, out, err = run_err(capsys, command, "--m=-1/2", "--model", path)
     assert code == 2 and out == ""
     assert "numerical failure: H of sector M = -1/2 is not the spin flip of H of M = 1/2" in err
-
-
-def test_no_solve_or_certificate_of_the_cli_sees_a_negative_sector(capsys, tmp_path,
-                                                                    monkeypatch):
-    # every M < 0 the CLI reports is the verified spin flip of +M: nothing
-    # solves, certifies or assembles for the certifier a sector below 0
-    import nagaoka.cli as cli
-    import nagaoka.positivity as positivity
-
-    seen = []
-
-    def recording(real, position):
-        def wrapper(*args, **kwargs):
-            seen.append(args[position] if isinstance(args[position], Fraction)
-                        else args[position].m)
-            return real(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(cli, "ground_report", recording(cli.ground_report, 0))
-    monkeypatch.setattr(positivity, "assemble_sector", recording(positivity.assemble_sector, 2))
-    for name in ("__call__", "by_theorem", "report", "_step"):
-        real = getattr(positivity.SectorCertifier, name)
-        monkeypatch.setattr(positivity.SectorCertifier, name, recording(real, 1))
-    holstein = tmp_path / "holstein4.ini"
-    holstein.write_text(HOLSTEIN_COMPLETE4)
-    for path, extra in ((_corpus_file(tmp_path, "complete4"), ()),
-                        (str(holstein), ("--form", "holstein", "--cutoff", "2"))):
-        for argv in (("ed", "--all"), ("spin",), ("certify", "--all"),
-                     ("ed", "--m=-1/2"), ("ed", "--m=-3/2"), ("certify", "--m=-1/2")):
-            code, _ = run(capsys, *argv, "--model", path, *extra)
-            assert code == 0, argv
-    assert seen and min(seen) >= 0
-    assert {Fraction(1, 2), Fraction(3, 2)} <= set(seen)
 
 
 def test_certify_all_exits_2_when_a_sector_is_not_the_spin_flip(capsys, tmp_path, monkeypatch):
