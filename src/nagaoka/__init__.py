@@ -27,26 +27,19 @@ from .positivity import (
     PositivityCertificate,
     diagonal_perturbation_equivalence,
     ergodicity_certificate,
-    improves_positivity_exp,
     pf_certificate,
-    preserves_positivity,
     spin_lowering_positivity,
 )
 from .sector import (
-    Connector,
-    HoleSpinConfig,
     SectorBasis,
-    apply_move,
     connectivity_check,
     enumerate_sector,
-    find_connector,
 )
 from .spectral import (
     SpectralReport,
     eig_lowest,
     energy_split_bound,
     ground_report,
-    resolvent_gap,
     resolvent_gaps,
 )
 

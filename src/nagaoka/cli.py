@@ -2,10 +2,12 @@
 
 Subcommands: basis, connectivity, assemble, ed, spin, largeu, certify,
 reproduce.  Structured results are JSON (CSV for the large-U sweep table);
-the payload is a deterministic function of (model digest, command), so
-repeated runs produce byte-identical output.  Wall-clock timing goes to
-stderr only.  Exit codes: 0 success, 1 validation/usage error or a path
-that cannot be opened, 2 numerical failure.
+for one BLAS build at one BLAS thread count the payload is a deterministic
+function of (model digest, command), so repeated runs produce
+byte-identical output (another thread count can move the last bits of a
+dense eigensolve).  Wall-clock timing goes to stderr only.  Exit codes: 0
+success, 1 validation/usage error or a path that cannot be opened, 2
+numerical failure.
 
 ``assemble`` writes a JSON header, a ``rows cols nnz`` line and one
 ``row col re im`` line per stored entry, 1-based and row-major.  Each float
@@ -265,8 +267,8 @@ def _cmd_basis(args) -> int:
         basis = enumerate_sector(model, m)
         row = {"m": str(basis.m), "dimension": basis.dimension}
         if args.list:
-            row["configs"] = [{"hole": c.hole, "up_mask": c.up_mask}
-                              for c in basis.configs]
+            row["configs"] = [{"hole": h, "up_mask": u}
+                              for h, u in zip(basis.holes.tolist(), basis.masks.tolist())]
         rows.append(row)
     _emit(args, json.dumps(_report(args, rows), indent=2))
     return EXIT_OK

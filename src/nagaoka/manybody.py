@@ -290,22 +290,23 @@ def _mode_sum(factors: dict, bosons: BosonBasis) -> tuple:
 # sector embedding: hole-spin configurations as signed Fock words
 # ---------------------------------------------------------------------------
 
-def config_fock_state(sites: int, config) -> tuple[int, int]:
-    """Signed Fock word of the canonical sector vector for one configuration.
+def config_fock_state(sites: int, hole: int, up_mask: int) -> tuple[int, int]:
+    """Signed Fock word of the canonical sector vector for the configuration
+    ``(hole, up_mask)``.
 
     The vector is built by filling every site in ascending order with its
     spin (an up spin standing in at the hole site) and then removing the
     up electron at the hole; the returned sign is the accumulated fermionic
     reordering sign relative to the ascending-mode word.
     """
-    filled_up = config.up_mask | (1 << config.hole)
+    filled_up = up_mask | (1 << hole)
     word, sign = 0, 1
     for z in reversed(range(sites)):          # rightmost creation acts first
         mode = z if (filled_up >> z) & 1 else sites + z
         sign *= _jw_sign(word, mode)
         word |= 1 << mode
-    sign *= _jw_sign(word, config.hole)       # annihilate the stand-in up spin
-    word ^= 1 << config.hole
+    sign *= _jw_sign(word, hole)              # annihilate the stand-in up spin
+    word ^= 1 << hole
     return word, sign
 
 
@@ -317,7 +318,8 @@ def sector_embedding(model: LatticeModel, m):
     """
     basis = enumerate_sector(model, m)
     fock = full_fock_basis(model.sites, model.n_electrons)
-    words, signs = zip(*(config_fock_state(model.sites, c) for c in basis.configs))
+    words, signs = zip(*(config_fock_state(model.sites, h, u)
+                         for h, u in zip(basis.holes.tolist(), basis.masks.tolist())))
     return basis, fock, fock.rank(words), np.array(signs, dtype=float)
 
 

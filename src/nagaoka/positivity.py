@@ -3,16 +3,14 @@
 The distinguished cone is always the nonnegative-coefficient cone over a
 concrete basis: the configuration basis of a sector, or its product with
 boson occupations or with a position grid (``hamiltonian.GRID_FORM``, the
-polaron frame in the Schroedinger representation).  In that setting
+polaron frame in the Schroedinger representation).  In that setting a
+Hamiltonian whose negated off-diagonal part is entrywise >= 0 (so -H + c
+preserves positivity) and irreducible (so exp(-tH) improves it) has a
+unique, entrywise strictly positive ground vector.
 
-* an operator preserves positivity iff its matrix is entrywise >= 0,
-* the exponential of such an operator improves positivity iff the support
-  digraph is strongly connected,
-* a Hamiltonian whose negated off-diagonal part is entrywise >= 0 and
-  irreducible has a unique, entrywise strictly positive ground vector.
-
-The certificates below check those statements numerically and treat any
-violation of the last implication as a hard inconsistency, since it can
+``spectral.sign_structure`` reads both hypotheses off the matrix in one
+pass; the certificates below check the conclusion numerically and treat
+any violation of the implication as a hard inconsistency, since it can
 only come from a solver failure.
 
 A sector form states the +-1 gauge s its off-diagonal signs call for
@@ -42,7 +40,6 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ConvergenceError, InconsistencyError
 from .hamiltonian import GRID_FORM, SectorHamiltonian, assemble_sector
@@ -72,24 +69,6 @@ class PositivityCertificate:
     min_entry: float
     basis_tag: str
     ground_energy: float | None = None    # of the solve behind it, where the caller gives one
-
-
-def preserves_positivity(a) -> bool:
-    """Entrywise nonnegativity in the distinguished basis: every entry real and >= 0."""
-    data = as_matrix(a).data
-    return bool(np.all(data.real >= 0.0) and np.all(data.imag == 0.0))
-
-
-def improves_positivity_exp(a) -> bool:
-    """Whether exp(A) is entrywise strictly positive for an entrywise
-    nonnegative A: every pair must be linked by some power of A, which is
-    strong connectivity of the support digraph (the zeroth power covers the
-    diagonal)."""
-    mat = as_matrix(a)
-    if not preserves_positivity(mat):
-        raise ValueError("defined only for positivity-preserving matrices")
-    n_comp, _ = connected_components(abs(mat), directed=True, connection="strong")
-    return n_comp <= 1
 
 
 def ergodicity_certificate(h) -> bool:

@@ -17,10 +17,10 @@ shares them.
 Hole moves along nonzero hopping bonds turn each sector into an undirected
 graph whose connectivity is the combinatorial heart of the one-hole
 ferromagnetism results.  ``hole_moves`` applies the move rule to a whole
-basis at once; the scalar ``apply_move`` is the same rule for one
-configuration, and the tests hold the vectorized rule to it.  Global spin
-inversion, ``spin_flip``, maps sector M onto a given -M basis configuration
-by configuration; hole moves commute with it.
+basis at once (the tests hold it to a scalar rule applied configuration by
+configuration), and ``connectivity_check`` reads the graph's orbits.
+Global spin inversion, ``spin_flip``, maps sector M onto a given -M basis
+configuration by configuration; hole moves commute with it.
 """
 
 from __future__ import annotations
@@ -32,16 +32,10 @@ from math import comb
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order, connected_components
+from scipy.sparse.csgraph import connected_components
 
 from .errors import ModelValidationError, guard_dimension
 from .model import MAX_SITES, LatticeModel
-
-
-@dataclass(frozen=True)
-class HoleSpinConfig:
-    hole: int
-    up_mask: int
 
 
 def as_half_integer(m) -> Fraction:
@@ -94,16 +88,9 @@ class SectorBasis:
     def n_up(self) -> int:
         return (self.sites - 1 + int(2 * self.m)) // 2
 
-    @property
-    def configs(self) -> tuple[HoleSpinConfig, ...]:
-        """The basis as configuration objects, for listings and oracles."""
-        return tuple(HoleSpinConfig(h, u)
-                     for h, u in zip(self.holes.tolist(), self.masks.tolist()))
-
     def rank(self, holes, masks):
-        """Canonical row of each configuration ``(holes[i], masks[i])``;
-        scalars give an int.  Raises ValueError if any configuration is not
-        in the sector."""
+        """Canonical row of each configuration ``(holes[i], masks[i])``.
+        Raises ValueError if any configuration is not in the sector."""
         try:
             holes = np.asarray(holes, dtype=np.int64)
             masks = np.asarray(masks, dtype=np.int64)
@@ -120,8 +107,7 @@ class SectorBasis:
         if not np.all(ok):
             raise ValueError(f"configuration outside the sector M = {self.m} "
                              f"of {self.sites} sites")
-        rows = at * per_hole + pos
-        return int(rows) if rows.ndim == 0 else rows
+        return at * per_hole + pos
 
 
 def enumerate_sector(model: LatticeModel, m) -> SectorBasis:
@@ -171,29 +157,14 @@ def spin_flip(basis: SectorBasis, flipped: SectorBasis) -> np.ndarray:
     return flipped.rank(basis.holes, masks)
 
 
-def apply_move(config: HoleSpinConfig, frm: int, to: int) -> HoleSpinConfig | None:
-    """Hop the hole from ``frm`` to ``to``; the spin at ``to`` backfills ``frm``.
-
-    Returns None when the move is undefined, i.e. the hole is not at ``frm``.
-    The move is an involution on its domain: hopping back restores the input.
-    """
-    if frm == to:
-        raise ValueError("hole move needs two distinct sites")
-    if config.hole != frm:
-        return None
-    mask = config.up_mask
-    if mask >> to & 1:                      # an up spin moves to the old hole site
-        mask = (mask ^ (1 << to)) | (1 << frm)
-    return HoleSpinConfig(to, mask)
-
-
 def hole_moves(model: LatticeModel, basis: SectorBasis) -> np.ndarray:
     """All hole hops as rows of a (4, n_moves) integer array: target index,
     source index, from site, to site; ordered by source, then target site.
 
-    The rule of ``apply_move`` on every configuration at once: for each
-    bond (x, y) the configurations with the hole at x are one block of rows,
-    and an up spin at y swaps with the hole.
+    The hole hops from x to y and the spin at y backfills x, on every
+    configuration at once: for each bond (x, y) the configurations with the
+    hole at x are one block of rows, and an up spin at y swaps with the
+    hole.
     """
     t = model.hopping
     xs, ys = np.nonzero((t != 0.0) & ~np.eye(basis.sites, dtype=bool))
@@ -241,42 +212,3 @@ def connectivity_check(model: LatticeModel, m) -> ConnectivityReport:
     orbits = sorted((tuple(g.tolist()) for g in groups), key=lambda o: o[0])
     return ConnectivityReport(m=basis.m, dimension=basis.dimension,
                               connected=len(orbits) == 1, orbits=tuple(orbits))
-
-
-@dataclass(frozen=True)
-class Connector:
-    """A hole path x_1, ..., x_l whose composed moves map one configuration
-    to another; its length is the hop count l - 1."""
-
-    path: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.path) - 1
-
-    def apply(self, config: HoleSpinConfig) -> HoleSpinConfig | None:
-        out = config
-        for frm, to in zip(self.path, self.path[1:]):
-            out = apply_move(out, frm, to)
-            if out is None:
-                return None
-        return out
-
-
-def find_connector(model: LatticeModel, m, a: HoleSpinConfig,
-                   b: HoleSpinConfig) -> Connector | None:
-    """Shortest connector from a to b, or None when they sit in different
-    orbits.  Read off the breadth-first tree of the configuration graph:
-    each node on the tree path from a to b contributes its hole site."""
-    basis = enumerate_sector(model, m)
-    src = basis.rank(a.hole, a.up_mask)
-    node = basis.rank(b.hole, b.up_mask)
-    _, pred = breadth_first_order(configuration_graph(model, basis), src,
-                                  return_predecessors=True)
-    nodes = [node]
-    while node != src:
-        node = pred[node]
-        if node < 0:
-            return None
-        nodes.append(node)
-    return Connector(path=tuple(basis.holes[nodes[::-1]].tolist()))

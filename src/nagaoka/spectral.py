@@ -539,12 +539,6 @@ def resolvent_gaps(model: LatticeModel, us, z: complex | None = None):
                for h_u in matrices]
 
 
-def resolvent_gap(model: LatticeModel, u: float, z: complex | None = None) -> float:
-    """``resolvent_gaps`` at one U: the distance of the resolvent at U from
-    the limit resolvent."""
-    return resolvent_gaps(model, [u], z)[1][0]
-
-
 @dataclass(frozen=True)
 class EnergySplit:
     u: float

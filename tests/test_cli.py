@@ -112,6 +112,69 @@ def test_byte_identical_reruns(capsys, triangle_file):
     assert first == second
 
 
+def _subprocess_env(**extra) -> dict:
+    """The environment of a child process that imports this checkout's package."""
+    return {**os.environ, **extra,
+            "PYTHONPATH": os.pathsep.join([str(Path(nagaoka.__file__).parents[1]),
+                                           os.environ.get("PYTHONPATH", "")])}
+
+
+# a float of a report may move by this much, relative to max(1, |value|), when
+# only the BLAS thread count changes; 1.8e-15 is the largest move measured
+BLAS_THREADS_TOL = 1e-12
+
+
+def _ed_all(paths, threads: int) -> str:
+    """stdout of one process that runs ``ed --all`` on each model in turn."""
+    code = ("import sys\nfrom nagaoka.cli import main\n"
+            "for path in sys.argv[1:]:\n    main(['ed', '--all', '--model', path])\n")
+    return subprocess.run([sys.executable, "-c", code, *paths], capture_output=True, text=True,
+                          check=True, timeout=300,
+                          env=_subprocess_env(OPENBLAS_NUM_THREADS=str(threads))).stdout
+
+
+def _payloads(out: str) -> list:
+    decoder, payloads, at = json.JSONDecoder(), [], 0
+    while at < len(out):
+        payload, at = decoder.raw_decode(out, at)
+        payloads.append(payload)
+        at += 1                         # the newline after each payload
+    return payloads
+
+
+def _assert_close(a, b, where=""):
+    if isinstance(a, float) and isinstance(b, float):
+        assert abs(a - b) <= BLAS_THREADS_TOL * max(1.0, abs(a)), (where, a, b)
+    elif isinstance(a, dict) and isinstance(b, dict):
+        assert a.keys() == b.keys(), where
+        for key in a:
+            _assert_close(a[key], b[key], f"{where}.{key}")
+    elif isinstance(a, list) and isinstance(b, list):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_close(x, y, f"{where}[{i}]")
+    else:
+        assert a == b, (where, a, b)
+
+
+def test_ed_reports_agree_across_blas_thread_counts(tmp_path):
+    # dense-routed sectors of these models change in the last bits with the
+    # OpenBLAS thread count; at any one count reruns stay byte-identical
+    paths = []
+    for name, generator, extent, sites in (("complete9", "complete", "9", 9),
+                                           ("tri2x4", "triangular_patch", "2x4", 8)):
+        paths.append(tmp_path / f"{name}.ini")
+        paths[-1].write_text(f"[lattice]\nsites = {sites}\ngenerator = {generator}\n"
+                             f"extent = {extent}\nt = 1.0\n[coulomb]\nu = inf\n")
+    runs = {threads: [_ed_all(paths, threads) for _ in range(2)] for threads in (1, 2)}
+    for threads, (first, second) in runs.items():
+        assert first == second, threads
+    one, two = _payloads(runs[1][0]), _payloads(runs[2][0])
+    assert len(one) == len(two) == len(paths)
+    for a, b in zip(one, two):
+        _assert_close(a, b, a["command"])
+
+
 def test_ed_rows_sorted_and_spin_resolved(capsys, holstein_file):
     code, out = run(capsys, "ed", "--model", holstein_file, "--all", "--cutoff", "2")
     assert code == 0
@@ -1014,9 +1077,7 @@ def test_closed_stdout_pipe_exits_1_without_a_traceback(tmp_path):
     path = tmp_path / "ring10.ini"
     path.write_text("[lattice]\nsites = 10\ngenerator = ring\nextent = 10\nt = 1.0\n"
                     "[coulomb]\nu = inf\n")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([str(Path(nagaoka.__file__).parents[1]),
-                                          os.environ.get("PYTHONPATH", "")])}
+    env = _subprocess_env()
     # about 300 kB of configurations: more than a pipe buffer holds
     proc = subprocess.Popen([sys.executable, "-m", "nagaoka", "basis", "--all", "--list",
                              "--model", str(path)],

@@ -1,11 +1,12 @@
 """Import hygiene of the package, read from the source with ``ast``: every
-module uses what it imports, and the certificates reach the assembly only
-through its public names."""
+module uses what it imports, every public name has a caller in the package,
+and the certificates reach the assembly only through its public names."""
 
 import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,31 @@ def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(set(_imports(tree)) - used) == []
+
+
+def _named(node) -> Counter:
+    """How often each name is read, imported or taken as an attribute below ``node``."""
+    named = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            named[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            named[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            named[sub.name] += 1
+    return named
+
+
+def test_every_public_definition_has_a_caller_in_the_package():
+    # the supported surface is the CLI, the criteria and what they call: a
+    # public function or class that only its own body (or __init__) names
+    # belongs in the tests, or nowhere
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    named = sum((_named(tree) for tree in trees.values()), Counter())
+    uncalled = [f"{module}:{node.name}" for module, tree in trees.items() for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_") and named[node.name] == _named(node)[node.name]]
+    assert uncalled == []
 
 
 def test_positivity_imports_no_private_assembly_name():

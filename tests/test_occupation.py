@@ -37,6 +37,7 @@ from nagaoka.manybody import (
 )
 from nagaoka.model import LatticeModel, PhononBlock, generate_lattice
 from nagaoka.sector import sector_magnetizations
+from move_oracle import configs
 
 
 def assert_same_csr(got, want, what=""):
@@ -75,7 +76,7 @@ def test_sector_embedding_rows_are_the_oracle_word_indices():
         index = {w: i for i, w in enumerate(oracle.fock_states(model.sites, model.n_electrons))}
         for m in sector_magnetizations(model.sites):
             basis, _, rows, _ = sector_embedding(model, m)
-            words = [config_word(model.sites, c) for c in basis.configs]
+            words = [config_word(model.sites, c) for c in configs(basis)]
             assert rows.tolist() == [index[w] for w in words], f"{name} M={m}"
 
 

@@ -5,26 +5,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import shortest_path
 
 from nagaoka.corpus import chain3, complete4, corpus_models, pair2
 from nagaoka.model import LatticeModel, generate_lattice
 from nagaoka.sector import (
-    HoleSpinConfig,
-    apply_move,
+    configuration_graph,
     connectivity_check,
     enumerate_sector,
-    find_connector,
     hole_moves,
     sector_magnetizations,
     spin_flip,
 )
+from move_oracle import HoleSpinConfig, apply_move, configs
 
 
 def brute_force_orbits(model, m):
     """Independent oracle: set-based flood fill over raw configurations."""
     basis = enumerate_sector(model, m)
     t = model.hopping
-    remaining = set(basis.configs)
+    remaining = set(configs(basis))
     orbits = []
     while remaining:
         seed = next(iter(remaining))
@@ -46,10 +46,11 @@ def brute_force_orbits(model, m):
 def scalar_moves(model, basis):
     """Independent oracle: the per-configuration ``apply_move`` walk, in
     (source, target site) order, ranked by a dict over the listed basis."""
-    index = {c: i for i, c in enumerate(basis.configs)}
+    listed = configs(basis)
+    index = {c: i for i, c in enumerate(listed)}
     t = model.hopping
     moves = [(index[apply_move(c, c.hole, y)], j, c.hole, y)
-             for j, c in enumerate(basis.configs)
+             for j, c in enumerate(listed)
              for y in range(model.sites) if y != c.hole and t[c.hole, y] != 0.0]
     return np.array(moves, dtype=np.intp).reshape(-1, 4).T
 
@@ -95,8 +96,8 @@ def assert_moves_match_scalar_walk(model, basis):
 
 def assert_orbits_match_brute_force(model, m, basis):
     rep = connectivity_check(model, m)
-    oracle = {frozenset(basis.rank(c.hole, c.up_mask) for c in orbit)
-              for orbit in brute_force_orbits(model, m)}
+    index = {c: i for i, c in enumerate(configs(basis))}
+    oracle = {frozenset(index[c] for c in orbit) for orbit in brute_force_orbits(model, m)}
     assert {frozenset(o) for o in rep.orbits} == oracle
     assert rep.connected == (len(oracle) == 1)
     assert all(list(o) == sorted(o) for o in rep.orbits)
@@ -127,10 +128,11 @@ def test_total_configuration_count():
 
 def test_canonical_ordering_and_index():
     basis = enumerate_sector(complete4(), Fraction(1, 2))
-    keys = [(c.hole, c.up_mask) for c in basis.configs]
+    listed = configs(basis)
+    keys = [(c.hole, c.up_mask) for c in listed]
     assert keys == sorted(keys)
-    assert all(basis.rank(c.hole, c.up_mask) == i for i, c in enumerate(basis.configs))
-    assert all(not (c.up_mask >> c.hole) & 1 for c in basis.configs)
+    assert all(basis.rank(c.hole, c.up_mask) == i for i, c in enumerate(listed))
+    assert all(not (c.up_mask >> c.hole) & 1 for c in listed)
 
 
 def test_rank_inverts_enumeration_and_rejects_outsiders():
@@ -171,7 +173,7 @@ def test_apply_move_semantics():
 def test_apply_move_is_involution():
     for model in (complete4(), chain3()):
         for m in sector_magnetizations(model.sites):
-            for c in enumerate_sector(model, m).configs:
+            for c in configs(enumerate_sector(model, m)):
                 for y in range(model.sites):
                     if y == c.hole:
                         continue
@@ -224,61 +226,19 @@ def test_spin_flip_is_an_involution_that_keeps_holes():
                     spin_flip(basis, basis)
 
 
-def test_identity_connector():
-    basis = enumerate_sector(pair2(), Fraction(1, 2))
-    c = basis.configs[0]
-    conn = find_connector(pair2(), Fraction(1, 2), c, c)
-    assert conn.length == 0
-    assert conn.apply(c) == c
-
-
-def test_two_site_connector():
-    basis = enumerate_sector(pair2(), Fraction(1, 2))
-    a = next(c for c in basis.configs if c.hole == 0)
-    b = next(c for c in basis.configs if c.hole == 1)
-    conn = find_connector(pair2(), Fraction(1, 2), a, b)
-    assert conn.path == (0, 1)
-    assert conn.length == 1
-    assert conn.apply(a) == b
-
-
-def test_connector_none_across_orbits():
-    basis = enumerate_sector(chain3(), 0)
-    rep = connectivity_check(chain3(), 0)
-    a = basis.configs[rep.orbits[0][0]]
-    b = basis.configs[rep.orbits[1][0]]
-    assert find_connector(chain3(), 0, a, b) is None
-
-
-def test_connector_application_lands_on_target():
-    model = complete4()
-    basis = enumerate_sector(model, Fraction(1, 2))
-    rng = np.random.default_rng(3)
-    t = model.hopping
-    for _ in range(25):
-        a = basis.configs[rng.integers(basis.dimension)]
-        b = basis.configs[rng.integers(basis.dimension)]
-        conn = find_connector(model, Fraction(1, 2), a, b)
-        assert conn is not None
-        assert conn.apply(a) == b
-        for frm, to in zip(conn.path, conn.path[1:]):
-            assert t[frm, to] != 0.0
-
-
-def test_connector_lengths_are_flood_fill_distances():
+def test_configuration_graph_distances_are_flood_fill_distances():
     rng = np.random.default_rng(11)
     for name, model in oracle_models().items():
         for m in sector_magnetizations(model.sites):
-            configs = enumerate_sector(model, m).configs
-            for a in (configs[i] for i in rng.integers(len(configs), size=2)):
-                dist = brute_force_distances(model, m, a)
-                for b in (configs[i] for i in rng.integers(len(configs), size=4)):
-                    conn = find_connector(model, m, a, b)
-                    if b not in dist:
-                        assert conn is None, (name, m)
-                        continue
-                    assert conn.length == dist[b], (name, m)
-                    assert conn.apply(a) == b
+            basis = enumerate_sector(model, m)
+            listed = configs(basis)
+            starts = rng.integers(basis.dimension, size=2)
+            hops = shortest_path(configuration_graph(model, basis), unweighted=True,
+                                 indices=starts)
+            for row, start in zip(hops, starts):
+                dist = brute_force_distances(model, m, listed[start])
+                assert {listed[i]: int(d) for i, d in enumerate(row) if np.isfinite(d)} \
+                    == dist, (name, m)
 
 
 @st.composite

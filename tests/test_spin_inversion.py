@@ -24,13 +24,14 @@ from nagaoka.hamiltonian import (
 )
 from nagaoka.manybody import SparseHermitian
 from nagaoka.model import LatticeModel, PhononBlock
-from nagaoka.sector import HoleSpinConfig, sector_magnetizations
+from nagaoka.sector import sector_magnetizations
 from nagaoka.spectral import (
     RESIDUAL_TOL,
     ground_cluster,
     ground_report,
     verified_spin_flip,
 )
+from move_oracle import HoleSpinConfig, configs
 from spin_oracle import sector_spin_squared
 from test_hamiltonian import OFFDIAGONAL_G, with_phonons
 from test_sector import oracle_models
@@ -38,9 +39,9 @@ from test_sector import oracle_models
 
 def flip_rows(basis, basis_flip) -> np.ndarray:
     full = (1 << basis.sites) - 1
-    index = {c: i for i, c in enumerate(basis_flip.configs)}
+    index = {c: i for i, c in enumerate(configs(basis_flip))}
     return np.array([index[HoleSpinConfig(c.hole, full ^ c.up_mask ^ (1 << c.hole))]
-                     for c in basis.configs], dtype=np.int64)
+                     for c in configs(basis)], dtype=np.int64)
 
 
 def permuted(mat: sp.csr_matrix, perm: np.ndarray) -> sp.csr_matrix:
